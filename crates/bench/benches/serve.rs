@@ -69,12 +69,12 @@ fn bench_serve(c: &mut Criterion) {
         });
     }
 
-    // Cold misses through the compiled gen-ext: the same 24 distinct
-    // requests against a *registered* program. The first (untimed) fill
-    // stages the generating extension to bytecode — the one-time build
-    // cost `spec.rs` reports as `genext-build` — and the timed drain is
-    // then 24 pure cache misses served by the machine, directly
-    // comparable to `cold/1-thread` (interpreted walker, same batch).
+    // Cold misses on the named route: the same 24 distinct requests
+    // against a *registered* program. The first (untimed) fill stages
+    // the generating extension to bytecode — the one-time build cost
+    // `spec.rs` reports as `genext-build` — and the timed drain is then
+    // 24 pure cache misses served by the machine, directly comparable to
+    // `cold/1-thread` (the anonymous route, same engine, same batch).
     {
         let pgg = Pgg::new();
         let program = pgg
@@ -92,6 +92,7 @@ fn bench_serve(c: &mut Criterion) {
                     service
                         .specialize_named("bench", &[Datum::Int(0)])
                         .expect("build fill");
+                    let staged = service.stats().genext_builds;
                     let t0 = Instant::now();
                     for n in 1..=REQUESTS {
                         black_box(
@@ -101,7 +102,11 @@ fn bench_serve(c: &mut Criterion) {
                         );
                     }
                     total += t0.elapsed();
-                    assert_eq!(service.stats().genext_builds, 1);
+                    assert_eq!(
+                        service.stats().genext_builds,
+                        staged,
+                        "the timed drain staged the gen-ext"
+                    );
                 }
                 total
             })
@@ -324,7 +329,7 @@ fn report(group: &harness::Group) {
     println!("  cold 1-thread: {cold1:.0} req/s");
     println!("  cold 4-thread: {cold4:.0} req/s ({:.2}x)", cold4 / cold1);
     println!(
-        "  cold-genext 1-thread (24 compiled misses): {coldgen:.0} req/s \
+        "  cold-genext 1-thread (24 named misses): {coldgen:.0} req/s \
          ({:.2}x cold)",
         coldgen / cold1
     );
@@ -369,14 +374,13 @@ fn report(group: &harness::Group) {
     } else {
         println!("  (single-core machine: 4-thread scaling floor skipped)");
     }
-    // A registered program's cold misses run through the compiled
-    // gen-ext: the drain must beat the interpreted walker on the same
-    // batch (the machine's 2x engine win, less the named-path registry
-    // overhead these tiny specializations magnify).
+    // Anonymous and named misses run one engine (the gen-ext machine,
+    // each on a program staged once): the anonymous route must keep up
+    // with the named one, which only adds registry bookkeeping.
     assert!(
-        coldgen > cold1,
-        "compiled gen-ext cold misses slower than interpreted: \
-         {coldgen:.0} vs {cold1:.0} req/s"
+        cold1 >= coldgen * 0.9,
+        "anonymous cold misses lag named ones on the same engine: \
+         {cold1:.0} vs {coldgen:.0} req/s"
     );
     // First-touch economics of the tiered pipeline: answering a cold
     // miss with the generic image must beat blocking on the specializer

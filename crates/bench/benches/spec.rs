@@ -7,11 +7,17 @@
 //!
 //! * `read-front-end` — reader + desugaring + renaming + lambda lifting;
 //! * `bta` — binding-time analysis (building the generating extension);
-//! * `specialize` — the specializer producing residual ANF *source*;
+//! * `specialize` — staging plus the interpretive walker (the reference
+//!   specializer the gen-ext machine is checked against) producing
+//!   residual ANF *source*;
 //! * `compile` — the stock byte-code compiler over that residual program;
 //! * `vm-exec` — executing the compiled residual code once;
-//! * `fused/spec-to-object` — specialize + compile as the single composed
-//!   pass of the paper, for comparison against `specialize` + `compile`.
+//! * `fused/spec-to-object` — the walker's specialize + compile as the
+//!   single composed pass of the paper, for comparison against
+//!   `specialize` + `compile`;
+//! * `genext-build` and `cold-genext` — staging the generating extension,
+//!   and the gen-ext machine that every request runs, compared against
+//!   the walker rows above.
 //!
 //! Subject: the MIXWELL interpreter specialized over its static program —
 //! the paper's headline workload. Results land in `BENCH_spec.json` so
@@ -19,7 +25,10 @@
 
 use std::hint::black_box;
 use std::time::Instant;
-use two4one::{compile_program, with_stack, Machine, Value};
+use two4one::{
+    compile_program, encode_genext, with_stack, AProgram, Machine, ObjectBuilder, SourceBuilder,
+    SpecOptions, Symbol, Value,
+};
 use two4one_bench::harness::{self, Criterion};
 use two4one_bench::subjects;
 use two4one_bench::{criterion_group, criterion_main};
@@ -55,19 +64,24 @@ fn bench_spec_phases(c: &mut Criterion) {
         });
     }
 
-    // Phase 3: specialization to residual source (ANF). Runs on a big
-    // stack: the specializer recurses over the interpreter.
+    // Phase 3: specialization to residual source (ANF) by the walker,
+    // staging included. Runs on a big stack: the walker recurses over the
+    // interpreter.
+    let annotated = genext
+        .annotated()
+        .expect("cogen keeps the annotation")
+        .clone();
+    let options = genext.options().clone();
     {
-        let g = genext.clone();
-        let s = statics.clone();
+        let (a, o, s) = (annotated.clone(), options.clone(), statics.clone());
         group.bench_function("specialize", move |b| {
             b.iter_custom(|iters| {
-                let g = g.clone();
-                let s = s.clone();
+                let (a, o, s) = (a.clone(), o.clone(), s.clone());
                 with_stack(move || {
                     let t0 = Instant::now();
                     for _ in 0..iters {
-                        black_box(g.specialize_source(&s).expect("specialize").size());
+                        let residual = walk(&a, entry, &s, SourceBuilder::new(), &o);
+                        black_box(residual.size());
                     }
                     t0.elapsed()
                 })
@@ -127,17 +141,17 @@ fn bench_spec_phases(c: &mut Criterion) {
 
     // The composed pass: residual object code with no residual syntax
     // tree in between — should beat `specialize` + `compile` run apart.
+    // The walker again, so the two rows compare one engine.
     {
-        let g = genext.clone();
-        let s = statics.clone();
+        let (a, o, s) = (annotated.clone(), options.clone(), statics.clone());
         group.bench_function("fused/spec-to-object", move |b| {
             b.iter_custom(|iters| {
-                let g = g.clone();
-                let s = s.clone();
+                let (a, o, s) = (a.clone(), o.clone(), s.clone());
                 with_stack(move || {
                     let t0 = Instant::now();
                     for _ in 0..iters {
-                        black_box(g.specialize_object(&s).expect("fused").code_size());
+                        let image = walk(&a, entry, &s, ObjectBuilder::new(), &o);
+                        black_box(image.expect("fused").code_size());
                     }
                     t0.elapsed()
                 })
@@ -145,22 +159,28 @@ fn bench_spec_phases(c: &mut Criterion) {
         });
     }
 
-    // Phase 7: staging the gen-ext to bytecode — the one-time build cost
-    // of the *compiled* generating extension.
+    // Phase 7: staging the gen-ext to bytecode (and its `.t4og` wire
+    // form) — the one-time build cost of the *compiled* generating
+    // extension, paid once per program generation.
     {
-        let g = genext.clone();
+        let (a, e) = (annotated.clone(), Symbol::new(entry));
         group.bench_function("genext-build", move |b| {
-            b.iter(|| black_box(g.compile().expect("genext-build").to_bytes().len()))
+            b.iter(|| {
+                let staged = two4one_pe::stage(&a).expect("genext-build");
+                black_box(encode_genext(&staged, &e).len())
+            })
         });
     }
 
     // Phase 8: cold specialization through the compiled gen-ext — the
-    // artifact a serving process keeps per registered program (or
-    // restores from a `.t4og` snapshot). Directly comparable to
+    // machine every request runs, on an extension already staged (a
+    // serving process stages once per generation, or restores the
+    // staged program from a `.t4og` snapshot). Directly comparable to
     // `fused/spec-to-object`, which is the same residual image produced
-    // by the interpreted walker.
+    // by the walker.
     {
-        let compiled = genext.compile().expect("compile genext");
+        let compiled = genext.clone();
+        compiled.stage().expect("stage genext");
         let s = statics.clone();
         group.bench_function("cold-genext", move |b| {
             b.iter_custom(|iters| {
@@ -183,6 +203,30 @@ fn bench_spec_phases(c: &mut Criterion) {
     }
 
     report(&group);
+}
+
+/// One walker run, the reference specializer the gen-ext machine is
+/// checked against: stage the annotated program, then walk the staged
+/// code.
+fn walk<B: two4one::anf::build::CodeBuilder>(
+    annotated: &AProgram,
+    entry: &str,
+    statics: &[two4one::Datum],
+    builder: B,
+    options: &SpecOptions,
+) -> B::Program {
+    let staged = two4one_pe::stage(annotated).expect("stage");
+    let deadline = options.limits.deadline();
+    two4one_pe::specialize_staged(
+        &staged,
+        &Symbol::new(entry),
+        statics,
+        builder,
+        options,
+        deadline,
+    )
+    .expect("walker")
+    .0
 }
 
 /// Prints the phase breakdown and writes the trajectory file.
@@ -227,7 +271,7 @@ fn report(group: &harness::Group) {
     );
     println!("    genext-build     {gbuild:8.3} ms  (one-time, amortized over the cache)");
     println!(
-        "    cold-genext      {gcold:8.3} ms  ({:.2}x interpreted specialize, {:.2}x fused)",
+        "    cold-genext      {gcold:8.3} ms  ({:.2}x walker specialize, {:.2}x walker fused)",
         spec / gcold,
         fused / gcold
     );

@@ -134,8 +134,7 @@ fn fig8() {
                 pg2.cogen(&p2, entry, &Division::all_dynamic(2))
                     .expect("cogen")
                     .annotated()
-                    .defs
-                    .len(),
+                    .map_or(0, |a| a.defs.len()),
             );
         });
         let g = s.genext_all_dynamic();

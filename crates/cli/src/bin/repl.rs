@@ -20,12 +20,8 @@
 //! * `,dis f` — disassemble a definition;
 //! * `,spec f S D …` — specialize `f` under the given division (then enter
 //!   the static arguments on the next line) and install the residual
-//!   definitions;
-//! * `,genext f S D …` — like `,spec`, but through the *compiled*
-//!   generating extension: `f`'s gen-ext is staged to bytecode (the
-//!   artifact is reported — defs, ops, wire bytes) and specialization
-//!   runs that bytecode on the gen-ext machine. The residual program is
-//!   bit-identical to `,spec`'s; only the machinery differs;
+//!   definitions. `f`'s generating extension is staged to bytecode and
+//!   run on the gen-ext machine (`,stats` counts the build and the run);
 //! * `,redefine (define (f …) …)` — replace `f` as a new *generation*:
 //!   every residual definition previously derived from `f` by `,spec` is
 //!   dropped (specialized code is only valid relative to the exact source
@@ -159,10 +155,6 @@ impl Repl {
         }
         if let Some(rest) = line.strip_prefix(",spec ") {
             self.specialize(rest.trim());
-            return true;
-        }
-        if let Some(rest) = line.strip_prefix(",genext ") {
-            self.genext(rest.trim());
             return true;
         }
         match reader::read_one(line) {
@@ -316,11 +308,11 @@ impl Repl {
     }
 
     /// Parses `<fn> <S|D>…` and prompts for the static arguments — the
-    /// shared front half of `,spec` and `,genext`.
-    fn read_spec_request(&self, cmd: &str, spec: &str) -> Option<(String, Division, Vec<Datum>)> {
+    /// front half of `,spec`.
+    fn read_spec_request(&self, spec: &str) -> Option<(String, Division, Vec<Datum>)> {
         let mut parts = spec.split_whitespace();
         let Some(name) = parts.next() else {
-            println!("usage: {cmd} <fn> <S|D> ...");
+            println!("usage: ,spec <fn> <S|D> ...");
             return None;
         };
         let mut division = Vec::new();
@@ -370,7 +362,7 @@ impl Repl {
 
     fn specialize(&mut self, spec: &str) {
         // ,spec f S D …  — division letters for each parameter.
-        let Some((name, division, statics)) = self.read_spec_request(",spec", spec) else {
+        let Some((name, division, statics)) = self.read_spec_request(spec) else {
             return;
         };
         let result = Pgg::new()
@@ -379,38 +371,6 @@ impl Repl {
             .and_then(|g| g.specialize_source_optimized(&statics));
         match result {
             Ok(residual) => self.install_residual(Symbol::new(&name), &residual),
-            Err(e) => println!("error: {e}"),
-        }
-    }
-
-    /// `,genext f S D …` — the compiled path of `,spec`: stage `f`'s
-    /// generating extension to gen-ext bytecode, report the artifact,
-    /// then specialize by running that bytecode on the gen-ext machine.
-    fn genext(&mut self, spec: &str) {
-        let Some((name, division, statics)) = self.read_spec_request(",genext", spec) else {
-            return;
-        };
-        let compiled = Pgg::new()
-            .parse(&self.program_text())
-            .and_then(|p| Pgg::new().cogen(&p, &name, &division))
-            .and_then(|g| g.compile());
-        let compiled = match compiled {
-            Ok(c) => c,
-            Err(e) => {
-                println!("error: {e}");
-                return;
-            }
-        };
-        println!(
-            ";; genext: compiled ({} defs, {} ops, {} bytes)",
-            compiled.staged().defs.len(),
-            compiled.staged().code.len(),
-            compiled.to_bytes().len()
-        );
-        match compiled.specialize_source(&statics) {
-            Ok(residual) => {
-                self.install_residual(Symbol::new(&name), &two4one::anf::optimize(&residual))
-            }
             Err(e) => println!("error: {e}"),
         }
     }

@@ -7,7 +7,7 @@
 //! t4o spec <file.scm> --entry <name> --division SDSD
 //!          [--static <datum>]... [-o out.t4o | --source] [--optimize]
 //!          [--unfold-fuel <n>] [--timeout-ms <ms>] [--strict]
-//!          [--jobs <n>] [--batch '(<datum>...)']...
+//!          [--jobs <n>] [--batch '(<datum>...)']... [--genext-file <f.t4og>]
 //! t4o spec <file.g> --grammar [--source | -o out.t4o] [--optimize]
 //! t4o serve <file.scm> --entry <name> --division SDSD [--name <logical>]
 //!           [--listen <addr:port>] [--tenants-file <f>]
@@ -46,15 +46,14 @@
 //! specializations are invalidated and the batch is served again from
 //! the new one.
 //!
-//! Compiled gen-exts: `--genext` stages the generating extension to
-//! bytecode (the second Futamura projection, compiled) and specializes
-//! through the gen-ext machine instead of the annotation walker — same
-//! residual image, bit for bit. `--genext-file <f.t4og>` loads the
-//! compiled gen-ext from the file when it exists (warm start, skipping
-//! front-end + BTA + staging) and writes it there after compiling
-//! otherwise. In serve mode the service compiles gen-exts for named
-//! programs by itself; `--genext-cache <f.t4og>` persists that artifact
-//! cache across runs, mirroring `--cache-file` for residuals.
+//! Compiled gen-exts: every specialization stages the generating
+//! extension to bytecode (the second Futamura projection, compiled) and
+//! runs it on the gen-ext machine. `--genext-file <f.t4og>` loads the
+//! staged gen-ext from the file when it exists (warm start, skipping
+//! front-end + BTA + staging) and writes it there after staging
+//! otherwise. In serve mode the service stages each registered
+//! generation once by itself; `--genext-cache <f.t4og>` persists those
+//! staged programs across runs, mirroring `--cache-file` for residuals.
 //!
 //! Tiered serving: `--tier0` answers a cold miss with the
 //! generically-compiled image immediately (tens of microseconds) instead
@@ -127,7 +126,6 @@ struct Opts {
     grammar: bool,
     redefine: Option<String>,
     cache_file: Option<String>,
-    genext: bool,
     genext_file: Option<String>,
     genext_cache: Option<String>,
     deadline_ms: Option<u64>,
@@ -195,7 +193,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
         grammar: false,
         redefine: None,
         cache_file: None,
-        genext: false,
         genext_file: None,
         genext_cache: None,
         deadline_ms: None,
@@ -246,7 +243,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
             "--grammar" | "-g" => o.grammar = true,
             "--redefine" => o.redefine = Some(take("--redefine")?),
             "--cache-file" => o.cache_file = Some(take("--cache-file")?),
-            "--genext" => o.genext = true,
             "--genext-file" => o.genext_file = Some(take("--genext-file")?),
             "--genext-cache" => o.genext_cache = Some(take("--genext-cache")?),
             "--metrics-file" => o.metrics_file = Some(take("--metrics-file")?),
@@ -318,7 +314,7 @@ fn usage() -> String {
      [--unfold-fuel <n>] [--timeout-ms <ms>] [--strict] \
      [--jobs <n>] [--batch '(<datum>...)']... \
      [--name <logical> [--redefine <file2.scm>]] \
-     [--genext] [--genext-file <f.t4og>] \
+     [--genext-file <f.t4og>] \
      [--cache-file <f.t4os>] [--genext-cache <f.t4og>] \
      [--deadline-ms <ms>] [--max-inflight <n>] \
      [--tier0 [--promote-after <n>] [--promote-workers <n>]] \
@@ -476,71 +472,43 @@ fn grammar_default_name(o: &Opts) -> Result<String, String> {
     Ok(g.start().to_string())
 }
 
-/// The single-shot `--genext` pipeline: with `--genext-file` pointing at
-/// an existing `.t4og`, the compiled gen-ext is loaded and the Scheme
+/// The single-shot generating extension. With `--genext-file` pointing
+/// at an existing `.t4og`, the staged gen-ext is loaded and the Scheme
 /// front end never runs — a cross-process warm start, so the positional
 /// source file, `--entry`, and `--division` are all optional. Otherwise
-/// the gen-ext is built the usual way, staged to bytecode, and written
-/// back to `--genext-file` (when given) for the next process.
-fn obtain_compiled(o: &Opts) -> Result<two4one::CompiledGenExt, String> {
+/// the gen-ext is built the usual way and, with `--genext-file`, staged
+/// now and written there for the next process.
+fn obtain_genext(o: &Opts) -> Result<two4one::GenExt, String> {
     if let Some(path) = &o.genext_file {
         if std::path::Path::new(path).exists() {
             let options = two4one::SpecOptions {
                 limits: o.spec_limits(),
                 fallback: !o.strict,
             };
-            let compiled =
-                two4one::load_genext(path, options).map_err(|e| format!("{path}: {e}"))?;
+            let genext = two4one::load_genext(path, options).map_err(|e| format!("{path}: {e}"))?;
+            let staged = genext.staged().map_err(|e| e.to_string())?;
             println!(
                 ";; genext: loaded from {path} ({} defs, {} ops)",
-                compiled.staged().defs.len(),
-                compiled.staged().code.len()
+                staged.defs.len(),
+                staged.code.len()
             );
-            return Ok(compiled);
+            return Ok(genext);
         }
     }
-    let compiled = build_genext(o)?.compile().map_err(|e| e.to_string())?;
-    println!(
-        ";; genext: compiled ({} defs, {} ops, {} bytes)",
-        compiled.staged().defs.len(),
-        compiled.staged().code.len(),
-        compiled.to_bytes().len()
-    );
+    let genext = build_genext(o)?;
     if let Some(path) = &o.genext_file {
-        two4one::save_genext(&compiled, path).map_err(|e| format!("{path}: {e}"))?;
+        let staged = genext.staged().map_err(|e| e.to_string())?;
+        let bytes = genext.to_bytes().map_err(|e| e.to_string())?;
+        println!(
+            ";; genext: compiled ({} defs, {} ops, {} bytes)",
+            staged.defs.len(),
+            staged.code.len(),
+            bytes.len()
+        );
+        two4one::save_genext(&genext, path).map_err(|e| format!("{path}: {e}"))?;
         println!(";; genext: written to {path}");
     }
-    Ok(compiled)
-}
-
-/// The two single-shot specialization backends behind a common face: the
-/// interpreted annotation walker ([`two4one::GenExt`]) and the compiled
-/// gen-ext bytecode ([`two4one::CompiledGenExt`]). Both produce
-/// bit-identical residual programs; only the machinery differs.
-enum Backend {
-    Walker(two4one::GenExt),
-    Compiled(two4one::CompiledGenExt),
-}
-
-impl Backend {
-    fn source(
-        &self,
-        statics: &[Datum],
-    ) -> Result<(two4one::AnfProgram, two4one::SpecStats), String> {
-        match self {
-            Backend::Walker(g) => g.specialize_source_with_stats(statics),
-            Backend::Compiled(c) => c.specialize_source_with_stats(statics),
-        }
-        .map_err(|e| e.to_string())
-    }
-
-    fn object(&self, statics: &[Datum]) -> Result<(Image, two4one::SpecStats), String> {
-        match self {
-            Backend::Walker(g) => g.specialize_object_with_stats(statics),
-            Backend::Compiled(c) => c.specialize_object_with_stats(statics),
-        }
-        .map_err(|e| e.to_string())
-    }
+    Ok(genext)
 }
 
 /// Writes the Prometheus rendering of `snap` to `path`.
@@ -554,15 +522,12 @@ fn cmd_spec(o: &Opts) -> Result<(), String> {
     if o.redefine.is_some() && o.name.is_none() {
         return Err("`--redefine` needs `--name <logical>` (the program to redefine)".to_string());
     }
-    let use_compiled = o.genext || o.genext_file.is_some();
     if o.jobs.is_some() || !o.batches.is_empty() || o.name.is_some() {
-        if use_compiled {
-            return Err(
-                "`--genext`/`--genext-file` are single-shot flags; serve mode \
-                        compiles gen-exts by itself (persist them across runs with \
+        if o.genext_file.is_some() {
+            return Err("`--genext-file` is a single-shot flag; serve mode stages \
+                        gen-exts by itself (persist them across runs with \
                         `--genext-cache <f.t4og>`)"
-                    .to_string(),
-            );
+                .to_string());
         }
         return cmd_spec_serve(o, build_genext(o)?);
     }
@@ -584,15 +549,13 @@ fn cmd_spec(o: &Opts) -> Result<(), String> {
         two4one::init_metrics();
         two4one_net::init_metrics();
     }
-    let backend = if use_compiled {
-        Backend::Compiled(obtain_compiled(o)?)
-    } else {
-        Backend::Walker(build_genext(o)?)
-    };
+    let genext = obtain_genext(o)?;
     let statics = read_data(&o.statics)?;
     let mut degraded = false;
     if o.source || o.output.is_none() {
-        let (residual, stats) = backend.source(&statics)?;
+        let (residual, stats) = genext
+            .specialize_source_with_stats(&statics)
+            .map_err(|e| e.to_string())?;
         degraded |= stats.degraded();
         let residual = if o.optimize {
             two4one::anf::optimize(&residual)
@@ -602,7 +565,9 @@ fn cmd_spec(o: &Opts) -> Result<(), String> {
         println!("{}", residual.to_source());
     }
     if let Some(out) = &o.output {
-        let (image, stats) = backend.object(&statics)?;
+        let (image, stats) = genext
+            .specialize_object_with_stats(&statics)
+            .map_err(|e| e.to_string())?;
         degraded |= stats.degraded();
         save_image(&image, out).map_err(|e| e.to_string())?;
         println!(

@@ -50,6 +50,7 @@ use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, OnceLock};
 
+use two4one_anf::build::CodeBuilder;
 pub use two4one_anf::{self as anf, Program as AnfProgram, SourceBuilder};
 pub use two4one_bta::{Division, Options as BtaOptions};
 pub use two4one_compiler::{compile_program, ObjectBuilder};
@@ -202,7 +203,7 @@ fn note_spec_stats(stats: &SpecStats) {
 }
 
 /// Process-wide generating-extension counters: how many gen-exts were
-/// compiled and how many specializations ran through one.
+/// staged and how many specializations ran through one.
 struct GenextMetrics {
     builds: obs::Counter,
     runs: obs::Counter,
@@ -327,12 +328,6 @@ impl Pgg {
         self
     }
 
-    /// Sets the specializer recursion-depth limit.
-    pub fn spec_depth(mut self, depth: usize) -> Self {
-        self.limits = self.limits.with_max_depth(depth);
-        self
-    }
-
     /// Enables or disables graceful degradation at recoverable limits
     /// (see [`SpecOptions`]); enabled by default.
     pub fn fallback(mut self, on: bool) -> Self {
@@ -374,10 +369,12 @@ impl Pgg {
             let mut options = self.spec_options.clone();
             options.limits = self.limits.clone();
             Ok(GenExt {
-                aprog,
+                aprog: Some(Arc::new(aprog)),
                 entry: Symbol::new(entry),
                 options,
                 identity: Arc::new(OnceLock::new()),
+                staged: Arc::new(OnceLock::new()),
+                bytes: Arc::new(OnceLock::new()),
             })
         })
     }
@@ -386,20 +383,37 @@ impl Pgg {
 /// A generating extension: apply it to static inputs to obtain residual
 /// programs — as source text (the classic PGG) or directly as object code
 /// (the fused run-time code generator).
+///
+/// Every `specialize_*` method runs the *compiled* generating extension
+/// (the second Futamura projection): the annotated program is staged
+/// once into the flat gen-ext IR ([`GenProgram`]) and the gen-ext machine
+/// executes that IR. Staging happens on first use, or is skipped by
+/// setting the staged program from `.t4og` bytes ([`GenExt::from_bytes`],
+/// [`GenExt::adopt_bytes`]). Clones share the annotated program, the
+/// staged program and its wire form behind `Arc`s, so a clone is cheap
+/// and a program is staged once however many clones serve it.
 #[derive(Debug, Clone)]
 pub struct GenExt {
-    aprog: AProgram,
+    /// The annotated program; `None` for an extension decoded from
+    /// `.t4og` bytes alone.
+    aprog: Option<Arc<AProgram>>,
     entry: Symbol,
     options: SpecOptions,
     /// Lazily rendered cache identity, shared by all clones of this
     /// extension (see [`GenExt::cache_identity`]).
     identity: Arc<OnceLock<Arc<str>>>,
+    /// The staged program, shared by all clones.
+    staged: Arc<OnceLock<Arc<GenProgram>>>,
+    /// The `.t4og` wire form of the staged program, encoded on first
+    /// request and shared by all clones.
+    bytes: Arc<OnceLock<Arc<[u8]>>>,
 }
 
 impl GenExt {
-    /// The annotated program (for inspection).
-    pub fn annotated(&self) -> &AProgram {
-        &self.aprog
+    /// The annotated program (for inspection); `None` for an extension
+    /// decoded from `.t4og` bytes alone.
+    pub fn annotated(&self) -> Option<&AProgram> {
+        self.aprog.as_deref()
     }
 
     /// The entry point.
@@ -410,12 +424,145 @@ impl GenExt {
     /// The cache identity of this generating extension: the annotated
     /// program rendered to text plus its specialization options (two
     /// extensions differing only in, say, fuel must not share residual
-    /// code). Rendered **once** and shared by every clone, so a serving
-    /// layer can key its result cache per request without re-rendering
-    /// the program each time.
+    /// code). An extension decoded from bytes alone renders its whole
+    /// `.t4og` wire form instead, never a digest of it. Rendered **once**
+    /// and shared by every clone, so a serving layer can key its result
+    /// cache per request without re-rendering the program each time.
     pub fn cache_identity(&self) -> &str {
-        self.identity
-            .get_or_init(|| format!("{}\u{0}{:?}", self.aprog, self.options).into())
+        self.identity.get_or_init(|| {
+            let options = &self.options;
+            match &self.aprog {
+                Some(aprog) => format!("{aprog}\u{0}{options:?}"),
+                None => {
+                    let bytes = self.bytes.get().map_or(&[][..], |b| b);
+                    let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+                    format!("genext:{hex}\u{0}{options:?}")
+                }
+            }
+            .into()
+        })
+    }
+
+    /// Stages the annotated program into the gen-ext IR, unless this
+    /// extension (or a clone of it) is staged already. Returns whether
+    /// this call did the staging, so a caller can count builds.
+    ///
+    /// # Errors
+    ///
+    /// Fails on staging errors (malformed annotated program).
+    pub fn stage(&self) -> Result<bool, Error> {
+        // Without an annotated program the extension came from bytes,
+        // which set the staged program at construction.
+        let Some(aprog) = &self.aprog else {
+            return Ok(false);
+        };
+        if self.staged.get().is_some() {
+            return Ok(false);
+        }
+        let staged = catching(|| {
+            let _span = obs::Span::enter(obs::Phase::GenextBuild);
+            Ok(two4one_pe::stage(aprog)?)
+        })?;
+        // A racing clone may have staged first; its program is equal.
+        let fresh = self.staged.set(staged).is_ok();
+        if fresh {
+            genext_metrics().builds.inc();
+        }
+        Ok(fresh)
+    }
+
+    /// True once the staged program exists (staged, or set from bytes).
+    pub fn is_staged(&self) -> bool {
+        self.staged.get().is_some()
+    }
+
+    /// The staged program, staged on first use.
+    ///
+    /// # Errors
+    ///
+    /// Fails on staging errors (malformed annotated program).
+    pub fn staged(&self) -> Result<&Arc<GenProgram>, Error> {
+        self.stage()?;
+        self.staged
+            .get()
+            .ok_or_else(|| Error::Pe(PeError::Internal("gen-ext has no staged program".into())))
+    }
+
+    /// The `.t4og` wire form of the staged program (staging it first if
+    /// needed), encoded once and shared by every clone.
+    ///
+    /// # Errors
+    ///
+    /// Fails on staging errors (malformed annotated program).
+    pub fn to_bytes(&self) -> Result<Arc<[u8]>, Error> {
+        if let Some(bytes) = self.bytes.get() {
+            return Ok(bytes.clone());
+        }
+        let staged = self.staged()?;
+        Ok(self
+            .bytes
+            .get_or_init(|| encode_genext(staged, &self.entry).into())
+            .clone())
+    }
+
+    /// Decodes a generating extension from its `.t4og` wire form, to run
+    /// under `options`. It has no annotated program: it can specialize
+    /// and re-encode, but not be re-staged.
+    ///
+    /// # Errors
+    ///
+    /// Fails on malformed or corrupt input (checksum, range checks).
+    pub fn from_bytes(bytes: &[u8], options: SpecOptions) -> Result<GenExt, ObjError> {
+        let (staged, entry) = decode_genext(bytes)?;
+        Ok(GenExt {
+            aprog: None,
+            entry,
+            options,
+            identity: Arc::new(OnceLock::new()),
+            staged: Arc::new(OnceLock::from(staged)),
+            bytes: Arc::new(OnceLock::from(Arc::<[u8]>::from(bytes))),
+        })
+    }
+
+    /// Sets the staged program of this extension and all its clones from
+    /// `.t4og` bytes — a warm start that skips staging — unless it is
+    /// staged already. The caller vouches that the bytes were staged from
+    /// this extension's annotated program (a snapshot record matched by
+    /// cache identity and entry).
+    ///
+    /// # Errors
+    ///
+    /// Fails on malformed or corrupt input (checksum, range checks).
+    pub fn adopt_bytes(&self, bytes: &[u8]) -> Result<(), ObjError> {
+        let (staged, _) = decode_genext(bytes)?;
+        if self.staged.set(staged).is_ok() {
+            let _ = self.bytes.set(bytes.into());
+        }
+        Ok(())
+    }
+
+    /// Runs the gen-ext machine under explicit `options` and an optional
+    /// caller-side [`CancelToken`], through the given backend.
+    fn run<B: CodeBuilder>(
+        &self,
+        statics: &[Datum],
+        builder: B,
+        options: &SpecOptions,
+        cancel: Option<&CancelToken>,
+    ) -> Result<(B::Program, SpecStats), Error> {
+        catching(|| {
+            let mut deadline = options.limits.deadline();
+            if let Some(token) = cancel {
+                deadline = deadline.with_cancel(token.clone());
+            }
+            let staged = self.staged()?;
+            let _span = obs::Span::enter(obs::Phase::GenextRun);
+            let (prog, stats) =
+                two4one_pe::run_genext(staged, &self.entry, statics, builder, options, deadline)?;
+            genext_metrics().runs.inc();
+            note_spec_stats(&stats);
+            Ok((prog, stats))
+        })
     }
 
     /// Specializes to residual **source** (ANF Scheme).
@@ -436,18 +583,7 @@ impl GenExt {
         &self,
         statics: &[Datum],
     ) -> Result<(AnfProgram, SpecStats), Error> {
-        catching(|| {
-            let _span = obs::Span::enter(obs::Phase::Specialize);
-            let (prog, stats) = two4one_pe::specialize(
-                &self.aprog,
-                &self.entry,
-                statics,
-                SourceBuilder::new(),
-                &self.options,
-            )?;
-            note_spec_stats(&stats);
-            Ok((prog, stats))
-        })
+        self.run(statics, SourceBuilder::new(), &self.options, None)
     }
 
     /// Specializes to residual source and then runs the ANF optimizer
@@ -500,23 +636,8 @@ impl GenExt {
         options: &SpecOptions,
         cancel: Option<&CancelToken>,
     ) -> Result<(Image, SpecStats), Error> {
-        catching(|| {
-            let _span = obs::Span::enter(obs::Phase::Specialize);
-            let mut deadline = options.limits.deadline();
-            if let Some(token) = cancel {
-                deadline = deadline.with_cancel(token.clone());
-            }
-            let (image, stats) = two4one_pe::specialize_with_deadline(
-                &self.aprog,
-                &self.entry,
-                statics,
-                ObjectBuilder::new(),
-                options,
-                deadline,
-            )?;
-            note_spec_stats(&stats);
-            Ok((image?, stats))
-        })
+        let (image, stats) = self.run(statics, ObjectBuilder::new(), options, cancel)?;
+        Ok((image?, stats))
     }
 
     /// The limits and fallback setting this generating extension runs
@@ -526,229 +647,29 @@ impl GenExt {
     }
 
     /// A copy of this generating extension running under different
-    /// options (limits / fallback). The annotated program is shared work:
-    /// binding-time analysis is *not* redone.
+    /// options (limits / fallback). The annotated and staged programs are
+    /// shared: neither binding-time analysis nor staging is redone.
     pub fn with_options(&self, options: SpecOptions) -> GenExt {
         GenExt {
-            aprog: self.aprog.clone(),
-            entry: self.entry,
             options,
             // Fresh cell: options are part of the identity.
             identity: Arc::new(OnceLock::new()),
+            ..self.clone()
         }
-    }
-
-    /// **Compiles** this generating extension: stages the annotated
-    /// program into the flat gen-ext IR once, yielding a
-    /// [`CompiledGenExt`] whose specialization entry points run the
-    /// staged bytecode directly (no per-run annotation walk). The
-    /// compiled form produces residual programs **bit-identical** to this
-    /// extension's and can be serialized (`.t4og`) for cross-process warm
-    /// starts.
-    ///
-    /// # Errors
-    ///
-    /// Fails on staging errors (malformed annotated program).
-    pub fn compile(&self) -> Result<CompiledGenExt, Error> {
-        catching(|| {
-            let _span = obs::Span::enter(obs::Phase::GenextBuild);
-            let staged = two4one_pe::stage(&self.aprog)?;
-            genext_metrics().builds.inc();
-            Ok(CompiledGenExt::assemble(
-                staged,
-                self.entry,
-                self.options.clone(),
-            ))
-        })
     }
 }
 
-/// A *compiled* generating extension: the staged-code IR of a [`GenExt`],
-/// executed as bytecode by the gen-ext machine. Same contract as
-/// [`GenExt`] — apply to static inputs, get a residual program through
-/// either backend, bit-identical output — minus the per-run interpretive
-/// overhead, plus serialization for cross-process warm starts.
-#[derive(Debug, Clone)]
-pub struct CompiledGenExt {
-    staged: Arc<GenProgram>,
-    entry: Symbol,
-    options: SpecOptions,
-    /// The `.t4og` wire form, encoded once at assembly.
-    bytes: Arc<[u8]>,
-    /// Cache identity: a digest of the wire form plus the options, so it
-    /// is stable across processes (a snapshot-restored gen-ext hits the
-    /// same result-cache entries as a freshly compiled one).
-    identity: Arc<str>,
-}
-
-impl CompiledGenExt {
-    fn assemble(staged: Arc<GenProgram>, entry: Symbol, options: SpecOptions) -> CompiledGenExt {
-        let bytes: Arc<[u8]> = encode_genext(&staged, &entry).into();
-        // FNV-1a over the canonical wire form.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in bytes.iter() {
-            h = (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        let identity: Arc<str> = format!("genext:{h:016x}\u{0}{options:?}").into();
-        CompiledGenExt {
-            staged,
-            entry,
-            options,
-            bytes,
-            identity,
-        }
-    }
-
-    /// The staged program (for inspection).
-    pub fn staged(&self) -> &Arc<GenProgram> {
-        &self.staged
-    }
-
-    /// The entry point.
-    pub fn entry(&self) -> &Symbol {
-        &self.entry
-    }
-
-    /// The limits and fallback setting this gen-ext runs under.
-    pub fn options(&self) -> &SpecOptions {
-        &self.options
-    }
-
-    /// The cache identity (see [`GenExt::cache_identity`]): derived from
-    /// the serialized staged program, so it is stable across processes.
-    pub fn cache_identity(&self) -> &str {
-        &self.identity
-    }
-
-    /// A copy running under different options (limits / fallback). The
-    /// staged program is shared; nothing is recompiled.
-    pub fn with_options(&self, options: SpecOptions) -> CompiledGenExt {
-        CompiledGenExt::assemble(self.staged.clone(), self.entry, options)
-    }
-
-    /// The `.t4og` wire form of the staged program.
-    pub fn to_bytes(&self) -> &[u8] {
-        &self.bytes
-    }
-
-    /// Decodes a gen-ext from its `.t4og` wire form, to run under
-    /// `options`.
-    ///
-    /// # Errors
-    ///
-    /// Fails on malformed or corrupt input (checksum, range checks).
-    pub fn from_bytes(bytes: &[u8], options: SpecOptions) -> Result<CompiledGenExt, ObjError> {
-        let (staged, entry) = decode_genext(bytes)?;
-        Ok(CompiledGenExt::assemble(staged, entry, options))
-    }
-
-    /// Specializes to residual **source** (ANF Scheme).
-    ///
-    /// # Errors
-    ///
-    /// Fails on specialization errors (see [`PeError`]).
-    pub fn specialize_source(&self, statics: &[Datum]) -> Result<AnfProgram, Error> {
-        Ok(self.specialize_source_with_stats(statics)?.0)
-    }
-
-    /// Like [`CompiledGenExt::specialize_source`], also returning
-    /// statistics.
-    ///
-    /// # Errors
-    ///
-    /// Fails on specialization errors.
-    pub fn specialize_source_with_stats(
-        &self,
-        statics: &[Datum],
-    ) -> Result<(AnfProgram, SpecStats), Error> {
-        catching(|| {
-            let _span = obs::Span::enter(obs::Phase::GenextRun);
-            let (prog, stats) = two4one_pe::run_genext(
-                &self.staged,
-                &self.entry,
-                statics,
-                SourceBuilder::new(),
-                &self.options,
-                self.options.limits.deadline(),
-            )?;
-            genext_metrics().runs.inc();
-            note_spec_stats(&stats);
-            Ok((prog, stats))
-        })
-    }
-
-    /// Specializes **directly to object code** — the composed system of
-    /// the paper, driven by the compiled gen-ext.
-    ///
-    /// # Errors
-    ///
-    /// Fails on specialization or code-generation errors.
-    pub fn specialize_object(&self, statics: &[Datum]) -> Result<Image, Error> {
-        Ok(self.specialize_object_with_stats(statics)?.0)
-    }
-
-    /// Like [`CompiledGenExt::specialize_object`], also returning
-    /// statistics.
-    ///
-    /// # Errors
-    ///
-    /// Fails on specialization or code-generation errors.
-    pub fn specialize_object_with_stats(
-        &self,
-        statics: &[Datum],
-    ) -> Result<(Image, SpecStats), Error> {
-        self.specialize_object_governed(statics, &self.options, None)
-    }
-
-    /// The fully-governed object-code path (see
-    /// [`GenExt::specialize_object_governed`]): explicit options and an
-    /// optional [`CancelToken`] checked cooperatively mid-run.
-    ///
-    /// # Errors
-    ///
-    /// Fails on specialization or code-generation errors; a fired token
-    /// surfaces as `Error::Pe(PeError::Limit(..))` with kind `Cancelled`.
-    pub fn specialize_object_governed(
-        &self,
-        statics: &[Datum],
-        options: &SpecOptions,
-        cancel: Option<&CancelToken>,
-    ) -> Result<(Image, SpecStats), Error> {
-        catching(|| {
-            let _span = obs::Span::enter(obs::Phase::GenextRun);
-            let mut deadline = options.limits.deadline();
-            if let Some(token) = cancel {
-                deadline = deadline.with_cancel(token.clone());
-            }
-            let (image, stats) = two4one_pe::run_genext(
-                &self.staged,
-                &self.entry,
-                statics,
-                ObjectBuilder::new(),
-                options,
-                deadline,
-            )?;
-            genext_metrics().runs.inc();
-            note_spec_stats(&stats);
-            Ok((image?, stats))
-        })
-    }
-}
-
-/// Writes a compiled generating extension to a `.t4og` file.
+/// Writes a generating extension's staged program to a `.t4og` file.
 ///
 /// # Errors
 ///
-/// Fails on I/O errors.
-pub fn save_genext(
-    genext: &CompiledGenExt,
-    path: impl AsRef<std::path::Path>,
-) -> std::io::Result<()> {
-    std::fs::write(path, genext.to_bytes())
+/// Fails on staging or I/O errors.
+pub fn save_genext(genext: &GenExt, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
+    std::fs::write(path, genext.to_bytes().map_err(std::io::Error::other)?)
 }
 
-/// Reads a compiled generating extension back from a `.t4og` file, to run
-/// under `options`.
+/// Reads a generating extension back from a `.t4og` file, to run under
+/// `options`.
 ///
 /// # Errors
 ///
@@ -756,9 +677,9 @@ pub fn save_genext(
 pub fn load_genext(
     path: impl AsRef<std::path::Path>,
     options: SpecOptions,
-) -> std::io::Result<CompiledGenExt> {
+) -> std::io::Result<GenExt> {
     let bytes = std::fs::read(path)?;
-    CompiledGenExt::from_bytes(&bytes, options)
+    GenExt::from_bytes(&bytes, options)
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
 }
 
@@ -950,7 +871,6 @@ const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Pgg>();
     assert_send_sync::<GenExt>();
-    assert_send_sync::<CompiledGenExt>();
     assert_send_sync::<Image>();
     assert_send_sync::<Datum>();
     assert_send_sync::<AnfProgram>();
@@ -1017,21 +937,58 @@ mod tests {
         let genext = pgg
             .cogen(&p, "power", &Division::new([BT::Dynamic, BT::Static]))
             .unwrap();
-        let compiled = genext.compile().unwrap();
+        // Wire round trip: the decoded extension has no annotated
+        // program, yet specializes bit-identically and re-encodes to the
+        // same bytes.
+        let bytes = genext.to_bytes().unwrap();
+        let restored = GenExt::from_bytes(&bytes, genext.options().clone()).unwrap();
+        assert!(restored.annotated().is_none());
+        assert!(restored.is_staged());
+        assert_eq!(*restored.to_bytes().unwrap(), *bytes);
         for n in 0..6 {
             let a = genext.specialize_object(&[Datum::Int(n)]).unwrap();
-            let b = compiled.specialize_object(&[Datum::Int(n)]).unwrap();
+            let b = restored.specialize_object(&[Datum::Int(n)]).unwrap();
             assert_eq!(encode_image(&a), encode_image(&b), "n={n}");
         }
-        // Wire round trip: same identity, same output.
-        let restored =
-            CompiledGenExt::from_bytes(compiled.to_bytes(), compiled.options().clone()).unwrap();
-        assert_eq!(restored.cache_identity(), compiled.cache_identity());
-        let a = compiled.specialize_object(&[Datum::Int(3)]).unwrap();
-        let b = restored.specialize_object(&[Datum::Int(3)]).unwrap();
-        assert_eq!(encode_image(&a), encode_image(&b));
-        let out = run_image(&b, "power", &[Datum::Int(2)]).unwrap();
+        let image = restored.specialize_object(&[Datum::Int(3)]).unwrap();
+        let out = run_image(&image, "power", &[Datum::Int(2)]).unwrap();
         assert_eq!(out.value, Datum::Int(8));
+        // Its identity carries the whole wire form, not a digest: equal
+        // bytes agree, and it never aliases the source extension's.
+        let again = GenExt::from_bytes(&bytes, genext.options().clone()).unwrap();
+        assert_eq!(restored.cache_identity(), again.cache_identity());
+        assert_ne!(restored.cache_identity(), genext.cache_identity());
+        assert!(restored.cache_identity().len() > 2 * bytes.len());
+    }
+
+    #[test]
+    fn clones_share_one_staging() {
+        let pgg = Pgg::new();
+        let p = pgg
+            .parse("(define (power x n) (if (= n 0) 1 (* x (power x (- n 1)))))")
+            .unwrap();
+        let genext = pgg
+            .cogen(&p, "power", &Division::new([BT::Dynamic, BT::Static]))
+            .unwrap();
+        let clone = genext.clone();
+        let governed = genext.with_options(SpecOptions::strict(Limits::none()));
+        assert!(!genext.is_staged(), "staging is lazy");
+        clone.specialize_object(&[Datum::Int(2)]).unwrap();
+        assert!(genext.is_staged() && governed.is_staged());
+        assert!(!genext.stage().unwrap(), "staged once for every clone");
+        assert!(Arc::ptr_eq(
+            genext.staged().unwrap(),
+            governed.staged().unwrap()
+        ));
+        // Options are part of the identity; the staged program is not.
+        assert_ne!(genext.cache_identity(), governed.cache_identity());
+        // Bytes adopted by an unstaged extension replace its staging.
+        let fresh = pgg
+            .cogen(&p, "power", &Division::new([BT::Dynamic, BT::Static]))
+            .unwrap();
+        fresh.adopt_bytes(&genext.to_bytes().unwrap()).unwrap();
+        assert!(fresh.is_staged());
+        assert!(!fresh.stage().unwrap());
     }
 
     #[test]

@@ -563,11 +563,12 @@ fn serve_conn(inner: &Arc<ServerInner>, stream: &TcpStream, watch: &Arc<ConnWatc
 }
 
 /// What a successful request produced, carried without copying: gen-ext
-/// payloads stay behind their cache `Arc` until the socket write.
+/// payloads stay behind the extension's shared `Arc` until the socket
+/// write.
 enum Payload {
     Empty,
     Bytes(Vec<u8>),
-    GenExt(Arc<two4one::CompiledGenExt>),
+    GenExt(Arc<[u8]>),
 }
 
 impl Payload {
@@ -575,7 +576,7 @@ impl Payload {
         match self {
             Payload::Empty => &[],
             Payload::Bytes(b) => b,
-            Payload::GenExt(g) => g.to_bytes(),
+            Payload::GenExt(g) => g,
         }
     }
 }
@@ -807,9 +808,9 @@ fn spec_call(
             wire::RESP_OBJECT,
             Payload::Bytes(encode_image(&outcome.image)),
         )),
-        wire::WANT_GENEXT => match inner.service.genext_of(name) {
-            Some(genext) => Ok((wire::RESP_GENEXT, Payload::GenExt(genext))),
-            None => Err(WireError {
+        wire::WANT_GENEXT => match inner.service.genext_of(name).map(|g| g.to_bytes()) {
+            Some(Ok(bytes)) => Ok((wire::RESP_GENEXT, Payload::GenExt(bytes))),
+            _ => Err(WireError {
                 code: 404,
                 retry_after_ms: 0,
                 message: format!("no compiled generating extension for `{name}`"),

@@ -34,11 +34,20 @@
 //!   stack reproduces that exactly: restoring a handle resurrects popped
 //!   nodes by sharing, at O(1) cost per armed guard.
 //!
-//! One deliberate divergence: the machine has no recursion, so
-//! [`Limits::max_depth`](two4one_syntax::limits::Limits::max_depth) — a
-//! guard on the *walker's* Rust stack — does not apply and is ignored
-//! here. All other limits (fuel, deadline, memo cap, code cap) behave
-//! identically.
+//! # The depth limit
+//!
+//! The machine has no recursion, but it keeps the walker's recursion
+//! depth as a counter — one per evaluation step, as each walker `spec`
+//! call nests one level, reset to a region's starting depth when the
+//! region completes and to an armed guard's depth on recovery, as the
+//! walker's Rust stack unwinds — and honors
+//! [`Limits::max_depth`](two4one_syntax::limits::Limits::max_depth)
+//! against it. The limit is then not a stack guard but a work bound: a
+//! statically divergent unfolding reaches it long before its unfold fuel
+//! runs out, and fuel exhaustion is what turns fallback replay quadratic
+//! (every armed guard replays the rest of its region). All limits (fuel,
+//! depth, deadline, memo cap, code cap) behave identically in both
+//! engines.
 
 use crate::engine::{MemoKey, RCode, Resid, SpecStats, StaticKey};
 use crate::{PeError, SpecOptions};
@@ -130,11 +139,13 @@ enum Term {
 }
 
 /// Watermarks captured when a boundary frame is pushed: pending wraps and
-/// armed guards are truncated back to these when the region completes.
+/// armed guards are truncated back to these, and the depth reset to this,
+/// when the region completes.
 #[derive(Clone, Copy)]
 struct Marks {
     wraps: usize,
     guards: usize,
+    depth: usize,
 }
 
 /// Where a fully evaluated argument list is delivered.
@@ -395,6 +406,7 @@ enum Wrap<B: CodeBuilder> {
 struct Guard<'p, B: CodeBuilder> {
     stack: FStack<'p, B>,
     wraps_len: usize,
+    depth: usize,
     def: u32,
     args: Vec<GVal<B>>,
 }
@@ -431,6 +443,9 @@ pub struct GenRun<'p, B: CodeBuilder> {
     generic: HashMap<Symbol, Symbol>,
     pending_generic: VecDeque<(u32, Symbol)>,
     fuel: u64,
+    /// The walker's recursion depth at this point (see the module doc).
+    depth: usize,
+    max_depth: usize,
     memo_cap: usize,
     code_cap: usize,
     deadline: Deadline,
@@ -458,8 +473,7 @@ pub struct GenRun<'p, B: CodeBuilder> {
 /// respect to `static_args`, producing a residual program through the
 /// given backend. Produces residual programs bit-identical to
 /// [`specialize_staged`](crate::walk::specialize_staged) on the same
-/// staged program (and equal stats), modulo the depth limit, which the
-/// iterative machine does not need and ignores.
+/// staged program (and equal stats, or the same error).
 ///
 /// # Errors
 ///
@@ -492,6 +506,8 @@ pub fn run_genext<B: CodeBuilder>(
         generic: HashMap::new(),
         pending_generic: VecDeque::new(),
         fuel: limits.unfold_fuel.unwrap_or(u64::MAX),
+        depth: 0,
+        max_depth: limits.max_depth.unwrap_or(usize::MAX),
         memo_cap: limits.memo_cap.unwrap_or(usize::MAX),
         code_cap: limits.code_cap.unwrap_or(usize::MAX),
         deadline,
@@ -580,6 +596,7 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
         Marks {
             wraps: self.wraps.len(),
             guards: self.guards.len(),
+            depth: self.depth,
         }
     }
 
@@ -598,10 +615,12 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
         }
     }
 
-    /// Expires guards armed above `to` (their region completed),
-    /// recycling the argument snapshots they held.
-    fn expire_guards(&mut self, to: usize) {
-        while self.guards.len() > to {
+    /// Closes a completed region: expires the guards armed inside it
+    /// (recycling the argument snapshots they held) and returns to the
+    /// depth it started at.
+    fn close_region(&mut self, marks: Marks) {
+        self.depth = marks.depth;
+        while self.guards.len() > marks.guards {
             if let Some(g) = self.guards.pop() {
                 self.recycle(g.args);
             }
@@ -718,6 +737,13 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
     // ----- evaluation ----------------------------------------------------
 
     fn eval(&mut self, ip: u32, env: GEnv<B>) -> Result<Flow<B>, PeError> {
+        self.depth += 1;
+        if self.depth > self.max_depth {
+            return Err(PeError::DepthLimit {
+                limit: self.max_depth,
+                unfolds: self.stats.unfolds,
+            });
+        }
         if !self.in_generic {
             self.deadline
                 .check_every(&mut self.ticks, 4096)
@@ -1181,6 +1207,7 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
                     self.guards.push(Guard {
                         stack: self.stack.clone(),
                         wraps_len: self.wraps.len(),
+                        depth: self.depth,
                         def: g,
                         args: snap,
                     });
@@ -1426,7 +1453,7 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
                 Frame::LamB { name, fresh, marks } => {
                     // Guards armed inside the body expired when it
                     // completed (the walker's catch frames unwound).
-                    self.expire_guards(marks.guards);
+                    self.close_region(marks);
                     let mut frees = code.fv;
                     frees.retain(|v| !fresh.contains(v));
                     let triv = self
@@ -1445,7 +1472,7 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
                     then_code: None,
                     marks,
                 } => {
-                    self.expire_guards(marks.guards);
+                    self.close_region(marks);
                     let e2 = env.clone();
                     self.push(Frame::IfTail {
                         test,
@@ -1462,7 +1489,7 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
                     marks,
                     ..
                 } => {
-                    self.expire_guards(marks.guards);
+                    self.close_region(marks);
                     let mut fv = test.fv;
                     fv.union_with(&then.fv);
                     fv.union_with(&code.fv);
@@ -1481,7 +1508,7 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
                     state,
                     marks,
                 } => {
-                    self.expire_guards(marks.guards);
+                    self.close_region(marks);
                     match state {
                         JState::JCode => {
                             let jname = self.gensym.fresh("join");
@@ -1573,6 +1600,7 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
                 self.stats.note_fallback(&e);
                 self.stack = g.stack;
                 self.wraps.truncate(g.wraps_len);
+                self.depth = g.depth;
                 match self.generic_call_step(g.def, g.args) {
                     Ok(s) => return Ok(s),
                     Err(e2) => {
@@ -1587,6 +1615,7 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
                 self.stack = None;
                 self.wraps.clear();
                 self.guards.clear();
+                self.depth = 0;
                 self.in_generic = true;
                 let generic_ip = self.def_at(def_idx)?.generic;
                 return Ok(Step::Eval(generic_ip, env.clone()));
@@ -1609,6 +1638,7 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
         self.stack = None;
         self.wraps.clear();
         self.guards.clear();
+        self.depth = 0;
         self.in_generic = drained_generic;
         // Work-item-level fallback is available once, and never while
         // already emitting a generic body.

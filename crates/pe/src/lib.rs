@@ -8,14 +8,15 @@
 //! bodies pre-compiled — and specialization proper then executes that IR.
 //! Two consumers exist:
 //!
+//! * the **gen-ext machine** ([`genrun`]) — the staged IR run as bytecode
+//!   with explicit continuation frames and slot-addressed environments:
+//!   the compiled generating extension of the second Futamura projection,
+//!   and the only specializer a request runs;
 //! * the interpretive **walker** ([`walk`]) — the classical
 //!   continuation-based engine (Bondorf; Lawall & Danvy), whose
 //!   heap-allocated continuations make residual code come out in A-normal
-//!   form;
-//! * the **gen-ext machine** ([`genrun`]) — the staged IR run as bytecode
-//!   with explicit continuation frames and slot-addressed environments:
-//!   the compiled generating extension of the second Futamura projection.
-//!   It emits bit-identical residual programs to the walker.
+//!   form. It is the reference semantics: tests hold the machine to
+//!   bit-identical residual programs and equal stats.
 //!
 //! Both are **generic over [`CodeBuilder`](two4one_anf::build::CodeBuilder)** — the reification of
 //! the paper's Sec. 6.3. With `SourceBuilder` the system is the classical
@@ -52,9 +53,8 @@ use two4one_syntax::value::PrimError;
 /// program through the given backend.
 ///
 /// Stages `prog` into the gen-ext IR and runs the interpretive walker over
-/// it. Callers that specialize the same program repeatedly should
-/// [`stage`] once and reuse the staged program (or compile it into a
-/// gen-ext and use [`run_genext`]).
+/// it: the reference semantics the gen-ext machine is checked against.
+/// Production code stages once and runs [`run_genext`] instead.
 ///
 /// `static_args` are matched positionally against the *static* parameters
 /// of the entry's division; its dynamic parameters become the parameters of
@@ -98,7 +98,7 @@ pub fn specialize_with_deadline<B: CodeBuilder>(
 ///
 /// The resource knobs live in [`Limits`] (shared with the rest of the
 /// engine): [`Limits::unfold_fuel`] meters call unfolding,
-/// [`Limits::max_depth`] bounds the specializer's own recursion,
+/// [`Limits::max_depth`] bounds specialization nesting depth,
 /// [`Limits::memo_cap`] bounds the memoization cache,
 /// [`Limits::code_cap`] bounds emitted residual code, and
 /// [`Limits::timeout`] bounds wall-clock time.

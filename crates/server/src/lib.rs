@@ -74,8 +74,8 @@ use registry::{Backedge, Registry};
 use stats::ServeStats;
 use two4one::obs;
 use two4one::{
-    CancelToken, CompiledGenExt, Datum, Epoch, Error, ExecProfile, GenExt, Image, LimitKind,
-    Limits, PeError, SpecOptions, SpecStats,
+    CancelToken, Datum, Epoch, Error, ExecProfile, GenExt, Image, LimitKind, Limits, PeError,
+    SpecOptions, SpecStats,
 };
 use two4one_syntax::stack::DEFAULT_STACK_BYTES;
 use two4one_syntax::symbol::intern_contention;
@@ -386,7 +386,7 @@ pub struct RestoreReport {
 /// gen-ext snapshot file.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GenextRestoreReport {
-    /// Compiled gen-exts restored into the registry's artifact cache.
+    /// Staged programs restored into their live generation's extension.
     pub restored: u64,
     /// Records rejected: bad checksum, torn tail, bad header, or an
     /// undecodable staged program.
@@ -983,9 +983,9 @@ impl SpecService {
             } else {
                 match self
                     .programs
-                    .epoch_for_identity(&rec.name, &rec.program, &rec.entry)
+                    .live_for_identity(&rec.name, &rec.program, &rec.entry)
                 {
-                    Some(epoch) => Some((Arc::from(rec.name.as_str()), epoch)),
+                    Some((epoch, _)) => Some((Arc::from(rec.name.as_str()), epoch)),
                     None => {
                         stale_dropped += 1;
                         continue;
@@ -1087,117 +1087,74 @@ impl SpecService {
         Ok(self.restore_bytes(&bytes))
     }
 
-    // ----- the gen-ext artifact cache ------------------------------------
-}
+    // ----- staged gen-ext snapshots --------------------------------------
 
-impl Core {
-    /// The compiled gen-ext for a resolved `(name, epoch)`: answered from
-    /// the registry's artifact cache, or built now — once per generation;
-    /// later fills for the same generation reuse it. A build the
-    /// redefinition raced — the generation died while staging ran — is
-    /// still returned for *this* fill (its waiters predate the
-    /// redefinition, exactly like a tombstoned result publication) but
-    /// never cached, and counts as an epoch conflict. A staging failure
-    /// returns `None`: the fill falls back to the interpreted walker,
-    /// which surfaces the underlying error in its own run.
-    fn compiled_genext(&self, backedge: &Backedge, ext: &GenExt) -> Option<Arc<CompiledGenExt>> {
-        let (name, epoch) = backedge;
-        if let Some(compiled) = self.programs.compiled(name, *epoch) {
-            return Some(compiled);
-        }
-        let compiled = match ext.compile() {
-            Ok(c) => Arc::new(c),
-            Err(_) => return None,
-        };
-        ServeStats::bump(&self.stats.genext_builds);
-        if !self.programs.store_compiled(name, *epoch, compiled.clone()) {
-            ServeStats::bump(&self.stats.epoch_conflicts);
-            obs::event(obs::EventKind::EpochConflict);
-        }
-        Some(compiled)
-    }
-}
-
-impl SpecService {
-    /// The compiled generating extension cached for the *live* generation
-    /// of `name`: present once the generation has served at least one
-    /// cache miss (the first miss builds it), `None` for unregistered
-    /// names and immediately after a redefinition — the artifact dies
-    /// with its generation, exactly like the residual cache entries.
-    pub fn genext_of(&self, name: &str) -> Option<Arc<CompiledGenExt>> {
-        let epoch = self.programs.epoch_of(name)?;
-        self.programs.compiled(name, epoch)
+    /// The extension of the *live* generation of `name`, once its staged
+    /// program exists: after the generation's first fill (which stages
+    /// it) or a `.t4og` restore. `None` for unregistered names and right
+    /// after a redefinition — the staged program retires with its
+    /// generation, exactly like the residual cache entries.
+    pub fn genext_of(&self, name: &str) -> Option<GenExt> {
+        let (_, _, ext) = self.programs.resolve(name)?;
+        ext.is_staged().then_some(ext)
     }
 
-    /// Serializes every compiled generating extension the registry holds
-    /// into a `.t4og` gen-ext snapshot: CRC-32-checked records (name,
-    /// source identity, entry, epoch, staged wire form) in name order, so
-    /// equal registry contents produce identical bytes.
+    /// Serializes the staged program of every registered generation that
+    /// has one into a `.t4og` gen-ext snapshot: CRC-32-checked records
+    /// (name, source identity, entry, epoch, staged wire form) in name
+    /// order, so equal registry contents produce identical bytes.
     pub fn genext_snapshot_bytes(&self) -> Vec<u8> {
         let records: Vec<GenextSnapRecord> = self
             .programs
-            .compiled_entries()
+            .staged_entries()
             .into_iter()
-            .map(
-                |(name, epoch, identity, entry, compiled)| GenextSnapRecord {
+            .filter_map(|(name, epoch, ext)| {
+                Some(GenextSnapRecord {
                     name: name.to_string(),
-                    identity,
-                    entry,
+                    identity: ext.cache_identity().to_string(),
+                    entry: ext.entry().as_str().to_string(),
                     epoch: epoch.get(),
-                    genext: compiled.to_bytes().to_vec(),
-                },
-            )
+                    genext: ext.to_bytes().ok()?.to_vec(),
+                })
+            })
             .collect();
         persist::encode_genexts(&records)
     }
 
-    /// Restores compiled gen-exts from snapshot bytes into the registry's
-    /// artifact cache, so the first cold miss of each restored program
-    /// skips the gen-ext build entirely (cross-process warm start).
+    /// Restores staged programs from snapshot bytes into the live
+    /// generations' extensions, so the first cold miss of each restored
+    /// program skips staging entirely (cross-process warm start).
     ///
     /// The same judgement as [`SpecService::restore_bytes`] applies:
     /// corrupt records are quarantined; structurally intact records whose
     /// program is unregistered, or whose recorded source identity/entry
     /// no longer match the live registration, are dropped as stale —
     /// epochs are per-process, content identity is what travels. A
-    /// generation that already built its artifact keeps it.
+    /// generation that already staged its program keeps it.
     pub fn restore_genexts_bytes(&self, bytes: &[u8]) -> GenextRestoreReport {
         let decoded = persist::decode_genexts(bytes);
-        let mut restored = 0u64;
-        let mut quarantined = decoded.quarantined;
-        let mut stale_dropped = 0u64;
+        let mut report = GenextRestoreReport {
+            quarantined: decoded.quarantined,
+            ..GenextRestoreReport::default()
+        };
         for rec in decoded.records {
-            let live = self
+            // A redefinition racing this restore retires the adopted
+            // program with its generation; nothing else can see it.
+            match self
                 .programs
-                .epoch_for_identity(&rec.name, &rec.identity, &rec.entry)
-                .and_then(|epoch| Some((epoch, self.programs.resolve(&rec.name)?.2)));
-            let Some((epoch, ext)) = live else {
-                stale_dropped += 1;
-                continue;
-            };
-            let compiled = match CompiledGenExt::from_bytes(&rec.genext, ext.options().clone()) {
-                Ok(c) => Arc::new(c),
-                Err(_) => {
-                    quarantined += 1;
-                    continue;
-                }
-            };
-            if self.programs.store_compiled(&rec.name, epoch, compiled) {
-                restored += 1;
-            } else {
-                // Redefined between the identity check and the store:
-                // the record just became stale.
-                stale_dropped += 1;
+                .live_for_identity(&rec.name, &rec.identity, &rec.entry)
+            {
+                None => report.stale_dropped += 1,
+                Some((_, ext)) => match ext.adopt_bytes(&rec.genext) {
+                    Ok(()) => report.restored += 1,
+                    Err(_) => report.quarantined += 1,
+                },
             }
         }
-        GenextRestoreReport {
-            restored,
-            quarantined,
-            stale_dropped,
-        }
+        report
     }
 
-    /// Snapshots the gen-ext artifact cache to `path` crash-safely
+    /// Snapshots the staged gen-exts to `path` crash-safely
     /// (temp-file-and-rename, like [`SpecService::snapshot`]).
     ///
     /// # Errors
@@ -1212,7 +1169,7 @@ impl SpecService {
         std::fs::rename(&tmp, path)
     }
 
-    /// Restores the gen-ext artifact cache from a `.t4og` snapshot file.
+    /// Restores staged gen-exts from a `.t4og` snapshot file.
     ///
     /// # Errors
     ///
@@ -1444,12 +1401,16 @@ impl SpecService {
                         // the background promotion workers. Otherwise run
                         // the full specializer synchronously, as ever.
                         let tier0 = self.core.tier.is_some();
-                        let result = if tier0 {
-                            self.core
-                                .run_generic_fill(ext, statics, token.as_ref(), spawn_stack)
-                        } else {
-                            self.run_fill(ext, statics, &key, backedge, token.as_ref(), spawn_stack)
-                        };
+                        let result = self.on_stack(spawn_stack, || {
+                            if let Some(hook) = &self.fill_hook {
+                                (hook.0)();
+                            }
+                            if tier0 {
+                                self.generic_image(ext, statics, token.as_ref())
+                            } else {
+                                self.fill(ext, statics, &key, token.as_ref())
+                            }
+                        });
                         drop(permit);
                         guard.armed = false;
                         self.finish_flight(
@@ -1473,80 +1434,104 @@ impl SpecService {
 }
 
 impl Core {
-    /// Runs one cache fill (with escalated-budget retry) on the right
-    /// stack, converting panics into [`ServeError::Worker`].
-    ///
-    /// A fill for a *registered* program runs through the program's
-    /// compiled generating extension (built once per generation, cached
-    /// in the registry — see [`SpecService::genext_of`]); an anonymous
-    /// fill runs the interpreted specializer, since with no `(name,
-    /// epoch)` there is nothing to key the artifact on.
-    #[allow(clippy::type_complexity)]
-    fn run_fill(
+    /// Runs `work` behind the fill boundary: on a fresh large-stack
+    /// thread when `spawn_stack` is set (callers on an ordinary stack),
+    /// inline otherwise (pool workers already have one). Either way a
+    /// panic becomes [`ServeError::Worker`]. Staging and the object
+    /// builder still recurse, which is what the big stack is for.
+    fn on_stack<T: Send>(
+        &self,
+        spawn_stack: bool,
+        work: impl FnOnce() -> T + Send,
+    ) -> Result<T, ServeError> {
+        if spawn_stack {
+            run_on_stack(self.stack_bytes, work)
+        } else {
+            // The panic boundary here mirrors the thread-join boundary of
+            // `run_on_stack`.
+            catch_unwind(AssertUnwindSafe(work))
+                .map_err(|_| ServeError::Worker("specialization worker panicked".to_string()))
+        }
+    }
+
+    /// Stages `ext` for the gen-ext machine unless a clone of it already
+    /// has, counting the build. A registered generation stages once: its
+    /// clones share the staged program until a redefinition retires it.
+    fn stage(&self, ext: &GenExt) -> Result<(), Error> {
+        if ext.stage()? {
+            ServeStats::bump(&self.stats.genext_builds);
+        }
+        Ok(())
+    }
+
+    /// Runs one specializer fill, with escalated-budget retry for a
+    /// transiently degraded first attempt (see [`RetryPolicy`]).
+    fn fill(
         &self,
         ext: &GenExt,
         statics: &[Datum],
         key: &Key,
-        backedge: Option<&Backedge>,
         token: Option<&CancelToken>,
-        spawn_stack: bool,
-    ) -> Result<Result<(Image, SpecStats), Error>, ServeError> {
-        let fill = || -> Result<(Image, SpecStats), Error> {
-            if let Some(hook) = &self.fill_hook {
-                (hook.0)();
+    ) -> Result<(Image, SpecStats), Error> {
+        self.stage(ext)?;
+        let mut result = ext.specialize_object_governed(statics, ext.options(), token);
+        let mut attempt: u32 = 0;
+        while attempt < self.retry.max_retries {
+            let transient = matches!(
+                &result,
+                Ok((_, stats)) if matches!(
+                    stats.fallback_kind,
+                    Some(LimitKind::UnfoldFuel | LimitKind::MemoEntries)
+                )
+            );
+            if !transient || token.is_some_and(|t| t.is_stopped()) {
+                break;
             }
-            let compiled = backedge.and_then(|be| self.compiled_genext(be, ext));
-            let govern = |options: &SpecOptions, token: Option<&CancelToken>| match &compiled {
-                Some(c) => c.specialize_object_governed(statics, options, token),
-                None => ext.specialize_object_governed(statics, options, token),
-            };
-            let mut result = govern(ext.options(), token);
-            let mut attempt: u32 = 0;
-            while attempt < self.retry.max_retries {
-                let transient = matches!(
-                    &result,
-                    Ok((_, stats)) if matches!(
-                        stats.fallback_kind,
-                        Some(LimitKind::UnfoldFuel | LimitKind::MemoEntries)
-                    )
-                );
-                if !transient || token.is_some_and(|t| t.is_stopped()) {
-                    break;
-                }
-                attempt += 1;
-                ServeStats::bump(&self.stats.retried);
-                obs::event_with(obs::EventKind::Retry, u64::from(attempt));
-                std::thread::sleep(jittered(
-                    self.retry.backoff,
-                    key.digest ^ u64::from(attempt),
-                ));
-                let factor = self.retry.escalation.max(1).saturating_pow(attempt);
-                let escalated = escalate_options(ext.options(), factor);
-                match govern(&escalated, token) {
-                    // A bigger budget got at least as far: keep it. Stop
-                    // as soon as a run finishes without degrading.
-                    Ok((image, stats)) => {
-                        let done = !stats.degraded();
-                        result = Ok((image, stats));
-                        if done {
-                            break;
-                        }
+            attempt += 1;
+            ServeStats::bump(&self.stats.retried);
+            obs::event_with(obs::EventKind::Retry, u64::from(attempt));
+            std::thread::sleep(jittered(
+                self.retry.backoff,
+                key.digest ^ u64::from(attempt),
+            ));
+            let factor = self.retry.escalation.max(1).saturating_pow(attempt);
+            let escalated = escalate_options(ext.options(), factor);
+            match ext.specialize_object_governed(statics, &escalated, token) {
+                // A bigger budget got at least as far: keep it. Stop as
+                // soon as a run finishes without degrading.
+                Ok((image, stats)) => {
+                    let done = !stats.degraded();
+                    result = Ok((image, stats));
+                    if done {
+                        break;
                     }
-                    // Escalation failing outright (it raced a deadline,
-                    // say) never discards the degraded-but-usable image.
-                    Err(_) => break,
                 }
+                // Escalation failing outright (it raced a deadline, say)
+                // never discards the degraded-but-usable image.
+                Err(_) => break,
             }
-            result
-        };
-        if spawn_stack {
-            run_on_stack(self.stack_bytes, fill)
-        } else {
-            // Pool workers run fills inline; the panic boundary here
-            // mirrors the thread-join boundary of `run_on_stack`.
-            catch_unwind(AssertUnwindSafe(fill))
-                .map_err(|_| ServeError::Worker("specialization worker panicked".to_string()))
         }
+        result
+    }
+
+    /// The generic image of a request: generic compilation with no
+    /// unfolding — zero unfold fuel under the fallback regime, i.e. every
+    /// reachable definition compiled as-is. Linear in the source program
+    /// and deterministic, so the Tier-0 fill (which caches it, marked
+    /// [`Tier::Generic`], until promotion replaces it) and the breaker
+    /// fallback (which never caches it) produce bit-identical images for
+    /// one request.
+    fn generic_image(
+        &self,
+        ext: &GenExt,
+        statics: &[Datum],
+        token: Option<&CancelToken>,
+    ) -> Result<(Image, SpecStats), Error> {
+        self.stage(ext)?;
+        let mut options = ext.options().clone();
+        options.limits.unfold_fuel = Some(0);
+        options.fallback = true;
+        ext.specialize_object_governed(statics, &options, token)
     }
 
     /// Publishes the leader's result: fills the cache on success, removes
@@ -1673,33 +1658,6 @@ impl Core {
         }
     }
 
-    /// Runs the Tier-0 fill: generic compilation with no unfolding —
-    /// the exact recipe of the breaker's fallback path, so a Tier-0
-    /// response is bit-identical to the fallback image for the same
-    /// request. Unlike the fallback it *is* published into the cache
-    /// (marked [`Tier::Generic`]) and later replaced by promotion.
-    #[allow(clippy::type_complexity)]
-    fn run_generic_fill(
-        &self,
-        ext: &GenExt,
-        statics: &[Datum],
-        token: Option<&CancelToken>,
-        spawn_stack: bool,
-    ) -> Result<Result<(Image, SpecStats), Error>, ServeError> {
-        let fill = || -> Result<(Image, SpecStats), Error> {
-            if let Some(hook) = &self.fill_hook {
-                (hook.0)();
-            }
-            ext.specialize_object_governed(statics, &generic_options(ext), token)
-        };
-        if spawn_stack {
-            run_on_stack(self.stack_bytes, fill)
-        } else {
-            catch_unwind(AssertUnwindSafe(fill))
-                .map_err(|_| ServeError::Worker("specialization worker panicked".to_string()))
-        }
-    }
-
     /// Hands a candidate to the promotion workers. Never blocks the
     /// serve path: when the queue is full (or the service is shutting
     /// down) the candidate is dropped and its cache entry re-armed, so a
@@ -1765,18 +1723,12 @@ impl Core {
             // same escalation ladder as the request-path retry.
             escalate_options(cand.ext.options(), factor)
         };
-        // First promotion of a generation also compiles its generating
-        // extension here — off the request path — and caches it in the
-        // registry for every later build of the same generation.
-        let compiled = cand
-            .backedge
-            .as_ref()
-            .and_then(|be| self.compiled_genext(be, &cand.ext));
-        let built = catch_unwind(AssertUnwindSafe(|| match &compiled {
-            Some(c) => c.specialize_object_governed(&cand.statics, &options, None),
-            None => cand
-                .ext
-                .specialize_object_governed(&cand.statics, &options, None),
+        // The generation's staged program is normally in place already:
+        // the Tier-0 fill that published the candidate staged it.
+        let built = catch_unwind(AssertUnwindSafe(|| {
+            self.stage(&cand.ext)?;
+            cand.ext
+                .specialize_object_governed(&cand.statics, &options, None)
         }));
         let (image, spec_stats) = match built {
             Ok(Ok(r)) => r,
@@ -1867,15 +1819,7 @@ impl SpecService {
     /// moment the breaker closes, and producing it is linear in the
     /// source program.
     fn breaker_fallback(&self, ext: &GenExt, statics: &[Datum], spawn_stack: bool) -> ServeResult {
-        let options = generic_options(ext);
-        let run = || ext.specialize_object_governed(statics, &options, None);
-        let result = if spawn_stack {
-            run_on_stack(self.stack_bytes, run)
-        } else {
-            catch_unwind(AssertUnwindSafe(run))
-                .map_err(|_| ServeError::Worker("fallback worker panicked".to_string()))
-        };
-        match result {
+        match self.on_stack(spawn_stack, || self.generic_image(ext, statics, None)) {
             Ok(Ok((image, stats))) => Ok(Arc::new(SpecOutcome {
                 image: Arc::new(image),
                 stats,
@@ -1960,18 +1904,6 @@ fn cancellation_of(err: &Error, token: Option<&CancelToken>) -> Option<ServeErro
         }
         _ => None,
     }
-}
-
-/// The generic-compilation recipe shared by the Tier-0 fast path and the
-/// breaker fallback: zero unfold fuel under the fallback regime, i.e.
-/// compile every reachable definition as-is. Linear in the source
-/// program, and deterministic — the two paths produce bit-identical
-/// images for one request.
-fn generic_options(ext: &GenExt) -> SpecOptions {
-    let mut options = ext.options().clone();
-    options.limits.unfold_fuel = Some(0);
-    options.fallback = true;
-    options
 }
 
 /// Multiplies the transient budgets (unfold fuel, memo cap) for a retry.

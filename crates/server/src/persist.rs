@@ -296,23 +296,23 @@ pub(crate) fn decode(bytes: &[u8]) -> DecodeOutcome {
 // ---- gen-ext snapshots (`.t4og` containers) ----------------------------
 //
 // The same discipline as the `.t4os` cache snapshot, but the payload is a
-// compiled generating extension (the staged-code IR in its `.t4og` wire
+// generation's staged program (the staged-code IR in its `.t4og` wire
 // form, itself self-checksummed) instead of a residual image. Records
 // carry the registration facts restore needs to judge them against the
 // live registry: the logical name, the *source* extension's cache
-// identity and entry (what `Registry::epoch_for_identity` compares), and
-// the epoch the artifact was built under (informational — epochs are
+// identity and entry (what `Registry::live_for_identity` compares), and
+// the epoch the program was staged under (informational — epochs are
 // per-process, identity is what travels).
 
 const GENEXT_MAGIC: &[u8; 8] = b"t4ogsnp\0";
 const GENEXT_VERSION: u32 = 1;
 
-/// One compiled gen-ext in transit between the registry and a snapshot.
+/// One staged gen-ext in transit between the registry and a snapshot.
 #[derive(Debug)]
 pub(crate) struct GenextSnapRecord {
     pub(crate) name: String,
-    /// Cache identity of the *source* [`GenExt`](two4one::GenExt) the
-    /// artifact was compiled from (rendered annotated program + options).
+    /// Cache identity of the [`GenExt`](two4one::GenExt) the program was
+    /// staged from (rendered annotated program + options).
     pub(crate) identity: String,
     pub(crate) entry: String,
     pub(crate) epoch: u64,

@@ -32,7 +32,7 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 
-use two4one::{obs, CompiledGenExt, Epoch, GenExt};
+use two4one::{obs, Epoch, GenExt};
 
 use crate::cache::{lock, Key};
 
@@ -44,13 +44,11 @@ pub(crate) type Backedge = (Arc<str>, Epoch);
 #[derive(Debug)]
 struct Registration {
     epoch: Epoch,
+    /// The generation's extension. Its staged program lives inside it
+    /// (staged by the first fill, or adopted from a `.t4og` snapshot), so
+    /// a redefinition, which swaps the extension, retires the staged
+    /// program with its generation.
     ext: GenExt,
-    /// The compiled generating extension of this generation, built
-    /// lazily on the first cache miss and reused by every later fill.
-    /// It lives *inside* the registration so a redefinition (which swaps
-    /// the whole `Registration`) invalidates it exactly like the
-    /// residual cache entries — no separate sweep, no stale artifact.
-    compiled: Option<Arc<CompiledGenExt>>,
     /// Cache keys published for this generation — the invalidation
     /// backedges. A set, because restore and re-publication after
     /// eviction may record the same key twice.
@@ -124,9 +122,6 @@ impl Registry {
             Some(reg) => {
                 reg.epoch = reg.epoch.next();
                 reg.ext = ext.clone();
-                // The compiled gen-ext belongs to the generation that
-                // just died; the new one compiles lazily on first use.
-                reg.compiled = None;
                 let victims = reg.dependents.drain().collect();
                 (reg.epoch, victims)
             }
@@ -136,7 +131,6 @@ impl Registry {
                     Registration {
                         epoch: Epoch::FIRST,
                         ext: ext.clone(),
-                        compiled: None,
                         dependents: HashSet::new(),
                     },
                 );
@@ -163,84 +157,35 @@ impl Registry {
         lock(&self.programs).get(name).map(|reg| reg.epoch)
     }
 
-    /// The cached compiled gen-ext of `name` **iff** `epoch` is still
-    /// its live generation. A dead epoch never yields an artifact, even
-    /// while the map still holds one for the successor.
-    pub(crate) fn compiled(&self, name: &str, epoch: Epoch) -> Option<Arc<CompiledGenExt>> {
-        let map = lock(&self.programs);
-        let reg = map.get(name)?;
-        if reg.epoch == epoch {
-            reg.compiled.clone()
-        } else {
-            None
-        }
-    }
-
-    /// Stores a freshly built compiled gen-ext for `(name, epoch)` —
-    /// **iff** that generation is still live. Returns `false` when the
-    /// program was redefined while the build ran (the artifact is the
-    /// caller's to use for its own fill, but it is never cached), and
-    /// `true` when it was stored (or an identical one already was: a
-    /// build race keeps the first artifact, both are equivalent).
-    pub(crate) fn store_compiled(
-        &self,
-        name: &str,
-        epoch: Epoch,
-        compiled: Arc<CompiledGenExt>,
-    ) -> bool {
-        let mut map = lock(&self.programs);
-        match map.get_mut(name) {
-            Some(reg) if reg.epoch == epoch => {
-                reg.compiled.get_or_insert(compiled);
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Every cached compiled gen-ext, with the registration facts a
-    /// snapshot record needs to be judged on restore: the logical name,
-    /// the live epoch, and the *source* extension's cache identity and
-    /// entry (what [`Registry::epoch_for_identity`] compares). Sorted by
+    /// Every registered extension whose staged program exists, with its
+    /// name and live epoch: what a `.t4og` snapshot records. Sorted by
     /// name for deterministic snapshots.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn compiled_entries(
-        &self,
-    ) -> Vec<(Arc<str>, Epoch, String, String, Arc<CompiledGenExt>)> {
+    pub(crate) fn staged_entries(&self) -> Vec<(Arc<str>, Epoch, GenExt)> {
         let map = lock(&self.programs);
         let mut out: Vec<_> = map
             .iter()
-            .filter_map(|(name, reg)| {
-                reg.compiled.as_ref().map(|c| {
-                    (
-                        name.clone(),
-                        reg.epoch,
-                        reg.ext.cache_identity().to_string(),
-                        reg.ext.entry().as_str().to_string(),
-                        c.clone(),
-                    )
-                })
-            })
+            .filter(|(_, reg)| reg.ext.is_staged())
+            .map(|(name, reg)| (name.clone(), reg.epoch, reg.ext.clone()))
             .collect();
         out.sort_by(|a, b| a.0.cmp(&b.0));
         out
     }
 
-    /// The live epoch of `name` **iff** its registered cache identity
-    /// and entry match. Snapshot restore uses this: epochs are
-    /// per-process counters, so a record from another process is judged
-    /// by content identity and rebased onto the live epoch, not compared
-    /// by raw epoch number.
-    pub(crate) fn epoch_for_identity(
+    /// The live epoch and extension of `name` **iff** its registered
+    /// cache identity and entry match. Snapshot restore uses this: epochs
+    /// are per-process counters, so a record from another process is
+    /// judged by content identity and rebased onto the live epoch, not
+    /// compared by raw epoch number.
+    pub(crate) fn live_for_identity(
         &self,
         name: &str,
         identity: &str,
         entry: &str,
-    ) -> Option<Epoch> {
+    ) -> Option<(Epoch, GenExt)> {
         let map = lock(&self.programs);
         let reg = map.get(name)?;
         if reg.ext.cache_identity() == identity && reg.ext.entry().as_str() == entry {
-            Some(reg.epoch)
+            Some((reg.epoch, reg.ext.clone()))
         } else {
             None
         }
@@ -360,14 +305,13 @@ mod tests {
         let r = Registry::default();
         let e = ext("(+ s d)");
         r.register("P", &e);
-        let live = r.epoch_for_identity("P", e.cache_identity(), "f");
-        assert_eq!(live, Some(Epoch::FIRST));
-        assert_eq!(r.epoch_for_identity("P", "something else", "f"), None);
-        assert_eq!(r.epoch_for_identity("P", e.cache_identity(), "g"), None);
-        assert_eq!(
-            r.epoch_for_identity("unknown", e.cache_identity(), "f"),
-            None
-        );
+        let live = r.live_for_identity("P", e.cache_identity(), "f");
+        assert_eq!(live.map(|(epoch, _)| epoch), Some(Epoch::FIRST));
+        assert!(r.live_for_identity("P", "something else", "f").is_none());
+        assert!(r.live_for_identity("P", e.cache_identity(), "g").is_none());
+        assert!(r
+            .live_for_identity("unknown", e.cache_identity(), "f")
+            .is_none());
     }
 
     #[test]

@@ -146,13 +146,12 @@ pub struct ServeSnapshot {
     pub stale_dropped: u64,
     /// In-flight fills that finished after their epoch died: the result
     /// was served to the requests that predate the redefinition, but the
-    /// publication was tombstoned instead of cached. Also counts
-    /// compiled gen-ext builds that outlived their generation — the
-    /// artifact served its own fill but was never cached.
+    /// publication was tombstoned instead of cached.
     pub epoch_conflicts: u64,
-    /// Compiled generating extensions built by the service (one per
-    /// registered generation that took at least one cache miss; warm
-    /// traffic and rebuild-free fills do not move this).
+    /// Generating extensions staged by the service's fills (one per
+    /// extension and its clones — a registered generation stages once;
+    /// warm hits and fills of an already staged extension do not move
+    /// this).
     pub genext_builds: u64,
 }
 

@@ -900,15 +900,15 @@ fn warm_hit_records_hit_metric_and_no_specializer_spans() {
     let ext = power_ext(&Pgg::new());
 
     // Cold fill: the request's trace (absorbed back from the big-stack
-    // worker) must contain a specialize-phase span.
+    // worker) must contain a gen-ext run span (the specializer).
     obs::clear_trace();
     service.specialize(&ext, &int(9)).expect("cold");
     let cold_trace = obs::take_trace();
     assert!(
         cold_trace
             .iter()
-            .any(|e| matches!(e.what, obs::TraceWhat::Enter(obs::Phase::Specialize))),
-        "cold fill should trace a specialize span: {}",
+            .any(|e| matches!(e.what, obs::TraceWhat::Enter(obs::Phase::GenextRun))),
+        "cold fill should trace a gen-ext run span: {}",
         obs::render_trace(&cold_trace)
     );
 
@@ -926,11 +926,12 @@ fn warm_hit_records_hit_metric_and_no_specializer_spans() {
     assert!(
         !warm_trace.iter().any(|e| matches!(
             e.what,
-            obs::TraceWhat::Enter(obs::Phase::Specialize)
-                | obs::TraceWhat::Exit {
-                    phase: obs::Phase::Specialize,
-                    ..
-                }
+            obs::TraceWhat::Enter(
+                obs::Phase::Specialize | obs::Phase::GenextBuild | obs::Phase::GenextRun
+            ) | obs::TraceWhat::Exit {
+                phase: obs::Phase::Specialize | obs::Phase::GenextBuild | obs::Phase::GenextRun,
+                ..
+            }
         )),
         "warm hit must not touch the specializer: {}",
         obs::render_trace(&warm_trace)
@@ -1084,15 +1085,15 @@ fn redefine_tombstones_an_in_flight_leader_of_the_old_epoch() {
         assert_eq!(decode(&led), (1, 3));
     });
 
-    // …but was never cached: the cache is empty, the conflicts counted
-    // (one for the gen-ext build that outlived its generation, one for
-    // the tombstoned result publication), and the next request
-    // specializes fresh from the new source.
+    // …but was never cached: the cache is empty, the tombstoned result
+    // publication counted as the one conflict (the staged program lives
+    // in the dead generation's extension, so it has nothing to race),
+    // and the next request specializes fresh from the new source.
     assert!(service.is_empty(), "tombstoned publication must not cache");
-    assert_eq!(service.stats().epoch_conflicts, 2);
+    assert_eq!(service.stats().epoch_conflicts, 1);
     assert!(
         service.genext_of("hot").is_none(),
-        "the dead generation's gen-ext build must not be cached"
+        "the dead generation's staging must not reach the live one"
     );
     let fresh = service.specialize_named("hot", &int(3)).expect("new gen");
     assert_eq!(decode(&fresh), (2, 3));
@@ -1317,7 +1318,7 @@ fn corrupted_named_snapshots_are_quarantined_never_fatal() {
     }
 }
 
-// ----- the gen-ext artifact cache ---------------------------------------
+// ----- staged gen-exts --------------------------------------------------
 
 #[test]
 fn genext_builds_once_per_generation_and_dies_on_redefine() {
@@ -1325,14 +1326,14 @@ fn genext_builds_once_per_generation_and_dies_on_redefine() {
     service.register("hot", &epoch_ext(1));
     assert!(
         service.genext_of("hot").is_none(),
-        "the artifact is built lazily, on the first miss"
+        "the generation is staged lazily, on the first miss"
     );
 
-    // The first miss builds the artifact; later misses and warm hits
-    // reuse it.
+    // The first miss stages the generation; later misses and warm hits
+    // reuse its staged program.
     let a = service.specialize_named("hot", &int(3)).expect("cold");
     assert_eq!(decode(&a), (1, 3));
-    let built = service.genext_of("hot").expect("artifact cached");
+    let built = service.genext_of("hot").expect("generation staged");
     assert_eq!(service.stats().genext_builds, 1);
     service
         .specialize_named("hot", &int(4))
@@ -1340,11 +1341,15 @@ fn genext_builds_once_per_generation_and_dies_on_redefine() {
     service.specialize_named("hot", &int(3)).expect("warm");
     assert_eq!(service.stats().genext_builds, 1, "one build per generation");
     assert!(Arc::ptr_eq(
-        &built,
-        &service.genext_of("hot").expect("still cached")
+        built.staged().expect("staged"),
+        service
+            .genext_of("hot")
+            .expect("still staged")
+            .staged()
+            .expect("staged")
     ));
 
-    // Redefinition kills the artifact with its generation…
+    // Redefinition retires the staged program with its generation…
     service.redefine("hot", &epoch_ext(2));
     assert!(
         service.genext_of("hot").is_none(),
@@ -1359,29 +1364,29 @@ fn genext_builds_once_per_generation_and_dies_on_redefine() {
 }
 
 #[test]
-fn genext_and_walker_serve_identical_images() {
-    // The compiled gen-ext path (named fills) and the interpreted walker
-    // path (anonymous fills) must produce bit-identical residual images
-    // and equal specializer stats.
+fn anonymous_and_named_routes_serve_identical_images() {
+    // Named fills and anonymous fills run one engine, the gen-ext
+    // machine, on a program staged once per extension: they must serve
+    // bit-identical residual images with equal specializer stats, and
+    // count the same service work.
     let named = SpecService::new();
     named.register("hot", &epoch_ext(1));
     let anon = SpecService::new();
+    let ext = epoch_ext(1);
     for s in [0i64, 1, 5] {
         let n = named.specialize_named("hot", &int(s)).expect("named");
-        let w = anon.specialize(&epoch_ext(1), &int(s)).expect("anon");
+        let a = anon.specialize(&ext, &int(s)).expect("anon");
         assert_eq!(
             two4one::encode_image(&n.image),
-            two4one::encode_image(&w.image),
-            "s={s}: gen-ext image differs from walker image"
+            two4one::encode_image(&a.image),
+            "s={s}: named image differs from anonymous image"
         );
-        assert_eq!(n.stats, w.stats);
+        assert_eq!(n.stats, a.stats);
     }
-    assert_eq!(named.stats().genext_builds, 1);
-    assert_eq!(
-        anon.stats().genext_builds,
-        0,
-        "anonymous fills stay interpreted"
-    );
+    let (n, a) = (named.stats(), anon.stats());
+    assert_eq!((n.genext_builds, n.spec_runs, n.misses), (1, 3, 3));
+    assert_eq!((a.genext_builds, a.spec_runs, a.misses), (1, 3, 3));
+    assert!(ext.is_staged(), "the caller's extension keeps the staging");
 }
 
 #[test]
@@ -1540,33 +1545,25 @@ fn tier0_promotion_swaps_in_specialized_image() {
 }
 
 #[test]
-fn tier0_genext_builds_in_background_not_on_first_fill() {
+fn tier0_stages_once_per_generation_and_promotions_reuse_it() {
     let service = SpecService::with_config(tier0_config(1, 1));
     service.register("hot", &epoch_ext(1));
 
-    // The cold named fill returns without staging the generating
-    // extension: that cost moved off the request path entirely.
+    // The cold named fill stages the generation for its generic image
+    // (the gen-ext machine at zero fuel) and keeps what it staged.
     let cold = service.specialize_named("hot", &int(4)).expect("cold");
     assert_eq!(decode(&cold), (1, 4));
-    assert_eq!(
-        service.stats().genext_builds,
-        0,
-        "gen-ext built on request path"
-    );
-    assert!(service.genext_of("hot").is_none());
+    assert_eq!(service.stats().genext_builds, 1, "first touch stages");
+    assert!(service.genext_of("hot").is_some());
 
     // The first warm hit crosses the threshold; the promotion worker
-    // compiles the gen-ext and caches it for the generation.
+    // specializes on the staged program without staging again.
     let warm = service.specialize_named("hot", &int(4)).expect("warm");
     assert_eq!(decode(&warm), (1, 4));
-    assert!(
-        eventually(|| service.stats().genext_builds == 1 && service.genext_of("hot").is_some()),
-        "background gen-ext build never happened"
-    );
     assert!(eventually(|| service.tier_stats().promotions >= 1));
+    assert_eq!(service.stats().genext_builds, 1, "promotion restaged");
 
-    // Later promotions of the same generation reuse the compiled
-    // gen-ext instead of rebuilding it.
+    // Later fills and promotions of the same generation reuse it too.
     service
         .specialize_named("hot", &int(5))
         .expect("second key cold");
@@ -1574,7 +1571,7 @@ fn tier0_genext_builds_in_background_not_on_first_fill() {
         .specialize_named("hot", &int(5))
         .expect("second key warm");
     assert!(eventually(|| service.tier_stats().promotions >= 2));
-    assert_eq!(service.stats().genext_builds, 1, "gen-ext rebuilt per key");
+    assert_eq!(service.stats().genext_builds, 1, "gen-ext restaged per key");
 }
 
 #[test]

@@ -16,7 +16,7 @@
 //! | `timeout` | wall-clock | BTA, specializer, interpreter, VM |
 //! | `step_fuel` | executed instructions / eval steps | interpreter, VM |
 //! | `unfold_fuel` | call unfoldings | specializer |
-//! | `max_depth` | specializer recursion depth | specializer |
+//! | `max_depth` | specializer nesting depth | specializer |
 //! | `memo_cap` | memo-table entries | specializer |
 //! | `code_cap` | emitted residual code size | specializer, compiler |
 //! | `input_node_cap` | datums read | reader |
@@ -155,8 +155,12 @@ pub struct Limits {
     pub step_fuel: Option<u64>,
     /// Specializer unfold fuel (bounds static recursion).
     pub unfold_fuel: Option<u64>,
-    /// Specializer recursion depth (bounds Rust stack usage of the CPS
-    /// engine; a hard limit — violations are never recoverable).
+    /// Specializer nesting depth: the recursion depth of the walker (the
+    /// reference specializer, where it bounds the Rust stack), which the
+    /// gen-ext machine keeps as a count without recursing. A hard limit —
+    /// violations are never recoverable — and the work bound that stops a
+    /// statically divergent unfolding before unfold-fuel exhaustion makes
+    /// fallback replay quadratic.
     pub max_depth: Option<usize>,
     /// Maximum distinct specialization points in the memo table.
     pub memo_cap: Option<usize>,

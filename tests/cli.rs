@@ -1030,7 +1030,7 @@ fn repl_session_compiles_and_specializes() {
 }
 
 #[test]
-fn repl_genext_command_specializes_through_compiled_genext() {
+fn repl_spec_runs_the_compiled_genext() {
     let mut child = Command::new(env!("CARGO_BIN_EXE_repl"))
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
@@ -1038,9 +1038,10 @@ fn repl_genext_command_specializes_through_compiled_genext() {
         .spawn()
         .unwrap();
     let script = "(define (power x n) (if (= n 0) 1 (* x (power x (- n 1)))))\n\
-                  ,genext power D S\n\
+                  ,spec power D S\n\
                   5\n\
                   (power 2)\n\
+                  ,stats\n\
                   ,quit\n";
     child
         .stdin
@@ -1050,12 +1051,14 @@ fn repl_genext_command_specializes_through_compiled_genext() {
         .unwrap();
     let out = child.wait_with_output().unwrap();
     let text = String::from_utf8_lossy(&out.stdout);
-    // The staged artifact is reported, the residual installed, and the
-    // specialized power_5(2) = 32 runs.
-    assert!(text.contains(";; genext: compiled"), "{text}");
+    // The residual is installed and the specialized power_5(2) = 32 runs.
     assert!(text.contains("residual program"), "{text}");
     let after = text.split("residual program").nth(1).unwrap_or("");
     assert!(after.contains("32"), "{text}");
+    // `,spec` went through the compiled generating extension: one
+    // staging, one run of the gen-ext machine.
+    assert!(text.contains("t4o_genext_builds_total 1\n"), "{text}");
+    assert!(text.contains("t4o_genext_runs_total 1\n"), "{text}");
 }
 
 #[test]
@@ -1099,7 +1102,7 @@ fn t4o_stats_emits_the_full_prometheus_page() {
         "t4o_serve_misses_total 2",
         "t4o_spec_fallbacks_total{kind=\"unfold-fuel\"} 0",
         "t4o_breaker_open 0",
-        "t4o_phase_nanos_bucket{phase=\"specialize\",le=\"+Inf\"} 2",
+        "t4o_phase_nanos_bucket{phase=\"genext-run\",le=\"+Inf\"} 2",
         "t4o_serve_request_nanos_count 3",
     ] {
         assert!(page.contains(family), "missing `{family}` in:\n{page}");
