@@ -12,8 +12,8 @@
 //! * `generic/…` — the interpreter *generically* compiled to bytecode,
 //!   grammar still walked at run time (what tier-0 serving executes);
 //! * `spec/…` — the residual recognizer: the interpreter specialized
-//!   over the grammar, peephole-optimized, one residual function per
-//!   nonterminal (what promotion installs).
+//!   over the grammar straight to object code, one residual function per
+//!   nonterminal — the image promotion installs, unmodified.
 //!
 //! Results (median seconds per match of a ~2048-character input) land in
 //! `BENCH_match.json`; the figure in EXPERIMENTS.md reports chars/s. The
@@ -22,9 +22,7 @@
 //! point of the subsystem, so losing it is a regression, not noise.
 
 use std::hint::black_box;
-use two4one::{
-    compile, interpret, optimize_image, run_image, with_stack, Datum, Division, Pgg, BT,
-};
+use two4one::{compile, interpret, run_image, with_stack, Datum, Division, Pgg, BT};
 use two4one_bench::harness::{self, Criterion};
 use two4one_bench::{criterion_group, criterion_main};
 use two4one_langs::grammar;
@@ -61,7 +59,7 @@ fn bench_match(c: &mut Criterion) {
                         &Division::new([BT::Dynamic]),
                     )
                     .expect("cogen");
-                optimize_image(&genext.specialize_object(&[]).expect("specialize"))
+                genext.specialize_object(&[]).expect("specialize")
             }
         });
         for (w, expect) in [(&accept_d, true), (&input, false)] {

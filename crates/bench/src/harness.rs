@@ -12,6 +12,7 @@
 //! smoke run in CI).
 
 use std::time::{Duration, Instant};
+use two4one::obs::json_escape;
 
 /// Harness entry point; one per benchmark binary.
 #[derive(Debug, Default)]
@@ -119,7 +120,7 @@ impl Group {
 /// Propagates I/O failures from writing `path`.
 pub fn write_json(path: impl AsRef<std::path::Path>, group: &Group) -> std::io::Result<()> {
     let mut out = String::from("{\n");
-    out.push_str(&format!("  \"group\": \"{}\",\n", escape(group.name())));
+    out.push_str(&format!("  \"group\": {},\n", json_escape(group.name())));
     out.push_str("  \"results\": [\n");
     for (i, r) in group.results().iter().enumerate() {
         let comma = if i + 1 == group.results().len() {
@@ -128,24 +129,14 @@ pub fn write_json(path: impl AsRef<std::path::Path>, group: &Group) -> std::io::
             ","
         };
         out.push_str(&format!(
-            "    {{\"id\": \"{}\", \"median_ns\": {}, \"min_ns\": {}}}{comma}\n",
-            escape(&r.id),
+            "    {{\"id\": {}, \"median_ns\": {}, \"min_ns\": {}}}{comma}\n",
+            json_escape(&r.id),
             r.median.as_nanos(),
             r.min.as_nanos()
         ));
     }
     out.push_str("  ]\n}\n");
     std::fs::write(path, out)
-}
-
-fn escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' | '\\' => vec!['\\', c],
-            c if c.is_control() => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
 }
 
 fn fmt(d: Duration) -> String {

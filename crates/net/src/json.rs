@@ -1,4 +1,5 @@
-//! A minimal, hardened JSON reader/writer for the HTTP surface.
+//! A minimal, hardened JSON reader for the HTTP surface (responses are
+//! written with `obs::json_escape`).
 //!
 //! Hand-rolled (the crate is zero-dep) and defensive: bounded nesting
 //! depth, typed errors, no recursion on attacker-controlled depth beyond
@@ -333,32 +334,6 @@ fn parse_number(src: &str, bytes: &[u8], at: &mut usize) -> Result<Json, JsonErr
     }
 }
 
-/// Escapes a string for embedding in a JSON document (quotes included).
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str("\\u00");
-                let n = c as u32;
-                for shift in [4, 0] {
-                    let d = (n >> shift) & 0xf;
-                    out.push(char::from_digit(d, 16).unwrap_or('0'));
-                }
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -419,7 +394,7 @@ mod tests {
     #[test]
     fn escape_roundtrips_through_parse() {
         let s = "weird \"quotes\"\nand\tcontrol\u{1}";
-        let parsed = parse(&escape(s)).expect("parse escaped");
+        let parsed = parse(&two4one::obs::json_escape(s)).expect("parse escaped");
         assert_eq!(parsed, Json::Str(s.into()));
     }
 }

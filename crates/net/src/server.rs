@@ -854,7 +854,7 @@ fn register_call(
     let epoch = inner.service.register(&req.name, &genext);
     let body = format!(
         "{{\"registered\": {}, \"epoch\": {}}}",
-        json::escape(&req.name),
+        obs::json_escape(&req.name),
         epoch.get()
     );
     Ok((wire::RESP_META, Payload::Bytes(body.into_bytes())))
@@ -913,9 +913,9 @@ fn grammar_call(
     inner.stats.match_registered.inc();
     let body = format!(
         "{{\"registered\": {}, \"epoch\": {}, \"start\": {}, \"rules\": {}}}",
-        json::escape(&req.name),
+        obs::json_escape(&req.name),
         epoch.get(),
-        json::escape(grammar.start()),
+        obs::json_escape(grammar.start()),
         grammar.rule_names().len(),
     );
     Ok((wire::RESP_META, Payload::Bytes(body.into_bytes())))
@@ -950,8 +950,8 @@ fn meta_json(name: &str, outcome: &two4one_server::SpecOutcome) -> String {
             "\"templates\": {templates}, \"degraded\": {degraded}, ",
             "\"unfolds\": {unfolds}, \"memo_hits\": {hits}}}"
         ),
-        name = json::escape(name),
-        entry = json::escape(outcome.image.entry.as_str()),
+        name = obs::json_escape(name),
+        entry = obs::json_escape(outcome.image.entry.as_str()),
         code = outcome.code_size(),
         templates = outcome.image.templates.len(),
         degraded = outcome.stats.degraded(),
@@ -1035,7 +1035,7 @@ fn serve_http(inner: &Arc<ServerInner>, stream: &TcpStream, watch: &Arc<ConnWatc
             Ok(head) => head,
             Err(e) => {
                 inner.stats.protocol_errors.inc();
-                let body = format!("{{\"error\": {}}}", json::escape(&e.to_string()));
+                let body = format!("{{\"error\": {}}}", obs::json_escape(&e.to_string()));
                 let resp = http::response(400, "application/json", 0, body.as_bytes(), false);
                 let _ = write_http(inner, stream, watch, &resp);
                 return;
@@ -1182,7 +1182,7 @@ fn http_spec(
     let error = |status: u16, retry_ms: u64, msg: &str| {
         let body = format!(
             "{{\"error\": {}, \"retry_after_ms\": {retry_ms}}}",
-            json::escape(msg)
+            obs::json_escape(msg)
         );
         http::response(
             status,

@@ -184,14 +184,7 @@ impl NetSnapshot {
 
     /// Renders the snapshot as a JSON object (the `/stats` endpoint).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        let fields = self.fields();
-        for (i, (name, value)) in fields.iter().enumerate() {
-            out.push_str(&format!("  \"{name}\": {value}"));
-            out.push_str(if i + 1 < fields.len() { ",\n" } else { "\n" });
-        }
-        out.push('}');
-        out
+        obs::json_object(&self.fields())
     }
 }
 

@@ -15,7 +15,9 @@
 //!   open, …) so a request's trace can be dumped on demand.
 //! * **Exposition** ([`MetricsSnapshot::to_prometheus`],
 //!   [`MetricsSnapshot::to_json`]) — Prometheus text format and a JSON
-//!   snapshot, both hand-rolled (this crate has no dependencies).
+//!   snapshot, both hand-rolled (this crate has no dependencies). Its
+//!   [`json_escape`] and [`json_object`] also write the stats snapshots,
+//!   the HTTP bodies and the bench files.
 //!
 //! The whole crate is panic-free (lint-enforced at zero budget) and
 //! lock-light: counters/gauges/histograms are lock-free atomics; the
@@ -30,8 +32,8 @@ mod metrics;
 mod span;
 
 pub use metrics::{
-    bucket_bound, Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
-    SeriesId, BUCKETS, BUCKET_SHIFT,
+    bucket_bound, json_escape, json_object, Counter, Gauge, Histogram, HistogramSnapshot,
+    MetricsRegistry, MetricsSnapshot, SeriesId, BUCKETS, BUCKET_SHIFT,
 };
 pub use span::{
     absorb_trace, clear_trace, event, event_with, now_ns, render_trace, take_trace,

@@ -456,8 +456,8 @@ impl MetricsSnapshot {
                 out.push(',');
             }
             out.push_str(&format!(
-                "\n    \"{}\": {{\"buckets\": [",
-                escape(&id.render())
+                "\n    {}: {{\"buckets\": [",
+                json_escape(&id.render())
             ));
             let mut cum = 0u64;
             for (i, c) in h.buckets.iter().enumerate() {
@@ -495,21 +495,50 @@ fn push_scalar_map<'a>(out: &mut String, series: impl Iterator<Item = (&'a Serie
             out.push(',');
         }
         first = false;
-        out.push_str(&format!("\n    \"{}\": {v}", escape(&id.render())));
+        out.push_str(&format!("\n    {}: {v}", json_escape(&id.render())));
     }
     if !first {
         out.push_str("\n  ");
     }
 }
 
-fn escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' | '\\' => vec!['\\', c],
-            c if c.is_control() => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
+/// Escapes a string for embedding in a JSON document (quotes included) —
+/// the one escaper behind every hand-rolled JSON body in the workspace.
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                out.push_str("\\u00");
+                let n = c as u32;
+                for shift in [4, 0] {
+                    let d = (n >> shift) & 0xf;
+                    out.push(char::from_digit(d, 16).unwrap_or('0'));
+                }
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
+/// Renders `(name, value)` pairs as a flat JSON object, one field per
+/// line — the shape of every stats snapshot's `to_json`.
+pub fn json_object(fields: &[(&str, u64)]) -> String {
+    let mut out = String::from("{\n");
+    for (i, (name, value)) in fields.iter().enumerate() {
+        out.push_str(&format!("  {}: {value}", json_escape(name)));
+        out.push_str(if i + 1 < fields.len() { ",\n" } else { "\n" });
+    }
+    out.push('}');
+    out
 }
 
 #[cfg(test)]

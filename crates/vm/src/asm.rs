@@ -108,11 +108,6 @@ impl Asm {
         self.code.push(i);
     }
 
-    /// Current code position (for tests and peephole checks).
-    pub fn here(&self) -> usize {
-        self.code.len()
-    }
-
     /// Allocates a fresh, unattached label (`make-label`).
     pub fn make_label(&mut self) -> Label {
         self.labels.push(None);

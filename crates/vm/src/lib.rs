@@ -22,13 +22,11 @@ pub mod asm;
 pub mod genops;
 pub mod machine;
 pub mod objfile;
-pub mod peephole;
 
 pub use asm::{Asm, AsmError, Label};
 pub use genops::{decode_genext, encode_genext, GenDef, GenInstr, GenLam, GenParam, GenProgram};
 pub use machine::{init_dispatch_metrics, ExecProfile, Machine, VmError};
 pub use objfile::{decode as decode_image, encode as encode_image, ObjError};
-pub use peephole::{optimize_image, optimize_template};
 
 use std::fmt;
 use std::sync::Arc;
@@ -40,7 +38,11 @@ use two4one_syntax::value::ProcRepr;
 /// A byte-code instruction.
 ///
 /// `val` is the accumulator; `push` moves it to the evaluation stack;
-/// `bind` appends it to the current frame's locals (a `let`).
+/// `bind` appends it to the current frame's locals (a `let`). These are
+/// exactly the instructions the compilators emit, so every image the
+/// machine runs — compiled, specialized straight to object code, or
+/// decoded from an object file — uses this one instruction set, with one
+/// encoding per operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Instr {
     /// Load `consts[i]` into `val`.
@@ -89,53 +91,11 @@ pub enum Instr {
         /// Argument count.
         nargs: u8,
     },
-    /// Fused `Local i; Push` — the hottest pair the compilators emit
-    /// (argument loading). Loads local slot `i` into `val` *and* pushes it,
-    /// exactly like the two-instruction sequence. Produced only by the
-    /// peephole fuser; the compilators never emit it directly.
-    LocalPush(u16),
-    /// Fused `Const i; Push` (literal-argument loading); same contract as
-    /// [`Instr::LocalPush`].
-    ConstPush(u16),
-    /// Fused `LocalPush i; Prim` — local-load-compare and friends: push
-    /// local slot `local` as the final primitive argument and apply the
-    /// primitive in one dispatch. The hottest residual-matcher pair
-    /// (`(eq? c <char>)` compiles to `local-push; const-push; prim eq?`
-    /// and fuses twice). Produced only by the peephole fuser.
-    LocalPrim {
-        /// Local slot pushed as the last argument.
-        local: u16,
-        /// The primitive.
-        prim: Prim,
-        /// Argument count (including the fused push).
-        nargs: u8,
-    },
-    /// Fused `ConstPush i; Prim`; same contract as [`Instr::LocalPrim`]
-    /// with a constant-table load instead of a local load.
-    ConstPrim {
-        /// Constant slot pushed as the last argument.
-        konst: u16,
-        /// The primitive.
-        prim: Prim,
-        /// Argument count (including the fused push).
-        nargs: u8,
-    },
-    /// Fused `Prim; JumpIfFalse` — compare-branch: apply the primitive
-    /// (result in `val`, exactly as [`Instr::Prim`]) and jump to `target`
-    /// if the result is `#f`. Produced only by the peephole fuser.
-    PrimBranch {
-        /// The primitive.
-        prim: Prim,
-        /// Argument count.
-        nargs: u8,
-        /// Branch target when the result is `#f`.
-        target: u32,
-    },
 }
 
 impl Instr {
     /// Number of distinct opcodes (the length of [`OP_NAMES`]).
-    pub const N_OPS: usize = 19;
+    pub const N_OPS: usize = 14;
 
     /// Dense opcode index, for per-opcode dispatch accounting:
     /// `OP_NAMES[i.opcode()]` names the instruction family.
@@ -155,11 +115,6 @@ impl Instr {
             Instr::Jump(_) => 11,
             Instr::JumpIfFalse(_) => 12,
             Instr::Prim { .. } => 13,
-            Instr::LocalPush(_) => 14,
-            Instr::ConstPush(_) => 15,
-            Instr::LocalPrim { .. } => 16,
-            Instr::ConstPrim { .. } => 17,
-            Instr::PrimBranch { .. } => 18,
         }
     }
 }
@@ -181,11 +136,6 @@ pub const OP_NAMES: [&str; Instr::N_OPS] = [
     "jump",
     "jump-if-false",
     "prim",
-    "local-push",
-    "const-push",
-    "local-prim",
-    "const-prim",
-    "prim-branch",
 ];
 
 /// A code object: instructions plus the constant, global, and sub-template
@@ -267,19 +217,6 @@ impl Template {
                 Instr::Jump(t) => format!("jump {t}"),
                 Instr::JumpIfFalse(t) => format!("jump-if-false {t}"),
                 Instr::Prim { prim, nargs } => format!("prim {prim}/{nargs}"),
-                Instr::LocalPush(i) => format!("local-push {i}"),
-                Instr::ConstPush(k) => format!("const-push {}", self.consts[*k as usize]),
-                Instr::LocalPrim { local, prim, nargs } => {
-                    format!("local-prim {local} {prim}/{nargs}")
-                }
-                Instr::ConstPrim { konst, prim, nargs } => {
-                    format!("const-prim {} {prim}/{nargs}", self.consts[*konst as usize])
-                }
-                Instr::PrimBranch {
-                    prim,
-                    nargs,
-                    target,
-                } => format!("prim-branch {prim}/{nargs} {target}"),
             };
             out.push_str(&format!("{pad}  {i:4}  {text}\n"));
         }

@@ -449,60 +449,6 @@ impl Machine {
                     Instr::Push => {
                         self.stack.push(self.val.clone());
                     }
-                    Instr::LocalPush(i) => {
-                        // Fused `Local i; Push`: same observable effect,
-                        // including leaving the value in `val`.
-                        let v = locals
-                            .get(i as usize)
-                            .cloned()
-                            .ok_or(VmError::Internal("local index out of range"))?;
-                        self.val = v.clone();
-                        self.stack.push(v);
-                    }
-                    Instr::ConstPush(i) => {
-                        let d = closure
-                            .template
-                            .consts
-                            .get(i as usize)
-                            .ok_or(VmError::Internal("constant index out of range"))?;
-                        let v = Value::from(d);
-                        self.val = v.clone();
-                        self.stack.push(v);
-                    }
-                    Instr::LocalPrim { local, prim, nargs } => {
-                        // Fused `LocalPush local; Prim`: the local is the
-                        // last argument pushed.
-                        let v = locals
-                            .get(local as usize)
-                            .cloned()
-                            .ok_or(VmError::Internal("local index out of range"))?;
-                        self.stack.push(v);
-                        let args = self.pop_args(nargs as usize)?;
-                        self.val = apply_prim(prim, &args, &mut self.output)?;
-                    }
-                    Instr::ConstPrim { konst, prim, nargs } => {
-                        let d = closure
-                            .template
-                            .consts
-                            .get(konst as usize)
-                            .ok_or(VmError::Internal("constant index out of range"))?;
-                        self.stack.push(Value::from(d));
-                        let args = self.pop_args(nargs as usize)?;
-                        self.val = apply_prim(prim, &args, &mut self.output)?;
-                    }
-                    Instr::PrimBranch {
-                        prim,
-                        nargs,
-                        target,
-                    } => {
-                        // Fused `Prim; JumpIfFalse`: result lands in `val`
-                        // exactly as for the unfused pair.
-                        let args = self.pop_args(nargs as usize)?;
-                        self.val = apply_prim(prim, &args, &mut self.output)?;
-                        if !self.val.is_truthy() {
-                            pc = target as usize;
-                        }
-                    }
                     Instr::Bind => {
                         locals.push(self.val.clone());
                     }

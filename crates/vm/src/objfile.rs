@@ -256,40 +256,10 @@ fn put_instr(out: &mut Vec<u8>, i: &Instr) {
             out.push(12);
             put_u32(out, *t);
         }
-        Instr::LocalPush(n) => {
-            out.push(14);
-            put_u16(out, *n);
-        }
-        Instr::ConstPush(n) => {
-            out.push(15);
-            put_u16(out, *n);
-        }
         Instr::Prim { prim, nargs } => {
             out.push(13);
             put_str(out, prim.name());
             out.push(*nargs);
-        }
-        Instr::LocalPrim { local, prim, nargs } => {
-            out.push(16);
-            put_u16(out, *local);
-            put_str(out, prim.name());
-            out.push(*nargs);
-        }
-        Instr::ConstPrim { konst, prim, nargs } => {
-            out.push(17);
-            put_u16(out, *konst);
-            put_str(out, prim.name());
-            out.push(*nargs);
-        }
-        Instr::PrimBranch {
-            prim,
-            nargs,
-            target,
-        } => {
-            out.push(18);
-            put_str(out, prim.name());
-            out.push(*nargs);
-            put_u32(out, *target);
         }
     }
 }
@@ -444,37 +414,6 @@ impl<'a> Reader<'a> {
                     nargs: self.u8()?,
                 }
             }
-            14 => Instr::LocalPush(self.u16()?),
-            15 => Instr::ConstPush(self.u16()?),
-            16 => {
-                let local = self.u16()?;
-                let name = self.str()?;
-                let prim = Prim::from_name(&name).ok_or(ObjError::BadPrim(name.clone()))?;
-                Instr::LocalPrim {
-                    local,
-                    prim,
-                    nargs: self.u8()?,
-                }
-            }
-            17 => {
-                let konst = self.u16()?;
-                let name = self.str()?;
-                let prim = Prim::from_name(&name).ok_or(ObjError::BadPrim(name.clone()))?;
-                Instr::ConstPrim {
-                    konst,
-                    prim,
-                    nargs: self.u8()?,
-                }
-            }
-            18 => {
-                let name = self.str()?;
-                let prim = Prim::from_name(&name).ok_or(ObjError::BadPrim(name.clone()))?;
-                Instr::PrimBranch {
-                    prim,
-                    nargs: self.u8()?,
-                    target: self.u32()?,
-                }
-            }
             t => return Err(ObjError::BadTag("instr", t)),
         })
     }
@@ -581,45 +520,47 @@ mod tests {
     }
 
     #[test]
-    fn superinstruction_tags_roundtrip() {
-        // Every fused instruction (tags 14–18) must survive a round trip,
-        // including the primitive name encoding and the branch target.
-        let t = Arc::new(Template {
-            name: Symbol::new("fused"),
-            arity: 1,
-            nfree: 0,
-            code: vec![
-                Instr::LocalPush(0),
-                Instr::ConstPush(0),
-                Instr::LocalPrim {
-                    local: 0,
-                    prim: Prim::EqP,
-                    nargs: 2,
-                },
-                Instr::ConstPrim {
-                    konst: 0,
-                    prim: Prim::Add,
-                    nargs: 2,
-                },
-                Instr::PrimBranch {
-                    prim: Prim::NullP,
-                    nargs: 1,
-                    target: 6,
-                },
-                Instr::Return,
-                Instr::Const(0),
-                Instr::Return,
-            ],
-            consts: vec![Datum::Int(1)],
-            globals: vec![],
-            templates: vec![],
-        });
-        let image = Image {
-            templates: vec![(Symbol::new("fused"), t)],
-            entry: Symbol::new("fused"),
+    fn retired_superinstruction_tags_are_rejected() {
+        // Tags 14–18 once encoded fused instructions that no served image
+        // carried. Each image below is hand-encoded in the layout its tag
+        // used, so only the tag itself can be what `decode` rejects.
+        let add = |out: &mut Vec<u8>| {
+            put_str(out, Prim::Add.name());
+            out.push(2);
         };
-        let back = decode(&encode(&image)).unwrap();
-        assert_eq!(back.templates[0].1, image.templates[0].1);
+        for tag in 14u8..=18 {
+            let mut out = Vec::new();
+            out.extend_from_slice(MAGIC);
+            put_u32(&mut out, VERSION);
+            put_u32(&mut out, 0); // checksum placeholder
+            put_sym(&mut out, &Symbol::new("f"));
+            put_u32(&mut out, 1); // template count
+            put_sym(&mut out, &Symbol::new("f")); // definition name
+            put_sym(&mut out, &Symbol::new("f")); // template name
+            out.push(1); // arity
+            put_u16(&mut out, 0); // nfree
+            put_u32(&mut out, 2); // code length
+            out.push(tag);
+            match tag {
+                14 | 15 => put_u16(&mut out, 0), // local / constant slot
+                16 | 17 => {
+                    put_u16(&mut out, 0);
+                    add(&mut out);
+                }
+                _ => {
+                    add(&mut out);
+                    put_u32(&mut out, 1); // branch target
+                }
+            }
+            put_instr(&mut out, &Instr::Return);
+            put_u32(&mut out, 1); // constants
+            put_datum(&mut out, &Datum::Int(1));
+            put_u32(&mut out, 0); // globals
+            put_u32(&mut out, 0); // sub-templates
+            let crc = crc32(&out[HEADER_LEN..]);
+            out[12..16].copy_from_slice(&crc.to_le_bytes());
+            assert_eq!(decode(&out).unwrap_err(), ObjError::BadTag("instr", tag));
+        }
     }
 
     #[test]

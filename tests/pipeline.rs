@@ -136,31 +136,6 @@ fn generic_compiler_agrees_on_suite() {
 }
 
 #[test]
-fn peephole_preserves_behavior_on_suite() {
-    with_stack(|| {
-        let pgg = Pgg::new();
-        for (src, entry, args, _) in suite() {
-            let p = pgg.parse(src).unwrap();
-            // The generic compiler produces the jump chains peephole
-            // exists for; check both pipelines.
-            for image in [
-                compile(&p, entry).unwrap(),
-                two4one_compiler::compile_program_generic(&p, entry).unwrap(),
-            ] {
-                let optimized = two4one::optimize_image(&image);
-                assert!(
-                    optimized.code_size() <= image.code_size(),
-                    "peephole grew code: {src}"
-                );
-                let a = run_image(&image, entry, &args).unwrap();
-                let b = run_image(&optimized, entry, &args).unwrap();
-                assert_eq!(a, b, "{src}");
-            }
-        }
-    });
-}
-
-#[test]
 fn object_files_round_trip_on_suite() {
     with_stack(|| {
         let pgg = Pgg::new();
