@@ -29,11 +29,10 @@ declare -A ALLOW=(
   [crates/frontend/src/lift.rs]=1
   [crates/frontend/src/lower.rs]=2
   # Specializer: arity/shape checked by the caller on the same path.
-  # Syntax: closed enum dispatch and the worker-thread spawn.
-  [crates/syntax/src/value.rs]=2
+  # Syntax: shape checks just before the access, and the worker-thread
+  # spawn.
   [crates/syntax/src/cs.rs]=1
   [crates/syntax/src/stack.rs]=1
-  [crates/syntax/src/prim.rs]=1
   [crates/syntax/src/datum.rs]=1
   # Assembler fixups only ever point at jump instructions.
   [crates/vm/src/asm.rs]=1

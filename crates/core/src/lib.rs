@@ -66,8 +66,8 @@ pub use two4one_syntax::reader;
 pub use two4one_syntax::stack::{with_stack, with_stack_size};
 pub use two4one_syntax::symbol::Symbol;
 pub use two4one_vm::{
-    decode_genext, decode_image, encode_genext, encode_image, ExecProfile, GenProgram, Image,
-    Machine, ObjError, Value, VmError,
+    crc32, decode_genext, decode_image, encode_genext, encode_image, ExecProfile, GenProgram,
+    Image, Machine, ObjError, Value, VmError,
 };
 
 /// Any error the pipeline can produce.

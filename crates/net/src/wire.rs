@@ -28,6 +28,7 @@
 
 use std::fmt;
 use std::io::{self, Read, Write};
+use two4one::crc32;
 
 /// Frame magic: the first four bytes of every binary-protocol frame (and
 /// how the server tells the binary protocol from HTTP on a new
@@ -72,21 +73,6 @@ pub const WANT_OBJECT: u8 = 1;
 /// `want` value: the client asks for the registered program's compiled
 /// generating extension as `.t4og` bytes ([`RESP_GENEXT`]).
 pub const WANT_GENEXT: u8 = 2;
-
-/// CRC-32 (IEEE, reflected) — the same polynomial and idiom as the
-/// `.t4o`/`.t4os` container formats, so a flipped payload bit is caught
-/// here exactly like it would be in a snapshot record.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc: u32 = 0xffff_ffff;
-    for b in bytes {
-        crc ^= u32::from(*b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xedb8_8320 & mask);
-        }
-    }
-    !crc
-}
 
 /// A typed wire-protocol failure. The decoding path can produce every
 /// variant; none of them can panic the server.
@@ -540,12 +526,6 @@ impl WireError {
 mod tests {
     use super::*;
     use std::io::Cursor;
-
-    #[test]
-    fn crc32_matches_reference_vectors() {
-        assert_eq!(crc32(b""), 0x0000_0000);
-        assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
-    }
 
     #[test]
     fn frame_roundtrip() {

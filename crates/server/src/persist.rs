@@ -36,7 +36,7 @@
 
 use std::sync::Arc;
 
-use two4one::{decode_image, encode_image, Image, LimitKind, SpecStats};
+use two4one::{crc32, decode_image, encode_image, Image, LimitKind, SpecStats};
 
 const MAGIC: &[u8; 8] = b"t4osnap\0";
 const VERSION: u32 = 3;
@@ -64,20 +64,6 @@ pub(crate) struct DecodeOutcome {
     /// Records (or whole-file structures) rejected: CRC mismatch, torn
     /// tail, bad header, undecodable payload, trailing garbage.
     pub(crate) quarantined: u64,
-}
-
-// ---- CRC-32 (IEEE 802.3, reflected — same discipline as .t4o files) ----
-
-fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc: u32 = 0xffff_ffff;
-    for b in bytes {
-        crc ^= u32::from(*b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xedb8_8320 & mask);
-        }
-    }
-    !crc
 }
 
 // ---- encoding ----------------------------------------------------------

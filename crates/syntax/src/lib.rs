@@ -15,8 +15,9 @@
 //! * [`cata`] — the syntax functor and generic recursion schema (catamorphism)
 //!   of Sec. 5.1–5.3;
 //! * [`value`] — the runtime value domain, generic over the procedure
-//!   representation so that the interpreter (`two4one-interp`) and the VM
-//!   (`two4one-vm`) can share primitive semantics.
+//!   representation, and the one primitive evaluator that the interpreter
+//!   (`two4one-interp`), the VM (`two4one-vm`) and, on static data, the
+//!   partial evaluator share.
 //!
 //! # Example
 //!

@@ -107,7 +107,8 @@ impl fmt::Display for Arity {
     }
 }
 
-/// Table row: `(variant, scheme name, arity, pure)`.
+/// Table row: `(variant, scheme name, arity, pure)`. Row `i` holds the
+/// variant whose discriminant is `i`, so [`Prim::row`] indexes.
 const TABLE: &[(Prim, &str, Arity, bool)] = &[
     (Prim::Add, "+", Arity::AtLeast(0), true),
     (Prim::Sub, "-", Arity::AtLeast(1), true),
@@ -181,6 +182,17 @@ const TABLE: &[(Prim, &str, Arity, bool)] = &[
     (Prim::BoxSet, "set-box!", Arity::Exact(2), false),
 ];
 
+// Checked at compile time: row `i` holds variant `i`, and the table ends
+// at the last variant, `BoxSet`.
+const _: () = {
+    assert!(TABLE.len() == Prim::BoxSet as usize + 1);
+    let mut i = 0;
+    while i < TABLE.len() {
+        assert!(TABLE[i].0 as usize == i);
+        i += 1;
+    }
+};
+
 impl Prim {
     /// All primitives, in table order.
     pub fn all() -> impl Iterator<Item = Prim> {
@@ -235,10 +247,7 @@ impl Prim {
     }
 
     fn row(self) -> &'static (Prim, &'static str, Arity, bool) {
-        TABLE
-            .iter()
-            .find(|row| row.0 == self)
-            .expect("every Prim variant has a table row")
+        &TABLE[self as usize]
     }
 }
 

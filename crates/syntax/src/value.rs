@@ -1,11 +1,14 @@
-//! The runtime value domain, generic over the procedure representation.
+//! The runtime value domain, generic over the procedure representation,
+//! and the one primitive evaluator every engine runs.
 //!
 //! The tree-walking interpreter (`two4one-interp`) and the byte-code VM
 //! (`two4one-vm`) use different closure representations but identical
 //! first-order values and primitive semantics. [`Value`] is therefore
-//! parameterized over a [`ProcRepr`], and [`apply_prim`] implements every
-//! primitive once, for all engines — including the partial evaluator, which
-//! applies pure primitives to static data via [`NoProc`].
+//! parameterized over a [`ProcRepr`]. [`apply_prim`] implements every
+//! primitive once, over the [`Domain`] interface that both [`Value`] and
+//! [`Datum`] implement: the engines apply primitives to values, and the
+//! partial evaluator applies pure primitives to static data through
+//! [`apply_prim_datum`].
 
 use crate::datum::Datum;
 use crate::prim::{Arity, Prim};
@@ -22,8 +25,7 @@ pub trait ProcRepr: Clone {
 }
 
 /// The uninhabited procedure representation: a value domain with no
-/// procedures at all, used when evaluating primitives over pure data
-/// (e.g. at specialization time).
+/// procedures at all, through which [`Datum`] renders data.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NoProc {}
 
@@ -65,18 +67,6 @@ impl<P> Value<P> {
     /// Constructs a pair.
     pub fn cons(car: Value<P>, cdr: Value<P>) -> Value<P> {
         Value::Pair(Arc::new((car, cdr)))
-    }
-
-    /// Constructs a proper list.
-    pub fn list<I>(items: I) -> Value<P>
-    where
-        I: IntoIterator<Item = Value<P>>,
-        I::IntoIter: DoubleEndedIterator,
-    {
-        items
-            .into_iter()
-            .rev()
-            .fold(Value::Nil, |acc, v| Value::cons(v, acc))
     }
 
     /// Scheme truthiness: everything except `#f` is true.
@@ -149,88 +139,28 @@ impl<P: ProcRepr> fmt::Display for Value<P> {
 impl<P: ProcRepr> PartialEq for Value<P> {
     /// Structural equality (`equal?` semantics).
     fn eq(&self, other: &Self) -> bool {
-        equal(self, other)
+        Domain::equal(self, other)
     }
 }
 
 /// Locks a mutable cell, recovering the guard even if a panicking thread
 /// poisoned the lock (cell contents are always in a consistent state: the
 /// only writes are whole-value replacement via `set-box!`).
-fn lock_cell<P>(c: &Mutex<Value<P>>) -> MutexGuard<'_, Value<P>> {
+fn lock_cell<T>(c: &Mutex<T>) -> MutexGuard<'_, T> {
     c.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-fn fmt_value<P: ProcRepr>(v: &Value<P>, write: bool, out: &mut String) {
-    match v {
-        Value::Str(s) if !write => out.push_str(s),
-        Value::Char(c) if !write => out.push(*c),
-        Value::Int(_)
-        | Value::Bool(_)
-        | Value::Char(_)
-        | Value::Sym(_)
-        | Value::Str(_)
-        | Value::Nil
-        | Value::Unspec => {
-            let d: Datum = match v {
-                Value::Int(n) => Datum::Int(*n),
-                Value::Bool(b) => Datum::Bool(*b),
-                Value::Char(c) => Datum::Char(*c),
-                Value::Sym(s) => Datum::Sym(*s),
-                Value::Str(s) => Datum::Str(s.clone()),
-                Value::Nil => Datum::Nil,
-                _ => Datum::Unspec,
-            };
-            out.push_str(&d.to_string());
-        }
-        Value::Pair(_) => {
-            out.push('(');
-            let mut cur = v;
-            let mut first = true;
-            loop {
-                match cur {
-                    Value::Pair(p) => {
-                        if !first {
-                            out.push(' ');
-                        }
-                        first = false;
-                        fmt_value(&p.0, write, out);
-                        cur = &p.1;
-                    }
-                    Value::Nil => break,
-                    other => {
-                        out.push_str(" . ");
-                        fmt_value(other, write, out);
-                        break;
-                    }
-                }
-            }
-            out.push(')');
-        }
-        Value::Cell(c) => {
-            out.push_str("#<cell ");
-            let inner = lock_cell(c).clone();
-            fmt_value(&inner, write, out);
-            out.push('>');
-        }
-        Value::Proc(p) => {
-            out.push_str("#<procedure ");
-            out.push_str(&p.describe());
-            out.push('>');
-        }
-    }
-}
-
 /// `display`-style rendering (strings unquoted).
-pub fn display_string<P: ProcRepr>(v: &Value<P>) -> String {
+pub fn display_string<V: Domain>(v: &V) -> String {
     let mut s = String::new();
-    fmt_value(v, false, &mut s);
+    v.render(false, &mut s);
     s
 }
 
 /// `write`-style rendering (strings quoted).
-pub fn write_string<P: ProcRepr>(v: &Value<P>) -> String {
+pub fn write_string<V: Domain>(v: &V) -> String {
     let mut s = String::new();
-    fmt_value(v, true, &mut s);
+    v.render(true, &mut s);
     s
 }
 
@@ -263,6 +193,9 @@ pub enum PrimError {
     OutOfRange(Prim, String),
     /// The `error` primitive was called.
     User(String),
+    /// An impure primitive was applied to static data
+    /// ([`apply_prim_datum`]).
+    Impure(Prim),
 }
 
 impl fmt::Display for PrimError {
@@ -282,91 +215,288 @@ impl fmt::Display for PrimError {
             PrimError::Overflow(p) => write!(f, "`{p}`: integer overflow"),
             PrimError::OutOfRange(p, s) => write!(f, "`{p}`: out of range: {s}"),
             PrimError::User(msg) => write!(f, "error: {msg}"),
+            PrimError::Impure(p) => write!(f, "`{p}` is impure: it cannot run on static data"),
         }
     }
 }
 
 impl std::error::Error for PrimError {}
 
-/// Identity (`eq?`/`eqv?`) comparison.
-pub fn eqv<P: ProcRepr>(a: &Value<P>, b: &Value<P>) -> bool {
-    match (a, b) {
-        (Value::Int(x), Value::Int(y)) => x == y,
-        (Value::Bool(x), Value::Bool(y)) => x == y,
-        (Value::Char(x), Value::Char(y)) => x == y,
-        (Value::Sym(x), Value::Sym(y)) => x == y,
-        (Value::Nil, Value::Nil) => true,
-        (Value::Unspec, Value::Unspec) => true,
-        (Value::Str(x), Value::Str(y)) => Arc::ptr_eq(x, y),
-        (Value::Pair(x), Value::Pair(y)) => Arc::ptr_eq(x, y),
-        (Value::Cell(x), Value::Cell(y)) => Arc::ptr_eq(x, y),
-        (Value::Proc(x), Value::Proc(y)) => x.ptr_eq(y),
-        _ => false,
-    }
+/// A value domain [`apply_prim`] runs over: [`Value`] at run time,
+/// [`Datum`] for static data.
+pub trait Domain: Clone {
+    /// The value's outermost shape.
+    fn view(&self) -> View<'_, Self>;
+    /// An integer.
+    fn int(n: i64) -> Self;
+    /// A boolean.
+    fn bool(b: bool) -> Self;
+    /// A character.
+    fn char(c: char) -> Self;
+    /// A symbol.
+    fn symbol(s: Symbol) -> Self;
+    /// A string.
+    fn str(s: Arc<str>) -> Self;
+    /// The empty list.
+    fn nil() -> Self;
+    /// The unspecified value.
+    fn unspec() -> Self;
+    /// A pair.
+    fn cons(car: Self, cdr: Self) -> Self;
+    /// A fresh mutable cell holding `v`; `None` in a domain without cells.
+    fn new_cell(v: Self) -> Option<Self>;
+    /// Identity comparison (`eq?`, `eqv?`).
+    fn eqv(a: &Self, b: &Self) -> bool;
+    /// Structural comparison (`equal?`).
+    fn equal(a: &Self, b: &Self) -> bool;
+    /// Appends the value's rendering to `out`: `write`-style (strings
+    /// quoted) if `write`, else `display`-style.
+    fn render(&self, write: bool, out: &mut String);
 }
 
-/// Structural (`equal?`) comparison.
-pub fn equal<P: ProcRepr>(a: &Value<P>, b: &Value<P>) -> bool {
-    match (a, b) {
-        (Value::Str(x), Value::Str(y)) => x == y,
-        (Value::Pair(x), Value::Pair(y)) => equal(&x.0, &y.0) && equal(&x.1, &y.1),
-        _ => eqv(a, b),
-    }
+/// The outermost shape of a [`Domain`] value, borrowing its parts; the
+/// variants mirror [`Value`]'s.
+pub enum View<'a, V> {
+    Int(i64),
+    Bool(bool),
+    Char(char),
+    Sym(Symbol),
+    Str(&'a Arc<str>),
+    Nil,
+    Unspec,
+    Pair(&'a V, &'a V),
+    Cell(&'a Mutex<V>),
+    Proc,
 }
 
-fn want_int<P: ProcRepr>(p: Prim, v: &Value<P>) -> Result<i64, PrimError> {
-    match v {
-        Value::Int(n) => Ok(*n),
-        other => Err(PrimError::TypeError {
-            prim: p,
-            expected: "a number",
-            got: write_string(other),
-        }),
-    }
-}
-
-type PairRef<P> = Arc<(Value<P>, Value<P>)>;
-
-fn want_pair<P: ProcRepr>(p: Prim, v: &Value<P>) -> Result<&PairRef<P>, PrimError> {
-    match v {
-        Value::Pair(pr) => Ok(pr),
-        other => Err(PrimError::TypeError {
-            prim: p,
-            expected: "a pair",
-            got: write_string(other),
-        }),
-    }
-}
-
-fn want_str<P: ProcRepr>(p: Prim, v: &Value<P>) -> Result<&Arc<str>, PrimError> {
-    match v {
-        Value::Str(s) => Ok(s),
-        other => Err(PrimError::TypeError {
-            prim: p,
-            expected: "a string",
-            got: write_string(other),
-        }),
-    }
-}
-
-fn bool_chain<P: ProcRepr>(
-    p: Prim,
-    args: &[Value<P>],
-    f: impl Fn(i64, i64) -> bool,
-) -> Result<Value<P>, PrimError> {
-    for w in args.windows(2) {
-        if !f(want_int(p, &w[0])?, want_int(p, &w[1])?) {
-            return Ok(Value::Bool(false));
+impl<P: ProcRepr> Domain for Value<P> {
+    fn view(&self) -> View<'_, Self> {
+        match self {
+            Value::Int(n) => View::Int(*n),
+            Value::Bool(b) => View::Bool(*b),
+            Value::Char(c) => View::Char(*c),
+            Value::Sym(s) => View::Sym(*s),
+            Value::Str(s) => View::Str(s),
+            Value::Nil => View::Nil,
+            Value::Unspec => View::Unspec,
+            Value::Pair(p) => View::Pair(&p.0, &p.1),
+            Value::Cell(c) => View::Cell(c),
+            Value::Proc(_) => View::Proc,
         }
     }
-    Ok(Value::Bool(true))
+    fn int(n: i64) -> Self {
+        Value::Int(n)
+    }
+    fn bool(b: bool) -> Self {
+        Value::Bool(b)
+    }
+    fn char(c: char) -> Self {
+        Value::Char(c)
+    }
+    fn symbol(s: Symbol) -> Self {
+        Value::Sym(s)
+    }
+    fn str(s: Arc<str>) -> Self {
+        Value::Str(s)
+    }
+    fn nil() -> Self {
+        Value::Nil
+    }
+    fn unspec() -> Self {
+        Value::Unspec
+    }
+    fn cons(car: Self, cdr: Self) -> Self {
+        Value::cons(car, cdr)
+    }
+    fn new_cell(v: Self) -> Option<Self> {
+        Some(Value::Cell(Arc::new(Mutex::new(v))))
+    }
+    fn eqv(a: &Self, b: &Self) -> bool {
+        match (a, b) {
+            (Value::Int(x), Value::Int(y)) => x == y,
+            (Value::Bool(x), Value::Bool(y)) => x == y,
+            (Value::Char(x), Value::Char(y)) => x == y,
+            (Value::Sym(x), Value::Sym(y)) => x == y,
+            (Value::Nil, Value::Nil) => true,
+            (Value::Unspec, Value::Unspec) => true,
+            (Value::Str(x), Value::Str(y)) => Arc::ptr_eq(x, y),
+            (Value::Pair(x), Value::Pair(y)) => Arc::ptr_eq(x, y),
+            (Value::Cell(x), Value::Cell(y)) => Arc::ptr_eq(x, y),
+            (Value::Proc(x), Value::Proc(y)) => x.ptr_eq(y),
+            _ => false,
+        }
+    }
+    fn equal(a: &Self, b: &Self) -> bool {
+        match (a, b) {
+            (Value::Str(x), Value::Str(y)) => x == y,
+            (Value::Pair(x), Value::Pair(y)) => Self::equal(&x.0, &y.0) && Self::equal(&x.1, &y.1),
+            _ => Self::eqv(a, b),
+        }
+    }
+    fn render(&self, write: bool, out: &mut String) {
+        match self {
+            Value::Str(s) if !write => out.push_str(s),
+            Value::Char(c) if !write => out.push(*c),
+            Value::Int(_)
+            | Value::Bool(_)
+            | Value::Char(_)
+            | Value::Sym(_)
+            | Value::Str(_)
+            | Value::Nil
+            | Value::Unspec => {
+                let d: Datum = match self {
+                    Value::Int(n) => Datum::Int(*n),
+                    Value::Bool(b) => Datum::Bool(*b),
+                    Value::Char(c) => Datum::Char(*c),
+                    Value::Sym(s) => Datum::Sym(*s),
+                    Value::Str(s) => Datum::Str(s.clone()),
+                    Value::Nil => Datum::Nil,
+                    _ => Datum::Unspec,
+                };
+                out.push_str(&d.to_string());
+            }
+            Value::Pair(_) => {
+                out.push('(');
+                let mut cur = self;
+                let mut first = true;
+                loop {
+                    match cur {
+                        Value::Pair(p) => {
+                            if !first {
+                                out.push(' ');
+                            }
+                            first = false;
+                            p.0.render(write, out);
+                            cur = &p.1;
+                        }
+                        Value::Nil => break,
+                        other => {
+                            out.push_str(" . ");
+                            other.render(write, out);
+                            break;
+                        }
+                    }
+                }
+                out.push(')');
+            }
+            Value::Cell(c) => {
+                out.push_str("#<cell ");
+                let inner = lock_cell(c).clone();
+                inner.render(write, out);
+                out.push('>');
+            }
+            Value::Proc(p) => {
+                out.push_str("#<procedure ");
+                out.push_str(&p.describe());
+                out.push('>');
+            }
+        }
+    }
 }
 
-fn checked(p: Prim, v: Option<i64>) -> Result<i64, PrimError> {
-    v.ok_or(PrimError::Overflow(p))
+impl Domain for Datum {
+    fn view(&self) -> View<'_, Self> {
+        match self {
+            Datum::Int(n) => View::Int(*n),
+            Datum::Bool(b) => View::Bool(*b),
+            Datum::Char(c) => View::Char(*c),
+            Datum::Sym(s) => View::Sym(*s),
+            Datum::Str(s) => View::Str(s),
+            Datum::Nil => View::Nil,
+            Datum::Unspec => View::Unspec,
+            Datum::Pair(p) => View::Pair(&p.car, &p.cdr),
+        }
+    }
+    fn int(n: i64) -> Self {
+        Datum::Int(n)
+    }
+    fn bool(b: bool) -> Self {
+        Datum::Bool(b)
+    }
+    fn char(c: char) -> Self {
+        Datum::Char(c)
+    }
+    fn symbol(s: Symbol) -> Self {
+        Datum::Sym(s)
+    }
+    fn str(s: Arc<str>) -> Self {
+        Datum::Str(s)
+    }
+    fn nil() -> Self {
+        Datum::Nil
+    }
+    fn unspec() -> Self {
+        Datum::Unspec
+    }
+    fn cons(car: Self, cdr: Self) -> Self {
+        Datum::cons(car, cdr)
+    }
+    fn new_cell(_: Self) -> Option<Self> {
+        None
+    }
+    /// Atoms compare by value and strings by `Arc` identity; pairs are
+    /// never `eqv?`, not even to themselves.
+    fn eqv(a: &Self, b: &Self) -> bool {
+        match (a, b) {
+            (Datum::Str(x), Datum::Str(y)) => Arc::ptr_eq(x, y),
+            (Datum::Pair(_), _) => false,
+            _ => a == b,
+        }
+    }
+    fn equal(a: &Self, b: &Self) -> bool {
+        a == b
+    }
+    /// Renders through [`Value`], whose printer (unlike `Datum`'s
+    /// `Display`) writes no quote sugar and has a `display` mode.
+    fn render(&self, write: bool, out: &mut String) {
+        Value::<NoProc>::from(self).render(write, out);
+    }
 }
 
-/// Applies a primitive to argument values.
+fn type_error<V: Domain>(p: Prim, expected: &'static str, got: &V) -> PrimError {
+    PrimError::TypeError {
+        prim: p,
+        expected,
+        got: write_string(got),
+    }
+}
+
+fn want_int<V: Domain>(p: Prim, v: &V) -> Result<i64, PrimError> {
+    match v.view() {
+        View::Int(n) => Ok(n),
+        _ => Err(type_error(p, "a number", v)),
+    }
+}
+
+fn want_str<V: Domain>(p: Prim, v: &V) -> Result<&Arc<str>, PrimError> {
+    match v.view() {
+        View::Str(s) => Ok(s),
+        _ => Err(type_error(p, "a string", v)),
+    }
+}
+
+fn want_pair<V: Domain>(p: Prim, v: &V) -> Result<(&V, &V), PrimError> {
+    match v.view() {
+        View::Pair(car, cdr) => Ok((car, cdr)),
+        _ => Err(type_error(p, "a pair", v)),
+    }
+}
+
+/// Whether `f` holds between every two adjacent arguments (`=`, `<`, …).
+fn bool_chain<V: Domain>(
+    p: Prim,
+    args: &[V],
+    f: impl Fn(i64, i64) -> bool,
+) -> Result<bool, PrimError> {
+    for w in args.windows(2) {
+        if !f(want_int(p, &w[0])?, want_int(p, &w[1])?) {
+            return Ok(false);
+        }
+    }
+    Ok(true)
+}
+
+/// Applies a primitive to argument values of either [`Domain`].
 ///
 /// `out` collects the output of `display`/`write`/`newline` so engines can
 /// direct it wherever they like.
@@ -375,11 +505,7 @@ fn checked(p: Prim, v: Option<i64>) -> Result<i64, PrimError> {
 ///
 /// Returns a [`PrimError`] on arity or type mismatches, arithmetic faults,
 /// or when the `error` primitive is invoked.
-pub fn apply_prim<P: ProcRepr>(
-    p: Prim,
-    args: &[Value<P>],
-    out: &mut String,
-) -> Result<Value<P>, PrimError> {
+pub fn apply_prim<V: Domain>(p: Prim, args: &[V], out: &mut String) -> Result<V, PrimError> {
     if !p.arity().admits(args.len()) {
         return Err(PrimError::BadArity {
             prim: p,
@@ -387,25 +513,25 @@ pub fn apply_prim<P: ProcRepr>(
             got: args.len(),
         });
     }
-    let int = |v: &Value<P>| want_int(p, v);
+    let int = |v: &V| want_int(p, v);
     Ok(match p {
         Prim::Add => {
             let mut acc: i64 = 0;
             for a in args {
                 acc = acc.checked_add(int(a)?).ok_or(PrimError::Overflow(p))?;
             }
-            Value::Int(acc)
+            V::int(acc)
         }
         Prim::Sub => {
             let first = int(&args[0])?;
             if args.len() == 1 {
-                Value::Int(first.checked_neg().ok_or(PrimError::Overflow(p))?)
+                V::int(first.checked_neg().ok_or(PrimError::Overflow(p))?)
             } else {
                 let mut acc = first;
                 for a in &args[1..] {
                     acc = acc.checked_sub(int(a)?).ok_or(PrimError::Overflow(p))?;
                 }
-                Value::Int(acc)
+                V::int(acc)
             }
         }
         Prim::Mul => {
@@ -413,7 +539,7 @@ pub fn apply_prim<P: ProcRepr>(
             for a in args {
                 acc = acc.checked_mul(int(a)?).ok_or(PrimError::Overflow(p))?;
             }
-            Value::Int(acc)
+            V::int(acc)
         }
         Prim::Quotient | Prim::Remainder | Prim::Modulo => {
             let a = int(&args[0])?;
@@ -424,118 +550,97 @@ pub fn apply_prim<P: ProcRepr>(
             let r = match p {
                 Prim::Quotient => a.checked_div(b),
                 Prim::Remainder => a.checked_rem(b),
-                Prim::Modulo => a.checked_rem_euclid(b).map(|r| {
-                    // `rem_euclid` is always nonnegative; Scheme `modulo`
-                    // takes the sign of the divisor.
-                    if b < 0 && r != 0 {
-                        r + b
-                    } else {
-                        r
-                    }
-                }),
-                _ => unreachable!(),
+                // `modulo`: `rem_euclid` is always nonnegative; Scheme
+                // `modulo` takes the sign of the divisor.
+                _ => a
+                    .checked_rem_euclid(b)
+                    .map(|r| if b < 0 && r != 0 { r + b } else { r }),
             };
-            Value::Int(checked(p, r)?)
+            V::int(r.ok_or(PrimError::Overflow(p))?)
         }
-        Prim::Abs => Value::Int(int(&args[0])?.checked_abs().ok_or(PrimError::Overflow(p))?),
+        Prim::Abs => V::int(int(&args[0])?.checked_abs().ok_or(PrimError::Overflow(p))?),
         Prim::Min => {
             let mut acc = int(&args[0])?;
             for a in &args[1..] {
                 acc = acc.min(int(a)?);
             }
-            Value::Int(acc)
+            V::int(acc)
         }
         Prim::Max => {
             let mut acc = int(&args[0])?;
             for a in &args[1..] {
                 acc = acc.max(int(a)?);
             }
-            Value::Int(acc)
+            V::int(acc)
         }
-        Prim::NumEq => bool_chain(p, args, |a, b| a == b)?,
-        Prim::Lt => bool_chain(p, args, |a, b| a < b)?,
-        Prim::Le => bool_chain(p, args, |a, b| a <= b)?,
-        Prim::Gt => bool_chain(p, args, |a, b| a > b)?,
-        Prim::Ge => bool_chain(p, args, |a, b| a >= b)?,
-        Prim::ZeroP => Value::Bool(int(&args[0])? == 0),
-        Prim::EqP | Prim::EqvP => Value::Bool(eqv(&args[0], &args[1])),
-        Prim::EqualP => Value::Bool(equal(&args[0], &args[1])),
-        Prim::Not => Value::Bool(!args[0].is_truthy()),
-        Prim::Cons => Value::cons(args[0].clone(), args[1].clone()),
+        Prim::NumEq => V::bool(bool_chain(p, args, |a, b| a == b)?),
+        Prim::Lt => V::bool(bool_chain(p, args, |a, b| a < b)?),
+        Prim::Le => V::bool(bool_chain(p, args, |a, b| a <= b)?),
+        Prim::Gt => V::bool(bool_chain(p, args, |a, b| a > b)?),
+        Prim::Ge => V::bool(bool_chain(p, args, |a, b| a >= b)?),
+        Prim::ZeroP => V::bool(int(&args[0])? == 0),
+        Prim::EqP | Prim::EqvP => V::bool(V::eqv(&args[0], &args[1])),
+        Prim::EqualP => V::bool(V::equal(&args[0], &args[1])),
+        Prim::Not => V::bool(matches!(args[0].view(), View::Bool(false))),
+        Prim::Cons => V::cons(args[0].clone(), args[1].clone()),
         Prim::Car => want_pair(p, &args[0])?.0.clone(),
         Prim::Cdr => want_pair(p, &args[0])?.1.clone(),
-        Prim::PairP => Value::Bool(matches!(args[0], Value::Pair(_))),
-        Prim::NullP => Value::Bool(matches!(args[0], Value::Nil)),
-        Prim::List => Value::list(args.to_vec()),
+        Prim::PairP => V::bool(matches!(args[0].view(), View::Pair(..))),
+        Prim::NullP => V::bool(matches!(args[0].view(), View::Nil)),
+        Prim::List => args
+            .iter()
+            .rev()
+            .fold(V::nil(), |acc, a| V::cons(a.clone(), acc)),
         Prim::Append => {
-            let mut parts: Vec<Vec<Value<P>>> = Vec::new();
-            let last = args.last().cloned().unwrap_or(Value::Nil);
-            for a in &args[..args.len().saturating_sub(1)] {
-                let mut items = Vec::new();
-                let mut cur = a.clone();
+            // Every argument but the last must be a proper list; the last
+            // is shared as the tail.
+            let Some((last, init)) = args.split_last() else {
+                return Ok(V::nil());
+            };
+            let mut items = Vec::new();
+            for a in init {
+                let mut cur = a;
                 loop {
-                    match cur {
-                        Value::Nil => break,
-                        Value::Pair(pr) => {
-                            items.push(pr.0.clone());
-                            cur = pr.1.clone();
+                    match cur.view() {
+                        View::Nil => break,
+                        View::Pair(car, cdr) => {
+                            items.push(car);
+                            cur = cdr;
                         }
-                        other => {
-                            return Err(PrimError::TypeError {
-                                prim: p,
-                                expected: "a proper list",
-                                got: write_string(&other),
-                            })
-                        }
+                        _ => return Err(type_error(p, "a proper list", cur)),
                     }
                 }
-                parts.push(items);
             }
-            let mut acc = last;
-            for items in parts.into_iter().rev() {
-                for v in items.into_iter().rev() {
-                    acc = Value::cons(v, acc);
-                }
-            }
-            acc
+            items
+                .into_iter()
+                .rev()
+                .fold(last.clone(), |acc, x| V::cons(x.clone(), acc))
         }
         Prim::Length => {
             let mut n: i64 = 0;
-            let mut cur = args[0].clone();
+            let mut cur = &args[0];
             loop {
-                match cur {
-                    Value::Nil => break Value::Int(n),
-                    Value::Pair(pr) => {
+                match cur.view() {
+                    View::Nil => break V::int(n),
+                    View::Pair(_, cdr) => {
                         n += 1;
-                        cur = pr.1.clone();
+                        cur = cdr;
                     }
-                    other => {
-                        return Err(PrimError::TypeError {
-                            prim: p,
-                            expected: "a proper list",
-                            got: write_string(&other),
-                        })
-                    }
+                    _ => return Err(type_error(p, "a proper list", cur)),
                 }
             }
         }
         Prim::Reverse => {
-            let mut acc = Value::Nil;
-            let mut cur = args[0].clone();
+            let mut acc = V::nil();
+            let mut cur = &args[0];
             loop {
-                match cur {
-                    Value::Nil => break acc,
-                    Value::Pair(pr) => {
-                        acc = Value::cons(pr.0.clone(), acc);
-                        cur = pr.1.clone();
+                match cur.view() {
+                    View::Nil => break acc,
+                    View::Pair(car, cdr) => {
+                        acc = V::cons(car.clone(), acc);
+                        cur = cdr;
                     }
-                    other => {
-                        return Err(PrimError::TypeError {
-                            prim: p,
-                            expected: "a proper list",
-                            got: write_string(&other),
-                        })
-                    }
+                    _ => return Err(type_error(p, "a proper list", cur)),
                 }
             }
         }
@@ -544,115 +649,82 @@ pub fn apply_prim<P: ProcRepr>(
             if k < 0 {
                 return Err(PrimError::OutOfRange(p, k.to_string()));
             }
-            let mut cur = args[0].clone();
+            let mut cur = &args[0];
             loop {
-                match cur {
-                    Value::Pair(pr) => {
-                        if k == 0 {
-                            break pr.0.clone();
-                        }
+                match cur.view() {
+                    View::Pair(car, _) if k == 0 => break car.clone(),
+                    View::Pair(_, cdr) => {
                         k -= 1;
-                        cur = pr.1.clone();
+                        cur = cdr;
                     }
-                    other => {
-                        return Err(PrimError::OutOfRange(p, write_string(&other)));
-                    }
+                    _ => return Err(PrimError::OutOfRange(p, write_string(cur))),
                 }
             }
         }
         Prim::Memq | Prim::Member => {
-            let same: fn(&Value<P>, &Value<P>) -> bool = if p == Prim::Memq { eqv } else { equal };
-            let mut cur = args[1].clone();
+            let same: fn(&V, &V) -> bool = if p == Prim::Memq { V::eqv } else { V::equal };
+            let mut cur = &args[1];
             loop {
-                match cur {
-                    Value::Nil => break Value::Bool(false),
-                    Value::Pair(ref pr) => {
-                        if same(&args[0], &pr.0) {
-                            break cur.clone();
-                        }
-                        let next = pr.1.clone();
-                        cur = next;
-                    }
-                    other => {
-                        return Err(PrimError::TypeError {
-                            prim: p,
-                            expected: "a proper list",
-                            got: write_string(&other),
-                        })
-                    }
+                match cur.view() {
+                    View::Nil => break V::bool(false),
+                    View::Pair(car, _) if same(&args[0], car) => break cur.clone(),
+                    View::Pair(_, cdr) => cur = cdr,
+                    _ => return Err(type_error(p, "a proper list", cur)),
                 }
             }
         }
         Prim::Assq | Prim::Assoc => {
-            let same: fn(&Value<P>, &Value<P>) -> bool = if p == Prim::Assq { eqv } else { equal };
-            let mut cur = args[1].clone();
+            let same: fn(&V, &V) -> bool = if p == Prim::Assq { V::eqv } else { V::equal };
+            let mut cur = &args[1];
             loop {
-                match cur {
-                    Value::Nil => break Value::Bool(false),
-                    Value::Pair(pr) => {
-                        if let Value::Pair(entry) = &pr.0 {
-                            if same(&args[0], &entry.0) {
-                                break pr.0.clone();
+                match cur.view() {
+                    View::Nil => break V::bool(false),
+                    View::Pair(entry, cdr) => {
+                        if let View::Pair(key, _) = entry.view() {
+                            if same(&args[0], key) {
+                                break entry.clone();
                             }
                         }
-                        cur = pr.1.clone();
+                        cur = cdr;
                     }
-                    other => {
-                        return Err(PrimError::TypeError {
-                            prim: p,
-                            expected: "an association list",
-                            got: write_string(&other),
-                        })
-                    }
+                    _ => return Err(type_error(p, "an association list", cur)),
                 }
             }
         }
-        Prim::SymbolP => Value::Bool(matches!(args[0], Value::Sym(_))),
-        Prim::NumberP => Value::Bool(matches!(args[0], Value::Int(_))),
-        Prim::StringP => Value::Bool(matches!(args[0], Value::Str(_))),
-        Prim::BooleanP => Value::Bool(matches!(args[0], Value::Bool(_))),
-        Prim::CharP => Value::Bool(matches!(args[0], Value::Char(_))),
-        Prim::ProcedureP => Value::Bool(matches!(args[0], Value::Proc(_))),
+        Prim::SymbolP => V::bool(matches!(args[0].view(), View::Sym(_))),
+        Prim::NumberP => V::bool(matches!(args[0].view(), View::Int(_))),
+        Prim::StringP => V::bool(matches!(args[0].view(), View::Str(_))),
+        Prim::BooleanP => V::bool(matches!(args[0].view(), View::Bool(_))),
+        Prim::CharP => V::bool(matches!(args[0].view(), View::Char(_))),
+        Prim::ProcedureP => V::bool(matches!(args[0].view(), View::Proc)),
         Prim::ListP => {
-            let mut cur = args[0].clone();
+            let mut cur = &args[0];
             loop {
-                match cur {
-                    Value::Nil => break Value::Bool(true),
-                    Value::Pair(pr) => cur = pr.1.clone(),
-                    _ => break Value::Bool(false),
+                match cur.view() {
+                    View::Nil => break V::bool(true),
+                    View::Pair(_, cdr) => cur = cdr,
+                    _ => break V::bool(false),
                 }
             }
         }
-        Prim::SymbolToString => match &args[0] {
-            Value::Sym(s) => Value::Str(Arc::from(s.as_str())),
-            other => {
-                return Err(PrimError::TypeError {
-                    prim: p,
-                    expected: "a symbol",
-                    got: write_string(other),
-                })
-            }
+        Prim::SymbolToString => match args[0].view() {
+            View::Sym(s) => V::str(Arc::from(s.as_str())),
+            _ => return Err(type_error(p, "a symbol", &args[0])),
         },
-        Prim::StringToSymbol => Value::Sym(Symbol::new(want_str(p, &args[0])?)),
+        Prim::StringToSymbol => V::symbol(Symbol::new(want_str(p, &args[0])?)),
         Prim::StringAppend => {
             let mut s = String::new();
             for a in args {
                 s.push_str(want_str(p, a)?);
             }
-            Value::Str(Arc::from(s.as_str()))
+            V::str(Arc::from(s.as_str()))
         }
-        Prim::StringLength => Value::Int(want_str(p, &args[0])?.chars().count() as i64),
-        Prim::NumberToString => Value::Str(Arc::from(int(&args[0])?.to_string().as_str())),
-        Prim::StringEqualP => Value::Bool(want_str(p, &args[0])? == want_str(p, &args[1])?),
-        Prim::CharToInteger => match &args[0] {
-            Value::Char(c) => Value::Int(*c as i64),
-            other => {
-                return Err(PrimError::TypeError {
-                    prim: p,
-                    expected: "a char",
-                    got: write_string(other),
-                })
-            }
+        Prim::StringLength => V::int(want_str(p, &args[0])?.chars().count() as i64),
+        Prim::NumberToString => V::str(Arc::from(int(&args[0])?.to_string().as_str())),
+        Prim::StringEqualP => V::bool(want_str(p, &args[0])? == want_str(p, &args[1])?),
+        Prim::CharToInteger => match args[0].view() {
+            View::Char(c) => V::int(c as i64),
+            _ => return Err(type_error(p, "a char", &args[0])),
         },
         Prim::IntegerToChar => {
             let n = int(&args[0])?;
@@ -660,365 +732,56 @@ pub fn apply_prim<P: ProcRepr>(
                 .ok()
                 .and_then(char::from_u32)
                 .ok_or_else(|| PrimError::OutOfRange(p, n.to_string()))?;
-            Value::Char(c)
+            V::char(c)
         }
         Prim::Display => {
-            out.push_str(&display_string(&args[0]));
-            Value::Unspec
+            args[0].render(false, out);
+            V::unspec()
         }
         Prim::Write => {
-            out.push_str(&write_string(&args[0]));
-            Value::Unspec
+            args[0].render(true, out);
+            V::unspec()
         }
         Prim::Newline => {
             out.push('\n');
-            Value::Unspec
+            V::unspec()
         }
         Prim::Error => {
             let mut msg = display_string(&args[0]);
             for a in &args[1..] {
                 msg.push(' ');
-                msg.push_str(&write_string(a));
+                a.render(true, &mut msg);
             }
             return Err(PrimError::User(msg));
         }
-        Prim::BoxNew => Value::Cell(Arc::new(Mutex::new(args[0].clone()))),
-        Prim::BoxRef => match &args[0] {
-            Value::Cell(c) => lock_cell(c).clone(),
-            other => {
-                return Err(PrimError::TypeError {
-                    prim: p,
-                    expected: "a cell",
-                    got: write_string(other),
-                })
-            }
+        Prim::BoxNew => V::new_cell(args[0].clone()).ok_or(PrimError::Impure(p))?,
+        Prim::BoxRef => match args[0].view() {
+            View::Cell(c) => lock_cell(c).clone(),
+            _ => return Err(type_error(p, "a cell", &args[0])),
         },
-        Prim::BoxSet => match &args[0] {
-            Value::Cell(c) => {
+        Prim::BoxSet => match args[0].view() {
+            View::Cell(c) => {
                 *lock_cell(c) = args[1].clone();
-                Value::Unspec
+                V::unspec()
             }
-            other => {
-                return Err(PrimError::TypeError {
-                    prim: p,
-                    expected: "a cell",
-                    got: write_string(other),
-                })
-            }
+            _ => return Err(type_error(p, "a cell", &args[0])),
         },
     })
 }
 
 /// Applies a *pure* primitive to first-order data, as the specializer does
-/// with all-static arguments.
+/// with all-static arguments and the residual-code optimizer with
+/// constants.
 ///
 /// # Errors
 ///
-/// Fails like [`apply_prim`]; additionally returns a `TypeError`-flavored
-/// error if called on an impure primitive (callers should check
-/// [`Prim::is_pure`] first).
+/// Fails like [`apply_prim`], and with [`PrimError::Impure`] for every
+/// impure primitive (callers should check [`Prim::is_pure`] first).
 pub fn apply_prim_datum(p: Prim, args: &[Datum]) -> Result<Datum, PrimError> {
-    // Fast path: the structural and arithmetic primitives evaluate
-    // directly on the refcounted data. Only when it cannot answer —
-    // string/char/effect primitives, or a fault whose error message the
-    // slow path owns — is the Value round trip taken.
-    if let Some(Ok(d)) = apply_prim_datum_direct(p, args) {
-        return Ok(d);
+    if !p.is_pure() {
+        return Err(PrimError::Impure(p));
     }
-    let vals: Vec<Value<NoProc>> = args.iter().map(Value::from).collect();
-    let mut out = String::new();
-    let v = apply_prim(p, &vals, &mut out)?;
-    Ok(v.to_datum().expect("NoProc values are always first-order"))
-}
-
-/// `eqv?` over data, exactly as [`apply_prim_datum`]'s slow path observes
-/// it: each argument there is converted to a *fresh* [`Value`] tree, so
-/// two pairs are never pointer-equal, while string identity survives the
-/// round trip (the `Arc<str>` is cloned through both conversions).
-fn eqv_datum(a: &Datum, b: &Datum) -> bool {
-    match (a, b) {
-        (Datum::Int(x), Datum::Int(y)) => x == y,
-        (Datum::Bool(x), Datum::Bool(y)) => x == y,
-        (Datum::Char(x), Datum::Char(y)) => x == y,
-        (Datum::Sym(x), Datum::Sym(y)) => x == y,
-        (Datum::Nil, Datum::Nil) => true,
-        (Datum::Unspec, Datum::Unspec) => true,
-        (Datum::Str(x), Datum::Str(y)) => Arc::ptr_eq(x, y),
-        _ => false,
-    }
-}
-
-/// The allocation-free fast path of [`apply_prim_datum`]: evaluates the
-/// hot structural and arithmetic primitives directly on [`Datum`] — a
-/// `car` is one refcount bump instead of two deep tree copies. The
-/// specializer applies static primitives to static data millions of
-/// times per run, which makes this round trip its dominant cost.
-///
-/// `None` means the primitive is not fast-pathed (strings, characters,
-/// effects, boxes); `Some(Err(()))` means the application faults — the
-/// caller re-runs the slow path, whose arity/type/overflow errors (and
-/// their renderings) stay the single source of truth. Both paths are
-/// pure for every primitive handled here, so re-running is observation-
-/// equivalent.
-#[allow(clippy::too_many_lines)]
-fn apply_prim_datum_direct(p: Prim, args: &[Datum]) -> Option<Result<Datum, ()>> {
-    match p {
-        Prim::SymbolToString
-        | Prim::StringToSymbol
-        | Prim::StringAppend
-        | Prim::StringLength
-        | Prim::NumberToString
-        | Prim::StringEqualP
-        | Prim::CharToInteger
-        | Prim::IntegerToChar
-        | Prim::Display
-        | Prim::Write
-        | Prim::Newline
-        | Prim::Error
-        | Prim::BoxNew
-        | Prim::BoxRef
-        | Prim::BoxSet => return None,
-        _ => {}
-    }
-    if !p.arity().admits(args.len()) {
-        return Some(Err(()));
-    }
-    fn int(d: &Datum) -> Result<i64, ()> {
-        match d {
-            Datum::Int(n) => Ok(*n),
-            _ => Err(()),
-        }
-    }
-    fn chain(args: &[Datum], f: impl Fn(i64, i64) -> bool) -> Result<Datum, ()> {
-        for w in args.windows(2) {
-            if !f(int(&w[0])?, int(&w[1])?) {
-                return Ok(Datum::Bool(false));
-            }
-        }
-        Ok(Datum::Bool(true))
-    }
-    Some((|| {
-        Ok(match p {
-            Prim::Add => {
-                let mut acc: i64 = 0;
-                for a in args {
-                    acc = acc.checked_add(int(a)?).ok_or(())?;
-                }
-                Datum::Int(acc)
-            }
-            Prim::Sub => {
-                let first = int(&args[0])?;
-                if args.len() == 1 {
-                    Datum::Int(first.checked_neg().ok_or(())?)
-                } else {
-                    let mut acc = first;
-                    for a in &args[1..] {
-                        acc = acc.checked_sub(int(a)?).ok_or(())?;
-                    }
-                    Datum::Int(acc)
-                }
-            }
-            Prim::Mul => {
-                let mut acc: i64 = 1;
-                for a in args {
-                    acc = acc.checked_mul(int(a)?).ok_or(())?;
-                }
-                Datum::Int(acc)
-            }
-            Prim::Quotient | Prim::Remainder | Prim::Modulo => {
-                let a = int(&args[0])?;
-                let b = int(&args[1])?;
-                if b == 0 {
-                    return Err(());
-                }
-                let r = match p {
-                    Prim::Quotient => a.checked_div(b),
-                    Prim::Remainder => a.checked_rem(b),
-                    _ => a.checked_rem_euclid(b).map(|r| {
-                        // Scheme `modulo` takes the sign of the divisor.
-                        if b < 0 && r != 0 {
-                            r + b
-                        } else {
-                            r
-                        }
-                    }),
-                };
-                Datum::Int(r.ok_or(())?)
-            }
-            Prim::Abs => Datum::Int(int(&args[0])?.checked_abs().ok_or(())?),
-            Prim::Min => {
-                let mut acc = int(&args[0])?;
-                for a in &args[1..] {
-                    acc = acc.min(int(a)?);
-                }
-                Datum::Int(acc)
-            }
-            Prim::Max => {
-                let mut acc = int(&args[0])?;
-                for a in &args[1..] {
-                    acc = acc.max(int(a)?);
-                }
-                Datum::Int(acc)
-            }
-            Prim::NumEq => chain(args, |a, b| a == b)?,
-            Prim::Lt => chain(args, |a, b| a < b)?,
-            Prim::Le => chain(args, |a, b| a <= b)?,
-            Prim::Gt => chain(args, |a, b| a > b)?,
-            Prim::Ge => chain(args, |a, b| a >= b)?,
-            Prim::ZeroP => Datum::Bool(int(&args[0])? == 0),
-            Prim::EqP | Prim::EqvP => Datum::Bool(eqv_datum(&args[0], &args[1])),
-            Prim::EqualP => Datum::Bool(args[0] == args[1]),
-            Prim::Not => Datum::Bool(!args[0].is_truthy()),
-            Prim::Cons => Datum::cons(args[0].clone(), args[1].clone()),
-            Prim::Car => match &args[0] {
-                Datum::Pair(pr) => pr.car.clone(),
-                _ => return Err(()),
-            },
-            Prim::Cdr => match &args[0] {
-                Datum::Pair(pr) => pr.cdr.clone(),
-                _ => return Err(()),
-            },
-            Prim::PairP => Datum::Bool(matches!(args[0], Datum::Pair(_))),
-            Prim::NullP => Datum::Bool(matches!(args[0], Datum::Nil)),
-            Prim::List => Datum::list(args.iter().cloned()),
-            Prim::Append => {
-                // Mirrors the slow path: every argument but the last must
-                // be a proper list; the last is shared as the tail.
-                let last = args.last().cloned().unwrap_or(Datum::Nil);
-                let mut parts: Vec<Vec<Datum>> = Vec::new();
-                for a in &args[..args.len().saturating_sub(1)] {
-                    let mut items = Vec::new();
-                    let mut cur = a;
-                    loop {
-                        match cur {
-                            Datum::Nil => break,
-                            Datum::Pair(pr) => {
-                                items.push(pr.car.clone());
-                                cur = &pr.cdr;
-                            }
-                            _ => return Err(()),
-                        }
-                    }
-                    parts.push(items);
-                }
-                let mut acc = last;
-                for items in parts.into_iter().rev() {
-                    for d in items.into_iter().rev() {
-                        acc = Datum::cons(d, acc);
-                    }
-                }
-                acc
-            }
-            Prim::Length => {
-                let mut n: i64 = 0;
-                let mut cur = &args[0];
-                loop {
-                    match cur {
-                        Datum::Nil => break Datum::Int(n),
-                        Datum::Pair(pr) => {
-                            n += 1;
-                            cur = &pr.cdr;
-                        }
-                        _ => return Err(()),
-                    }
-                }
-            }
-            Prim::Reverse => {
-                let mut acc = Datum::Nil;
-                let mut cur = &args[0];
-                loop {
-                    match cur {
-                        Datum::Nil => break acc,
-                        Datum::Pair(pr) => {
-                            acc = Datum::cons(pr.car.clone(), acc);
-                            cur = &pr.cdr;
-                        }
-                        _ => return Err(()),
-                    }
-                }
-            }
-            Prim::ListRef => {
-                let mut k = int(&args[1])?;
-                if k < 0 {
-                    return Err(());
-                }
-                let mut cur = &args[0];
-                loop {
-                    match cur {
-                        Datum::Pair(pr) => {
-                            if k == 0 {
-                                break pr.car.clone();
-                            }
-                            k -= 1;
-                            cur = &pr.cdr;
-                        }
-                        _ => return Err(()),
-                    }
-                }
-            }
-            Prim::Memq | Prim::Member => {
-                let same: fn(&Datum, &Datum) -> bool = if p == Prim::Memq {
-                    eqv_datum
-                } else {
-                    |a, b| a == b
-                };
-                let mut cur = &args[1];
-                loop {
-                    match cur {
-                        Datum::Nil => break Datum::Bool(false),
-                        Datum::Pair(pr) => {
-                            if same(&args[0], &pr.car) {
-                                break cur.clone();
-                            }
-                            cur = &pr.cdr;
-                        }
-                        _ => return Err(()),
-                    }
-                }
-            }
-            Prim::Assq | Prim::Assoc => {
-                let same: fn(&Datum, &Datum) -> bool = if p == Prim::Assq {
-                    eqv_datum
-                } else {
-                    |a, b| a == b
-                };
-                let mut cur = &args[1];
-                loop {
-                    match cur {
-                        Datum::Nil => break Datum::Bool(false),
-                        Datum::Pair(pr) => {
-                            if let Datum::Pair(entry) = &pr.car {
-                                if same(&args[0], &entry.car) {
-                                    break pr.car.clone();
-                                }
-                            }
-                            cur = &pr.cdr;
-                        }
-                        _ => return Err(()),
-                    }
-                }
-            }
-            Prim::SymbolP => Datum::Bool(matches!(args[0], Datum::Sym(_))),
-            Prim::NumberP => Datum::Bool(matches!(args[0], Datum::Int(_))),
-            Prim::StringP => Datum::Bool(matches!(args[0], Datum::Str(_))),
-            Prim::BooleanP => Datum::Bool(matches!(args[0], Datum::Bool(_))),
-            Prim::CharP => Datum::Bool(matches!(args[0], Datum::Char(_))),
-            // First-order data never holds a procedure.
-            Prim::ProcedureP => Datum::Bool(false),
-            Prim::ListP => {
-                let mut cur = &args[0];
-                loop {
-                    match cur {
-                        Datum::Nil => break Datum::Bool(true),
-                        Datum::Pair(pr) => cur = &pr.cdr,
-                        _ => break Datum::Bool(false),
-                    }
-                }
-            }
-            // Filtered to the slow path above.
-            _ => return Err(()),
-        })
-    })())
+    apply_prim(p, args, &mut String::new())
 }
 
 #[cfg(test)]
@@ -1210,67 +973,16 @@ mod tests {
         }
     }
 
-    /// The slow path alone, as the reference for the fast-path oracle.
-    fn apply_prim_datum_slow(p: Prim, args: &[Datum]) -> Result<Datum, PrimError> {
-        let vals: Vec<Value<NoProc>> = args.iter().map(Value::from).collect();
-        let mut out = String::new();
-        let v = apply_prim(p, &vals, &mut out)?;
-        Ok(v.to_datum().expect("NoProc values are always first-order"))
+    /// The `Value` instance of the evaluator, on fresh values built from
+    /// `args` and read back as data.
+    fn apply_prim_value(p: Prim, args: &[Datum]) -> Result<Datum, PrimError> {
+        let vals: Vec<V> = args.iter().map(Value::from).collect();
+        let v = apply_prim(p, &vals, &mut String::new())?;
+        Ok(v.to_datum().expect("pure prims return first-order data"))
     }
 
     #[test]
-    fn apply_prim_datum_fast_path_matches_slow_path() {
-        use crate::prim::Prim as P;
-        let all = [
-            P::Add,
-            P::Sub,
-            P::Mul,
-            P::Quotient,
-            P::Remainder,
-            P::Modulo,
-            P::Abs,
-            P::Min,
-            P::Max,
-            P::NumEq,
-            P::Lt,
-            P::Le,
-            P::Gt,
-            P::Ge,
-            P::ZeroP,
-            P::EqP,
-            P::EqvP,
-            P::EqualP,
-            P::Not,
-            P::Cons,
-            P::Car,
-            P::Cdr,
-            P::PairP,
-            P::NullP,
-            P::List,
-            P::Append,
-            P::Length,
-            P::Reverse,
-            P::ListRef,
-            P::Memq,
-            P::Member,
-            P::Assq,
-            P::Assoc,
-            P::SymbolP,
-            P::NumberP,
-            P::StringP,
-            P::BooleanP,
-            P::CharP,
-            P::ProcedureP,
-            P::ListP,
-            P::SymbolToString,
-            P::StringToSymbol,
-            P::StringAppend,
-            P::StringLength,
-            P::NumberToString,
-            P::StringEqualP,
-            P::CharToInteger,
-            P::IntegerToChar,
-        ];
+    fn datum_and_value_instances_agree() {
         let pool: Vec<Datum> = [
             "0",
             "1",
@@ -1290,17 +1002,24 @@ mod tests {
             "((1 . 2) (3 . 4))",
             "(1 . 2)",
             "(1 2 . 3)",
+            "'x",
         ]
         .iter()
         .map(|s| read_one(s).unwrap())
         .collect();
-        // Every prim over every 0-, 1- and 2-argument combination from the
-        // pool: results (and error/ok classification) must agree exactly.
-        for p in all {
+        // Every pure prim over every 0-, 1- and 2-argument combination from
+        // the pool, and every variadic one over every 3-argument
+        // combination: results and errors must agree exactly.
+        let pure: Vec<Prim> = Prim::all().filter(|p| p.is_pure()).collect();
+        assert_eq!(pure.len(), 48);
+        let mut variadic = 0;
+        for p in pure {
             let check = |args: &[Datum]| {
-                let fast = apply_prim_datum(p, args);
-                let slow = apply_prim_datum_slow(p, args);
-                assert_eq!(fast, slow, "prim {p:?} on {args:?}");
+                assert_eq!(
+                    apply_prim_datum(p, args),
+                    apply_prim_value(p, args),
+                    "prim {p:?} on {args:?}"
+                );
             };
             check(&[]);
             for a in &pool {
@@ -1309,20 +1028,32 @@ mod tests {
                     check(&[a.clone(), b.clone()]);
                 }
             }
+            if let Arity::AtLeast(_) = p.arity() {
+                variadic += 1;
+                for a in &pool {
+                    for b in &pool {
+                        for c in &pool {
+                            check(&[a.clone(), b.clone(), c.clone()]);
+                        }
+                    }
+                }
+            }
         }
+        assert_eq!(variadic, 13);
         // The shared-argument corner: `(eq? x x)` on a pair is #f in both
-        // paths (the slow path converts each argument freshly), and on a
-        // string it is #t in both (the Arc survives the conversions).
+        // instances (the `Value` one converts each argument freshly, and
+        // data pairs are never `eqv?`), and on a string it is #t in both
+        // (the Arc survives the conversions).
         let pair = read_one("(1 2)").unwrap();
         let s = read_one("\"shared\"").unwrap();
-        for p in [P::EqP, P::EqvP] {
+        for p in [Prim::EqP, Prim::EqvP] {
             assert_eq!(
                 apply_prim_datum(p, &[pair.clone(), pair.clone()]),
-                apply_prim_datum_slow(p, &[pair.clone(), pair.clone()])
+                apply_prim_value(p, &[pair.clone(), pair.clone()])
             );
             assert_eq!(
                 apply_prim_datum(p, &[s.clone(), s.clone()]),
-                apply_prim_datum_slow(p, &[s.clone(), s.clone()])
+                apply_prim_value(p, &[s.clone(), s.clone()])
             );
             assert_eq!(
                 apply_prim_datum(p, &[s.clone(), s.clone()]),
@@ -1330,12 +1061,23 @@ mod tests {
             );
         }
         // Memoized-search corner: memq/assq find a shared string by
-        // identity through the fast path exactly like the slow path.
+        // identity in both instances.
         let list = Datum::list([s.clone(), pair.clone()]);
         assert_eq!(
-            apply_prim_datum(P::Memq, &[s.clone(), list.clone()]),
-            apply_prim_datum_slow(P::Memq, &[s.clone(), list.clone()])
+            apply_prim_datum(Prim::Memq, &[s.clone(), list.clone()]),
+            apply_prim_value(Prim::Memq, &[s.clone(), list.clone()])
         );
+    }
+
+    #[test]
+    fn impure_prims_are_rejected_on_data() {
+        let impure: Vec<Prim> = Prim::all().filter(|p| !p.is_pure()).collect();
+        assert_eq!(impure.len(), 7);
+        for p in impure {
+            let (Arity::Exact(n) | Arity::AtLeast(n)) = p.arity();
+            let args = vec![d("1"); n];
+            assert_eq!(apply_prim_datum(p, &args), Err(PrimError::Impure(p)), "{p}");
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub mod objfile;
 pub use asm::{Asm, AsmError, Label};
 pub use genops::{decode_genext, encode_genext, GenDef, GenInstr, GenLam, GenParam, GenProgram};
 pub use machine::{init_dispatch_metrics, ExecProfile, Machine, VmError};
-pub use objfile::{decode as decode_image, encode as encode_image, ObjError};
+pub use objfile::{crc32, decode as decode_image, encode as encode_image, ObjError};
 
 use std::fmt;
 use std::sync::Arc;

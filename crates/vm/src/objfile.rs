@@ -37,7 +37,9 @@ const MAGIC: &[u8; 8] = b"two4one\0";
 const VERSION: u32 = 2;
 
 /// Computes the CRC-32 (IEEE 802.3, reflected, init/xorout `0xFFFF_FFFF`)
-/// of `bytes` — the same function as zlib's `crc32`.
+/// of `bytes` — the same function as zlib's `crc32`, and the one checksum
+/// of every format: `.t4o`/`.t4og` files, `.t4os` snapshot records and
+/// binary wire frames.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = !0u32;
     for &b in bytes {
