@@ -38,7 +38,7 @@ use two4one_syntax::value::ProcRepr;
 /// A byte-code instruction.
 ///
 /// `val` is the accumulator; `push` moves it to the evaluation stack;
-/// `bind` appends it to the current frame's locals (a `let`). These are
+/// `bind` moves it to the current frame's locals (a `let`). These are
 /// exactly the instructions the compilators emit, so every image the
 /// machine runs — compiled, specialized straight to object code, or
 /// decoded from an object file — uses this one instruction set, with one
@@ -54,8 +54,15 @@ pub enum Instr {
     /// Load captured slot `i` of the running closure.
     Captured(u16),
     /// Push `val` onto the evaluation stack.
+    ///
+    /// Consumes `val`: it is dead after this instruction, so the machine
+    /// moves it instead of copying it, and an emitter must write `val`
+    /// (`const`, `global`, `local`, `captured`, `prim` or `make-closure`)
+    /// before anything reads it again.
     Push,
     /// Append `val` to the current frame's locals (enter a `let`).
+    ///
+    /// Consumes `val`, under the same contract as [`Instr::Push`].
     Bind,
     /// Truncate the current frame's locals to `n` slots (leave the scope of
     /// branch-local `let`s; used only by the generic compiler, which must

@@ -69,12 +69,21 @@ impl From<PrimError> for VmError {
     }
 }
 
+/// A suspended caller: what [`Machine::run`] needs to resume it once its
+/// callee returns. The running frame is not on the frame stack: `run`
+/// holds its closure (by move), program counter and bases itself.
 struct Frame {
     closure: Arc<Closure>,
     pc: usize,
-    locals: Vec<Value>,
+    /// Index of the frame's local slot 0 in [`Machine::locals`].
+    base: usize,
+    /// Operand-stack height when the frame was entered.
     stack_base: usize,
 }
+
+/// Instructions the dispatch loop runs between two visits to its slow
+/// path, [`Machine::refill`] (deadline check, profile flush, fuel issue).
+const STRIDE: u64 = 4096;
 
 /// The `t4o_vm_dispatch_total{op=...}` counter family, one series per
 /// opcode, resolved once per process. The dispatch loop increments a plain
@@ -100,10 +109,10 @@ pub fn init_dispatch_metrics() {
 /// (`Statistics { fetches, retires, visits }`): `fetches` counts
 /// instructions dispatched, `retires` counts frames returned, `visits`
 /// counts call entries. The machine accumulates plain `u64` deltas and
-/// flushes them into these atomics at the existing 4096-instruction
-/// deadline stride and at run end, so a profile reader (the tiered-serve
-/// promotion worker) sees fresh counts without ever stopping execution
-/// and the dispatch loop pays no per-instruction atomic traffic.
+/// flushes them into these atomics every 4096 instructions and at run
+/// end, so a profile reader (the tiered-serve promotion worker) sees
+/// fresh counts without ever stopping execution and the dispatch loop
+/// pays no per-instruction atomic traffic.
 #[derive(Debug, Default)]
 pub struct ExecProfile {
     fetches: AtomicU64,
@@ -145,24 +154,32 @@ impl ExecProfile {
     }
 }
 
-/// The virtual machine: global table, evaluation stack, frame stack, and
-/// the `val` accumulator.
+/// The virtual machine: global table, operand stack, locals stack, frame
+/// stack, and the `val` accumulator.
 pub struct Machine {
     globals: HashMap<Symbol, Value>,
     stack: Vec<Value>,
+    /// The locals of every active frame, the running frame's on top:
+    /// arguments first, then `let` bindings. A frame owns the slots from
+    /// its base up.
+    locals: Vec<Value>,
     frames: Vec<Frame>,
     val: Value,
     /// Output of `display`/`write`/`newline`.
     pub output: String,
+    /// Step fuel not yet issued to `countdown` (`None`: unlimited). The
+    /// fuel left is `fuel + countdown`.
     fuel: Option<u64>,
+    /// Instructions left before the dispatch loop's next
+    /// [`Machine::refill`].
+    countdown: u64,
     deadline: Deadline,
-    ticks: u64,
     profile: Option<Arc<ExecProfile>>,
-    pf_fetches: u64,
     pf_retires: u64,
     pf_visits: u64,
     /// Per-opcode dispatch deltas, indexed by [`Instr::opcode`]; published
-    /// to the `t4o_vm_dispatch_total` family at the profile-flush stride.
+    /// to the `t4o_vm_dispatch_total` family, and summed into the
+    /// profile's fetches, at the flush stride.
     op_counts: [u64; Instr::N_OPS],
 }
 
@@ -178,14 +195,14 @@ impl Machine {
         Machine {
             globals: HashMap::new(),
             stack: Vec::new(),
+            locals: Vec::new(),
             frames: Vec::new(),
             val: Value::Unspec,
             output: String::new(),
             fuel: None,
+            countdown: 0,
             deadline: Deadline::unlimited(),
-            ticks: 0,
             profile: None,
-            pf_fetches: 0,
             pf_retires: 0,
             pf_visits: 0,
             op_counts: [0; Instr::N_OPS],
@@ -202,9 +219,11 @@ impl Machine {
         m
     }
 
-    /// Limits execution to `fuel` instructions.
+    /// Limits execution to `fuel` more instructions.
     pub fn with_fuel(mut self, fuel: u64) -> Self {
         self.fuel = Some(fuel);
+        // Instructions already issued would otherwise run on top.
+        self.countdown = 0;
         self
     }
 
@@ -212,7 +231,7 @@ impl Machine {
     /// deadline starts now; the clock is consulted every 4096 instructions.
     pub fn with_limits(mut self, limits: &Limits) -> Self {
         if let Some(f) = limits.step_fuel {
-            self.fuel = Some(f);
+            self = self.with_fuel(f);
         }
         self.deadline = limits.deadline();
         self
@@ -270,19 +289,22 @@ impl Machine {
         // Catch an already-expired deadline before doing any work (the
         // in-loop check is amortized and may lag by a few thousand steps).
         self.deadline.check().map_err(VmError::Limit)?;
-        let depth = self.frames.len();
-        let base = self.stack.len();
-        self.stack.extend(args);
-        self.val = f;
-        let nargs = u8::try_from(self.stack.len() - base)
-            .map_err(|_| VmError::Internal("too many arguments"))?;
-        self.enter_call(nargs, false)?;
-        let result = self.run(depth);
+        let (depth, height, base) = (self.frames.len(), self.stack.len(), self.locals.len());
+        let result = u8::try_from(args.len())
+            .map_err(|_| VmError::Internal("too many arguments"))
+            .and_then(|nargs| callee(f, nargs))
+            .and_then(|closure| {
+                self.pf_visits += 1;
+                self.locals.extend(args);
+                self.run(closure, depth, base)
+            });
         self.flush_profile();
         if result.is_err() {
-            // Unwind so the machine stays usable after an error.
+            // Unwind, whether the call failed at entry or while running,
+            // so the machine stays usable after an error.
             self.frames.truncate(depth);
-            self.stack.truncate(base);
+            self.stack.truncate(height);
+            self.locals.truncate(base);
         }
         result
     }
@@ -291,9 +313,8 @@ impl Machine {
     /// profile (if one is attached) and zeroes the deltas.
     fn flush_profile(&mut self) {
         if let Some(p) = &self.profile {
-            p.add(self.pf_fetches, self.pf_retires, self.pf_visits);
+            p.add(self.op_counts.iter().sum(), self.pf_retires, self.pf_visits);
         }
-        self.pf_fetches = 0;
         self.pf_retires = 0;
         self.pf_visits = 0;
         if self.op_counts.iter().any(|c| *c > 0) {
@@ -307,109 +328,75 @@ impl Machine {
         }
     }
 
-    fn tick(&mut self) -> Result<(), VmError> {
-        if let Some(f) = &mut self.fuel {
-            if *f == 0 {
-                return Err(VmError::FuelExhausted);
-            }
-            *f -= 1;
+    /// The dispatch loop's slow path, taken when `countdown` reaches zero:
+    /// issues the next chunk of at most [`STRIDE`] instructions from the
+    /// step fuel, consults the deadline, and flushes the profile, so that
+    /// counters stay readable mid-run without stopping execution. Fuel
+    /// stays exact: a chunk never exceeds the fuel left, and with none
+    /// left the next instruction fails.
+    fn refill(&mut self) -> Result<(), VmError> {
+        let chunk = self.fuel.map_or(STRIDE, |f| f.min(STRIDE));
+        if chunk == 0 {
+            return Err(VmError::FuelExhausted);
         }
-        self.deadline
-            .check_every(&mut self.ticks, 4096)
-            .map_err(VmError::Limit)?;
-        // Piggyback the profile flush on the same amortized stride, so
-        // counters stay readable mid-run without stopping execution.
-        if self.profile.is_some() && self.ticks.is_multiple_of(4096) {
+        self.deadline.check().map_err(VmError::Limit)?;
+        if let Some(f) = &mut self.fuel {
+            *f -= chunk;
+        }
+        self.countdown = chunk;
+        if self.profile.is_some() {
             self.flush_profile();
         }
         Ok(())
     }
 
-    /// The top `n` stack slots, detached — typed error instead of an
-    /// underflow panic on malformed code.
-    fn pop_args(&mut self, n: usize) -> Result<Vec<Value>, VmError> {
-        let at = self
-            .stack
+    /// Where the top `n` operand-stack slots start — a typed error
+    /// instead of an underflow panic on malformed code.
+    fn args_at(&self, n: usize) -> Result<usize, VmError> {
+        self.stack
             .len()
             .checked_sub(n)
-            .ok_or(VmError::Internal("operand stack underflow"))?;
-        Ok(self.stack.split_off(at))
+            .ok_or(VmError::Internal("operand stack underflow"))
     }
 
-    /// Begins a call: `val` holds the procedure, the top `nargs` stack
-    /// slots hold the arguments.
-    fn enter_call(&mut self, nargs: u8, tail: bool) -> Result<(), VmError> {
-        let proc = match std::mem::replace(&mut self.val, Value::Unspec) {
-            Value::Proc(p) => p,
-            other => return Err(VmError::NotAProcedure(write_string(&other))),
-        };
-        let t = &proc.0.template;
-        if t.arity != nargs {
-            return Err(VmError::BadArity {
-                name: t.name,
-                expected: t.arity,
-                got: nargs,
-            });
-        }
-        self.pf_visits += 1;
-        let locals: Vec<Value> = self.pop_args(nargs as usize)?;
-        let frame = Frame {
-            closure: proc.0,
-            pc: 0,
-            locals,
-            stack_base: self.stack.len(),
-        };
-        if tail {
-            let cur = self
-                .frames
-                .last_mut()
-                .ok_or(VmError::Internal("tail call without frame"))?;
-            debug_assert_eq!(
-                frame.stack_base, cur.stack_base,
-                "unbalanced stack at tail call"
-            );
-            *cur = frame;
-        } else {
-            self.frames.push(frame);
-        }
-        Ok(())
-    }
-
-    /// The main loop. Returns when the frame stack drops back to `floor`.
+    /// The main loop: runs `closure`, whose locals start at `base`, until
+    /// the frame stack is back at `floor` and that frame returns.
     ///
     /// Dispatch is organized as two nested loops so the straight-line hot
-    /// path never touches the frame stack: the outer loop pulls the top
-    /// frame's hot state — the closure `Arc`, the program counter, and
-    /// the locals vector — into locals of `run` itself, and the inner
-    /// loop fetches from a cached `&[Instr]` slice. Only control
-    /// transfers (call, tail call, return) write state back and re-enter
-    /// the outer loop; everything else runs with no `frames.last_mut()`
-    /// per instruction. An error may leave the *top* frame's fields stale
-    /// (its locals are taken for the duration of the inner loop), which
-    /// is harmless: every error unwinds past it — [`Machine::call_value`]
-    /// truncates the frame stack above the floor on error, and frames
-    /// below the top had their state written back at their call sites.
-    fn run(&mut self, floor: usize) -> Result<Value, VmError> {
+    /// path never touches the frame stack: the running frame's closure,
+    /// program counter and bases live in locals of `run` itself, and the
+    /// inner loop fetches from a cached `&[Instr]` slice. Only control
+    /// transfers (call, tail call, return) save or restore a [`Frame`]
+    /// and re-enter the outer loop. Nothing in the loop allocates except
+    /// `make-closure`, primitives that build data, and growth of the
+    /// three stacks: arguments move from the operand stack to the locals
+    /// stack, a tail call reuses its frame's region of it, and a return
+    /// truncates it. `push` and `bind` move `val`, which the instruction
+    /// set leaves dead after them (see [`Instr::Push`]). An error returns
+    /// at once, whatever the stacks hold; [`Machine::call_value`]
+    /// truncates them back to where the call began.
+    fn run(
+        &mut self,
+        mut closure: Arc<Closure>,
+        floor: usize,
+        mut base: usize,
+    ) -> Result<Value, VmError> {
         /// What broke dispatch out of the current frame's inner loop.
         enum Ctl {
             Call { nargs: u8, tail: bool },
             Return,
         }
+        let mut pc = 0;
+        let mut stack_base = self.stack.len();
         loop {
-            // Enter (or resume) the top frame.
-            let (closure, mut pc, mut locals) = {
-                let f = self
-                    .frames
-                    .last_mut()
-                    .ok_or(VmError::Internal("no frame"))?;
-                (f.closure.clone(), f.pc, std::mem::take(&mut f.locals))
-            };
             let code: &[Instr] = &closure.template.code;
             let ctl = loop {
-                self.tick()?;
+                if self.countdown == 0 {
+                    self.refill()?;
+                }
+                self.countdown -= 1;
                 let instr = *code.get(pc).ok_or(VmError::Internal("pc out of range"))?;
                 pc += 1;
-                self.pf_fetches += 1;
                 self.op_counts[instr.opcode()] += 1;
                 match instr {
                     Instr::Const(i) => {
@@ -434,8 +421,9 @@ impl Machine {
                             .ok_or(VmError::UnknownGlobal(name))?;
                     }
                     Instr::Local(i) => {
-                        self.val = locals
-                            .get(i as usize)
+                        self.val = self
+                            .locals
+                            .get(base + i as usize)
                             .cloned()
                             .ok_or(VmError::Internal("local index out of range"))?;
                     }
@@ -447,13 +435,15 @@ impl Machine {
                             .ok_or(VmError::Internal("capture index out of range"))?;
                     }
                     Instr::Push => {
-                        self.stack.push(self.val.clone());
+                        let v = std::mem::replace(&mut self.val, Value::Unspec);
+                        self.stack.push(v);
                     }
                     Instr::Bind => {
-                        locals.push(self.val.clone());
+                        let v = std::mem::replace(&mut self.val, Value::Unspec);
+                        self.locals.push(v);
                     }
                     Instr::Trim(n) => {
-                        locals.truncate(n as usize);
+                        self.locals.truncate(base + n as usize);
                     }
                     Instr::MakeClosure { template, nfree } => {
                         let t = closure
@@ -466,7 +456,8 @@ impl Machine {
                             debug_assert_eq!(t.nfree, nfree, "closure capture count mismatch");
                             return Err(VmError::Internal("closure capture count mismatch"));
                         }
-                        let captured = self.pop_args(nfree as usize)?;
+                        let at = self.args_at(nfree as usize)?;
+                        let captured = self.stack.split_off(at);
                         self.val = Value::Proc(Proc(Arc::new(Closure {
                             template: t,
                             captured,
@@ -484,39 +475,70 @@ impl Machine {
                         }
                     }
                     Instr::Prim { prim, nargs } => {
-                        let args = self.pop_args(nargs as usize)?;
-                        self.val = apply_prim(prim, &args, &mut self.output)?;
+                        let at = self.args_at(nargs as usize)?;
+                        self.val = apply_prim(prim, &self.stack[at..], &mut self.output)?;
+                        self.stack.truncate(at);
                     }
                 }
             };
             match ctl {
                 Ctl::Call { nargs, tail } => {
-                    {
-                        let f = self
-                            .frames
-                            .last_mut()
-                            .ok_or(VmError::Internal("no frame"))?;
-                        f.pc = pc;
-                        f.locals = locals;
+                    let f = std::mem::replace(&mut self.val, Value::Unspec);
+                    let callee = callee(f, nargs)?;
+                    let at = self.args_at(nargs as usize)?;
+                    self.pf_visits += 1;
+                    if tail {
+                        debug_assert_eq!(at, stack_base, "unbalanced stack at tail call");
+                        self.locals.truncate(base);
+                    } else {
+                        self.frames.push(Frame {
+                            closure,
+                            pc,
+                            base,
+                            stack_base,
+                        });
+                        base = self.locals.len();
+                        stack_base = at;
                     }
-                    self.enter_call(nargs, tail)?;
+                    self.locals.extend(self.stack.drain(at..));
+                    closure = callee;
+                    pc = 0;
                 }
                 Ctl::Return => {
                     self.pf_retires += 1;
-                    let f = self.frames.pop().ok_or(VmError::Internal("no frame"))?;
                     debug_assert_eq!(
                         self.stack.len(),
-                        f.stack_base,
+                        stack_base,
                         "unbalanced stack at return from {}",
-                        f.closure.template.name
+                        closure.template.name
                     );
+                    self.locals.truncate(base);
                     if self.frames.len() == floor {
                         return Ok(std::mem::replace(&mut self.val, Value::Unspec));
                     }
+                    let f = self.frames.pop().ok_or(VmError::Internal("no frame"))?;
+                    (closure, pc, base, stack_base) = (f.closure, f.pc, f.base, f.stack_base);
                 }
             }
         }
     }
+}
+
+/// The closure that a call of `f` with `nargs` arguments enters.
+fn callee(f: Value, nargs: u8) -> Result<Arc<Closure>, VmError> {
+    let closure = match f {
+        Value::Proc(Proc(c)) => c,
+        other => return Err(VmError::NotAProcedure(write_string(&other))),
+    };
+    let t = &closure.template;
+    if t.arity != nargs {
+        return Err(VmError::BadArity {
+            name: t.name,
+            expected: t.arity,
+            got: nargs,
+        });
+    }
+    Ok(closure)
 }
 
 #[cfg(test)]
@@ -524,6 +546,7 @@ mod tests {
     use super::*;
     use crate::asm::Asm;
     use two4one_syntax::datum::Datum;
+    use two4one_syntax::limits::CancelToken;
     use two4one_syntax::prim::Prim;
 
     fn machine_with(name: &str, t: Arc<Template>) -> Machine {
@@ -682,6 +705,84 @@ mod tests {
         // Machine remains usable.
         let e2 = m.call_global(&Symbol::new("boom"), vec![]).unwrap_err();
         assert!(matches!(e2, VmError::Prim(_)));
+        assert_unwound(&m);
+    }
+
+    /// The machine holds no frames, operand-stack values or locals.
+    fn assert_unwound(m: &Machine) {
+        assert!(m.frames.is_empty(), "{} frames left", m.frames.len());
+        assert!(m.stack.is_empty(), "{} operands left", m.stack.len());
+        assert!(m.locals.is_empty(), "{} locals left", m.locals.len());
+    }
+
+    #[test]
+    fn errors_in_nested_calls_unwind_every_stack() {
+        // (define (inner y) (car y)), (define (outer x) (+ 1 (inner x))):
+        // `car` fails with an operand pending and locals in two frames.
+        let mut a = Asm::new(Symbol::new("inner"), 1, 0);
+        a.emit(Instr::Local(0));
+        a.emit(Instr::Push);
+        a.emit(Instr::Prim {
+            prim: Prim::Car,
+            nargs: 1,
+        });
+        a.emit(Instr::Return);
+        let mut m = machine_with("inner", a.finish().unwrap());
+        let mut a = Asm::new(Symbol::new("outer"), 1, 0);
+        let one = a.const_index(&Datum::Int(1)).unwrap();
+        a.emit(Instr::Const(one));
+        a.emit(Instr::Push);
+        a.emit(Instr::Local(0));
+        a.emit(Instr::Push);
+        let g = a.global_index(&Symbol::new("inner")).unwrap();
+        a.emit(Instr::Global(g));
+        a.emit(Instr::Call { nargs: 1 });
+        a.emit(Instr::Push);
+        a.emit(Instr::Prim {
+            prim: Prim::Add,
+            nargs: 2,
+        });
+        a.emit(Instr::Return);
+        m.define_template(Symbol::new("outer"), a.finish().unwrap());
+        let outer = Symbol::new("outer");
+        let e = m.call_global(&outer, vec![Value::Int(3)]).unwrap_err();
+        assert!(matches!(e, VmError::Prim(_)));
+        assert_unwound(&m);
+        let pair = Value::cons(Value::Int(4), Value::Nil);
+        let v = m.call_global(&outer, vec![pair]).unwrap();
+        assert_eq!(v.to_datum(), Some(Datum::Int(5)));
+        assert_unwound(&m);
+    }
+
+    #[test]
+    fn failed_call_entries_leave_no_values_behind() {
+        let mut a = Asm::new(Symbol::new("id"), 1, 0);
+        a.emit(Instr::Local(0));
+        a.emit(Instr::Return);
+        let id = Symbol::new("id");
+        let mut m = machine_with("id", a.finish().unwrap());
+        m.define(Symbol::new("n"), Value::Int(5));
+        for _ in 0..3 {
+            let e = m
+                .call_global(&id, vec![Value::Int(1), Value::Int(2)])
+                .unwrap_err();
+            assert!(matches!(
+                e,
+                VmError::BadArity {
+                    expected: 1,
+                    got: 2,
+                    ..
+                }
+            ));
+        }
+        let e = m
+            .call_global(&Symbol::new("n"), vec![Value::Int(1)])
+            .unwrap_err();
+        assert!(matches!(e, VmError::NotAProcedure(_)));
+        assert_unwound(&m);
+        let v = m.call_global(&id, vec![Value::Int(9)]).unwrap();
+        assert_eq!(v.to_datum(), Some(Datum::Int(9)));
+        assert_unwound(&m);
     }
 
     #[test]
@@ -751,13 +852,10 @@ mod tests {
         assert_eq!(profile.retires(), 3);
     }
 
-    #[test]
-    fn exec_profile_flushes_mid_run_at_the_stride() {
-        // A long self-tail-call loop: the profile must show progress
-        // while well below the run's total, i.e. flushes happen at the
-        // amortized stride, not only at run end. We can't observe
-        // mid-run from one thread, but we can check the stride math:
-        // after the run, fetches equals instructions executed exactly.
+    /// `(define (spin i) (if (= i 0) 0 (spin (- i 1))))`: a call on `n`
+    /// runs `n` tail iterations of 14 instructions, then an 8-instruction
+    /// exit path.
+    fn spin_template() -> Arc<Template> {
         let mut a = Asm::new(Symbol::new("spin"), 1, 0);
         let alt = a.make_label();
         let zero = a.const_index(&Datum::Int(0)).unwrap();
@@ -786,16 +884,100 @@ mod tests {
         let g = a.global_index(&Symbol::new("spin")).unwrap();
         a.emit(Instr::Global(g));
         a.emit(Instr::TailCall { nargs: 1 });
+        a.finish().unwrap()
+    }
+
+    fn spin_steps(n: i64) -> u64 {
+        14 * n as u64 + 8
+    }
+
+    #[test]
+    fn exec_profile_flushes_mid_run_at_the_stride() {
+        // A long self-tail-call loop: the profile must show progress
+        // while well below the run's total, i.e. flushes happen at the
+        // amortized stride, not only at run end. We can't observe
+        // mid-run from one thread, but we can check the stride math:
+        // after the run, fetches equals instructions executed exactly.
         let profile = Arc::new(ExecProfile::new());
-        let mut m = machine_with("spin", a.finish().unwrap()).with_profile(profile.clone());
+        let mut m = machine_with("spin", spin_template()).with_profile(profile.clone());
         let n = 10_000i64;
         m.call_global(&Symbol::new("spin"), vec![Value::Int(n)])
             .unwrap();
-        // n tail iterations of 14 instructions + the final 8-instruction
-        // exit path; every visit is a call entry (initial + n tail calls).
-        assert_eq!(profile.fetches(), 14 * n as u64 + 8);
+        // Every visit is a call entry (initial + n tail calls).
+        assert_eq!(profile.fetches(), spin_steps(n));
         assert_eq!(profile.visits(), n as u64 + 1);
         assert_eq!(profile.retires(), 1);
+    }
+
+    #[test]
+    fn exec_profile_is_readable_while_the_run_goes_on() {
+        // An endless loop on another thread that only a cancellation
+        // stops, fired once the profile shows instructions: the counts
+        // must reach the profile at the flush stride, before the run ends.
+        let mut a = Asm::new(Symbol::new("spin"), 0, 0);
+        let g = a.global_index(&Symbol::new("spin")).unwrap();
+        a.emit(Instr::Global(g));
+        a.emit(Instr::TailCall { nargs: 0 });
+        let profile = Arc::new(ExecProfile::new());
+        let token = CancelToken::new();
+        let mut m = machine_with("spin", a.finish().unwrap()).with_profile(profile.clone());
+        m.deadline = Deadline::unlimited().with_cancel(token.clone());
+        let run = std::thread::spawn(move || m.call_global(&Symbol::new("spin"), vec![]));
+        let start = std::time::Instant::now();
+        while profile.fetches() == 0 && start.elapsed() < std::time::Duration::from_secs(10) {
+            std::thread::yield_now();
+        }
+        let seen = profile.fetches();
+        token.cancel();
+        let e = run.join().unwrap().unwrap_err();
+        assert!(matches!(e, VmError::Limit(_)), "{e:?}");
+        assert!(seen > 0, "no counts reached the profile during the run");
+    }
+
+    #[test]
+    fn step_fuel_is_exact_across_chunks_and_calls() {
+        let spin = Symbol::new("spin");
+        let n = 1_000i64;
+        let steps = spin_steps(n);
+        assert!(steps > 3 * STRIDE, "the run must span several chunks");
+        let run = |m: &mut Machine| m.call_global(&spin, vec![Value::Int(n)]);
+
+        // One call: exactly its instruction count in fuel suffices, one
+        // instruction less does not, and the profile counts every
+        // instruction that ran.
+        let profile = Arc::new(ExecProfile::new());
+        let mut m = machine_with("spin", spin_template())
+            .with_fuel(steps)
+            .with_profile(profile.clone());
+        assert_eq!(run(&mut m).unwrap().to_datum(), Some(Datum::Int(0)));
+        assert_eq!(profile.fetches(), steps);
+        let profile = Arc::new(ExecProfile::new());
+        let mut m = machine_with("spin", spin_template())
+            .with_fuel(steps - 1)
+            .with_profile(profile.clone());
+        assert_eq!(run(&mut m).unwrap_err(), VmError::FuelExhausted);
+        assert_eq!(profile.fetches(), steps - 1);
+
+        // Fuel belongs to the machine: two calls share it, and the chunk
+        // left over from the first call carries into the second.
+        let profile = Arc::new(ExecProfile::new());
+        let mut m = machine_with("spin", spin_template())
+            .with_fuel(2 * steps)
+            .with_profile(profile.clone());
+        assert!(run(&mut m).is_ok());
+        assert!(run(&mut m).is_ok());
+        assert_eq!(profile.fetches(), 2 * steps);
+        assert_eq!(run(&mut m).unwrap_err(), VmError::FuelExhausted);
+        let mut m = machine_with("spin", spin_template()).with_fuel(2 * steps - 1);
+        assert!(run(&mut m).is_ok());
+        assert_eq!(run(&mut m).unwrap_err(), VmError::FuelExhausted);
+
+        // Fuel set after a run is exact too: nothing the run left in its
+        // chunk runs on top of it.
+        let mut m = machine_with("spin", spin_template());
+        assert!(run(&mut m).is_ok());
+        let mut m = m.with_fuel(steps - 1);
+        assert_eq!(run(&mut m).unwrap_err(), VmError::FuelExhausted);
     }
 
     #[test]

@@ -8,7 +8,10 @@
 //! deterministic (same gensym discipline), so the comparison is structural
 //! template equality, not just behavioral.
 
-use two4one::{compile_program, with_stack, Datum, Division, Pgg, BT};
+use two4one::{compile, compile_program, with_stack, CallPolicy, Datum, Division, Image, Pgg, BT};
+use two4one_compiler::compile_program_generic;
+use two4one_langs::grammar;
+use two4one_vm::{Instr, Template};
 
 fn d(s: &str) -> Datum {
     two4one::reader::read_one(s).unwrap()
@@ -129,5 +132,134 @@ fn fused_images_behave_identically_too() {
             let b = two4one::run_image(&compiled, "match", &args).unwrap();
             assert_eq!(a, b, "on {text}");
         }
+    });
+}
+
+/// A subject of the consume-contract test: a program with its specializer
+/// policies, entry, division and static arguments.
+struct Subject {
+    name: String,
+    pgg: Pgg,
+    src: String,
+    entry: &'static str,
+    division: Vec<BT>,
+    statics: Vec<Datum>,
+}
+
+/// The fusion cases, MIXWELL and LAZY over their Sec. 7 programs, and
+/// the matcher interpreter over each adversarial grammar.
+fn subjects() -> Vec<Subject> {
+    let pgg_with = |policies: Vec<(&'static str, CallPolicy)>| {
+        policies
+            .iter()
+            .fold(Pgg::new(), |g, (f, pol)| g.policy(f, *pol))
+    };
+    let mut v: Vec<Subject> = cases()
+        .into_iter()
+        .map(|c| Subject {
+            name: c.name.to_string(),
+            pgg: Pgg::new(),
+            src: c.src.to_string(),
+            entry: c.entry,
+            division: c.division,
+            statics: c.statics,
+        })
+        .collect();
+    v.push(Subject {
+        name: "mixwell".to_string(),
+        pgg: pgg_with(two4one_langs::mixwell_policies()),
+        src: two4one_langs::MIXWELL_INTERP.to_string(),
+        entry: "mixwell-run",
+        division: vec![BT::Static, BT::Dynamic],
+        statics: vec![two4one_langs::mixwell_program()],
+    });
+    v.push(Subject {
+        name: "lazy".to_string(),
+        pgg: pgg_with(two4one_langs::lazy_policies()),
+        src: two4one_langs::LAZY_INTERP.to_string(),
+        entry: "lazy-run",
+        division: vec![BT::Static, BT::Dynamic],
+        statics: vec![two4one_langs::lazy_program()],
+    });
+    for (name, text, _, _) in grammar::adversarial_suite() {
+        let g = grammar::parse(text).unwrap();
+        v.push(Subject {
+            name: name.to_string(),
+            pgg: pgg_with(grammar::grammar_policies()),
+            src: grammar::workload_source(&g),
+            entry: grammar::WORKLOAD_ENTRY,
+            division: vec![BT::Dynamic],
+            statics: vec![],
+        });
+    }
+    v
+}
+
+/// Counts the `push` and `bind` sites of `t` and its sub-templates, and
+/// fails unless each one is followed by an instruction that writes `val`.
+fn consumed_sites(image: &str, t: &Template) -> usize {
+    let mut sites = 0;
+    for (i, ins) in t.code.iter().enumerate() {
+        if matches!(ins, Instr::Push | Instr::Bind) {
+            sites += 1;
+            let next = t.code.get(i + 1);
+            assert!(
+                matches!(
+                    next,
+                    Some(
+                        Instr::Const(_)
+                            | Instr::Global(_)
+                            | Instr::Local(_)
+                            | Instr::Captured(_)
+                            | Instr::Prim { .. }
+                            | Instr::MakeClosure { .. }
+                    )
+                ),
+                "{image}: `{}` at {i} is followed by {next:?}, which leaves `val` live\n{}",
+                t.name,
+                t.disassemble()
+            );
+        }
+    }
+    sites
+        + t.templates
+            .iter()
+            .map(|s| consumed_sites(image, s))
+            .sum::<usize>()
+}
+
+/// The consume contract of `Instr::Push` and `Instr::Bind`: `val` is dead
+/// after both, so the VM moves it instead of cloning it. Every emitter —
+/// the ANF compiler on programs and on residual source, the generic
+/// compiler, and the fused object builder — must follow each of them with
+/// an instruction that writes `val`.
+#[test]
+fn every_push_and_bind_is_followed_by_a_write_of_val() {
+    with_stack(|| {
+        let mut sites = 0;
+        for s in subjects() {
+            let p = s.pgg.parse(&s.src).unwrap();
+            let genext = s
+                .pgg
+                .cogen(&p, s.entry, &Division::new(s.division))
+                .unwrap();
+            let source = genext.specialize_source(&s.statics).unwrap();
+            let images: [(&str, Image); 5] = [
+                ("compile", compile(&p, s.entry).unwrap()),
+                ("generic", compile_program_generic(&p, s.entry).unwrap()),
+                ("residual", compile_program(&source, s.entry).unwrap()),
+                (
+                    "residual-generic",
+                    compile_program_generic(&source.to_cs(), s.entry).unwrap(),
+                ),
+                ("fused", genext.specialize_object(&s.statics).unwrap()),
+            ];
+            for (emitter, image) in images {
+                for (_, t) in &image.templates {
+                    sites += consumed_sites(&format!("{}/{emitter}", s.name), t);
+                }
+            }
+        }
+        assert!(sites > 5000, "only {sites} push/bind sites checked");
     });
 }
