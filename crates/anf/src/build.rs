@@ -91,6 +91,13 @@ pub trait CodeBuilder {
     /// complete bodies (the specializer duplicates its continuation).
     fn if_(&mut self, t: Self::Triv, then: Self::Code, els: Self::Code) -> Self::Code;
 
+    /// A join point, `(let ((j (lambda (r) jbody))) body)`, where `body`
+    /// refers to `j` only in tail calls `(j a)`. The source backend builds
+    /// exactly that `let` (its lambda marked [`Lambda::join`]); the object
+    /// backend emits `jbody` as a block of the enclosing template and each
+    /// call as a jump to it, so no closure is ever built.
+    fn join(&mut self, j: &Symbol, r: &Symbol, jbody: Self::Code, body: Self::Code) -> Self::Code;
+
     /// Adds a top-level residual definition.
     fn define(&mut self, name: &Symbol, params: &[Symbol], body: Self::Code);
 
@@ -171,6 +178,7 @@ impl CodeBuilder for SourceBuilder {
             name: *name,
             params: params.to_vec(),
             body,
+            join: false,
         }))
     }
 
@@ -212,6 +220,18 @@ impl CodeBuilder for SourceBuilder {
     fn if_(&mut self, t: Triv, then: Expr, els: Expr) -> Expr {
         self.count();
         Expr::If(t, Box::new(then), Box::new(els))
+    }
+
+    fn join(&mut self, j: &Symbol, r: &Symbol, jbody: Expr, body: Expr) -> Expr {
+        // Two syntax nodes: the `let` and its lambda.
+        self.ops += 2;
+        let lam = Lambda {
+            name: *j,
+            params: vec![*r],
+            body: jbody,
+            join: true,
+        };
+        Expr::Let(*j, Rhs::Triv(Triv::Lambda(Arc::new(lam))), Box::new(body))
     }
 
     fn define(&mut self, name: &Symbol, params: &[Symbol], body: Expr) {

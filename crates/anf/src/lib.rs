@@ -47,6 +47,12 @@ pub struct Lambda {
     pub params: Vec<Symbol>,
     /// Body.
     pub body: Expr,
+    /// Marks a *join point*: the lambda is the right-hand side of a `let`
+    /// whose body uses the bound name only as the operator of
+    /// one-argument tail calls, never inside a nested lambda. The
+    /// compiler emits such a body as a block of the enclosing template and
+    /// each call as a jump; printing ignores the mark.
+    pub join: bool,
 }
 
 /// A *serious* term: a call or primitive application over trivials.
@@ -348,6 +354,7 @@ mod tests {
             name: Symbol::new("l"),
             params: vec![Symbol::new("x")],
             body: Expr::Ret(Triv::Var(Symbol::new("x"))),
+            join: false,
         }));
         assert_eq!(Expr::Ret(lam).size(), 2);
     }

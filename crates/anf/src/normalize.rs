@@ -7,8 +7,10 @@
 //! The normalizer is continuation-based. Non-tail conditionals get a *join
 //! point* — a let-bound lambda receiving the branch result — so the
 //! normalization continuation is used linearly and code size stays linear
-//! in the input. (The specializer, following Fig. 3, duplicates its
-//! continuation at dynamic conditionals instead; both produce valid ANF.)
+//! in the input. The lambda is marked [`Lambda::join`], so the compiler
+//! emits its body as a jump target in the enclosing template rather than
+//! as a closure. (The specializer inserts the same join points through
+//! `CodeBuilder::join`.)
 
 use crate::{App, Def, Expr, Lambda, Program, Rhs, Triv};
 use std::sync::Arc;
@@ -112,6 +114,7 @@ impl Norm<'_> {
                         name: j,
                         params: vec![r],
                         body: join_body,
+                        join: true,
                     }))),
                     Box::new(test_and_branch),
                 )
@@ -221,6 +224,7 @@ impl Norm<'_> {
                 name: l.name,
                 params: l.params.clone(),
                 body: self.tail(&l.body),
+                join: false,
             })),
             _ => unreachable!("triv called on serious expression"),
         }

@@ -108,6 +108,7 @@ fn subst_triv(t: &Triv, s: &Subst, aggressive: bool) -> Triv {
             name: l.name,
             params: l.params.clone(),
             body: pass(&l.body, &mut shadowed(s, &l.params), aggressive),
+            join: l.join,
         })),
     }
 }
@@ -225,8 +226,14 @@ fn pass(e: &Expr, s: &mut Subst, aggressive: bool) -> Expr {
                         Triv::Const(_) | Triv::Var(_) => true,
                         // Don't duplicate lambdas: propagate only when the
                         // binding is used at most once (also preserves
-                        // `eq?` identity of the closure).
-                        Triv::Lambda(_) => uses_in_expr(body, x) <= 1,
+                        // `eq?` identity of the closure). A join point
+                        // stays bound while anything jumps to it:
+                        // substituted into its call it would be a closure.
+                        Triv::Lambda(l) => match uses_in_expr(body, x) {
+                            0 => true,
+                            1 => !l.join,
+                            _ => false,
+                        },
                     };
                     if propagate {
                         s.insert(*x, t);
@@ -353,6 +360,24 @@ mod tests {
         // Used twice: stays bound (no code duplication).
         let e = opt("(let ((f (lambda (y) y))) (g f f))");
         assert!(e.starts_with("(let ((f"), "{e}");
+    }
+
+    #[test]
+    fn join_points_stay_bound_while_anything_jumps_to_them() {
+        // Folding the static test leaves one jump to the join point.
+        // Substituting the join into that call would turn it into a
+        // closure applied on the spot; it must stay a bound join.
+        let e = optimize_expr(&parse_anf("(+ (if #t x 2) 1)"));
+        match &e {
+            Expr::Let(j, Rhs::Triv(Triv::Lambda(l)), body) => {
+                assert!(l.join, "{e}");
+                assert_eq!(
+                    **body,
+                    Expr::Tail(App::Call(Triv::Var(*j), vec![Triv::Var(Symbol::new("x"))]))
+                );
+            }
+            other => panic!("join point propagated away: {other}"),
+        }
     }
 
     #[test]

@@ -2,14 +2,15 @@
 //!
 //! Mirrors the `cenv` parameter of the paper's compilators. A location is
 //! an argument/`let` slot of the current frame, a captured slot of the
-//! running closure, or (by omission — see the global table in
-//! [`crate::compile_triv`]) a global.
+//! running closure, a join point's block in the current template, or (by
+//! omission — see the global table in [`crate::compile_triv`]) a global.
 //!
 //! The environment is persistent (an immutable linked list) because the
 //! fused code-generation combinators capture it inside closures.
 
 use std::sync::Arc;
 use two4one_syntax::symbol::Symbol;
+use two4one_vm::Label;
 
 /// Where a variable lives at run time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -18,6 +19,14 @@ pub enum Loc {
     Local(u16),
     /// Captured slot `i` of the running closure.
     Captured(u16),
+    /// A join point: its block starts at `label`, and its parameter lives
+    /// in local slot `depth`. Not a value — only a tail call reaches it.
+    Join {
+        /// Start of the join block.
+        label: Label,
+        /// Locals depth at the join's `let`: the parameter's slot.
+        depth: u16,
+    },
 }
 
 /// A persistent compile-time environment.
@@ -56,6 +65,14 @@ impl CEnv {
             cur = &n.next.0;
         }
         None
+    }
+
+    /// The block and parameter slot of `name`, when it is a join point.
+    pub fn join(&self, name: &Symbol) -> Option<(Label, u16)> {
+        match self.lookup(name) {
+            Some(Loc::Join { label, depth }) => Some((label, depth)),
+            _ => None,
+        }
     }
 }
 

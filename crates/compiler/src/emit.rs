@@ -7,7 +7,7 @@
 //! makes "compile the residual source" and "generate object code directly"
 //! produce identical templates (the fusion equivalence).
 
-use crate::cenv::Loc;
+use crate::cenv::{CEnv, Loc};
 use crate::CompileError;
 use std::sync::Arc;
 use two4one_syntax::datum::Datum;
@@ -22,11 +22,22 @@ pub fn emit_const(asm: &mut Asm, d: &Datum) -> Result<(), CompileError> {
     Ok(())
 }
 
-/// Loads a local or captured variable into `val`.
-pub fn emit_var(asm: &mut Asm, loc: Loc) {
+/// Loads the local or captured variable `x`, found at `loc`, into `val`.
+/// A join point is not a value, so loading one is an error.
+pub fn emit_var(asm: &mut Asm, x: &Symbol, loc: Loc) -> Result<(), CompileError> {
     match loc {
         Loc::Local(i) => asm.emit(Instr::Local(i)),
         Loc::Captured(i) => asm.emit(Instr::Captured(i)),
+        Loc::Join { .. } => return Err(CompileError::JoinMisuse(*x)),
+    }
+    Ok(())
+}
+
+/// Loads `x`, which must be bound in `cenv`, into `val`.
+pub fn emit_lexical(asm: &mut Asm, cenv: &CEnv, x: &Symbol) -> Result<(), CompileError> {
+    match cenv.lookup(x) {
+        Some(loc) => emit_var(asm, x, loc),
+        None => Err(CompileError::Unbound(*x)),
     }
 }
 
@@ -81,16 +92,64 @@ pub fn attach(asm: &mut Asm, l: Label) {
     asm.attach_label(l);
 }
 
-/// Closure construction: loads each free variable (via `load_var`), pushes
-/// it, and emits `make-closure` over `template`.
+/// The join compilator: `(let ((j (lambda (r) jbody))) body)` where `j`
+/// is a join point. Emits `body` with `j` bound to a fresh label, attaches
+/// the label, then emits `jbody` with `r` in local slot `depth` — the slot
+/// every jump to `j` binds. The join body is a block of the enclosing
+/// template, so no closure is built and no call is made.
+pub fn emit_join(
+    asm: &mut Asm,
+    cenv: &CEnv,
+    depth: u16,
+    j: Symbol,
+    r: Symbol,
+    body: impl FnOnce(&mut Asm, &CEnv, u16) -> Result<(), CompileError>,
+    jbody: impl FnOnce(&mut Asm, &CEnv, u16) -> Result<(), CompileError>,
+) -> Result<(), CompileError> {
+    let label = asm.make_label();
+    body(asm, &cenv.bind(j, Loc::Join { label, depth }), depth)?;
+    attach(asm, label);
+    jbody(asm, &cenv.bind(r, Loc::Local(depth)), depth + 1)
+}
+
+/// The tail-call compilator's join case. When `f` names a join point,
+/// emits `(f a)` as a jump and returns `true`: `load` puts `a` in `val`,
+/// `trim` drops the `let`s the branch bound since the join's `let` (only
+/// if it bound any), `bind` makes `a` the join parameter, and `jump`
+/// enters the join block. Otherwise emits nothing and returns `false`.
+pub fn emit_join_call<T>(
+    asm: &mut Asm,
+    cenv: &CEnv,
+    depth: u16,
+    f: &Symbol,
+    args: &[T],
+    load: impl FnOnce(&mut Asm, &T) -> Result<(), CompileError>,
+) -> Result<bool, CompileError> {
+    let Some((label, jdepth)) = cenv.join(f) else {
+        return Ok(false);
+    };
+    let [a] = args else {
+        return Err(CompileError::JoinMisuse(*f));
+    };
+    load(asm, a)?;
+    if depth > jdepth {
+        asm.emit(Instr::Trim(jdepth));
+    }
+    emit_bind(asm);
+    asm.emit_jump(label);
+    Ok(true)
+}
+
+/// Closure construction: loads each free variable from `cenv`, pushes it,
+/// and emits `make-closure` over `template`.
 pub fn emit_make_closure(
     asm: &mut Asm,
     template: Arc<Template>,
     free: &[Symbol],
-    mut load_var: impl FnMut(&mut Asm, &Symbol) -> Result<(), CompileError>,
+    cenv: &CEnv,
 ) -> Result<(), CompileError> {
     for v in free {
-        load_var(asm, v)?;
+        emit_lexical(asm, cenv, v)?;
         emit_push(asm);
     }
     let nfree = u16::try_from(free.len()).map_err(|_| CompileError::TooManyArgs(free.len()))?;
@@ -110,7 +169,7 @@ mod tests {
     fn compilators_compose_into_valid_code() {
         // (define (f x) (if x 'yes 'no)) by hand through the compilators.
         let mut asm = Asm::new(Symbol::new("f"), 1, 0);
-        emit_var(&mut asm, Loc::Local(0));
+        emit_var(&mut asm, &Symbol::new("x"), Loc::Local(0)).unwrap();
         let alt = emit_branch_false(&mut asm);
         emit_const(&mut asm, &Datum::sym("yes")).unwrap();
         emit_return(&mut asm);

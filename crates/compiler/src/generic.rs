@@ -20,9 +20,11 @@
 //! 2. as an independent second compiler whose agreement with the
 //!    ANF pipeline is a strong correctness oracle.
 //!
-//! The complexity the ANF compiler avoids is visible here: non-tail
-//! conditionals need a join label and a `trim` to re-synchronize the
-//! local-slot depth of the two arms — in ANF neither situation can occur.
+//! The complexity the ANF compiler avoids is visible here: every
+//! non-tail conditional needs a merge label and a `trim` on both arms to
+//! re-synchronize the local-slot depth. In ANF a non-tail conditional is
+//! an explicit join point, and only a jump to it from an arm that bound
+//! `let`s of its own needs a `trim`.
 
 use crate::cenv::{CEnv, Loc};
 use crate::{emit, CompileError};
@@ -107,7 +109,7 @@ fn compile(
         }
         Expr::Var(x) => {
             match cenv.lookup(x) {
-                Some(loc) => emit::emit_var(asm, loc),
+                Some(loc) => emit::emit_var(asm, x, loc)?,
                 None if globals.contains(x) => emit::emit_global(asm, x)?,
                 None => return Err(CompileError::Unbound(*x)),
             }
@@ -122,13 +124,7 @@ fn compile(
                 .filter(|v| !l.params.contains(v) && !globals.contains(v))
                 .collect();
             let template = compile_lambda_generic(l, &free, globals)?;
-            emit::emit_make_closure(asm, template, &free, |asm, x| match cenv.lookup(x) {
-                Some(loc) => {
-                    emit::emit_var(asm, loc);
-                    Ok(())
-                }
-                None => Err(CompileError::Unbound(*x)),
-            })?;
+            emit::emit_make_closure(asm, template, &free, cenv)?;
             finish(asm, cont);
             Ok(())
         }
@@ -339,18 +335,46 @@ mod tests {
     }
 
     #[test]
-    fn generic_compiler_needs_trim_but_anf_never_does() {
+    fn anf_trims_branch_lets_right_before_the_jump_to_the_join() {
         use two4one_anf::normalize;
-        let src = "(define (f a) (+ (if a (let ((x 1)) x) 2) 3))";
-        let cs = frontend(src).unwrap();
-        let gen_image = compile_program_generic(&cs, "f").unwrap();
-        let anf_image = crate::compile_program(&normalize(&cs), "f").unwrap();
-        let has_trim = |img: &Image| {
-            img.templates
-                .iter()
-                .any(|(_, t)| t.code.iter().any(|i| matches!(i, Instr::Trim(_))))
-        };
-        assert!(has_trim(&gen_image));
-        assert!(!has_trim(&anf_image));
+        // The then-arm binds `x` before it reaches the join point, so its
+        // jump must drop that slot: `trim` is what puts the join parameter
+        // in the slot the join body reads. The second program makes a
+        // missing `trim` observable (the join would read `x`, not `r`).
+        for src in [
+            "(define (f a) (+ (if a (let ((x 1)) x) 2) 3))",
+            "(define (f a) (+ (if a (let ((x 1)) (- x 5)) 2) 3))",
+        ] {
+            let cs = frontend(src).unwrap();
+            let gen_image = compile_program_generic(&cs, "f").unwrap();
+            let anf_image = crate::compile_program(&normalize(&cs), "f").unwrap();
+            for a in [true, false] {
+                let args = [Datum::Bool(a)];
+                let expect = two4one_interp::run_program(&cs, "f", &args)
+                    .unwrap()
+                    .0
+                    .to_datum();
+                for image in [&gen_image, &anf_image] {
+                    let mut m = Machine::load(image);
+                    let got = m.call_global(&Symbol::new("f"), vec![Value::Bool(a)]);
+                    assert_eq!(got.unwrap().to_datum(), expect, "{src} a={a}");
+                }
+            }
+            // The join is a block of `f`, not a closure, and the one
+            // `trim` sits right before the then-arm's `bind; jump`.
+            let code = &anf_image.templates[0].1.code;
+            assert!(
+                !code.iter().any(|i| matches!(i, Instr::MakeClosure { .. })),
+                "{src}"
+            );
+            let trims: Vec<usize> = (0..code.len())
+                .filter(|&i| matches!(code[i], Instr::Trim(_)))
+                .collect();
+            assert_eq!(trims.len(), 1, "{src}");
+            assert!(
+                matches!(code[trims[0] + 1..], [Instr::Bind, Instr::Jump(_), ..]),
+                "{src}"
+            );
+        }
     }
 }

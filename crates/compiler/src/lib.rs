@@ -5,7 +5,10 @@
 //! explicit — "only those function applications wrapped in a `let` are
 //! non-tail calls; all others are jumps" — the compiler needs no
 //! compile-time continuation, just a compile-time environment and the
-//! current stack depth, exactly as described in the paper.
+//! current stack depth, exactly as described in the paper. A join point
+//! (a `let`-bound lambda marked [`anf::Lambda::join`]) takes that literally:
+//! its body becomes a block of the enclosing template and each call to it
+//! a `jump`.
 //!
 //! Acts 2–3 (Secs. 6.2–6.3): the same per-construct code generators
 //! ("compilators", in [`emit`]) are exposed a second time as
@@ -39,6 +42,9 @@ pub enum CompileError {
     Asm(AsmError),
     /// More parameters or arguments than the instruction encoding allows.
     TooManyArgs(usize),
+    /// A join point used other than as the operator of a one-argument
+    /// tail call: as a value, captured by a lambda, or called otherwise.
+    JoinMisuse(Symbol),
 }
 
 impl fmt::Display for CompileError {
@@ -47,6 +53,12 @@ impl fmt::Display for CompileError {
             CompileError::Unbound(x) => write!(f, "unbound variable `{x}` at compile time"),
             CompileError::Asm(e) => write!(f, "{e}"),
             CompileError::TooManyArgs(n) => write!(f, "too many arguments ({n})"),
+            CompileError::JoinMisuse(j) => {
+                write!(
+                    f,
+                    "join point `{j}` used other than as a one-argument tail call"
+                )
+            }
         }
     }
 }
@@ -149,6 +161,12 @@ pub fn compile_body(
             Ok(())
         }
         anf::Expr::Tail(app) => {
+            if let anf::App::Call(anf::Triv::Var(f), args) = app {
+                let load = |asm: &mut Asm, a: &anf::Triv| compile_triv(a, asm, cenv, globals);
+                if emit::emit_join_call(asm, cenv, depth, f, args, load)? {
+                    return Ok(());
+                }
+            }
             let n = compile_app_args(app, asm, cenv, globals)?;
             match app {
                 anf::App::Call(f, _) => {
@@ -161,6 +179,20 @@ pub fn compile_body(
                 }
             }
             Ok(())
+        }
+        anf::Expr::Let(j, anf::Rhs::Triv(anf::Triv::Lambda(l)), body) if l.join => {
+            let [r] = l.params[..] else {
+                return Err(CompileError::JoinMisuse(*j));
+            };
+            emit::emit_join(
+                asm,
+                cenv,
+                depth,
+                *j,
+                r,
+                |asm, cenv, depth| compile_body(body, asm, cenv, depth, globals),
+                |asm, cenv, depth| compile_body(&l.body, asm, cenv, depth, globals),
+            )
         }
         anf::Expr::Let(x, rhs, body) => {
             match rhs {
@@ -223,23 +255,14 @@ pub fn compile_triv(
     match t {
         anf::Triv::Const(d) => emit::emit_const(asm, d),
         anf::Triv::Var(x) => match cenv.lookup(x) {
-            Some(loc) => {
-                emit::emit_var(asm, loc);
-                Ok(())
-            }
+            Some(loc) => emit::emit_var(asm, x, loc),
             None if globals.contains(x) => emit::emit_global(asm, x),
             None => Err(CompileError::Unbound(*x)),
         },
         anf::Triv::Lambda(l) => {
             let free = lambda_free_vars(l, globals);
             let template = compile_lambda(l, &free, globals)?;
-            emit::emit_make_closure(asm, template, &free, |asm, x| match cenv.lookup(x) {
-                Some(loc) => {
-                    emit::emit_var(asm, loc);
-                    Ok(())
-                }
-                None => Err(CompileError::Unbound(*x)),
-            })
+            emit::emit_make_closure(asm, template, &free, cenv)
         }
     }
 }

@@ -15,7 +15,10 @@
 //! * code bodies as emission functions `Asm × CEnv × depth → ()`, i.e. the
 //!   compilators of [`crate::emit`] partially applied to their syntax;
 //! * lambdas compiled *eagerly* into sub-templates (their compile-time
-//!   environment is just parameters + free variables, known immediately).
+//!   environment is just parameters + free variables, known immediately);
+//! * join points compiled *in place*: [`CodeBuilder::join`] returns an
+//!   emission function that lays the join body out as a block of the
+//!   enclosing template, so a call to the join is a jump, not a closure.
 //!
 //! No residual syntax tree is ever constructed: the specializer's output
 //! arrives here as a stream of constructor calls and leaves as byte code.
@@ -84,22 +87,10 @@ impl ObjCode {
 fn emit_triv(t: &ObjTriv, asm: &mut Asm, cenv: &CEnv) -> Result<(), CompileError> {
     match t {
         ObjTriv::Const(d) => emit::emit_const(asm, d),
-        ObjTriv::Var(x) => match cenv.lookup(x) {
-            Some(loc) => {
-                emit::emit_var(asm, loc);
-                Ok(())
-            }
-            None => Err(CompileError::Unbound(*x)),
-        },
+        ObjTriv::Var(x) => emit::emit_lexical(asm, cenv, x),
         ObjTriv::Global(g) => emit::emit_global(asm, g),
         ObjTriv::Closure { template, free } => {
-            emit::emit_make_closure(asm, template.clone(), free, |asm, x| match cenv.lookup(x) {
-                Some(loc) => {
-                    emit::emit_var(asm, loc);
-                    Ok(())
-                }
-                None => Err(CompileError::Unbound(*x)),
-            })
+            emit::emit_make_closure(asm, template.clone(), free, cenv)
         }
     }
 }
@@ -294,7 +285,15 @@ impl CodeBuilder for ObjectBuilder {
 
     fn tail(&mut self, s: ObjSerious) -> ObjCode {
         self.count();
-        ObjCode::new(move |asm, cenv, _depth| emit_serious(&s, asm, cenv, true))
+        ObjCode::new(move |asm, cenv, depth| {
+            if let ObjSerious::Call(ObjTriv::Var(f), args) = &s {
+                let load = |asm: &mut Asm, a: &ObjTriv| emit_triv(a, asm, cenv);
+                if emit::emit_join_call(asm, cenv, depth, f, args, load)? {
+                    return Ok(());
+                }
+            }
+            emit_serious(&s, asm, cenv, true)
+        })
     }
 
     fn let_serious(&mut self, x: &Symbol, rhs: ObjSerious, body: ObjCode) -> ObjCode {
@@ -327,6 +326,22 @@ impl CodeBuilder for ObjectBuilder {
             then.emit(asm, cenv, depth)?;
             emit::attach(asm, alt);
             els.emit(asm, cenv, depth)
+        })
+    }
+
+    fn join(&mut self, j: &Symbol, r: &Symbol, jbody: ObjCode, body: ObjCode) -> ObjCode {
+        self.count();
+        let (j, r) = (*j, *r);
+        ObjCode::new(move |asm, cenv, depth| {
+            emit::emit_join(
+                asm,
+                cenv,
+                depth,
+                j,
+                r,
+                |asm, cenv, depth| body.emit(asm, cenv, depth),
+                |asm, cenv, depth| jbody.emit(asm, cenv, depth),
+            )
         })
     }
 
@@ -456,6 +471,126 @@ mod tests {
         let add3 = m.call_global(&mk, vec![Value::Int(3)]).unwrap();
         let v = m.call_value(add3, vec![Value::Int(4)]).unwrap();
         assert_eq!(v.to_datum(), Some(Datum::Int(7)));
+    }
+
+    /// `(define (f a n) (let ((j (lambda (r) (+ r 1))))
+    ///                     (if a (let ((t (* n 2))) (j t)) (j n))))`
+    fn build_join<B: CodeBuilder>(b: &mut B) -> Symbol {
+        let [f, a, n, j, r, t] = ["f", "a", "n", "j", "r", "t"].map(Symbol::new);
+        let jbody = {
+            let rv = b.var(&r);
+            let one = b.const_(&Datum::Int(1));
+            let sum = b.prim(Prim::Add, vec![rv, one]);
+            b.tail(sum)
+        };
+        let then = {
+            let jv = b.var(&j);
+            let tv = b.var(&t);
+            let call = b.call(jv, vec![tv]);
+            let jump = b.tail(call);
+            let nv = b.var(&n);
+            let two = b.const_(&Datum::Int(2));
+            let dbl = b.prim(Prim::Mul, vec![nv, two]);
+            b.let_serious(&t, dbl, jump)
+        };
+        let els = {
+            let jv = b.var(&j);
+            let nv = b.var(&n);
+            let call = b.call(jv, vec![nv]);
+            b.tail(call)
+        };
+        let av = b.var(&a);
+        let cond = b.if_(av, then, els);
+        let body = b.join(&j, &r, jbody, cond);
+        b.define(&f, &[a, n], body);
+        f
+    }
+
+    #[test]
+    fn join_points_compile_to_jumps_in_both_backends() {
+        use two4one_anf::build::SourceBuilder;
+        use two4one_vm::Instr;
+
+        let mut ob = ObjectBuilder::new();
+        let f = build_join(&mut ob);
+        let fused = ob.finish(&f).unwrap();
+        let mut sb = SourceBuilder::new();
+        build_join(&mut sb);
+        let source = sb.finish(&f);
+        assert_eq!(
+            source.to_source().trim(),
+            "(define (f a n)\n  (let ((j (lambda (r) (+ r 1)))) \
+             (if a (let ((t (* n 2))) (j t)) (j n))))"
+        );
+        let compiled = crate::compile_program(&source, f.as_str()).unwrap();
+        assert_eq!(fused.templates, compiled.templates);
+
+        let t = &fused.templates[0].1;
+        assert!(t.templates.is_empty(), "{}", t.disassemble());
+        assert!(!t
+            .code
+            .iter()
+            .any(|i| matches!(i, Instr::MakeClosure { .. })));
+        assert_eq!(
+            t.code
+                .iter()
+                .filter(|i| matches!(i, Instr::Jump(_)))
+                .count(),
+            2,
+            "{}",
+            t.disassemble()
+        );
+        for (a, expect) in [(true, 11), (false, 6)] {
+            let mut m = Machine::load(&fused);
+            let v = m.call_global(&f, vec![Value::Bool(a), Value::Int(5)]);
+            assert_eq!(v.unwrap().to_datum(), Some(Datum::Int(expect)));
+        }
+    }
+
+    /// `(define (f a) (let ((j (lambda (r) r))) M))` where `M` lets `j`
+    /// escape: `(f j)` passes it as an argument, `(lambda (y) (j y))`
+    /// captures it.
+    fn build_escaping_join<B: CodeBuilder>(b: &mut B, captured: bool) -> Symbol {
+        let [f, a, j, r, y] = ["f", "a", "j", "r", "y"].map(Symbol::new);
+        let jbody = {
+            let rv = b.var(&r);
+            b.ret(rv)
+        };
+        let body = if captured {
+            let lam_body = {
+                let jv = b.var(&j);
+                let yv = b.var(&y);
+                let call = b.call(jv, vec![yv]);
+                b.tail(call)
+            };
+            let lam = b.lambda(&Symbol::new("k"), &[y], &[j], lam_body);
+            b.ret(lam)
+        } else {
+            let jv = b.var(&j);
+            let call = b.call_global(&f, vec![jv]);
+            b.tail(call)
+        };
+        let code = b.join(&j, &r, jbody, body);
+        b.define(&f, &[a], code);
+        f
+    }
+
+    #[test]
+    fn an_escaping_join_is_a_typed_error_in_both_backends() {
+        use two4one_anf::build::SourceBuilder;
+
+        let misuse = CompileError::JoinMisuse(Symbol::new("j"));
+        for captured in [false, true] {
+            let mut ob = ObjectBuilder::new();
+            let f = build_escaping_join(&mut ob, captured);
+            assert_eq!(ob.finish(&f).unwrap_err(), misuse, "captured={captured}");
+
+            let mut sb = SourceBuilder::new();
+            build_escaping_join(&mut sb, captured);
+            let source = sb.finish(&f);
+            let err = crate::compile_program(&source, f.as_str()).unwrap_err();
+            assert_eq!(err, misuse, "captured={captured}");
+        }
     }
 
     #[test]

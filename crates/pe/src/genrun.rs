@@ -177,17 +177,12 @@ enum JState<B: CodeBuilder> {
     /// Running the detached continuation segment against the fresh result
     /// variable to produce the join body.
     JCode,
-    /// Join lambda built; specializing the then-branch.
-    Then {
-        jname: Symbol,
-        lam: B::Triv,
-        frees: SymSet,
-    },
+    /// Join body built; specializing the then-branch.
+    Then { jname: Symbol, jcode: RCode<B> },
     /// Specializing the else-branch.
     Else {
         jname: Symbol,
-        lam: B::Triv,
-        frees: SymSet,
+        jcode: RCode<B>,
         then_code: RCode<B>,
     },
 }
@@ -196,20 +191,17 @@ impl<B: CodeBuilder> Clone for JState<B> {
     fn clone(&self) -> Self {
         match self {
             JState::JCode => JState::JCode,
-            JState::Then { jname, lam, frees } => JState::Then {
+            JState::Then { jname, jcode } => JState::Then {
                 jname: *jname,
-                lam: lam.clone(),
-                frees: frees.clone(),
+                jcode: jcode.clone(),
             },
             JState::Else {
                 jname,
-                lam,
-                frees,
+                jcode,
                 then_code,
             } => JState::Else {
                 jname: *jname,
-                lam: lam.clone(),
-                frees: frees.clone(),
+                jcode: jcode.clone(),
                 then_code: then_code.clone(),
             },
         }
@@ -1512,13 +1504,6 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
                     match state {
                         JState::JCode => {
                             let jname = self.gensym.fresh("join");
-                            let frees = code.fv.without(&r);
-                            let lam = self.builder.lambda(
-                                &jname,
-                                std::slice::from_ref(&r),
-                                frees.as_slice(),
-                                code.code,
-                            );
                             let e2 = env.clone();
                             self.push(Frame::Join {
                                 test,
@@ -1527,12 +1512,12 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
                                 els,
                                 env,
                                 outer_term,
-                                state: JState::Then { jname, lam, frees },
+                                state: JState::Then { jname, jcode: code },
                                 marks,
                             });
                             return Ok(Flow::Step(Step::Eval(then_, e2)));
                         }
-                        JState::Then { jname, lam, frees } => {
+                        JState::Then { jname, jcode } => {
                             let e2 = env.clone();
                             self.push(Frame::Join {
                                 test,
@@ -1543,8 +1528,7 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
                                 outer_term,
                                 state: JState::Else {
                                     jname,
-                                    lam,
-                                    frees,
+                                    jcode,
                                     then_code: code,
                                 },
                                 marks,
@@ -1553,16 +1537,15 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
                         }
                         JState::Else {
                             jname,
-                            lam,
-                            frees,
+                            jcode,
                             then_code,
                         } => {
                             let mut fv = test.fv;
                             fv.union_with(&then_code.fv.without(&jname));
                             fv.union_with(&code.fv.without(&jname));
-                            fv.union_with(&frees);
+                            fv.union_with(&jcode.fv.without(&r));
                             let iff = self.builder.if_(test.triv, then_code.code, code.code);
-                            let c2 = self.builder.let_triv(&jname, lam, iff);
+                            let c2 = self.builder.join(&jname, &r, jcode.code, iff);
                             code = RCode { code: c2, fv };
                             let floor = self.wrap_floor();
                             code = self.apply_wraps(code, floor);

@@ -361,7 +361,9 @@ impl<'p, B: CodeBuilder + 'p> Spec<'p, B> {
     /// as Fig. 3 does — makes residual code exponential in the number of
     /// sequential dynamic conditionals, so a *join point* is inserted
     /// instead: `(let ((j (λ (r) K[r]))) (if t (j …) (j …)))`, the same
-    /// device the stock A-normalizer uses.
+    /// device the stock A-normalizer uses. It is built with
+    /// [`CodeBuilder::join`] once both branches are done, so the object
+    /// backend can compile `K[r]` as a block of the enclosing template.
     fn residual_if(
         &mut self,
         test: Resid<B::Triv>,
@@ -387,13 +389,6 @@ impl<'p, B: CodeBuilder + 'p> Spec<'p, B> {
                 let rv = self.dyn_var(&r);
                 let jcode = f(self, rv)?;
                 let jname = self.gensym.fresh("join");
-                let frees = jcode.fv.without(&r);
-                let lam = self.builder.lambda(
-                    &jname,
-                    std::slice::from_ref(&r),
-                    frees.as_slice(),
-                    jcode.code,
-                );
                 let jn = jname;
                 let jump = Kont::op(move |s: &mut Spec<'p, B>, v: SVal<B>| {
                     let tr = s.triv_of(v)?;
@@ -411,10 +406,10 @@ impl<'p, B: CodeBuilder + 'p> Spec<'p, B> {
                 let mut fv = test.fv;
                 fv.union_with(&then.fv.without(&jname));
                 fv.union_with(&els.fv.without(&jname));
-                fv.union_with(&frees);
+                fv.union_with(&jcode.fv.without(&r));
                 let iff = self.builder.if_(test.triv, then.code, els.code);
                 Ok(RCode {
-                    code: self.builder.let_triv(&jname, lam, iff),
+                    code: self.builder.join(&jname, &r, jcode.code, iff),
                     fv,
                 })
             }

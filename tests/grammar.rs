@@ -7,8 +7,10 @@
 //! the input word — and redefining the source is all it takes to
 //! invalidate every derived artifact downstream.
 
-use two4one::{interpret, run_image, with_stack, Datum, Division, GenExt, Pgg, BT};
+use two4one::{anf, compile_program, interpret, run_image, with_stack};
+use two4one::{CallPolicy, Datum, Division, GenExt, Pgg, BT};
 use two4one_langs::grammar;
+use two4one_vm::{Instr, Template};
 
 fn pgg() -> Pgg {
     grammar::grammar_policies()
@@ -309,5 +311,189 @@ fn random_grammars_specialize_faithfully() {
         assert!(valid >= 20, "only {valid}/80 seeds were valid");
         assert!(accepts >= 20, "only {accepts} accepted words");
         assert!(rejects >= 20, "only {rejects} rejected words");
+    });
+}
+
+// ---------------------------------------------------------------------
+// Join points never allocate. Every residual `if` in non-tail position is
+// a join point, and a join compiles to a block of its template reached by
+// jumps, so the only `make-closure`s left in a residual image are the
+// residual program's own lambdas (LAZY's thunks; a recognizer has none).
+// The residual optimizer must keep the join marks sound: its output still
+// compiles and agrees with the interpreter.
+
+/// A specialization subject: the generating extension, the program it
+/// came from, its static arguments and the dynamic inputs to run.
+struct JoinSubject {
+    name: String,
+    parsed: two4one::cs::Program,
+    genext: GenExt,
+    entry: &'static str,
+    statics: Vec<Datum>,
+    inputs: Vec<Datum>,
+}
+
+/// MIXWELL and LAZY over their Sec. 7 programs, the adversarial grammars
+/// and every valid grammar of the random-grammar seeds.
+fn join_subjects() -> Vec<JoinSubject> {
+    let interp = |name: &str,
+                  policies: Vec<(&'static str, CallPolicy)>,
+                  src: &str,
+                  entry: &'static str,
+                  program: Datum,
+                  input: Datum| {
+        let pgg = policies
+            .iter()
+            .fold(Pgg::new(), |p, (f, pol)| p.policy(f, *pol));
+        let parsed = pgg.parse(src).expect("interpreter parses");
+        let genext = pgg
+            .cogen(&parsed, entry, &Division::new([BT::Static, BT::Dynamic]))
+            .expect("cogen");
+        JoinSubject {
+            name: name.to_string(),
+            parsed,
+            genext,
+            entry,
+            statics: vec![program],
+            inputs: vec![input],
+        }
+    };
+    let mut v = vec![
+        interp(
+            "mixwell",
+            two4one_langs::mixwell_policies(),
+            two4one_langs::MIXWELL_INTERP,
+            "mixwell-run",
+            two4one_langs::mixwell_program(),
+            Datum::list([Datum::Int(25)]),
+        ),
+        interp(
+            "lazy",
+            two4one_langs::lazy_policies(),
+            two4one_langs::LAZY_INTERP,
+            "lazy-run",
+            two4one_langs::lazy_program(),
+            Datum::list([Datum::Int(3), Datum::Int(4)]),
+        ),
+    ];
+    let mut recognizer = |name: String, g: &grammar::Grammar, words: Vec<String>| {
+        let (_pgg, parsed, genext) = genext_for(g);
+        v.push(JoinSubject {
+            name,
+            parsed,
+            genext,
+            entry: grammar::WORKLOAD_ENTRY,
+            statics: vec![],
+            inputs: words.iter().map(|w| grammar::input_datum(w)).collect(),
+        });
+    };
+    for (name, text, accept, reject) in grammar::adversarial_suite() {
+        let g = grammar::parse(text).expect(name);
+        recognizer(name.to_string(), &g, vec![accept, reject]);
+    }
+    for seed in 0..80u64 {
+        let mut rng = Rng::new(seed + 1);
+        let text = gen_grammar(&mut rng);
+        let Ok(g) = grammar::parse(&text) else {
+            continue;
+        };
+        let mut words = vec![String::new()];
+        let enc = g.encode();
+        let start = enc.car().and_then(|r| r.cdr()).and_then(|d| d.car());
+        let mut w = String::new();
+        if let Some(body) = start {
+            if derive(&mut rng, &enc, body, 40, &mut w).is_some() {
+                words.push(w);
+            }
+        }
+        words.push((0..4).map(|_| ALPHABET[rng.below(4)]).collect());
+        recognizer(format!("seed {seed}: {text}"), &g, words);
+    }
+    v
+}
+
+fn make_closures(t: &Template) -> usize {
+    let here = t
+        .code
+        .iter()
+        .filter(|i| matches!(i, Instr::MakeClosure { .. }))
+        .count();
+    here + t.templates.iter().map(|s| make_closures(s)).sum::<usize>()
+}
+
+/// The lambdas of `e`, as `(closures, joins)`.
+fn lambdas(e: &anf::Expr) -> (usize, usize) {
+    fn add(a: (usize, usize), b: (usize, usize)) -> (usize, usize) {
+        (a.0 + b.0, a.1 + b.1)
+    }
+    fn triv(t: &anf::Triv) -> (usize, usize) {
+        match t {
+            anf::Triv::Lambda(l) => add(
+                lambdas(&l.body),
+                (usize::from(!l.join), usize::from(l.join)),
+            ),
+            _ => (0, 0),
+        }
+    }
+    fn app(a: &anf::App) -> (usize, usize) {
+        let (f, args) = match a {
+            anf::App::Call(f, args) => (triv(f), args),
+            anf::App::Prim(_, args) => ((0, 0), args),
+        };
+        args.iter().map(triv).fold(f, add)
+    }
+    match e {
+        anf::Expr::Ret(t) => triv(t),
+        anf::Expr::Tail(a) => app(a),
+        anf::Expr::Let(_, anf::Rhs::Triv(t), body) => add(triv(t), lambdas(body)),
+        anf::Expr::Let(_, anf::Rhs::App(a), body) => add(app(a), lambdas(body)),
+        anf::Expr::If(t, c, a) => add(triv(t), add(lambdas(c), lambdas(a))),
+    }
+}
+
+#[test]
+fn join_points_never_allocate() {
+    with_stack(|| {
+        let mut joins = 0;
+        for s in join_subjects() {
+            let source = s.genext.specialize_source(&s.statics).expect("source");
+            let (closures, js) = source
+                .defs
+                .iter()
+                .map(|d| lambdas(&d.body))
+                .fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1));
+            joins += js;
+            let image = s.genext.specialize_object(&s.statics).expect("object");
+            let allocs: usize = image.templates.iter().map(|(_, t)| make_closures(t)).sum();
+            assert_eq!(allocs, closures, "{}", s.name);
+            if s.entry == grammar::WORKLOAD_ENTRY {
+                assert_eq!(allocs, 0, "{}: a recognizer builds no closures", s.name);
+            }
+        }
+        assert!(joins > 100, "only {joins} join points checked");
+    });
+}
+
+#[test]
+fn optimized_residuals_keep_their_join_points_sound() {
+    with_stack(|| {
+        for s in join_subjects() {
+            let optimized = s
+                .genext
+                .specialize_source_optimized(&s.statics)
+                .expect("optimized source");
+            let image = compile_program(&optimized, s.entry)
+                .unwrap_or_else(|e| panic!("{}: {e}\n{}", s.name, optimized.to_source()));
+            for input in &s.inputs {
+                let got = run_image(&image, s.entry, std::slice::from_ref(input))
+                    .expect("run")
+                    .value;
+                let args: Vec<Datum> = s.statics.iter().chain([input]).cloned().collect();
+                let expect = interpret(&s.parsed, s.entry, &args)
+                    .expect("interpret")
+                    .value;
+                assert_eq!(got, expect, "{} on {input}", s.name);
+            }
+        }
     });
 }
