@@ -149,42 +149,14 @@ impl Flight {
         self.done.notify_all();
     }
 
-    /// Blocks until the leader publishes, then returns a shared copy.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn wait(&self) -> Result<Arc<SpecOutcome>, String> {
-        let mut guard = lock(&self.result);
-        loop {
-            if let Some(r) = guard.as_ref() {
-                return r.clone();
-            }
-            guard = self
-                .done
-                .wait(guard)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    /// Like [`Flight::wait`], but gives up at `until`: returns `None` if
-    /// the leader has not published by then (the leader keeps running —
-    /// a waiter's deadline never cancels someone else's request).
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn wait_until(
-        &self,
-        until: Option<Instant>,
-    ) -> Option<Result<Arc<SpecOutcome>, String>> {
-        match self.wait_cancellable(until, None) {
-            FlightWait::Done(r) => Some(r),
-            FlightWait::TimedOut | FlightWait::Detached => None,
-        }
-    }
-
-    /// Like [`Flight::wait_until`], but additionally observes the waiter's
-    /// own [`CancelToken`]: a coalesced waiter whose client disconnects
-    /// detaches from the flight instead of blocking until the deadline.
-    /// Detaching is strictly waiter-side — the leader keeps running and
-    /// publishes for everyone else (a waiter's token never cancels someone
-    /// else's request). A published result always wins over a fired token:
-    /// delivering it is free and the caller may still be able to use it.
+    /// Blocks until the leader publishes, `until` passes, or the waiter's
+    /// own [`CancelToken`] fires: a coalesced waiter whose client
+    /// disconnects detaches from the flight instead of blocking until the
+    /// deadline. Giving up is strictly waiter-side — the leader keeps
+    /// running and publishes for everyone else (a waiter's deadline or
+    /// token never cancels someone else's request). A published result
+    /// always wins over an expired deadline or a fired token: delivering
+    /// it is free and the caller may still be able to use it.
     pub(crate) fn wait_cancellable(
         &self,
         until: Option<Instant>,
@@ -236,19 +208,20 @@ pub(crate) enum FlightWait {
     Detached,
 }
 
-/// Which execution tier produced a cached image.
+/// Where a cached entry stands in tiered promotion.
 ///
-/// `Generic` is the Tier-0 fast path: the generically-compiled image
-/// (fuel-0 fallback recipe) published immediately on a cold miss so the
-/// requester never waits on the specializer. `Specialized` is the fully
-/// specialized residual. `Degraded` is a specialized image produced under
-/// a budget fallback — still better than generic, but a candidate for
-/// polyvariant re-specialization with escalated budgets.
+/// `Pending` is a Tier-0 generic image (fuel-0 fallback recipe, published
+/// immediately on a cold miss) counting hits toward its promotion.
+/// `Queued` is one whose promotion candidate is queued or running, which
+/// gates duplicate enqueues. `Final` is everything promotion leaves
+/// alone: a request-path specialization, a restored snapshot record, a
+/// promotion's swapped-in image (clean or still starved at the top of
+/// the ladder), and a generic image whose promotion failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Tier {
-    Specialized,
-    Generic,
-    Degraded,
+pub(crate) enum Promotion {
+    Pending,
+    Queued,
+    Final,
 }
 
 /// A finished, cached result.
@@ -258,38 +231,21 @@ pub(crate) struct Entry {
     /// Logical access time (global ticket counter), for LRU-ish eviction.
     pub(crate) last_access: u64,
     /// Code-size units this entry charges against the shard budget.
-    pub(crate) size: usize,
-    /// Which tier produced `outcome`.
-    pub(crate) tier: Tier,
+    size: usize,
     /// Serve-path hits since publication — combined with the image's
     /// execution profile to decide promotion.
     pub(crate) hits: u64,
-    /// A promotion candidate for this entry is queued or running; gates
-    /// duplicate enqueues.
-    pub(crate) queued: bool,
-    /// Promotion permanently given up (specializer failed or the entry
-    /// exhausted its escalation budget); never re-enqueued.
-    pub(crate) dead: bool,
-    /// Budget-escalation round for the next re-specialization attempt.
-    pub(crate) escalation: u32,
+    pub(crate) promotion: Promotion,
 }
 
 impl Entry {
-    pub(crate) fn new(
-        outcome: Arc<SpecOutcome>,
-        last_access: u64,
-        size: usize,
-        tier: Tier,
-    ) -> Self {
+    pub(crate) fn new(outcome: Arc<SpecOutcome>, last_access: u64, promotion: Promotion) -> Self {
         Entry {
+            size: outcome.code_size().max(1),
             outcome,
             last_access,
-            size,
-            tier,
             hits: 0,
-            queued: false,
-            dead: false,
-            escalation: 0,
+            promotion,
         }
     }
 }
@@ -300,14 +256,53 @@ pub(crate) enum Slot {
     InFlight(Arc<Flight>),
 }
 
-/// One shard: a map plus the code-size total of its `Ready` entries.
-#[derive(Debug, Default)]
+/// One shard: a map, the code-size total of its `Ready` entries, and the
+/// budgets that total and the entry count are held to. Every write of a
+/// `Ready` entry goes through [`Shard::put`] or [`Shard::remove_ready`],
+/// which keep the total; the map itself is only probed and used for
+/// in-flight slots outside this module.
+#[derive(Debug)]
 pub(crate) struct Shard {
     pub(crate) map: HashMap<Key, Slot>,
-    pub(crate) code_size: usize,
+    code_size: usize,
+    max_entries: usize,
+    code_budget: Option<usize>,
 }
 
 impl Shard {
+    pub(crate) fn new(max_entries: usize, code_budget: Option<usize>) -> Self {
+        Shard {
+            map: HashMap::new(),
+            code_size: 0,
+            max_entries,
+            code_budget,
+        }
+    }
+
+    /// Stores `entry` under `key`, replacing whatever slot was there (the
+    /// leader's in-flight slot, or the entry a promotion supersedes), and
+    /// evicts down to the budgets. Returns the number of entries evicted.
+    pub(crate) fn put(&mut self, key: Key, entry: Entry) -> u64 {
+        self.code_size += entry.size;
+        if let Some(Slot::Ready(old)) = self.map.insert(key, Slot::Ready(entry)) {
+            self.code_size -= old.size.min(self.code_size);
+        }
+        self.evict()
+    }
+
+    /// Drops `key`'s `Ready` entry, if it has one (an in-flight slot
+    /// belongs to its leader and is left alone). Returns whether an entry
+    /// was dropped.
+    pub(crate) fn remove_ready(&mut self, key: &Key) -> bool {
+        if !matches!(self.map.get(key), Some(Slot::Ready(_))) {
+            return false;
+        }
+        if let Some(Slot::Ready(e)) = self.map.remove(key) {
+            self.code_size -= e.size.min(self.code_size);
+        }
+        true
+    }
+
     fn ready_count(&self) -> usize {
         self.map
             .values()
@@ -316,16 +311,16 @@ impl Shard {
     }
 
     /// Evicts least-recently-used `Ready` entries until the shard is
-    /// within `max_entries` and `code_budget`. A single entry larger than
-    /// the whole budget is kept (evicting it would make the hit rate zero
-    /// without freeing space for anything usable); in-flight slots are
-    /// never evicted. Returns the number of entries removed.
-    pub(crate) fn evict_to(&mut self, max_entries: usize, code_budget: Option<usize>) -> u64 {
+    /// within its entry and code budgets. A single entry larger than the
+    /// whole code budget is kept (evicting it would make the hit rate
+    /// zero without freeing space for anything usable); in-flight slots
+    /// are never evicted. Returns the number of entries removed.
+    fn evict(&mut self) -> u64 {
         let mut evicted = 0;
         loop {
             let ready = self.ready_count();
-            let over_count = ready > max_entries;
-            let over_size = match code_budget {
+            let over_count = ready > self.max_entries;
+            let over_size = match self.code_budget {
                 Some(b) => self.code_size > b && ready > 1,
                 None => false,
             };
@@ -343,9 +338,7 @@ impl Shard {
                 .map(|(k, _)| k);
             match victim {
                 Some(k) => {
-                    if let Some(Slot::Ready(e)) = self.map.remove(&k) {
-                        self.code_size -= e.size.min(self.code_size);
-                    }
+                    self.remove_ready(&k);
                     evicted += 1;
                 }
                 None => return evicted,
@@ -371,8 +364,10 @@ mod tests {
         })
     }
 
-    fn ready(tick: u64, size: usize) -> Slot {
-        Slot::Ready(Entry::new(dummy_outcome(), tick, size, Tier::Specialized))
+    fn ready(tick: u64, size: usize) -> Entry {
+        let mut entry = Entry::new(dummy_outcome(), tick, Promotion::Final);
+        entry.size = size;
+        entry
     }
 
     #[test]
@@ -388,9 +383,9 @@ mod tests {
         let a = Key::with_digest(42, "(define (f x) x)", "f", "(1)");
         let b = Key::with_digest(42, "(define (f x) (+ x 1))", "f", "(1)");
         assert_ne!(a, b);
-        let mut shard = Shard::default();
-        shard.map.insert(a.clone(), ready(0, 1));
-        shard.map.insert(b.clone(), ready(1, 1));
+        let mut shard = Shard::new(8, None);
+        shard.put(a.clone(), ready(0, 1));
+        shard.put(b.clone(), ready(1, 1));
         assert_eq!(shard.map.len(), 2);
         assert!(matches!(shard.map.get(&a), Some(Slot::Ready(_))));
         assert!(matches!(shard.map.get(&b), Some(Slot::Ready(_))));
@@ -420,37 +415,31 @@ mod tests {
 
     #[test]
     fn eviction_removes_oldest_ready_first() {
-        let mut shard = Shard::default();
-        shard.map.insert(Key::new("p1", "e", "()"), ready(5, 10));
-        shard.map.insert(Key::new("p2", "e", "()"), ready(1, 10));
-        shard.map.insert(Key::new("p3", "e", "()"), ready(9, 10));
-        shard.code_size = 30;
-        let n = shard.evict_to(2, None);
-        assert_eq!(n, 1);
+        let mut shard = Shard::new(2, None);
+        assert_eq!(shard.put(Key::new("p1", "e", "()"), ready(5, 10)), 0);
+        assert_eq!(shard.put(Key::new("p2", "e", "()"), ready(1, 10)), 0);
+        assert_eq!(shard.put(Key::new("p3", "e", "()"), ready(9, 10)), 1);
         assert!(!shard.map.contains_key(&Key::new("p2", "e", "()")));
         assert_eq!(shard.code_size, 20);
     }
 
     #[test]
     fn eviction_never_removes_inflight() {
-        let mut shard = Shard::default();
+        let mut shard = Shard::new(0, None);
         shard
             .map
             .insert(Key::new("p1", "e", "()"), Slot::InFlight(Arc::default()));
-        shard.map.insert(Key::new("p2", "e", "()"), ready(1, 10));
-        shard.code_size = 10;
-        shard.evict_to(0, None);
+        assert_eq!(shard.put(Key::new("p2", "e", "()"), ready(1, 10)), 1);
         assert!(shard.map.contains_key(&Key::new("p1", "e", "()")));
         assert!(!shard.map.contains_key(&Key::new("p2", "e", "()")));
     }
 
     #[test]
     fn oversized_single_entry_survives() {
-        let mut shard = Shard::default();
-        shard.map.insert(Key::new("p1", "e", "()"), ready(1, 100));
-        shard.code_size = 100;
-        assert_eq!(shard.evict_to(8, Some(10)), 0);
+        let mut shard = Shard::new(8, Some(10));
+        assert_eq!(shard.put(Key::new("p1", "e", "()"), ready(1, 100)), 0);
         assert_eq!(shard.map.len(), 1);
+        assert_eq!(shard.code_size, 100);
     }
 
     #[test]
@@ -458,11 +447,11 @@ mod tests {
         // A panic while holding a shard lock poisons the mutex; `lock`
         // must keep serving (shard mutations are single-critical-section,
         // so the state behind a poisoned lock is still consistent).
-        let shard = Arc::new(Mutex::new(Shard::default()));
+        let shard = Arc::new(Mutex::new(Shard::new(8, None)));
         let poisoner = shard.clone();
         let panicked = std::thread::spawn(move || {
             let mut guard = poisoner.lock().expect("first lock");
-            guard.map.insert(Key::new("p", "e", "()"), ready(0, 1));
+            guard.put(Key::new("p", "e", "()"), ready(0, 1));
             panic!("injected fault: die holding the shard lock");
         })
         .join();
@@ -476,11 +465,20 @@ mod tests {
     fn flight_wait_until_times_out_and_still_delivers_later() {
         let f = Arc::new(Flight::default());
         // Deadline already passed and nothing published: give up.
-        assert!(f.wait_until(Some(Instant::now())).is_none());
+        assert!(matches!(
+            f.wait_cancellable(Some(Instant::now()), None),
+            FlightWait::TimedOut
+        ));
         f.complete(Ok(dummy_outcome()));
         // Published: even an expired deadline returns the result.
-        assert!(f.wait_until(Some(Instant::now())).is_some());
-        assert!(f.wait_until(None).is_some());
+        assert!(matches!(
+            f.wait_cancellable(Some(Instant::now()), None),
+            FlightWait::Done(Ok(_))
+        ));
+        assert!(matches!(
+            f.wait_cancellable(None, None),
+            FlightWait::Done(Ok(_))
+        ));
     }
 
     #[test]
@@ -506,7 +504,10 @@ mod tests {
             // Published result wins even though this token already fired.
             FlightWait::Done(Ok(_))
         ));
-        assert!(f.wait().is_ok());
+        assert!(matches!(
+            f.wait_cancellable(None, None),
+            FlightWait::Done(Ok(_))
+        ));
     }
 
     #[test]
@@ -527,10 +528,16 @@ mod tests {
     fn flight_rendezvous_shares_result() {
         let f = Arc::new(Flight::default());
         let f2 = f.clone();
-        let waiter = std::thread::spawn(move || f2.wait());
+        let waiter = std::thread::spawn(move || f2.wait_cancellable(None, None));
         f.complete(Ok(dummy_outcome()));
-        assert!(waiter.join().expect("waiter thread").is_ok());
+        assert!(matches!(
+            waiter.join().expect("waiter thread"),
+            FlightWait::Done(Ok(_))
+        ));
         // Late arrivals see the published result immediately.
-        assert!(f.wait().is_ok());
+        assert!(matches!(
+            f.wait_cancellable(None, None),
+            FlightWait::Done(Ok(_))
+        ));
     }
 }

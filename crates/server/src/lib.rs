@@ -68,7 +68,7 @@ use std::time::{Duration, Instant};
 
 use admission::{Admission, Gate};
 use breaker::{Breaker, BreakerScope, Verdict};
-use cache::{lock, Entry, Flight, FlightWait, Key, Shard, Slot, Tier};
+use cache::{lock, Entry, Flight, FlightWait, Key, Promotion, Shard, Slot};
 use persist::{GenextSnapRecord, SnapRecord};
 use registry::{Backedge, Registry};
 use stats::ServeStats;
@@ -249,35 +249,6 @@ impl SpecRequest {
     }
 }
 
-/// Retry tuning for transient limit hits (see [`ServeConfig::retry`]).
-///
-/// A fill whose first attempt *degraded* because of unfold fuel or the
-/// memo cap (`SpecStats::fallback_kind`) may be retried once with those
-/// budgets multiplied by `escalation`, after a jittered `backoff`. The
-/// better of the two results is cached. Hard failures are never retried
-/// here — they feed the circuit breaker instead.
-#[derive(Debug, Clone)]
-pub struct RetryPolicy {
-    /// Maximum escalated re-attempts per fill. `0` disables retry.
-    pub max_retries: u32,
-    /// Budget multiplier applied to `unfold_fuel` and `memo_cap` on
-    /// retry.
-    pub escalation: u64,
-    /// Base backoff before the retry; the actual sleep is jittered to
-    /// 50–150 % of this, deterministically per request key.
-    pub backoff: Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 1,
-            escalation: 4,
-            backoff: Duration::from_millis(2),
-        }
-    }
-}
-
 /// A test/diagnostics hook the service calls at the start of every cache
 /// fill, on the worker thread, inside the panic boundary. Lets fault
 /// tests inject delays or panics exactly where a real specializer run
@@ -320,8 +291,6 @@ pub struct ServeConfig {
     pub queue_bound: usize,
     /// Deadline applied to requests that do not carry their own.
     pub default_deadline: Option<Duration>,
-    /// Escalated-budget retry for transiently degraded fills.
-    pub retry: RetryPolicy,
     /// Per-program circuit breaking for consecutive hard failures.
     pub breaker: BreakerPolicy,
     /// Called at the start of every fill (fault-injection tests).
@@ -354,7 +323,6 @@ impl Default for ServeConfig {
             max_inflight: 32,
             queue_bound: 256,
             default_deadline: None,
-            retry: RetryPolicy::default(),
             breaker: BreakerPolicy::default(),
             fill_hook: None,
             tier0: false,
@@ -402,9 +370,18 @@ pub struct GenextRestoreReport {
 /// dropping a candidate costs latency, never correctness.
 const PROMOTE_QUEUE_CAP: usize = 256;
 
-/// How many escalated re-specialization rounds a degraded entry gets
-/// before promotion gives up on it for good.
-const MAX_ESCALATIONS: u32 = 3;
+/// Escalated re-runs a request-path fill may spend on starvation: one,
+/// at ×4, so a requester waits for at most two specializer runs.
+const REQUEST_RETRIES: u32 = 1;
+
+/// Escalated re-runs a background promotion may spend: ×4, ×16, ×64,
+/// all in one job — nobody is waiting on it, and a generic image serves
+/// meanwhile.
+const PROMOTION_RETRIES: u32 = 3;
+
+/// Factor each re-run multiplies the transient budgets (unfold fuel, memo
+/// cap) by.
+const ESCALATION: u64 = 4;
 
 /// One queued background promotion: everything `promote_one` needs to
 /// re-run the specializer for a cache entry off the request path.
@@ -414,10 +391,6 @@ struct Candidate {
     ext: GenExt,
     statics: Vec<Datum>,
     backedge: Option<Backedge>,
-    /// Budget-escalation round (0 = plain options; N multiplies the
-    /// transient budgets by `retry.escalation^N`, for hot-but-degraded
-    /// entries).
-    escalation: u32,
 }
 
 #[derive(Debug, Default)]
@@ -469,7 +442,9 @@ impl TierStats {
 pub struct TierSnapshot {
     /// Cold misses answered with the generically-compiled (Tier-0) image.
     pub tier0_served: u64,
-    /// Background specializations hot-swapped into the cache.
+    /// Background specializations hot-swapped into the cache. A promoted
+    /// entry is swapped once: its escalated re-runs, if starvation
+    /// needs any, happen inside the one background job.
     pub promotions: u64,
     /// Promotion attempts abandoned because the specializer failed or
     /// panicked; the generic image keeps serving.
@@ -495,8 +470,6 @@ pub struct TierSnapshot {
 #[derive(Debug)]
 pub struct Core {
     shards: Vec<Mutex<Shard>>,
-    per_shard_entries: usize,
-    per_shard_code: Option<usize>,
     stack_bytes: usize,
     ticket: AtomicU64,
     stats: ServeStats,
@@ -505,7 +478,6 @@ pub struct Core {
     /// their behalf. (Not to be confused with the *metrics* registry on
     /// [`SpecService`].)
     programs: Registry,
-    retry: RetryPolicy,
     fill_hook: Option<FillHook>,
     /// Present when tiered execution is on.
     tier: Option<TierState>,
@@ -578,7 +550,11 @@ impl SpecService {
     /// promotion workers; they are joined when the service drops.
     pub fn with_config(config: ServeConfig) -> Self {
         let nshards = config.shards.max(1);
-        let shards = (0..nshards).map(|_| Mutex::new(Shard::default())).collect();
+        let per_shard_entries = config.max_entries.div_ceil(nshards).max(1);
+        let per_shard_code = config.limits.code_cap.map(|c| c.div_ceil(nshards).max(1));
+        let shards = (0..nshards)
+            .map(|_| Mutex::new(Shard::new(per_shard_entries, per_shard_code)))
+            .collect();
         let registry = Arc::new(obs::MetricsRegistry::new());
         // Ensure the global pipeline families (phase histograms, spec
         // counters) exist too, so a freshly built service can expose the
@@ -586,13 +562,10 @@ impl SpecService {
         two4one::init_metrics();
         let core = Arc::new(Core {
             shards,
-            per_shard_entries: config.max_entries.div_ceil(nshards).max(1),
-            per_shard_code: config.limits.code_cap.map(|c| c.div_ceil(nshards).max(1)),
             stack_bytes: config.stack_bytes,
             ticket: AtomicU64::new(0),
             stats: ServeStats::register(&registry),
             programs: Registry::new(registry.gauge("t4o_programs_registered")),
-            retry: config.retry,
             fill_hook: config.fill_hook,
             tier: config.tier0.then(|| TierState {
                 promote_after: config.promote_after,
@@ -791,18 +764,12 @@ impl Core {
     /// publication the registry tombstones instead). Returns how many
     /// were dropped.
     fn invalidate(&self, victims: Vec<Key>) -> u64 {
-        let mut dropped = 0u64;
-        for key in victims {
-            let mut guard = lock(self.shard_of(&key));
-            if matches!(guard.map.get(&key), Some(Slot::Ready(_))) {
-                if let Some(Slot::Ready(e)) = guard.map.remove(&key) {
-                    guard.code_size -= e.size.min(guard.code_size);
-                    dropped += 1;
-                }
-            }
-        }
+        let dropped = victims
+            .iter()
+            .filter(|key| lock(self.shard_of(key)).remove_ready(key))
+            .count() as u64;
         if dropped > 0 {
-            ServeStats::add(&self.stats.invalidated, dropped);
+            self.stats.invalidated.add(dropped);
             obs::event_with(obs::EventKind::Invalidated, dropped);
         }
         dropped
@@ -926,30 +893,33 @@ impl SpecService {
 
     // ----- snapshot / restore -------------------------------------------
 
-    /// Serializes every cached (`Ready`) entry into a `.t4os` snapshot:
+    /// Serializes every finished cache entry into a `.t4os` snapshot:
     /// CRC-32-checked records in a deterministic (sorted) order, so equal
     /// cache contents produce identical bytes. In-flight fills are not
-    /// included.
+    /// included, and neither are Tier-0 generic images still awaiting
+    /// promotion: a restored record is final and would never be promoted.
     pub fn snapshot_bytes(&self) -> Vec<u8> {
         let mut records: Vec<SnapRecord> = Vec::new();
         for shard in &self.shards {
             let guard = lock(shard);
             for (key, slot) in &guard.map {
-                if let Slot::Ready(entry) = slot {
-                    let (name, epoch) = match &key.backedge {
-                        Some((n, e)) => (n.to_string(), e.get()),
-                        None => (String::new(), 0),
-                    };
-                    records.push(SnapRecord {
-                        program: key.program.to_string(),
-                        entry: key.entry.to_string(),
-                        statics: key.statics.to_string(),
-                        name,
-                        epoch,
-                        stats: entry.outcome.stats.clone(),
-                        image: entry.outcome.image.clone(),
-                    });
+                let Slot::Ready(entry) = slot else { continue };
+                if entry.promotion != Promotion::Final {
+                    continue;
                 }
+                let (name, epoch) = match &key.backedge {
+                    Some((n, e)) => (n.to_string(), e.get()),
+                    None => (String::new(), 0),
+                };
+                records.push(SnapRecord {
+                    program: key.program.to_string(),
+                    entry: key.entry.to_string(),
+                    statics: key.statics.to_string(),
+                    name,
+                    epoch,
+                    stats: entry.outcome.stats.clone(),
+                    image: entry.outcome.image.clone(),
+                });
             }
         }
         records.sort_by(|a, b| {
@@ -999,12 +969,13 @@ impl SpecService {
                 None => Key::new(&rec.program, &rec.entry, &rec.statics),
             };
             let shard = self.shard_of(&key);
-            let outcome = Arc::new(SpecOutcome {
-                image: rec.image,
-                stats: rec.stats,
-                profile: Arc::new(ExecProfile::default()),
-            });
-            let size = outcome.code_size().max(1);
+            // Snapshots only ever hold final entries, so a restored entry
+            // is never a promotion candidate.
+            let entry = Entry::new(
+                new_outcome(rec.image, rec.stats),
+                self.ticket.fetch_add(1, Ordering::Relaxed),
+                Promotion::Final,
+            );
             // The insert runs under the registry's epoch check (the same
             // tombstone gate as a live fill), so a redefinition racing
             // the restore cannot slip a newly stale record in.
@@ -1013,23 +984,11 @@ impl SpecService {
                 if guard.map.contains_key(&key) {
                     return None;
                 }
-                guard.map.insert(
-                    key.clone(),
-                    // Snapshots only ever hold full specializations, so a
-                    // restored entry is never a promotion candidate.
-                    Slot::Ready(Entry::new(
-                        outcome.clone(),
-                        self.ticket.fetch_add(1, Ordering::Relaxed),
-                        size,
-                        Tier::Specialized,
-                    )),
-                );
-                guard.code_size += size;
-                Some(guard.evict_to(self.per_shard_entries, self.per_shard_code))
+                Some(guard.put(key.clone(), entry))
             });
             match published {
                 Some(Some(evicted)) => {
-                    ServeStats::add(&self.stats.evictions, evicted);
+                    self.stats.evictions.add(evicted);
                     restored += 1;
                 }
                 // The key is already live in the cache: keep the live entry.
@@ -1039,9 +998,9 @@ impl SpecService {
                 None => stale_dropped += 1,
             }
         }
-        ServeStats::add(&self.stats.restored, restored);
-        ServeStats::add(&self.stats.quarantined, decoded.quarantined);
-        ServeStats::add(&self.stats.stale_dropped, stale_dropped);
+        self.stats.restored.add(restored);
+        self.stats.quarantined.add(decoded.quarantined);
+        self.stats.stale_dropped.add(stale_dropped);
         if restored > 0 {
             obs::event_with(obs::EventKind::Restored, restored);
         }
@@ -1068,12 +1027,7 @@ impl SpecService {
     ///
     /// Propagates filesystem errors.
     pub fn snapshot(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        let path = path.as_ref();
-        let mut tmp_name = path.as_os_str().to_os_string();
-        tmp_name.push(".tmp");
-        let tmp = std::path::PathBuf::from(tmp_name);
-        std::fs::write(&tmp, self.snapshot_bytes())?;
-        std::fs::rename(&tmp, path)
+        write_atomically(path.as_ref(), &self.snapshot_bytes())
     }
 
     /// Restores the cache from a `.t4os` snapshot file.
@@ -1161,12 +1115,7 @@ impl SpecService {
     ///
     /// Propagates filesystem errors.
     pub fn snapshot_genexts(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        let path = path.as_ref();
-        let mut tmp_name = path.as_os_str().to_os_string();
-        tmp_name.push(".tmp");
-        let tmp = std::path::PathBuf::from(tmp_name);
-        std::fs::write(&tmp, self.genext_snapshot_bytes())?;
-        std::fs::rename(&tmp, path)
+        write_atomically(path.as_ref(), &self.genext_snapshot_bytes())
     }
 
     /// Restores staged gen-exts from a `.t4og` snapshot file.
@@ -1261,7 +1210,7 @@ impl SpecService {
         // breaker every request would re-run the failing specialization).
         let verdict = self.breaker.preflight(&scope, epoch);
         if verdict == Verdict::Fallback {
-            ServeStats::bump(&self.stats.breaker_open);
+            self.stats.breaker_open.inc();
             obs::event(obs::EventKind::BreakerOpen);
             return self.breaker_fallback(ext, statics, spawn_stack);
         }
@@ -1272,19 +1221,19 @@ impl SpecService {
             Lead(Arc<Flight>),
         }
 
-        // Set under the shard lock when this hit pushes a non-specialized
+        // Set under the shard lock when this hit pushes a pending Tier-0
         // entry over the promotion threshold; acted on after the lock is
         // released (the queue has its own lock — never nest them).
-        let mut promote: Option<u32> = None;
+        let mut promote = false;
         let plan = {
             let mut guard = lock(shard);
             match guard.map.get_mut(&key) {
                 Some(Slot::Ready(entry)) => {
                     entry.last_access = self.ticket.fetch_add(1, Ordering::Relaxed);
-                    ServeStats::bump(&self.stats.hits);
+                    self.stats.hits.inc();
                     obs::event(obs::EventKind::CacheHit);
                     if let Some(tier) = &self.core.tier {
-                        if entry.tier != Tier::Specialized && !entry.queued && !entry.dead {
+                        if entry.promotion == Promotion::Pending {
                             entry.hits += 1;
                             // Hotness = serve-path hits plus the image's own
                             // execution count (embedders running it through
@@ -1292,8 +1241,8 @@ impl SpecService {
                             if entry.hits + entry.outcome.profile.visits()
                                 >= tier.promote_after.max(1)
                             {
-                                entry.queued = true;
-                                promote = Some(entry.escalation);
+                                entry.promotion = Promotion::Queued;
+                                promote = true;
                             }
                         }
                     }
@@ -1311,14 +1260,8 @@ impl SpecService {
             }
         };
 
-        if let Some(escalation) = promote {
-            self.core.enqueue_promotion(Candidate {
-                key: key.clone(),
-                ext: ext.clone(),
-                statics: statics.to_vec(),
-                backedge: backedge.cloned(),
-                escalation,
-            });
+        if promote {
+            self.core.enqueue_promotion(&key, ext, statics, backedge);
         }
 
         match plan {
@@ -1329,11 +1272,11 @@ impl SpecService {
                 Ok(outcome)
             }
             Plan::Wait(flight) => {
-                ServeStats::bump(&self.stats.coalesced);
+                self.stats.coalesced.inc();
                 obs::event(obs::EventKind::Coalesced);
                 let r = match flight.wait_cancellable(until, token.as_ref()) {
                     FlightWait::TimedOut => {
-                        ServeStats::bump(&self.stats.deadline_exceeded);
+                        self.stats.deadline_exceeded.inc();
                         obs::event(obs::EventKind::DeadlineExceeded);
                         Err(ServeError::DeadlineExceeded)
                     }
@@ -1345,11 +1288,11 @@ impl SpecService {
                         None => ServeError::Cancelled,
                     }),
                     FlightWait::Done(Ok(outcome)) => {
-                        ServeStats::bump(&self.stats.hits);
+                        self.stats.hits.inc();
                         Ok(outcome)
                     }
                     FlightWait::Done(Err(msg)) => {
-                        ServeStats::bump(&self.stats.errors);
+                        self.stats.errors.inc();
                         Err(ServeError::Shared(msg))
                     }
                 };
@@ -1374,7 +1317,7 @@ impl SpecService {
                 };
                 let r = match self.gate.admit(until) {
                     Admission::Shed { queue_depth } => {
-                        ServeStats::bump(&self.stats.shed);
+                        self.stats.shed.inc();
                         obs::event_with(obs::EventKind::Shed, queue_depth as u64);
                         guard.abandon("request shed at admission (overload)");
                         if verdict == Verdict::Probe {
@@ -1386,7 +1329,7 @@ impl SpecService {
                         });
                     }
                     Admission::TimedOut => {
-                        ServeStats::bump(&self.stats.deadline_exceeded);
+                        self.stats.deadline_exceeded.inc();
                         obs::event(obs::EventKind::DeadlineExceeded);
                         guard.abandon("request deadline passed while queued for admission");
                         if verdict == Verdict::Probe {
@@ -1408,7 +1351,7 @@ impl SpecService {
                             if tier0 {
                                 self.generic_image(ext, statics, token.as_ref())
                             } else {
-                                self.fill(ext, statics, &key, token.as_ref())
+                                self.fill(ext, statics, token.as_ref(), REQUEST_RETRIES)
                             }
                         });
                         drop(permit);
@@ -1459,57 +1402,56 @@ impl Core {
     /// clones share the staged program until a redefinition retires it.
     fn stage(&self, ext: &GenExt) -> Result<(), Error> {
         if ext.stage()? {
-            ServeStats::bump(&self.stats.genext_builds);
+            self.stats.genext_builds.inc();
         }
         Ok(())
     }
 
-    /// Runs one specializer fill, with escalated-budget retry for a
-    /// transiently degraded first attempt (see [`RetryPolicy`]).
+    /// The service's one specializer call, made by request-path fills
+    /// (`retries` = [`REQUEST_RETRIES`]) and background promotions
+    /// ([`PROMOTION_RETRIES`]). A run starved by unfold fuel or the memo
+    /// cap (`SpecStats::fallback_kind`) is re-run, up to `retries` times,
+    /// with both budgets multiplied by [`ESCALATION`] each time; the last
+    /// run that finished is kept, so an escalation failing outright (it
+    /// raced a deadline, say) never discards a degraded-but-usable image.
+    /// There is no backoff: starvation is deterministic, so waiting buys
+    /// nothing. Hard failures are never re-run here — they feed the
+    /// circuit breaker instead. Counts one `spec_runs`, one `retried` per
+    /// re-run, and one `degraded` if the kept run still degraded.
     fn fill(
         &self,
         ext: &GenExt,
         statics: &[Datum],
-        key: &Key,
         token: Option<&CancelToken>,
+        retries: u32,
     ) -> Result<(Image, SpecStats), Error> {
-        self.stage(ext)?;
-        let mut result = ext.specialize_object_governed(statics, ext.options(), token);
-        let mut attempt: u32 = 0;
-        while attempt < self.retry.max_retries {
-            let transient = matches!(
+        let mut result = self
+            .stage(ext)
+            .and_then(|()| ext.specialize_object_governed(statics, ext.options(), token));
+        let mut factor: u64 = 1;
+        for attempt in 1..=retries {
+            let starved = matches!(
                 &result,
                 Ok((_, stats)) if matches!(
                     stats.fallback_kind,
                     Some(LimitKind::UnfoldFuel | LimitKind::MemoEntries)
                 )
             );
-            if !transient || token.is_some_and(|t| t.is_stopped()) {
+            if !starved || token.is_some_and(|t| t.is_stopped()) {
                 break;
             }
-            attempt += 1;
-            ServeStats::bump(&self.stats.retried);
+            self.stats.retried.inc();
             obs::event_with(obs::EventKind::Retry, u64::from(attempt));
-            std::thread::sleep(jittered(
-                self.retry.backoff,
-                key.digest ^ u64::from(attempt),
-            ));
-            let factor = self.retry.escalation.max(1).saturating_pow(attempt);
+            factor = factor.saturating_mul(ESCALATION);
             let escalated = escalate_options(ext.options(), factor);
             match ext.specialize_object_governed(statics, &escalated, token) {
-                // A bigger budget got at least as far: keep it. Stop as
-                // soon as a run finishes without degrading.
-                Ok((image, stats)) => {
-                    let done = !stats.degraded();
-                    result = Ok((image, stats));
-                    if done {
-                        break;
-                    }
-                }
-                // Escalation failing outright (it raced a deadline, say)
-                // never discards the degraded-but-usable image.
+                Ok(run) => result = Ok(run),
                 Err(_) => break,
             }
+        }
+        self.stats.spec_runs.inc();
+        if matches!(&result, Ok((_, stats)) if stats.degraded()) {
+            self.stats.degraded.inc();
         }
         result
     }
@@ -1517,10 +1459,12 @@ impl Core {
     /// The generic image of a request: generic compilation with no
     /// unfolding — zero unfold fuel under the fallback regime, i.e. every
     /// reachable definition compiled as-is. Linear in the source program
-    /// and deterministic, so the Tier-0 fill (which caches it, marked
-    /// [`Tier::Generic`], until promotion replaces it) and the breaker
-    /// fallback (which never caches it) produce bit-identical images for
-    /// one request.
+    /// and deterministic, so the Tier-0 fill (which caches it, pending
+    /// promotion) and the breaker fallback (which never caches it)
+    /// produce bit-identical images for one request. Not a specializer
+    /// fill: it moves neither `spec_runs` nor `degraded` (a generic image
+    /// is degraded by construction; counting it would drown the real
+    /// signal).
     fn generic_image(
         &self,
         ext: &GenExt,
@@ -1547,9 +1491,8 @@ impl Core {
     /// in-flight slot is removed and nothing is cached, so no request
     /// arriving after the redefinition can ever observe it.
     ///
-    /// With `tier0` set the published entry is marked [`Tier::Generic`]
-    /// (the fill was the generic fast path, not a specializer run):
-    /// `ext`/`statics` seed the promotion candidate when
+    /// With `tier0` set the result is a generic image, published pending
+    /// promotion: `ext`/`statics` seed the promotion candidate when
     /// `promote_after == 0` asks for immediate background specialization.
     #[allow(clippy::too_many_arguments)]
     fn finish_flight(
@@ -1566,83 +1509,55 @@ impl Core {
     ) -> ServeResult {
         match result {
             Ok(Ok((image, spec_stats))) => {
-                let outcome = Arc::new(SpecOutcome {
-                    image: Arc::new(image),
-                    stats: spec_stats,
-                    profile: Arc::new(ExecProfile::default()),
-                });
-                let size = outcome.code_size().max(1);
+                let outcome = new_outcome(image, spec_stats);
                 let enqueue_now = tier0 && self.tier.as_ref().is_some_and(|t| t.promote_after == 0);
-                let published = self.programs.publish_if_live(backedge, key, || {
-                    let mut guard = lock(shard);
-                    let mut entry = Entry::new(
-                        outcome.clone(),
-                        self.ticket.fetch_add(1, Ordering::Relaxed),
-                        size,
-                        if tier0 {
-                            Tier::Generic
-                        } else {
-                            Tier::Specialized
-                        },
-                    );
-                    entry.queued = enqueue_now;
-                    guard.map.insert(key.clone(), Slot::Ready(entry));
-                    guard.code_size += size;
-                    guard.evict_to(self.per_shard_entries, self.per_shard_code)
-                });
-                ServeStats::bump(&self.stats.misses);
+                let promotion = match (tier0, enqueue_now) {
+                    (false, _) => Promotion::Final,
+                    (true, false) => Promotion::Pending,
+                    (true, true) => Promotion::Queued,
+                };
+                let ticket = self.ticket.fetch_add(1, Ordering::Relaxed);
+                let entry = Entry::new(outcome.clone(), ticket, promotion);
+                let published = self
+                    .programs
+                    .publish_if_live(backedge, key, || lock(shard).put(key.clone(), entry));
+                self.stats.misses.inc();
                 if tier0 {
                     // Not a specializer run: the requester got the
                     // generic image. `spec_runs` stays a count of real
                     // specializations (the promotion worker bumps it).
                     self.tier_stats.tier0_served.inc();
                     obs::event(obs::EventKind::Tier0Served);
-                } else {
-                    ServeStats::bump(&self.stats.spec_runs);
                 }
                 match published {
                     Some(evicted) => {
-                        ServeStats::add(&self.stats.evictions, evicted);
+                        self.stats.evictions.add(evicted);
                         if enqueue_now {
-                            self.enqueue_promotion(Candidate {
-                                key: key.clone(),
-                                ext: ext.clone(),
-                                statics: statics.to_vec(),
-                                backedge: backedge.cloned(),
-                                escalation: 0,
-                            });
+                            self.enqueue_promotion(key, ext, statics, backedge);
                         }
                     }
                     None => {
                         // Tombstoned: drop our in-flight slot so the dead
                         // generation's key does not linger in the shard.
                         lock(shard).map.remove(key);
-                        ServeStats::bump(&self.stats.epoch_conflicts);
+                        self.stats.epoch_conflicts.inc();
                         obs::event(obs::EventKind::EpochConflict);
                     }
-                }
-                if !tier0 && outcome.stats.degraded() {
-                    // A Tier-0 image is degraded by construction (fuel 0);
-                    // counting it would drown the real signal.
-                    ServeStats::bump(&self.stats.degraded);
                 }
                 flight.complete(Ok(outcome.clone()));
                 Ok(outcome)
             }
             Ok(Err(engine_err)) => {
                 lock(shard).map.remove(key);
-                if !tier0 {
-                    ServeStats::bump(&self.stats.spec_runs);
-                }
                 let serve_err = match cancellation_of(&engine_err, token) {
                     Some(e) => {
                         if matches!(e, ServeError::DeadlineExceeded) {
-                            ServeStats::bump(&self.stats.deadline_exceeded);
+                            self.stats.deadline_exceeded.inc();
                         }
                         e
                     }
                     None => {
-                        ServeStats::bump(&self.stats.errors);
+                        self.stats.errors.inc();
                         ServeError::Spec(engine_err)
                     }
                 };
@@ -1651,7 +1566,7 @@ impl Core {
             }
             Err(serve_err) => {
                 lock(shard).map.remove(key);
-                ServeStats::bump(&self.stats.errors);
+                self.stats.errors.inc();
                 flight.complete(Err(serve_err.to_string()));
                 Err(serve_err)
             }
@@ -1662,15 +1577,25 @@ impl Core {
     /// serve path: when the queue is full (or the service is shutting
     /// down) the candidate is dropped and its cache entry re-armed, so a
     /// later hit simply tries again.
-    fn enqueue_promotion(&self, cand: Candidate) {
+    fn enqueue_promotion(
+        &self,
+        key: &Key,
+        ext: &GenExt,
+        statics: &[Datum],
+        backedge: Option<&Backedge>,
+    ) {
         let Some(tier) = &self.tier else { return };
-        let key = cand.key.clone();
         let accepted = {
             let mut q = lock(&tier.queue);
             if q.closed || q.q.len() >= PROMOTE_QUEUE_CAP {
                 false
             } else {
-                q.q.push_back(cand);
+                q.q.push_back(Candidate {
+                    key: key.clone(),
+                    ext: ext.clone(),
+                    statics: statics.to_vec(),
+                    backedge: backedge.cloned(),
+                });
                 true
             }
         };
@@ -1678,8 +1603,10 @@ impl Core {
             self.tier_stats.queue_depth.add(1);
             tier.cv.notify_one();
             obs::event(obs::EventKind::PromoteEnqueued);
-        } else if let Some(Slot::Ready(entry)) = lock(self.shard_of(&key)).map.get_mut(&key) {
-            entry.queued = false;
+        } else if let Some(Slot::Ready(entry)) = lock(self.shard_of(key)).map.get_mut(key) {
+            if entry.promotion == Promotion::Queued {
+                entry.promotion = Promotion::Pending;
+            }
         }
     }
 
@@ -1707,94 +1634,51 @@ impl Core {
         }
     }
 
-    /// Specializes one hot candidate off the request path and hot-swaps
-    /// the result into its cache slot — *if* the entry is still there and
-    /// its generation is still live. The swap runs under the registry's
-    /// epoch check, exactly like a request-path publication: a `redefine`
-    /// that lands mid-build tombstones the swap and the stale image is
-    /// dropped on the floor.
+    /// Specializes one hot candidate off the request path — the same
+    /// [`Core::fill`] as a request-path miss, with the longer
+    /// [`PROMOTION_RETRIES`] ladder — and hot-swaps the result into its
+    /// cache slot as final, *if* the entry is still there and its
+    /// generation is still live. A run still starved at the top of the
+    /// ladder is swapped in all the same: it is better than generic. The
+    /// swap runs under the registry's epoch check, exactly like a
+    /// request-path publication: a `redefine` that lands mid-build
+    /// tombstones the swap and the stale image is dropped on the floor.
     fn promote_one(&self, cand: Candidate) {
         let t0 = Instant::now();
-        let factor = self.retry.escalation.max(1).saturating_pow(cand.escalation);
-        let options = if cand.escalation == 0 {
-            cand.ext.options().clone()
-        } else {
-            // Polyvariant re-specialization of a hot-but-degraded entry:
-            // same escalation ladder as the request-path retry.
-            escalate_options(cand.ext.options(), factor)
-        };
         // The generation's staged program is normally in place already:
         // the Tier-0 fill that published the candidate staged it.
         let built = catch_unwind(AssertUnwindSafe(|| {
-            self.stage(&cand.ext)?;
-            cand.ext
-                .specialize_object_governed(&cand.statics, &options, None)
+            self.fill(&cand.ext, &cand.statics, None, PROMOTION_RETRIES)
         }));
-        let (image, spec_stats) = match built {
-            Ok(Ok(r)) => r,
+        let Ok(Ok((image, spec_stats))) = built else {
             // Specializer failed or panicked: demote. The generic image
             // keeps serving and this entry is never promoted again — its
             // failures must not re-run the specializer on every N hits.
-            _ => {
-                self.tier_stats.demotions.inc();
-                obs::event(obs::EventKind::Demoted);
-                let mut guard = lock(self.shard_of(&cand.key));
-                if let Some(Slot::Ready(entry)) = guard.map.get_mut(&cand.key) {
-                    entry.queued = false;
-                    entry.dead = true;
-                }
-                return;
+            self.tier_stats.demotions.inc();
+            obs::event(obs::EventKind::Demoted);
+            if let Some(Slot::Ready(entry)) = lock(self.shard_of(&cand.key)).map.get_mut(&cand.key)
+            {
+                entry.promotion = Promotion::Final;
             }
+            return;
         };
-        let degraded = spec_stats.degraded();
-        ServeStats::bump(&self.stats.spec_runs);
-        if degraded {
-            ServeStats::bump(&self.stats.degraded);
-        }
-        let outcome = Arc::new(SpecOutcome {
-            image: Arc::new(image),
-            stats: spec_stats,
-            profile: Arc::new(ExecProfile::default()),
-        });
-        let size = outcome.code_size().max(1);
-        let next_escalation = (cand.escalation + 1).min(MAX_ESCALATIONS);
-        let dead = degraded && cand.escalation >= MAX_ESCALATIONS;
+        let mut promoted = Entry::new(new_outcome(image, spec_stats), 0, Promotion::Final);
         let shard = self.shard_of(&cand.key);
         let published = self
             .programs
             .publish_if_live(cand.backedge.as_ref(), &cand.key, || {
                 let mut guard = lock(shard);
-                let shard_ref = &mut *guard;
-                match shard_ref.map.get_mut(&cand.key) {
-                    Some(Slot::Ready(entry)) => {
-                        shard_ref.code_size =
-                            shard_ref.code_size - entry.size.min(shard_ref.code_size) + size;
-                        let mut next = Entry::new(
-                            outcome.clone(),
-                            entry.last_access,
-                            size,
-                            if degraded {
-                                Tier::Degraded
-                            } else {
-                                Tier::Specialized
-                            },
-                        );
-                        // A still-degraded swap re-arms with a bigger
-                        // budget next round (until the ladder runs out);
-                        // a clean one is final.
-                        next.escalation = if degraded { next_escalation } else { 0 };
-                        next.dead = dead;
-                        *entry = next;
-                        Some(shard_ref.evict_to(self.per_shard_entries, self.per_shard_code))
-                    }
+                promoted.last_access = match guard.map.get(&cand.key) {
+                    Some(Slot::Ready(entry)) => entry.last_access,
                     // Evicted, invalidated, or replaced by a fresh flight
                     // while we built: nothing to swap into.
-                    _ => None,
-                }
+                    _ => return None,
+                };
+                Some(guard.put(cand.key.clone(), promoted))
             });
         match published {
             Some(Some(evicted)) => {
-                ServeStats::add(&self.stats.evictions, evicted);
+                self.stats.evictions.add(evicted);
                 self.tier_stats.promotions.inc();
                 self.tier_stats
                     .promotion_nanos
@@ -1820,11 +1704,7 @@ impl SpecService {
     /// source program.
     fn breaker_fallback(&self, ext: &GenExt, statics: &[Datum], spawn_stack: bool) -> ServeResult {
         match self.on_stack(spawn_stack, || self.generic_image(ext, statics, None)) {
-            Ok(Ok((image, stats))) => Ok(Arc::new(SpecOutcome {
-                image: Arc::new(image),
-                stats,
-                profile: Arc::new(ExecProfile::default()),
-            })),
+            Ok(Ok((image, stats))) => Ok(new_outcome(image, stats)),
             Ok(Err(e)) => Err(ServeError::BreakerOpen(e.to_string())),
             Err(e) => Err(ServeError::BreakerOpen(e.to_string())),
         }
@@ -1836,7 +1716,7 @@ impl SpecService {
         if token.is_cancelled() {
             Some(ServeError::Cancelled)
         } else if token.deadline_expired() {
-            ServeStats::bump(&self.stats.deadline_exceeded);
+            self.stats.deadline_exceeded.inc();
             Some(ServeError::DeadlineExceeded)
         } else {
             None
@@ -1906,7 +1786,7 @@ fn cancellation_of(err: &Error, token: Option<&CancelToken>) -> Option<ServeErro
     }
 }
 
-/// Multiplies the transient budgets (unfold fuel, memo cap) for a retry.
+/// Multiplies the transient budgets (unfold fuel, memo cap) for a re-run.
 fn escalate_options(options: &SpecOptions, factor: u64) -> SpecOptions {
     let mut o = options.clone();
     if let Some(fuel) = o.limits.unfold_fuel {
@@ -1918,15 +1798,24 @@ fn escalate_options(options: &SpecOptions, factor: u64) -> SpecOptions {
     o
 }
 
-/// Deterministic 50–150 % jitter around `base`, seeded by the request
-/// key (SplitMix64 scramble) so tests are reproducible.
-fn jittered(base: Duration, seed: u64) -> Duration {
-    let mut z = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^= z >> 31;
-    let pct = 50 + (z % 101) as u32;
-    base * pct / 100
+/// A finished specialization with a fresh execution profile.
+fn new_outcome(image: impl Into<Arc<Image>>, stats: SpecStats) -> Arc<SpecOutcome> {
+    Arc::new(SpecOutcome {
+        image: image.into(),
+        stats,
+        profile: Arc::new(ExecProfile::default()),
+    })
+}
+
+/// Writes `bytes` to `path` crash-safely: to a sibling temp file first,
+/// then renamed into place, so a crash during the write never leaves a
+/// torn file under the final name.
+fn write_atomically(path: &std::path::Path, bytes: &[u8]) -> std::io::Result<()> {
+    let mut tmp_name = path.as_os_str().to_os_string();
+    tmp_name.push(".tmp");
+    let tmp = std::path::PathBuf::from(tmp_name);
+    std::fs::write(&tmp, bytes)?;
+    std::fs::rename(&tmp, path)
 }
 
 /// Builds the full cache key for a request: the extension's cache

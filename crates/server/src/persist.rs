@@ -57,10 +57,10 @@ pub(crate) struct SnapRecord {
     pub(crate) image: Arc<Image>,
 }
 
-/// What a decode pass recovered.
-#[derive(Debug, Default)]
-pub(crate) struct DecodeOutcome {
-    pub(crate) records: Vec<SnapRecord>,
+/// What a decode pass recovered from a `.t4os` or `.t4og` container.
+#[derive(Debug)]
+pub(crate) struct Decoded<T> {
+    pub(crate) records: Vec<T>,
     /// Records (or whole-file structures) rejected: CRC mismatch, torn
     /// tail, bad header, undecodable payload, trailing garbage.
     pub(crate) quarantined: u64,
@@ -128,20 +128,30 @@ fn encode_record(r: &SnapRecord) -> Vec<u8> {
     payload
 }
 
-/// Encodes a snapshot. Records are written in the order given; the
-/// caller sorts them for deterministic output.
-pub(crate) fn encode(records: &[SnapRecord]) -> Vec<u8> {
+/// Frames `payloads` into a container: the header (`magic`, `version`,
+/// record count), then each payload behind its length and CRC-32.
+/// Payloads are written in the order given; callers sort them for
+/// deterministic output.
+fn encode_container(
+    magic: &[u8; 8],
+    version: u32,
+    payloads: impl ExactSizeIterator<Item = Vec<u8>>,
+) -> Vec<u8> {
     let mut out = Vec::new();
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.extend_from_slice(&(records.len() as u32).to_le_bytes());
-    for r in records {
-        let payload = encode_record(r);
+    out.extend_from_slice(magic);
+    out.extend_from_slice(&version.to_le_bytes());
+    out.extend_from_slice(&(payloads.len() as u32).to_le_bytes());
+    for payload in payloads {
         out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         out.extend_from_slice(&crc32(&payload).to_le_bytes());
         out.extend_from_slice(&payload);
     }
     out
+}
+
+/// Encodes a snapshot.
+pub(crate) fn encode(records: &[SnapRecord]) -> Vec<u8> {
+    encode_container(MAGIC, VERSION, records.iter().map(encode_record))
 }
 
 // ---- decoding ----------------------------------------------------------
@@ -229,13 +239,23 @@ fn parse_record(payload: &[u8]) -> Option<SnapRecord> {
     })
 }
 
-/// Decodes a snapshot, recovering every intact record and quarantining
-/// the rest. Never panics, never allocates beyond the input size.
-pub(crate) fn decode(bytes: &[u8]) -> DecodeOutcome {
-    let mut out = DecodeOutcome::default();
+/// Decodes a container written by [`encode_container`] with the same
+/// `magic` and `version`, recovering every record `parse` accepts and
+/// quarantining the rest. Never panics, never allocates beyond the input
+/// size.
+fn decode_container<T>(
+    magic: &[u8; 8],
+    version: u32,
+    bytes: &[u8],
+    parse: impl Fn(&[u8]) -> Option<T>,
+) -> Decoded<T> {
+    let mut out = Decoded {
+        records: Vec::new(),
+        quarantined: 0,
+    };
     if bytes.len() < HEADER_LEN
-        || &bytes[..8] != MAGIC
-        || u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]) != VERSION
+        || &bytes[..8] != magic
+        || u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]) != version
     {
         // Bad header: nothing in the file can be trusted.
         out.quarantined = 1;
@@ -265,7 +285,7 @@ pub(crate) fn decode(bytes: &[u8]) -> DecodeOutcome {
             out.quarantined += 1;
             continue;
         }
-        match parse_record(payload) {
+        match parse(payload) {
             Some(rec) => out.records.push(rec),
             None => out.quarantined += 1,
         }
@@ -279,9 +299,15 @@ pub(crate) fn decode(bytes: &[u8]) -> DecodeOutcome {
     out
 }
 
+/// Decodes a snapshot, recovering every intact record and quarantining
+/// the rest.
+pub(crate) fn decode(bytes: &[u8]) -> Decoded<SnapRecord> {
+    decode_container(MAGIC, VERSION, bytes, parse_record)
+}
+
 // ---- gen-ext snapshots (`.t4og` containers) ----------------------------
 //
-// The same discipline as the `.t4os` cache snapshot, but the payload is a
+// The same container as the `.t4os` cache snapshot, but the payload is a
 // generation's staged program (the staged-code IR in its `.t4og` wire
 // form, itself self-checksummed) instead of a residual image. Records
 // carry the registration facts restore needs to judge them against the
@@ -306,13 +332,6 @@ pub(crate) struct GenextSnapRecord {
     pub(crate) genext: Vec<u8>,
 }
 
-/// What a gen-ext snapshot decode recovered.
-#[derive(Debug, Default)]
-pub(crate) struct GenextDecodeOutcome {
-    pub(crate) records: Vec<GenextSnapRecord>,
-    pub(crate) quarantined: u64,
-}
-
 fn encode_genext_record(r: &GenextSnapRecord) -> Vec<u8> {
     let mut payload = Vec::new();
     put_str(&mut payload, &r.name);
@@ -324,19 +343,13 @@ fn encode_genext_record(r: &GenextSnapRecord) -> Vec<u8> {
     payload
 }
 
-/// Encodes a gen-ext snapshot; the caller sorts records for determinism.
+/// Encodes a gen-ext snapshot.
 pub(crate) fn encode_genexts(records: &[GenextSnapRecord]) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(GENEXT_MAGIC);
-    out.extend_from_slice(&GENEXT_VERSION.to_le_bytes());
-    out.extend_from_slice(&(records.len() as u32).to_le_bytes());
-    for r in records {
-        let payload = encode_genext_record(r);
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&crc32(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
-    }
-    out
+    encode_container(
+        GENEXT_MAGIC,
+        GENEXT_VERSION,
+        records.iter().map(encode_genext_record),
+    )
 }
 
 fn parse_genext_record(payload: &[u8]) -> Option<GenextSnapRecord> {
@@ -359,48 +372,9 @@ fn parse_genext_record(payload: &[u8]) -> Option<GenextSnapRecord> {
     })
 }
 
-/// Decodes a gen-ext snapshot with the same recovery semantics as
-/// [`decode`]: bad header quarantines the file, bad records are skipped
-/// and counted, a torn tail truncates cleanly.
-pub(crate) fn decode_genexts(bytes: &[u8]) -> GenextDecodeOutcome {
-    let mut out = GenextDecodeOutcome::default();
-    if bytes.len() < HEADER_LEN
-        || &bytes[..8] != GENEXT_MAGIC
-        || u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]) != GENEXT_VERSION
-    {
-        out.quarantined = 1;
-        return out;
-    }
-    let count = u32::from_le_bytes([bytes[12], bytes[13], bytes[14], bytes[15]]) as u64;
-    let mut r = Reader::new(&bytes[HEADER_LEN..]);
-    let mut seen: u64 = 0;
-    while seen < count {
-        let header = match (r.u32(), r.u32()) {
-            (Some(len), Some(crc)) => Some((len as usize, crc)),
-            _ => None,
-        };
-        let Some((len, crc)) = header else {
-            out.quarantined += count - seen;
-            return out;
-        };
-        let Some(payload) = r.take(len) else {
-            out.quarantined += count - seen;
-            return out;
-        };
-        seen += 1;
-        if crc32(payload) != crc {
-            out.quarantined += 1;
-            continue;
-        }
-        match parse_genext_record(payload) {
-            Some(rec) => out.records.push(rec),
-            None => out.quarantined += 1,
-        }
-    }
-    if r.remaining() != 0 {
-        out.quarantined += 1;
-    }
-    out
+/// Decodes a gen-ext snapshot.
+pub(crate) fn decode_genexts(bytes: &[u8]) -> Decoded<GenextSnapRecord> {
+    decode_container(GENEXT_MAGIC, GENEXT_VERSION, bytes, parse_genext_record)
 }
 
 #[cfg(test)]

@@ -65,14 +65,6 @@ impl ServeStats {
         }
     }
 
-    pub(crate) fn bump(counter: &obs::Counter) {
-        counter.inc();
-    }
-
-    pub(crate) fn add(counter: &obs::Counter, n: u64) {
-        counter.add(n);
-    }
-
     pub(crate) fn snapshot(&self) -> ServeSnapshot {
         ServeSnapshot {
             hits: self.hits.get(),
@@ -110,11 +102,13 @@ pub struct ServeSnapshot {
     /// Cached entries discarded to stay within the configured capacity
     /// and code budget.
     pub evictions: u64,
-    /// Cache fills whose specialization degraded to generic code after a
-    /// recoverable resource limit (see `SpecStats::degraded`).
+    /// Specializer fills — request-path or background promotion — whose
+    /// final run still degraded to generic code after a recoverable
+    /// resource limit (see `SpecStats::degraded`).
     pub degraded: u64,
-    /// Times the specializer actually ran. Warm-cache traffic must not
-    /// move this counter.
+    /// Specializer fills, on the request path or in a background
+    /// promotion; a fill's escalated re-runs count under `retried`, not
+    /// here. Warm-cache traffic must not move this counter.
     pub spec_runs: u64,
     /// Requests that ended in an error (errors are not cached).
     pub errors: u64,
@@ -125,8 +119,9 @@ pub struct ServeSnapshot {
     /// coalesced on another leader's flight, or mid-specialization via
     /// cooperative cancellation.
     pub deadline_exceeded: u64,
-    /// Fills retried with an escalated budget after a transient limit
-    /// (unfold-fuel or memo-cap) degraded the first attempt.
+    /// Specializer re-runs with escalated budgets after unfold fuel or the
+    /// memo cap starved the previous run — on both paths: at most one per
+    /// request-path fill, up to three per background promotion.
     pub retried: u64,
     /// Requests answered by a tripped circuit breaker with generic
     /// fallback code instead of running the (repeatedly failing)
@@ -213,9 +208,9 @@ mod tests {
     fn snapshot_reflects_bumps() {
         let registry = obs::MetricsRegistry::new();
         let s = ServeStats::register(&registry);
-        ServeStats::bump(&s.hits);
-        ServeStats::bump(&s.hits);
-        ServeStats::add(&s.evictions, 3);
+        s.hits.inc();
+        s.hits.inc();
+        s.evictions.add(3);
         let snap = s.snapshot();
         assert_eq!(snap.hits, 2);
         assert_eq!(snap.evictions, 3);
@@ -236,16 +231,16 @@ mod tests {
         // stays there — no wrap, no panic (also under debug overflow
         // checks, since the adds saturate).
         let s = ServeStats::default();
-        ServeStats::add(&s.hits, u64::MAX);
-        ServeStats::bump(&s.hits);
-        ServeStats::add(&s.hits, 12345);
+        s.hits.add(u64::MAX);
+        s.hits.inc();
+        s.hits.add(12345);
         assert_eq!(s.snapshot().hits, u64::MAX);
     }
 
     #[test]
     fn snapshot_json_lists_every_field() {
         let s = ServeStats::default();
-        ServeStats::bump(&s.misses);
+        s.misses.inc();
         let json = s.snapshot().to_json();
         assert!(json.contains("\"misses\": 1"));
         assert!(json.contains("\"quarantined\": 0"));

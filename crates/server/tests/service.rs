@@ -9,9 +9,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use two4one::{CancelToken, Datum, Division, Limits, Pgg, BT};
-use two4one_server::{
-    BreakerPolicy, FillHook, RetryPolicy, ServeConfig, ServeError, SpecRequest, SpecService,
-};
+use two4one_server::{BreakerPolicy, FillHook, ServeConfig, ServeError, SpecRequest, SpecService};
 use two4one_testkit::faults::{corrupt, PanicPlan};
 use two4one_testkit::rng::Rng;
 
@@ -585,17 +583,11 @@ fn waiter_deadline_does_not_cancel_the_leader() {
 
 #[test]
 fn transient_starvation_is_retried_with_a_bigger_budget() {
-    // Fuel 4 cannot finish power^20 (21 unfoldings); the escalated retry
-    // at 4 * 16 = 64 can. The caller sees a clean, undegraded result.
-    let service = SpecService::with_config(ServeConfig {
-        retry: RetryPolicy {
-            max_retries: 1,
-            escalation: 16,
-            backoff: Duration::from_millis(1),
-        },
-        ..ServeConfig::default()
-    });
-    let ext = power_ext(&Pgg::new().unfold_fuel(4));
+    // Fuel 8 cannot finish power^20 (21 unfoldings); the request path's
+    // one escalated re-run at 8 * 4 = 32 can. The caller sees a clean,
+    // undegraded result.
+    let service = SpecService::new();
+    let ext = power_ext(&Pgg::new().unfold_fuel(8));
     let outcome = service.specialize(&ext, &int(20)).expect("retried fill");
     assert!(!outcome.stats.degraded(), "escalated retry should finish");
     let stats = service.stats();
@@ -610,18 +602,21 @@ fn transient_starvation_is_retried_with_a_bigger_budget() {
 
 #[test]
 fn retry_disabled_keeps_the_degraded_result() {
-    let service = SpecService::with_config(ServeConfig {
-        retry: RetryPolicy {
-            max_retries: 0,
-            ..RetryPolicy::default()
-        },
-        ..ServeConfig::default()
-    });
+    // Fuel 4 starves power^20 and so does the one re-run the request path
+    // allows (16 < 21): the ladder stops there and the degraded image of
+    // the re-run is kept, not discarded.
+    let service = SpecService::new();
     let ext = power_ext(&Pgg::new().unfold_fuel(4));
     let outcome = service.specialize(&ext, &int(20)).expect("degraded fill");
     assert!(outcome.stats.degraded());
-    assert_eq!(service.stats().retried, 0);
-    assert_eq!(service.stats().degraded, 1);
+    let stats = service.stats();
+    assert_eq!(stats.retried, 1, "the request path re-runs exactly once");
+    assert_eq!(stats.degraded, 1);
+    assert_eq!(stats.spec_runs, 1);
+
+    let out = two4one::run_image(&outcome.image, outcome.image.entry.as_str(), &int(2))
+        .expect("run degraded residual");
+    assert_eq!(out.value, Datum::Int(1 << 20));
 }
 
 // ---------------------------------------------------------------------
@@ -1659,4 +1654,118 @@ fn tier0_promotion_vs_redefine_hammer_never_swaps_stale() {
         tier.promotions, tier.swap_epoch_conflicts, tier.demotions
     );
     assert_eq!(tier.demotions, 0, "specializer failed during the hammer");
+}
+
+#[test]
+fn starved_promotion_climbs_the_ladder_in_one_job() {
+    // Fuel 4 cannot finish power^20 (21 unfoldings), nor can the ×4 re-run
+    // (16); the ×16 re-run (64) can. The promotion climbs both rungs in
+    // its one background job and swaps in a clean image once.
+    let service = SpecService::with_config(tier0_config(1, 1));
+    let ext = power_ext(&Pgg::new().unfold_fuel(4));
+    let cold = service.specialize(&ext, &int(20)).expect("tier0 cold");
+    service
+        .specialize(&ext, &int(20))
+        .expect("hit that enqueues");
+    assert!(
+        eventually(|| service.tier_stats().promotions >= 1),
+        "promotion never landed: {:?}",
+        service.tier_stats()
+    );
+    let stats = service.stats();
+    assert_eq!(stats.retried, 2, "×4 and ×16 re-runs");
+    assert_eq!(stats.spec_runs, 1, "the ladder runs inside one fill");
+    assert_eq!(stats.degraded, 0);
+
+    // A clean, final image: later hits share it and enqueue nothing.
+    two4one::obs::clear_trace();
+    let promoted = service.specialize(&ext, &int(20)).expect("promoted hit");
+    for _ in 0..3 {
+        let again = service.specialize(&ext, &int(20)).expect("promoted hit");
+        assert!(Arc::ptr_eq(&promoted.image, &again.image));
+    }
+    let trace = two4one::obs::take_trace();
+    assert!(
+        !trace.iter().any(|e| matches!(
+            e.what,
+            two4one::obs::TraceWhat::Point(two4one::obs::EventKind::PromoteEnqueued, _)
+        )),
+        "a final entry was re-enqueued: {}",
+        two4one::obs::render_trace(&trace)
+    );
+    assert!(!Arc::ptr_eq(&cold.image, &promoted.image));
+    assert!(!promoted.stats.degraded(), "promotion kept a starved image");
+    let out = two4one::run_image(&promoted.image, promoted.image.entry.as_str(), &int(2))
+        .expect("run promoted residual");
+    assert_eq!(out.value, Datum::Int(1 << 20));
+    let tier = service.tier_stats();
+    assert_eq!(tier.promotions, 1);
+    assert_eq!(tier.queued, 0);
+    assert_eq!(service.stats().spec_runs, 1);
+}
+
+#[test]
+fn promotion_that_stays_starved_keeps_its_last_image() {
+    // power^200 needs 201 unfoldings; fuel 1 escalated to ×64 still
+    // starves. The promotion spends all three re-runs, then swaps in the
+    // last (×64) image: degraded, but better than generic, and final.
+    let service = SpecService::with_config(tier0_config(1, 1));
+    let ext = power_ext(&Pgg::new().unfold_fuel(1));
+    let cold = service.specialize(&ext, &int(200)).expect("tier0 cold");
+    service
+        .specialize(&ext, &int(200))
+        .expect("hit that enqueues");
+    assert!(
+        eventually(|| service.tier_stats().promotions >= 1),
+        "promotion never landed: {:?}",
+        service.tier_stats()
+    );
+    let stats = service.stats();
+    assert_eq!(stats.retried, 3, "×4, ×16 and ×64 re-runs");
+    assert_eq!(stats.degraded, 1, "only the kept run counts as degraded");
+    assert_eq!(stats.spec_runs, 1);
+
+    let kept = service.specialize(&ext, &int(200)).expect("promoted hit");
+    assert!(!Arc::ptr_eq(&cold.image, &kept.image));
+    assert!(kept.stats.degraded());
+    assert_eq!(kept.stats.unfolds, 64, "the ×64 run is the one kept");
+    for (x, want) in [(1, 1), (-1, 1), (0, 0)] {
+        let out = two4one::run_image(&kept.image, kept.image.entry.as_str(), &int(x))
+            .expect("run starved residual");
+        assert_eq!(out.value, Datum::Int(want), "x = {x}");
+    }
+    assert_eq!(service.tier_stats().promotions, 1);
+    assert_eq!(
+        service.stats().spec_runs,
+        1,
+        "a final entry is not re-promoted"
+    );
+}
+
+#[test]
+fn tier0_snapshots_hold_only_finished_specializations() {
+    // A generic image awaiting promotion is not a finished
+    // specialization: snapshotting it would restore it as final, and it
+    // would never be promoted.
+    let ext = power_ext(&Pgg::new());
+    let pending = SpecService::with_config(tier0_config(u64::MAX, 1));
+    pending.specialize(&ext, &int(5)).expect("tier0 cold");
+    assert_eq!(pending.len(), 1);
+    let report = SpecService::new().restore_bytes(&pending.snapshot_bytes());
+    assert_eq!(report.restored, 0, "a generic image was saved as final");
+
+    // Once the promotion lands, the entry is final and saved.
+    let promoted = SpecService::with_config(tier0_config(1, 1));
+    promoted.specialize(&ext, &int(5)).expect("tier0 cold");
+    promoted
+        .specialize(&ext, &int(5))
+        .expect("hit that enqueues");
+    assert!(eventually(|| promoted.tier_stats().promotions >= 1));
+    let revived = SpecService::with_config(tier0_config(1, 1));
+    let report = revived.restore_bytes(&promoted.snapshot_bytes());
+    assert_eq!(report.restored, 1);
+    let warm = revived.specialize(&ext, &int(5)).expect("restored hit");
+    assert!(!warm.stats.degraded(), "restored the generic image");
+    assert_eq!(revived.stats().hits, 1);
+    assert_eq!(revived.tier_stats().tier0_served, 0);
 }
