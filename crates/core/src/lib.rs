@@ -65,6 +65,7 @@ pub use two4one_syntax::printer;
 pub use two4one_syntax::reader;
 pub use two4one_syntax::stack::{with_stack, with_stack_size};
 pub use two4one_syntax::symbol::Symbol;
+use two4one_syntax::symbol::{fnv1a, FNV1A_BASIS};
 pub use two4one_vm::{
     crc32, decode_genext, decode_image, encode_genext, encode_image, ExecProfile, GenProgram,
     Image, Machine, ObjError, Value, VmError,
@@ -380,6 +381,37 @@ impl Pgg {
     }
 }
 
+/// The cache identity of a generating extension
+/// ([`GenExt::cache_identity`]): its rendered text behind a shared `Arc`,
+/// and the FNV-1a digest of that text, computed with it. Equal
+/// identities have equal text; the digest only routes and hashes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CacheIdentity {
+    text: Arc<str>,
+    digest: u64,
+}
+
+impl CacheIdentity {
+    /// The identity rendered as `text`, digested once here.
+    pub fn new(text: impl Into<Arc<str>>) -> CacheIdentity {
+        let text = text.into();
+        let digest = fnv1a(FNV1A_BASIS, text.as_bytes());
+        CacheIdentity { text, digest }
+    }
+
+    /// The rendered identity, shareable without copying.
+    pub fn text(&self) -> &Arc<str> {
+        &self.text
+    }
+
+    /// The FNV-1a digest of [`CacheIdentity::text`]; a caller hashing the
+    /// identity followed by more bytes continues from it with
+    /// [`two4one_syntax::symbol::fnv1a`].
+    pub fn digest(&self) -> u64 {
+        self.digest
+    }
+}
+
 /// A generating extension: apply it to static inputs to obtain residual
 /// programs — as source text (the classic PGG) or directly as object code
 /// (the fused run-time code generator).
@@ -401,7 +433,7 @@ pub struct GenExt {
     options: SpecOptions,
     /// Lazily rendered cache identity, shared by all clones of this
     /// extension (see [`GenExt::cache_identity`]).
-    identity: Arc<OnceLock<Arc<str>>>,
+    identity: Arc<OnceLock<CacheIdentity>>,
     /// The staged program, shared by all clones.
     staged: Arc<OnceLock<Arc<GenProgram>>>,
     /// The `.t4og` wire form of the staged program, encoded on first
@@ -425,21 +457,21 @@ impl GenExt {
     /// program rendered to text plus its specialization options (two
     /// extensions differing only in, say, fuel must not share residual
     /// code). An extension decoded from bytes alone renders its whole
-    /// `.t4og` wire form instead, never a digest of it. Rendered **once**
-    /// and shared by every clone, so a serving layer can key its result
-    /// cache per request without re-rendering the program each time.
-    pub fn cache_identity(&self) -> &str {
+    /// `.t4og` wire form instead, never a digest of it. Rendered and
+    /// digested **once** and shared by every clone, so a serving layer
+    /// can key its result cache per request without re-rendering or
+    /// re-hashing the program each time.
+    pub fn cache_identity(&self) -> &CacheIdentity {
         self.identity.get_or_init(|| {
             let options = &self.options;
-            match &self.aprog {
+            CacheIdentity::new(match &self.aprog {
                 Some(aprog) => format!("{aprog}\u{0}{options:?}"),
                 None => {
                     let bytes = self.bytes.get().map_or(&[][..], |b| b);
                     let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
                     format!("genext:{hex}\u{0}{options:?}")
                 }
-            }
-            .into()
+            })
         })
     }
 
@@ -958,7 +990,7 @@ mod tests {
         let again = GenExt::from_bytes(&bytes, genext.options().clone()).unwrap();
         assert_eq!(restored.cache_identity(), again.cache_identity());
         assert_ne!(restored.cache_identity(), genext.cache_identity());
-        assert!(restored.cache_identity().len() > 2 * bytes.len());
+        assert!(restored.cache_identity().text().len() > 2 * bytes.len());
     }
 
     #[test]

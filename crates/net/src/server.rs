@@ -492,11 +492,10 @@ impl Read for TickReader<'_> {
 
 /// Writes all of `bytes`, retrying `WouldBlock`/`TimedOut` ticks until
 /// `deadline` — the stalled-writer bound.
-fn write_all_deadline(stream: &TcpStream, bytes: &[u8], deadline: Instant) -> io::Result<()> {
-    let mut stream = stream;
+fn write_all_deadline(mut out: impl Write, bytes: &[u8], deadline: Instant) -> io::Result<()> {
     let mut at = 0;
     while at < bytes.len() {
-        match stream.write(&bytes[at..]) {
+        match out.write(&bytes[at..]) {
             Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
             Ok(n) => at += n,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -562,9 +561,9 @@ fn serve_conn(inner: &Arc<ServerInner>, stream: &TcpStream, watch: &Arc<ConnWatc
     }
 }
 
-/// What a successful request produced, carried without copying: gen-ext
-/// payloads stay behind the extension's shared `Arc` until the socket
-/// write.
+/// What a successful request produced: gen-ext payloads stay behind the
+/// extension's shared `Arc` until the response frame is encoded, the one
+/// copy they take.
 enum Payload {
     Empty,
     Bytes(Vec<u8>),
@@ -595,7 +594,15 @@ fn serve_binary(inner: &Arc<ServerInner>, stream: &TcpStream, watch: &Arc<ConnWa
             inner.config.request_deadline,
         );
         let frame = match wire::read_frame(&mut reader, inner.config.max_frame) {
-            Ok(None) => return, // clean close (or drain boundary)
+            // A clean close (or drain boundary) — unless the peer reset
+            // the connection under our last response, which it left
+            // without reading. The read reports the close, not the reset.
+            Ok(None) => {
+                if matches!(stream.take_error(), Ok(Some(_))) {
+                    inner.stats.disconnects.inc();
+                }
+                return;
+            }
             Ok(Some(frame)) => frame,
             Err(ProtocolError::Io(e)) => {
                 if e.kind() == io::ErrorKind::TimedOut {
@@ -648,10 +655,7 @@ fn write_bin_frame(
 ) -> bool {
     watch.state.store(WRITING, Ordering::Release);
     let deadline = Instant::now() + inner.config.request_deadline;
-    let head = wire::header_bytes(ftype, payload);
-    let ok = write_all_deadline(stream, &head, deadline)
-        .and_then(|()| write_all_deadline(stream, payload, deadline));
-    match ok {
+    match send_frame(stream, ftype, payload, deadline) {
         Ok(()) => true,
         Err(e) => {
             if e.kind() == io::ErrorKind::TimedOut {
@@ -662,6 +666,13 @@ fn write_bin_frame(
             false
         }
     }
+}
+
+/// Sends one frame as the one buffer [`wire::encode_frame`] builds: under
+/// `TCP_NODELAY` a header written apart from its payload leaves as a
+/// segment of its own, which costs the client a second wakeup.
+fn send_frame(out: impl Write, ftype: u8, payload: &[u8], deadline: Instant) -> io::Result<()> {
+    write_all_deadline(out, &wire::encode_frame(ftype, payload), deadline)
 }
 
 fn dispatch_frame(
@@ -1244,5 +1255,48 @@ fn http_spec(
             http::response(200, content_type, 0, payload.as_slice(), keep_alive)
         }
         Err(e) => error(e.code, e.retry_after_ms, &e.message),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Records every `write` call a response takes.
+    #[derive(Default)]
+    struct Recorder {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for Recorder {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_response_frame_is_one_write() {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        for (ftype, payload) in [
+            (wire::RESP_PONG, &[][..]),
+            (wire::RESP_META, &b"{\"code_size\":7}"[..]),
+            (wire::RESP_OBJECT, &[0x5a; 4096][..]),
+        ] {
+            let mut out = Recorder::default();
+            send_frame(&mut out, ftype, payload, deadline).expect("in-memory write");
+            assert_eq!(
+                out.writes, 1,
+                "frame {ftype:#04x} took {} writes",
+                out.writes
+            );
+            assert_eq!(out.bytes, wire::encode_frame(ftype, payload));
+        }
     }
 }

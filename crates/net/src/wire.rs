@@ -14,9 +14,9 @@
 //! ```
 //!
 //! The payload of a successful [`RESP_OBJECT`] / [`RESP_GENEXT`] frame is
-//! the raw `.t4o` / `.t4og` object bytes — the server writes them straight
-//! from the cached artifact to the socket (no re-encoding, no intermediate
-//! frame buffer), so a warm hit streams zero-copy from the cache.
+//! the raw `.t4o` / `.t4og` object bytes. The server sends every response
+//! frame, header and payload, as one buffer built by [`encode_frame`], so
+//! with `TCP_NODELAY` a response leaves as one write, not two segments.
 //!
 //! Every decoding failure is a typed [`ProtocolError`], never a panic:
 //! torn frames, garbage magic, checksum mismatches, and oversized lengths
@@ -27,7 +27,7 @@
 //! connection — keeps serving.
 
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 use two4one::crc32;
 
 /// Frame magic: the first four bytes of every binary-protocol frame (and
@@ -160,9 +160,8 @@ pub struct Frame {
     pub payload: Vec<u8>,
 }
 
-/// Encodes a complete frame (header + payload) into one buffer. Useful
-/// for clients and tests; the server-side response path writes the header
-/// and the payload separately to avoid copying large object payloads.
+/// Encodes a complete frame (header + payload) into one buffer, which
+/// clients and the server alike write to the socket in one call.
 pub fn encode_frame(ftype: u8, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
     out.extend_from_slice(&header_bytes(ftype, payload));
@@ -171,7 +170,7 @@ pub fn encode_frame(ftype: u8, payload: &[u8]) -> Vec<u8> {
 }
 
 /// The 16-byte header for a frame of type `ftype` carrying `payload`.
-pub fn header_bytes(ftype: u8, payload: &[u8]) -> [u8; HEADER_LEN] {
+fn header_bytes(ftype: u8, payload: &[u8]) -> [u8; HEADER_LEN] {
     let mut h = [0u8; HEADER_LEN];
     h[0..4].copy_from_slice(&MAGIC);
     h[4] = VERSION;
@@ -180,17 +179,6 @@ pub fn header_bytes(ftype: u8, payload: &[u8]) -> [u8; HEADER_LEN] {
     h[8..12].copy_from_slice(&(payload.len() as u32).to_le_bytes());
     h[12..16].copy_from_slice(&crc32(payload).to_le_bytes());
     h
-}
-
-/// Writes a frame: header, then payload, straight to `w` — the payload
-/// bytes are never copied into an intermediate frame buffer.
-///
-/// # Errors
-///
-/// Any socket write failure.
-pub fn write_frame(w: &mut impl Write, ftype: u8, payload: &[u8]) -> io::Result<()> {
-    w.write_all(&header_bytes(ftype, payload))?;
-    w.write_all(payload)
 }
 
 /// Reads exactly `buf.len()` bytes, reporting a clean end-of-stream

@@ -18,7 +18,8 @@ use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use two4one::{CancelToken, Epoch};
+use two4one::{CacheIdentity, CancelToken, Epoch};
+use two4one_syntax::symbol::fnv1a;
 
 use crate::SpecOutcome;
 
@@ -28,19 +29,13 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// 64-bit FNV-1a over the given byte strings, with a separator between
-/// parts so `("ab","c")` and `("a","bc")` differ.
-pub(crate) fn digest64<'a>(parts: impl IntoIterator<Item = &'a str>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for part in parts {
-        for b in part.as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h ^= 0xff;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+/// Ends each part of a key digest: a byte UTF-8 text never contains, so
+/// `("ab","c")` and `("a","bc")` digest apart.
+const SEP: &[u8] = &[0xff];
+
+/// Continues the FNV-1a state `h` over one key part and its separator.
+fn digest_part(h: u64, part: &[u8]) -> u64 {
+    fnv1a(fnv1a(h, part), SEP)
 }
 
 /// Full identity of a specialization request.
@@ -66,11 +61,17 @@ pub(crate) struct Key {
 }
 
 impl Key {
-    pub(crate) fn new(program: &str, entry: &str, statics: &str) -> Self {
+    /// The key of `statics` for `entry` of the program with identity
+    /// `program`, whose text the key shares and whose digest it continues
+    /// from: only the entry and the statics are hashed here.
+    pub(crate) fn new(program: &CacheIdentity, entry: &str, statics: &str) -> Self {
+        // The identity's digest covers its text; one separator after it
+        // makes `program_digest` the digest of the parts (program, entry).
+        let program_digest = digest_part(fnv1a(program.digest(), SEP), entry.as_bytes());
         Key {
-            digest: digest64([program, entry, statics]),
-            program_digest: digest64([program, entry]),
-            program: Arc::from(program),
+            digest: digest_part(program_digest, statics.as_bytes()),
+            program_digest,
+            program: program.text().clone(),
             entry: Arc::from(entry),
             statics: Arc::from(statics),
             backedge: None,
@@ -84,33 +85,17 @@ impl Key {
     pub(crate) fn versioned(
         name: &Arc<str>,
         epoch: Epoch,
-        program: &str,
+        program: &CacheIdentity,
         entry: &str,
         statics: &str,
     ) -> Self {
-        let epoch_part = epoch.get().to_string();
-        Key {
-            digest: digest64([name.as_ref(), &epoch_part, program, entry, statics]),
-            program_digest: digest64([program, entry]),
-            program: Arc::from(program),
-            entry: Arc::from(entry),
-            statics: Arc::from(statics),
-            backedge: Some((name.clone(), epoch)),
-        }
-    }
-
-    /// A key with a caller-chosen digest, for exercising the
-    /// collision-safety of full-key equality in tests.
-    #[cfg(test)]
-    pub(crate) fn with_digest(digest: u64, program: &str, entry: &str, statics: &str) -> Self {
-        Key {
-            digest,
-            program_digest: digest64([program, entry]),
-            program: Arc::from(program),
-            entry: Arc::from(entry),
-            statics: Arc::from(statics),
-            backedge: None,
-        }
+        let mut key = Key::new(program, entry, statics);
+        key.digest = digest_part(
+            digest_part(key.digest, name.as_bytes()),
+            &epoch.get().to_le_bytes(),
+        );
+        key.backedge = Some((name.clone(), epoch));
+        key
     }
 }
 
@@ -370,18 +355,44 @@ mod tests {
         entry
     }
 
+    /// An anonymous key for a program identity rendered as `program`.
+    fn anon(program: &str, entry: &str, statics: &str) -> Key {
+        Key::new(&CacheIdentity::new(program), entry, statics)
+    }
+
     #[test]
     fn digest_separates_parts() {
-        assert_ne!(digest64(["ab", "c"]), digest64(["a", "bc"]));
-        assert_eq!(digest64(["x", "y"]), digest64(["x", "y"]));
+        let (a, b) = (anon("ab", "c", "x"), anon("a", "bc", "x"));
+        assert_ne!(a.program_digest, b.program_digest);
+        assert_ne!(a.digest, b.digest);
+        assert_ne!(anon("p", "ab", "c").digest, anon("p", "a", "bc").digest);
+        assert_eq!(anon("x", "y", "z").digest, anon("x", "y", "z").digest);
+    }
+
+    #[test]
+    fn keys_share_the_identity_text_and_continue_its_digest() {
+        let identity = CacheIdentity::new("(define (f x) x)");
+        let key = Key::new(&identity, "f", "(1)");
+        assert!(Arc::ptr_eq(&key.program, identity.text()));
+        // The same digests as hashing every part, identity included.
+        let full = |parts: &[&str]| {
+            parts
+                .iter()
+                .fold(two4one_syntax::symbol::FNV1A_BASIS, |h, p| {
+                    digest_part(h, p.as_bytes())
+                })
+        };
+        assert_eq!(key.program_digest, full(&["(define (f x) x)", "f"]));
+        assert_eq!(key.digest, full(&["(define (f x) x)", "f", "(1)"]));
     }
 
     #[test]
     fn equal_digests_do_not_collide_in_a_shard() {
         // Two different programs forced onto the same digest: the map must
         // keep them apart because Key equality compares full contents.
-        let a = Key::with_digest(42, "(define (f x) x)", "f", "(1)");
-        let b = Key::with_digest(42, "(define (f x) (+ x 1))", "f", "(1)");
+        let mut a = anon("(define (f x) x)", "f", "(1)");
+        let mut b = anon("(define (f x) (+ x 1))", "f", "(1)");
+        (a.digest, b.digest) = (42, 42);
         assert_ne!(a, b);
         let mut shard = Shard::new(8, None);
         shard.put(a.clone(), ready(0, 1));
@@ -394,32 +405,33 @@ mod tests {
     #[test]
     fn epochs_of_one_program_are_different_keys() {
         let name: Arc<str> = Arc::from("P");
-        let a = Key::versioned(&name, Epoch::FIRST, "(define (f x) x)", "f", "(1)");
-        let b = Key::versioned(&name, Epoch::FIRST.next(), "(define (f x) x)", "f", "(1)");
+        let program = CacheIdentity::new("(define (f x) x)");
+        let a = Key::versioned(&name, Epoch::FIRST, &program, "f", "(1)");
+        let b = Key::versioned(&name, Epoch::FIRST.next(), &program, "f", "(1)");
         // Identical source under a new epoch must not alias the old
         // generation's slot, by digest or by equality.
         assert_ne!(a, b);
         assert_ne!(a.digest, b.digest);
         // Nor does a versioned key alias the anonymous key for the same
         // content.
-        let anon = Key::new("(define (f x) x)", "f", "(1)");
-        assert_ne!(a, anon);
+        let anonymous = anon("(define (f x) x)", "f", "(1)");
+        assert_ne!(a, anonymous);
     }
 
     #[test]
     fn same_program_different_statics_are_different_keys() {
-        let a = Key::new("(define (f s d) s)", "f", "(1)");
-        let b = Key::new("(define (f s d) s)", "f", "(2)");
+        let a = anon("(define (f s d) s)", "f", "(1)");
+        let b = anon("(define (f s d) s)", "f", "(2)");
         assert_ne!(a, b);
     }
 
     #[test]
     fn eviction_removes_oldest_ready_first() {
         let mut shard = Shard::new(2, None);
-        assert_eq!(shard.put(Key::new("p1", "e", "()"), ready(5, 10)), 0);
-        assert_eq!(shard.put(Key::new("p2", "e", "()"), ready(1, 10)), 0);
-        assert_eq!(shard.put(Key::new("p3", "e", "()"), ready(9, 10)), 1);
-        assert!(!shard.map.contains_key(&Key::new("p2", "e", "()")));
+        assert_eq!(shard.put(anon("p1", "e", "()"), ready(5, 10)), 0);
+        assert_eq!(shard.put(anon("p2", "e", "()"), ready(1, 10)), 0);
+        assert_eq!(shard.put(anon("p3", "e", "()"), ready(9, 10)), 1);
+        assert!(!shard.map.contains_key(&anon("p2", "e", "()")));
         assert_eq!(shard.code_size, 20);
     }
 
@@ -428,16 +440,16 @@ mod tests {
         let mut shard = Shard::new(0, None);
         shard
             .map
-            .insert(Key::new("p1", "e", "()"), Slot::InFlight(Arc::default()));
-        assert_eq!(shard.put(Key::new("p2", "e", "()"), ready(1, 10)), 1);
-        assert!(shard.map.contains_key(&Key::new("p1", "e", "()")));
-        assert!(!shard.map.contains_key(&Key::new("p2", "e", "()")));
+            .insert(anon("p1", "e", "()"), Slot::InFlight(Arc::default()));
+        assert_eq!(shard.put(anon("p2", "e", "()"), ready(1, 10)), 1);
+        assert!(shard.map.contains_key(&anon("p1", "e", "()")));
+        assert!(!shard.map.contains_key(&anon("p2", "e", "()")));
     }
 
     #[test]
     fn oversized_single_entry_survives() {
         let mut shard = Shard::new(8, Some(10));
-        assert_eq!(shard.put(Key::new("p1", "e", "()"), ready(1, 100)), 0);
+        assert_eq!(shard.put(anon("p1", "e", "()"), ready(1, 100)), 0);
         assert_eq!(shard.map.len(), 1);
         assert_eq!(shard.code_size, 100);
     }
@@ -451,14 +463,14 @@ mod tests {
         let poisoner = shard.clone();
         let panicked = std::thread::spawn(move || {
             let mut guard = poisoner.lock().expect("first lock");
-            guard.put(Key::new("p", "e", "()"), ready(0, 1));
+            guard.put(anon("p", "e", "()"), ready(0, 1));
             panic!("injected fault: die holding the shard lock");
         })
         .join();
         assert!(panicked.is_err());
         assert!(shard.is_poisoned());
         let guard = lock(&shard);
-        assert!(guard.map.contains_key(&Key::new("p", "e", "()")));
+        assert!(guard.map.contains_key(&anon("p", "e", "()")));
     }
 
     #[test]

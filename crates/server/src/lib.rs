@@ -74,8 +74,8 @@ use registry::{Backedge, Registry};
 use stats::ServeStats;
 use two4one::obs;
 use two4one::{
-    CancelToken, Datum, Epoch, Error, ExecProfile, GenExt, Image, LimitKind, Limits, PeError,
-    SpecOptions, SpecStats,
+    CacheIdentity, CancelToken, Datum, Epoch, Error, ExecProfile, GenExt, Image, LimitKind, Limits,
+    PeError, SpecOptions, SpecStats,
 };
 use two4one_syntax::stack::DEFAULT_STACK_BYTES;
 use two4one_syntax::symbol::intern_contention;
@@ -899,29 +899,34 @@ impl SpecService {
     /// included, and neither are Tier-0 generic images still awaiting
     /// promotion: a restored record is final and would never be promoted.
     pub fn snapshot_bytes(&self) -> Vec<u8> {
-        let mut records: Vec<SnapRecord> = Vec::new();
+        let mut finals: Vec<(Key, Arc<SpecOutcome>)> = Vec::new();
         for shard in &self.shards {
             let guard = lock(shard);
             for (key, slot) in &guard.map {
                 let Slot::Ready(entry) = slot else { continue };
-                if entry.promotion != Promotion::Final {
-                    continue;
+                if entry.promotion == Promotion::Final {
+                    finals.push((key.clone(), entry.outcome.clone()));
                 }
-                let (name, epoch) = match &key.backedge {
-                    Some((n, e)) => (n.to_string(), e.get()),
-                    None => (String::new(), 0),
-                };
-                records.push(SnapRecord {
-                    program: key.program.to_string(),
-                    entry: key.entry.to_string(),
-                    statics: key.statics.to_string(),
-                    name,
-                    epoch,
-                    stats: entry.outcome.stats.clone(),
-                    image: entry.outcome.image.clone(),
-                });
             }
         }
+        let mut records: Vec<SnapRecord> = finals
+            .iter()
+            .map(|(key, outcome)| {
+                let (name, epoch) = match &key.backedge {
+                    Some((n, e)) => (&**n, e.get()),
+                    None => ("", 0),
+                };
+                SnapRecord {
+                    program: &key.program,
+                    entry: &key.entry,
+                    statics: &key.statics,
+                    name,
+                    epoch,
+                    stats: outcome.stats.clone(),
+                    image: outcome.image.clone(),
+                }
+            })
+            .collect();
         records.sort_by(|a, b| {
             (&a.name, a.epoch, &a.program, &a.entry, &a.statics)
                 .cmp(&(&b.name, b.epoch, &b.program, &b.entry, &b.statics))
@@ -948,25 +953,28 @@ impl SpecService {
         let mut restored = 0u64;
         let mut stale_dropped = 0u64;
         for rec in decoded.records {
-            let backedge: Option<Backedge> = if rec.name.is_empty() {
-                None
+            // A named record takes the live extension's identity, equal to
+            // the record's by `live_for_identity`, so its key shares the
+            // identity text and digest instead of copying and hashing them.
+            let (backedge, key) = if rec.name.is_empty() {
+                let program = CacheIdentity::new(rec.program);
+                (None, Key::new(&program, rec.entry, rec.statics))
             } else {
                 match self
                     .programs
-                    .live_for_identity(&rec.name, &rec.program, &rec.entry)
+                    .live_for_identity(rec.name, rec.program, rec.entry)
                 {
-                    Some((epoch, _)) => Some((Arc::from(rec.name.as_str()), epoch)),
+                    Some((epoch, ext)) => {
+                        let name: Arc<str> = Arc::from(rec.name);
+                        let program = ext.cache_identity();
+                        let key = Key::versioned(&name, epoch, program, rec.entry, rec.statics);
+                        (Some((name, epoch)), key)
+                    }
                     None => {
                         stale_dropped += 1;
                         continue;
                     }
                 }
-            };
-            let key = match &backedge {
-                Some((name, epoch)) => {
-                    Key::versioned(name, *epoch, &rec.program, &rec.entry, &rec.statics)
-                }
-                None => Key::new(&rec.program, &rec.entry, &rec.statics),
             };
             let shard = self.shard_of(&key);
             // Snapshots only ever hold final entries, so a restored entry
@@ -1065,7 +1073,7 @@ impl SpecService {
             .filter_map(|(name, epoch, ext)| {
                 Some(GenextSnapRecord {
                     name: name.to_string(),
-                    identity: ext.cache_identity().to_string(),
+                    identity: ext.cache_identity().text().to_string(),
                     entry: ext.entry().as_str().to_string(),
                     epoch: epoch.get(),
                     genext: ext.to_bytes().ok()?.to_vec(),
@@ -1819,11 +1827,12 @@ fn write_atomically(path: &std::path::Path, bytes: &[u8]) -> std::io::Result<()>
 }
 
 /// Builds the full cache key for a request: the extension's cache
-/// identity (annotated program + options, rendered once per extension and
-/// cached — see [`GenExt::cache_identity`]), the entry name, and the
-/// rendered static arguments — plus, for requests resolved through the
-/// registry, the `(name, epoch)` backedge, so two generations of one
-/// program can never alias. Only the statics are rendered per request.
+/// identity (annotated program + options, rendered and digested once per
+/// extension and shared — see [`GenExt::cache_identity`]), the entry
+/// name, and the rendered static arguments — plus, for requests resolved
+/// through the registry, the `(name, epoch)` backedge, so two generations
+/// of one program can never alias. Only the statics are rendered, and
+/// only the entry and the statics hashed, per request.
 fn request_key(ext: &GenExt, statics: &[Datum], backedge: Option<&Backedge>) -> Key {
     let mut rendered = String::new();
     for (i, d) in statics.iter().enumerate() {
@@ -1832,15 +1841,11 @@ fn request_key(ext: &GenExt, statics: &[Datum], backedge: Option<&Backedge>) -> 
         }
         let _ = std::fmt::Write::write_fmt(&mut rendered, format_args!("{d}"));
     }
+    let program = ext.cache_identity();
+    let entry = ext.entry().as_str();
     match backedge {
-        Some((name, epoch)) => Key::versioned(
-            name,
-            *epoch,
-            ext.cache_identity(),
-            ext.entry().as_str(),
-            &rendered,
-        ),
-        None => Key::new(ext.cache_identity(), ext.entry().as_str(), &rendered),
+        Some((name, epoch)) => Key::versioned(name, *epoch, program, entry, &rendered),
+        None => Key::new(program, entry, &rendered),
     }
 }
 

@@ -43,14 +43,17 @@ const VERSION: u32 = 3;
 const HEADER_LEN: usize = 8 + 4 + 4;
 
 /// One cache entry in transit between the shard map and a snapshot file.
+/// Its text borrows from the cache keys being written or the snapshot
+/// bytes being read: a restore of thousands of records copies none of
+/// their identities just to compare them with the live registry.
 #[derive(Debug)]
-pub(crate) struct SnapRecord {
-    pub(crate) program: String,
-    pub(crate) entry: String,
-    pub(crate) statics: String,
+pub(crate) struct SnapRecord<'a> {
+    pub(crate) program: &'a str,
+    pub(crate) entry: &'a str,
+    pub(crate) statics: &'a str,
     /// Logical registry name the entry was specialized under; empty for
     /// anonymous entries.
-    pub(crate) name: String,
+    pub(crate) name: &'a str,
     /// Registration epoch of the backedge; 0 for anonymous entries.
     pub(crate) epoch: u64,
     pub(crate) stats: SpecStats,
@@ -106,10 +109,10 @@ fn kind_from_tag(tag: u8) -> Option<Option<LimitKind>> {
 
 fn encode_record(r: &SnapRecord) -> Vec<u8> {
     let mut payload = Vec::new();
-    put_str(&mut payload, &r.program);
-    put_str(&mut payload, &r.entry);
-    put_str(&mut payload, &r.statics);
-    put_str(&mut payload, &r.name);
+    put_str(&mut payload, r.program);
+    put_str(&mut payload, r.entry);
+    put_str(&mut payload, r.statics);
+    put_str(&mut payload, r.name);
     payload.extend_from_slice(&r.epoch.to_le_bytes());
     for n in [
         r.stats.unfolds,
@@ -195,21 +198,21 @@ impl<'a> Reader<'a> {
             .map(|b| u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
     }
 
-    /// A length-prefixed string; the length is validated against the
-    /// bytes actually present before anything is allocated.
-    fn string(&mut self) -> Option<String> {
+    /// A length-prefixed string, borrowed from the input; the length is
+    /// validated against the bytes actually present.
+    fn str(&mut self) -> Option<&'a str> {
         let len = self.u32()? as usize;
         let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).ok()
+        std::str::from_utf8(bytes).ok()
     }
 }
 
-fn parse_record(payload: &[u8]) -> Option<SnapRecord> {
+fn parse_record(payload: &[u8]) -> Option<SnapRecord<'_>> {
     let mut r = Reader::new(payload);
-    let program = r.string()?;
-    let entry = r.string()?;
-    let statics = r.string()?;
-    let name = r.string()?;
+    let program = r.str()?;
+    let entry = r.str()?;
+    let statics = r.str()?;
+    let name = r.str()?;
     let epoch = r.u64()?;
     let stats = SpecStats {
         unfolds: r.u64()?,
@@ -243,11 +246,11 @@ fn parse_record(payload: &[u8]) -> Option<SnapRecord> {
 /// `magic` and `version`, recovering every record `parse` accepts and
 /// quarantining the rest. Never panics, never allocates beyond the input
 /// size.
-fn decode_container<T>(
+fn decode_container<'a, T>(
     magic: &[u8; 8],
     version: u32,
-    bytes: &[u8],
-    parse: impl Fn(&[u8]) -> Option<T>,
+    bytes: &'a [u8],
+    parse: impl Fn(&'a [u8]) -> Option<T>,
 ) -> Decoded<T> {
     let mut out = Decoded {
         records: Vec::new(),
@@ -301,7 +304,7 @@ fn decode_container<T>(
 
 /// Decodes a snapshot, recovering every intact record and quarantining
 /// the rest.
-pub(crate) fn decode(bytes: &[u8]) -> Decoded<SnapRecord> {
+pub(crate) fn decode(bytes: &[u8]) -> Decoded<SnapRecord<'_>> {
     decode_container(MAGIC, VERSION, bytes, parse_record)
 }
 
@@ -354,9 +357,9 @@ pub(crate) fn encode_genexts(records: &[GenextSnapRecord]) -> Vec<u8> {
 
 fn parse_genext_record(payload: &[u8]) -> Option<GenextSnapRecord> {
     let mut r = Reader::new(payload);
-    let name = r.string()?;
-    let identity = r.string()?;
-    let entry = r.string()?;
+    let name = r.str()?.to_string();
+    let identity = r.str()?.to_string();
+    let entry = r.str()?.to_string();
     let epoch = r.u64()?;
     let len = r.u32()? as usize;
     let genext = r.take(len)?.to_vec();
@@ -382,12 +385,12 @@ mod tests {
     use super::*;
     use two4one::{Image, Symbol};
 
-    fn record(tag: &str) -> SnapRecord {
+    fn record(program: &str) -> SnapRecord<'_> {
         SnapRecord {
-            program: format!("(define (f x) {tag})"),
-            entry: "f".to_string(),
-            statics: "(1 2)".to_string(),
-            name: String::new(),
+            program,
+            entry: "f",
+            statics: "(1 2)",
+            name: "",
             epoch: 0,
             stats: SpecStats {
                 unfolds: 7,
@@ -401,9 +404,9 @@ mod tests {
         }
     }
 
-    fn named_record(name: &str, epoch: u64) -> SnapRecord {
+    fn named_record(name: &str, epoch: u64) -> SnapRecord<'_> {
         SnapRecord {
-            name: name.to_string(),
+            name,
             epoch,
             ..record(name)
         }

@@ -184,7 +184,8 @@ impl Registry {
     ) -> Option<(Epoch, GenExt)> {
         let map = lock(&self.programs);
         let reg = map.get(name)?;
-        if reg.ext.cache_identity() == identity && reg.ext.entry().as_str() == entry {
+        if reg.ext.cache_identity().text().as_ref() == identity && reg.ext.entry().as_str() == entry
+        {
             Some((reg.epoch, reg.ext.clone()))
         } else {
             None
@@ -305,12 +306,14 @@ mod tests {
         let r = Registry::default();
         let e = ext("(+ s d)");
         r.register("P", &e);
-        let live = r.live_for_identity("P", e.cache_identity(), "f");
+        let live = r.live_for_identity("P", e.cache_identity().text(), "f");
         assert_eq!(live.map(|(epoch, _)| epoch), Some(Epoch::FIRST));
         assert!(r.live_for_identity("P", "something else", "f").is_none());
-        assert!(r.live_for_identity("P", e.cache_identity(), "g").is_none());
         assert!(r
-            .live_for_identity("unknown", e.cache_identity(), "f")
+            .live_for_identity("P", e.cache_identity().text(), "g")
+            .is_none());
+        assert!(r
+            .live_for_identity("unknown", e.cache_identity().text(), "f")
             .is_none());
     }
 

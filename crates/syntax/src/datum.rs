@@ -1,7 +1,7 @@
 //! S-expression data: the external representation of programs and the
 //! first-order value universe of the partial evaluator.
 
-use crate::symbol::Symbol;
+use crate::symbol::{fnv1a, Symbol, FNV1A_BASIS};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -115,16 +115,9 @@ impl Datum {
             Datum::Bool(b) => mix(SEED_BOOL, u64::from(*b)),
             Datum::Int(n) => mix(SEED_INT, *n as u64),
             Datum::Char(c) => mix(SEED_CHAR, u64::from(*c)),
-            Datum::Str(s) => {
-                // FNV-1a over the bytes; bare strings are rare as memo-key
-                // leaves, and string *contents* never change.
-                let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-                for b in s.as_bytes() {
-                    h ^= u64::from(*b);
-                    h = h.wrapping_mul(0x0000_0100_0000_01b3);
-                }
-                mix(SEED_STR, h)
-            }
+            // FNV-1a over the bytes; bare strings are rare as memo-key
+            // leaves, and string *contents* never change.
+            Datum::Str(s) => mix(SEED_STR, fnv1a(FNV1A_BASIS, s.as_bytes())),
             Datum::Sym(s) => mix(SEED_SYM, s.digest()),
             Datum::Pair(p) => p.digest,
         }

@@ -156,6 +156,12 @@ struct Reader<'a> {
     depth: usize,
     node_cap: Option<usize>,
     depth_cap: Option<usize>,
+    /// Scratch text of the atom, string or character name being read:
+    /// one buffer for the whole read, since none of them nests.
+    text: String,
+    /// The items of every list being read, innermost last: a list owns
+    /// the stack above the height it found on entry and pops back to it.
+    items: Vec<Datum>,
 }
 
 impl<'a> Reader<'a> {
@@ -170,6 +176,8 @@ impl<'a> Reader<'a> {
             depth: 0,
             node_cap: limits.input_node_cap,
             depth_cap: limits.input_depth_cap,
+            text: String::new(),
+            items: Vec::new(),
         }
     }
 
@@ -329,7 +337,7 @@ impl<'a> Reader<'a> {
     }
 
     fn read_list(&mut self, close: char) -> Result<Datum, ReadError> {
-        let mut items: Vec<Datum> = Vec::new();
+        let base = self.items.len();
         let mut tail = Datum::Nil;
         loop {
             self.skip_atmosphere()?;
@@ -341,7 +349,7 @@ impl<'a> Reader<'a> {
                 }
                 Some(')') | Some(']') => return Err(self.err(ReadErrorKind::UnbalancedClose)),
                 Some('.') if self.dot_is_standalone() => {
-                    if items.is_empty() {
+                    if self.items.len() == base {
                         return Err(self.err(ReadErrorKind::MisplacedDot));
                     }
                     self.bump();
@@ -355,11 +363,15 @@ impl<'a> Reader<'a> {
                         _ => return Err(self.err(ReadErrorKind::MisplacedDot)),
                     }
                 }
-                Some(_) => items.push(self.read_datum()?),
+                Some(_) => {
+                    let item = self.read_datum()?;
+                    self.items.push(item);
+                }
             }
         }
-        Ok(items
-            .into_iter()
+        Ok(self
+            .items
+            .drain(base..)
             .rev()
             .fold(tail, |acc, d| Datum::cons(d, acc)))
     }
@@ -375,20 +387,20 @@ impl<'a> Reader<'a> {
 
     fn read_string(&mut self) -> Result<Datum, ReadError> {
         self.bump(); // opening quote
-        let mut s = String::new();
+        self.text.clear();
         loop {
             match self.bump() {
                 None => return Err(self.err(ReadErrorKind::UnterminatedString)),
-                Some('"') => return Ok(Datum::string(&s)),
+                Some('"') => return Ok(Datum::string(&self.text)),
                 Some('\\') => match self.bump() {
                     None => return Err(self.err(ReadErrorKind::UnterminatedString)),
-                    Some('n') => s.push('\n'),
-                    Some('t') => s.push('\t'),
-                    Some('\\') => s.push('\\'),
-                    Some('"') => s.push('"'),
+                    Some('n') => self.text.push('\n'),
+                    Some('t') => self.text.push('\t'),
+                    Some('\\') => self.text.push('\\'),
+                    Some('"') => self.text.push('"'),
                     Some(c) => return Err(self.err(ReadErrorKind::BadEscape(c))),
                 },
-                Some(c) => s.push(c),
+                Some(c) => self.text.push(c),
             }
         }
     }
@@ -407,20 +419,20 @@ impl<'a> Reader<'a> {
             Some('\\') => {
                 self.bump();
                 // Named characters or a single char.
-                let mut name = String::new();
+                self.text.clear();
                 match self.bump() {
                     None => return Err(self.err(ReadErrorKind::UnexpectedEof)),
-                    Some(c) => name.push(c),
+                    Some(c) => self.text.push(c),
                 }
                 while let Some(c) = self.peek() {
                     if c.is_alphanumeric() || c == '-' {
-                        name.push(c);
+                        self.text.push(c);
                         self.bump();
                     } else {
                         break;
                     }
                 }
-                let c = match name.as_str() {
+                let c = match self.text.as_str() {
                     "space" => ' ',
                     "newline" => '\n',
                     "tab" => '\t',
@@ -447,7 +459,9 @@ impl<'a> Reader<'a> {
             }
             self.bump();
         }
-        let text: String = self.chars[start..self.idx].iter().collect();
+        self.text.clear();
+        self.text.extend(&self.chars[start..self.idx]);
+        let text = &self.text;
         debug_assert!(!text.is_empty(), "atom at {} in {:?}", start, self.src);
         // Integer?
         let looks_numeric = {
@@ -464,7 +478,7 @@ impl<'a> Reader<'a> {
                 .map(Datum::Int)
                 .map_err(|_| self.err(ReadErrorKind::IntOverflow(text.clone())));
         }
-        Ok(Datum::Sym(Symbol::new(&text)))
+        Ok(Datum::Sym(Symbol::new(text)))
     }
 }
 
@@ -536,6 +550,14 @@ mod tests {
         assert_eq!(e.kind, ReadErrorKind::TrailingData);
         let e = read_one("(a\nb").unwrap_err();
         assert_eq!(e.pos.line, 2);
+        // After atoms and a string have used the scratch text, an error
+        // still carries its own literal and position.
+        let e = read_one("(ab \"c\" 99999999999999999999 d)").unwrap_err();
+        assert_eq!(
+            e.kind,
+            ReadErrorKind::IntOverflow("99999999999999999999".into())
+        );
+        assert_eq!((e.pos.line, e.pos.col), (1, 29));
     }
 
     #[test]

@@ -111,9 +111,15 @@ impl AsRef<str> for Symbol {
     }
 }
 
-/// 64-bit FNV-1a over a byte string.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+/// The 64-bit FNV-1a offset basis: the [`fnv1a`] state before any byte.
+pub const FNV1A_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Continues a 64-bit FNV-1a hash from state `h` over `bytes`:
+/// `fnv1a(FNV1A_BASIS, b)` is the FNV-1a digest of `b`, and feeding a
+/// result back in hashes the concatenation. The workspace's one
+/// byte-string hash: symbol names, string data, and the serving layer's
+/// cache identities and keys.
+pub fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -183,7 +189,7 @@ impl Interner {
     pub fn intern(&self, name: &str) -> NonZeroU32 {
         // The digest doubles as the shard selector and the cached content
         // digest stored on first intern.
-        let digest = fnv1a(name.as_bytes());
+        let digest = fnv1a(FNV1A_BASIS, name.as_bytes());
         let shard = &self.shards[digest as usize & (SHARDS - 1)];
         if let Some(id) = read(shard).get(name) {
             return *id;
@@ -410,7 +416,10 @@ mod tests {
 
     #[test]
     fn digest_depends_on_content_only() {
-        assert_eq!(Symbol::new("digest-probe").digest(), fnv1a(b"digest-probe"));
+        assert_eq!(
+            Symbol::new("digest-probe").digest(),
+            fnv1a(FNV1A_BASIS, b"digest-probe")
+        );
         assert_ne!(
             Symbol::new("digest-probe").digest(),
             Symbol::new("digest-probe2").digest()

@@ -213,26 +213,44 @@ pub fn gen_program(rng: &mut Rng) -> Program {
 
 const SYM_HEAD: &[u8] = b"abcdefghijklmnopqrstuvwxyz";
 const SYM_TAIL: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789!?<>=+*-";
-const CHARS: &[char] = &['a', ' ', '\n', 'λ'];
+/// Characters, among them every one the printer names or that is a
+/// delimiter elsewhere in the syntax.
+const CHARS: &[char] = &[
+    'a', 'Z', '0', ' ', '\n', '\t', 'λ', '(', ')', '"', '\\', ';', '#', '\'',
+];
+/// Integers at and next to the ends of the `i64` range.
+const EXTREME_INTS: &[i64] = &[i64::MIN, i64::MIN + 1, -1, 0, i64::MAX];
+/// String characters the printer must escape, or passes through raw.
+const STRING_SPECIALS: &[char] = &['"', '\\', '\n', '\t', 'λ'];
+/// The heads the printer writes as quote sugar.
+const SUGAR: &[&str] = &["quote", "quasiquote", "unquote", "unquote-splicing"];
 
 /// Generates random first-order data (for reader/printer round-trips) with
-/// at most `depth` levels of nesting.
+/// at most `depth` levels of nesting: pairs with dotted tails, proper
+/// lists, quote sugar, and atoms including extreme integers, named and
+/// delimiter characters, and strings that need escapes.
 pub fn gen_datum(rng: &mut Rng, depth: usize) -> Datum {
     if depth > 0 && rng.chance(2, 5) {
-        return if rng.flip() {
-            Datum::cons(gen_datum(rng, depth - 1), gen_datum(rng, depth - 1))
-        } else {
-            let n = rng.index(4);
-            Datum::list(
-                (0..n)
-                    .map(|_| gen_datum(rng, depth - 1))
-                    .collect::<Vec<_>>(),
-            )
+        return match rng.index(3) {
+            0 => Datum::cons(gen_datum(rng, depth - 1), gen_datum(rng, depth - 1)),
+            1 => {
+                let n = rng.index(4);
+                Datum::list(
+                    (0..n)
+                        .map(|_| gen_datum(rng, depth - 1))
+                        .collect::<Vec<_>>(),
+                )
+            }
+            _ => {
+                let head = rng.pick(SUGAR);
+                Datum::list([Datum::sym(head), gen_datum(rng, depth - 1)])
+            }
         };
     }
     match rng.index(6) {
         0 => Datum::Nil,
         1 => Datum::Bool(rng.flip()),
+        2 if rng.chance(1, 4) => Datum::Int(*rng.pick(EXTREME_INTS)),
         2 => Datum::Int(rng.range_i64(-1000, 1000)),
         3 => {
             let mut s = String::new();
@@ -245,8 +263,12 @@ pub fn gen_datum(rng: &mut Rng, depth: usize) -> Datum {
         4 => {
             let mut s = String::new();
             for _ in 0..rng.index(8) {
-                // Printable ASCII.
-                s.push((0x20 + rng.below(0x5f) as u8) as char);
+                if rng.chance(1, 4) {
+                    s.push(*rng.pick(STRING_SPECIALS));
+                } else {
+                    // Printable ASCII.
+                    s.push((0x20 + rng.below(0x5f) as u8) as char);
+                }
             }
             Datum::string(&s)
         }

@@ -932,6 +932,182 @@ fn t4o_spec_genext_cache_warm_starts_across_processes() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+// The bytes `t4o_files_keep_their_bytes` expects for `power`, captured
+// from the commands it runs. A change to any of these formats must
+// update them on purpose, with the format's `VERSION`.
+const POWER_T4O: &str = "\
+    74776f346f6e650002000000765ed4ee05000000706f77657201000000050000\
+    00706f77657205000000706f7765720200001d00000002010004000000040d01\
+    0000003d02050202000c0a0000000001000a02010004000100040d010000002d\
+    0205020000040203000401000008020502000004020400040d010000002a020a\
+    020000000400000000000000000401000000000000000100000005000000706f\
+    77657200000000";
+
+const POWER_T4OG: &str = "\
+    74346f67656e780001000000a347eed305000000706f77657206000000040000\
+    0000000000000401000000000000000401000000000000000400000000000000\
+    000401000000000000000401000000000000001b000000070400000006000000\
+    0c010000003d02000000020000000300000001030000006e2531000001000000\
+    0000000400010000000d010000002a0200000007000000080000000103000000\
+    782530000000000a020000000a0000000b000000020000000001030000007825\
+    30000000000c010000002d020000000c0000000d00000001030000006e253100\
+    00010000020000000812000000130000000d010000003d020000001000000011\
+    00000001030000006e253100000100000300000000040000000d010000002a02\
+    00000014000000150000000103000000782530000000000b0200000017000000\
+    1800000002000000000103000000782530000000000d010000002d0200000019\
+    0000001a00000001030000006e25310000010000050000000000000001000000\
+    05000000706f776572020000000300000078253001030000006e253100000000\
+    00000e000000";
+
+const POWER_T4OS: &str = "\
+    74346f736e617000030000000100000020020000b05558654d01000028646566\
+    696e652028706f776572207825303a44206e25313a53292028696620283d206e\
+    253120302920286c69667420312920285f2a207825302028706f776572207825\
+    3020282d206e2531203129292929290a00537065634f7074696f6e73207b206c\
+    696d6974733a204c696d697473207b2074696d656f75743a204e6f6e652c2073\
+    7465705f6675656c3a204e6f6e652c20756e666f6c645f6675656c3a20536f6d\
+    652832303030303030292c206d61785f64657074683a20536f6d652834303030\
+    3030292c206d656d6f5f6361703a20536f6d652831303030303030292c20636f\
+    64655f6361703a20536f6d65283530303030303030292c20696e7075745f6e6f\
+    64655f6361703a20536f6d65283130303030303030292c20696e7075745f6465\
+    7074685f6361703a20536f6d652831303030303029207d2c2066616c6c626163\
+    6b3a2074727565207d05000000706f776572010000003305000000706f776572\
+    0100000000000000030000000000000000000000000000000000000000000000\
+    010000000000000000000000000000000000000000000000007b00000074776f\
+    346f6e650002000000ab864fa405000000706f7765720100000005000000706f\
+    77657205000000706f7765720100001200000002000004000000040d01000000\
+    2a020502000004020100040d010000002a020502000004020200040d01000000\
+    2a020a010000000401000000000000000000000000000000";
+
+const POWER_GENEXT_CACHE: &str = "\
+    74346f67736e70000100000001000000150300008f05655105000000706f7765\
+    724d01000028646566696e652028706f776572207825303a44206e25313a5329\
+    2028696620283d206e253120302920286c69667420312920285f2a2078253020\
+    28706f7765722078253020282d206e2531203129292929290a00537065634f70\
+    74696f6e73207b206c696d6974733a204c696d697473207b2074696d656f7574\
+    3a204e6f6e652c20737465705f6675656c3a204e6f6e652c20756e666f6c645f\
+    6675656c3a20536f6d652832303030303030292c206d61785f64657074683a20\
+    536f6d6528343030303030292c206d656d6f5f6361703a20536f6d6528313030\
+    30303030292c20636f64655f6361703a20536f6d65283530303030303030292c\
+    20696e7075745f6e6f64655f6361703a20536f6d65283130303030303030292c\
+    20696e7075745f64657074685f6361703a20536f6d652831303030303029207d\
+    2c2066616c6c6261636b3a2074727565207d05000000706f7765720100000000\
+    000000a601000074346f67656e780001000000a347eed305000000706f776572\
+    0600000004000000000000000004010000000000000004010000000000000004\
+    00000000000000000401000000000000000401000000000000001b0000000704\
+    000000060000000c010000003d02000000020000000300000001030000006e25\
+    310000010000000000000400010000000d010000002a02000000070000000800\
+    00000103000000782530000000000a020000000a0000000b0000000200000000\
+    0103000000782530000000000c010000002d020000000c0000000d0000000103\
+    0000006e25310000010000020000000812000000130000000d010000003d0200\
+    0000100000001100000001030000006e25310000010000030000000004000000\
+    0d010000002a0200000014000000150000000103000000782530000000000b02\
+    000000170000001800000002000000000103000000782530000000000d010000\
+    002d02000000190000001a00000001030000006e253100000100000500000000\
+    0000000100000005000000706f77657202000000030000007825300103000000\
+    6e25310000000000000e000000";
+
+fn unhex(hex: &str) -> Vec<u8> {
+    (0..hex.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+        .collect()
+}
+
+#[test]
+fn t4o_files_keep_their_bytes() {
+    let dir = tmp_dir();
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    std::fs::write(
+        dir.join("pow.scm"),
+        "(define (power x n) (if (= n 0) 1 (* x (power x (- n 1)))))",
+    )
+    .unwrap();
+    let run = |args: &[String]| {
+        let out = t4o().args(args).output().unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let args = |words: &[&str]| words.iter().map(|w| w.to_string()).collect::<Vec<_>>();
+    let serve = |t4os: &str, t4og: &str, batches: &[&str]| {
+        let mut a = args(&[
+            "spec",
+            &path("pow.scm"),
+            "--entry",
+            "power",
+            "--division",
+            "DS",
+            "--name",
+            "power",
+            "--jobs",
+            "1",
+            "-o",
+            &path("pow-serve"),
+            "--cache-file",
+            &path(t4os),
+            "--genext-cache",
+            &path(t4og),
+        ]);
+        for b in batches {
+            a.extend(args(&["--batch", b]));
+        }
+        a
+    };
+
+    // Snapshots in the pinned bytes restore: the residual entry answers
+    // its statics as a hit, and the staged gen-ext serves new statics
+    // without staging again.
+    std::fs::write(dir.join("old.t4os"), unhex(POWER_T4OS)).unwrap();
+    std::fs::write(dir.join("old.t4og"), unhex(POWER_GENEXT_CACHE)).unwrap();
+    let stdout = run(&serve("old.t4os", "old.t4og", &["(3)", "(4)"]));
+    assert!(stdout.contains("cache: restored 1 entries"), "{stdout}");
+    assert!(stdout.contains("restored 1 gen-ext(s)"), "{stdout}");
+    assert!(stdout.contains("hits=1 misses=1"), "{stdout}");
+    assert!(stdout.contains("genext_builds=0"), "{stdout}");
+
+    // Fresh files from the same commands come out byte for byte.
+    run(&args(&[
+        "compile",
+        &path("pow.scm"),
+        "--entry",
+        "power",
+        "-o",
+        &path("pow.t4o"),
+    ]));
+    run(&args(&[
+        "spec",
+        &path("pow.scm"),
+        "--entry",
+        "power",
+        "--division",
+        "DS",
+        "--static",
+        "3",
+        "-o",
+        &path("pow-spec.t4o"),
+        "--genext-file",
+        &path("pow.t4og"),
+    ]));
+    run(&serve("pow.t4os", "pow-cache.t4og", &["(3)"]));
+    for (file, pinned) in [
+        ("pow.t4o", POWER_T4O),
+        ("pow.t4og", POWER_T4OG),
+        ("pow.t4os", POWER_T4OS),
+        ("pow-cache.t4og", POWER_GENEXT_CACHE),
+    ] {
+        let bytes = std::fs::read(dir.join(file)).unwrap();
+        assert!(
+            bytes == unhex(pinned),
+            "{file} no longer has its pinned bytes"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn t4o_spec_deadline_flag_bounds_requests() {
     let dir = tmp_dir();

@@ -184,17 +184,6 @@ fn all_dynamic_specialization_preserves_semantics() {
 }
 
 #[test]
-fn reader_printer_roundtrip() {
-    for seed in 0..200 {
-        let d = gen_datum(&mut Rng::new(seed), 4);
-        let text = d.to_string();
-        let back = two4one::reader::read_one(&text)
-            .unwrap_or_else(|e| panic!("seed {seed}: reparse `{text}`: {e}"));
-        assert_eq!(back, d, "seed {seed}");
-    }
-}
-
-#[test]
 fn pretty_printer_roundtrip() {
     for seed in 0..200 {
         let d = gen_datum(&mut Rng::new(seed), 4);
