@@ -16,7 +16,7 @@ pub mod optimize;
 
 pub use build::{CodeBuilder, SourceBuilder};
 pub use normalize::{normalize, normalize_expr};
-pub use optimize::{optimize, optimize_aggressive, optimize_expr, optimize_expr_aggressive};
+pub use optimize::{optimize, optimize_expr};
 
 use std::collections::BTreeSet;
 use std::fmt;

@@ -9,26 +9,22 @@
 //! * **copy/constant propagation** — `(let (x t) M)` with trivial `t`
 //!   substitutes `t` for `x` in `M` (lambdas are propagated only when used
 //!   once, to avoid duplicating code);
-//! * **algebraic simplification** — unit laws of `+` and `*`,
-//!   multiplication by zero, `(if #t …)`/`(if #f …)`, constant folding of
-//!   pure primitives on constants;
+//! * **algebraic simplification** — `(if #t …)`/`(if #f …)`, constant
+//!   folding of pure primitives on constants;
 //! * **dead-binding elimination** — `(let (x a) M)` where `x` is unused and
 //!   `a` is a *total* primitive application is dropped (calls and faulting
 //!   primitives are kept: they may diverge, fault, or perform effects).
 //!
-//! The default [`optimize`] is **fault-preserving**: a program that raises
-//! a runtime error keeps raising it. The unit-law rewrites (`(* x 1) → x`,
-//! `(+ x 0) → x`, …) are *not* fault-preserving — they erase the type
-//! error the original raises when `x` is not a number — so they live in
-//! [`optimize_aggressive`], which assumes arithmetic operands are numeric.
-//! Both levels run to a fixpoint and are checked against the interpreter
-//! oracle in the test suite and by property tests.
+//! The optimizer is **fault-preserving**: a program that raises a runtime
+//! error keeps raising it. That is why it has no unit laws: `(* x 1) → x`
+//! erases the type error the original raises when `x` is not a number. It
+//! runs to a fixpoint and is checked against the interpreter oracle in
+//! the test suite and by property tests.
 
 use crate::{App, Def, Expr, Lambda, Program, Rhs, Triv};
 use std::collections::HashMap;
 use std::sync::Arc;
 use two4one_syntax::datum::Datum;
-use two4one_syntax::prim::Prim;
 use two4one_syntax::symbol::Symbol;
 use two4one_syntax::value::apply_prim_datum;
 
@@ -51,17 +47,6 @@ use two4one_syntax::value::apply_prim_datum;
 /// # }
 /// ```
 pub fn optimize(p: &Program) -> Program {
-    optimize_with(p, false)
-}
-
-/// Optimizes a whole program to a fixpoint, additionally applying the
-/// numeric unit laws (assumes arithmetic operands are numbers; a program
-/// relying on `(* 'a 1)` faulting will no longer fault).
-pub fn optimize_aggressive(p: &Program) -> Program {
-    optimize_with(p, true)
-}
-
-fn optimize_with(p: &Program, aggressive: bool) -> Program {
     Program {
         defs: p
             .defs
@@ -69,7 +54,7 @@ fn optimize_with(p: &Program, aggressive: bool) -> Program {
             .map(|d| Def {
                 name: d.name,
                 params: d.params.clone(),
-                body: optimize_expr_with(&d.body, aggressive),
+                body: optimize_expr(&d.body),
             })
             .collect(),
     }
@@ -77,18 +62,9 @@ fn optimize_with(p: &Program, aggressive: bool) -> Program {
 
 /// Optimizes one expression to a fixpoint (fault-preserving).
 pub fn optimize_expr(e: &Expr) -> Expr {
-    optimize_expr_with(e, false)
-}
-
-/// Optimizes one expression to a fixpoint with the unit laws enabled.
-pub fn optimize_expr_aggressive(e: &Expr) -> Expr {
-    optimize_expr_with(e, true)
-}
-
-fn optimize_expr_with(e: &Expr, aggressive: bool) -> Expr {
     let mut cur = e.clone();
     for _ in 0..16 {
-        let next = pass(&cur, &mut HashMap::new(), aggressive);
+        let next = pass(&cur, &mut HashMap::new());
         if next == cur {
             break;
         }
@@ -100,14 +76,14 @@ fn optimize_expr_with(e: &Expr, aggressive: bool) -> Expr {
 /// Substitution environment: variables mapped to replacement trivials.
 type Subst = HashMap<Symbol, Triv>;
 
-fn subst_triv(t: &Triv, s: &Subst, aggressive: bool) -> Triv {
+fn subst_triv(t: &Triv, s: &Subst) -> Triv {
     match t {
         Triv::Var(x) => s.get(x).cloned().unwrap_or_else(|| t.clone()),
         Triv::Const(_) => t.clone(),
         Triv::Lambda(l) => Triv::Lambda(Arc::new(Lambda {
             name: l.name,
             params: l.params.clone(),
-            body: pass(&l.body, &mut shadowed(s, &l.params), aggressive),
+            body: pass(&l.body, &mut shadowed(s, &l.params)),
             join: l.join,
         })),
     }
@@ -121,35 +97,20 @@ fn shadowed(s: &Subst, params: &[Symbol]) -> Subst {
     s2
 }
 
-fn subst_app(a: &App, s: &Subst, aggressive: bool) -> App {
+fn subst_app(a: &App, s: &Subst) -> App {
     match a {
         App::Call(f, args) => App::Call(
-            subst_triv(f, s, aggressive),
-            args.iter().map(|t| subst_triv(t, s, aggressive)).collect(),
+            subst_triv(f, s),
+            args.iter().map(|t| subst_triv(t, s)).collect(),
         ),
-        App::Prim(p, args) => App::Prim(
-            *p,
-            args.iter().map(|t| subst_triv(t, s, aggressive)).collect(),
-        ),
+        App::Prim(p, args) => App::Prim(*p, args.iter().map(|t| subst_triv(t, s)).collect()),
     }
 }
 
 /// Algebraic simplification of a serious term; returns a trivial when the
 /// whole application collapses.
-fn simplify_app(a: &App, aggressive: bool) -> Result<Triv, App> {
+fn simplify_app(a: &App) -> Result<Triv, App> {
     if let App::Prim(p, args) = a {
-        // Unit laws on the integers erase the type error the original
-        // raises on non-numeric operands, so they are aggressive-only.
-        if aggressive {
-            match (p, args.as_slice()) {
-                (Prim::Mul, [x, Triv::Const(Datum::Int(1))]) => return Ok(x.clone()),
-                (Prim::Mul, [Triv::Const(Datum::Int(1)), x]) => return Ok(x.clone()),
-                (Prim::Add, [x, Triv::Const(Datum::Int(0))]) => return Ok(x.clone()),
-                (Prim::Add, [Triv::Const(Datum::Int(0)), x]) => return Ok(x.clone()),
-                (Prim::Sub, [x, Triv::Const(Datum::Int(0))]) => return Ok(x.clone()),
-                _ => {}
-            }
-        }
         // Constant folding of pure primitives over constants.
         if p.is_pure() && !args.is_empty() {
             let consts: Option<Vec<Datum>> = args
@@ -208,12 +169,12 @@ fn uses_in_expr(e: &Expr, x: &Symbol) -> usize {
     }
 }
 
-fn pass(e: &Expr, s: &mut Subst, aggressive: bool) -> Expr {
+fn pass(e: &Expr, s: &mut Subst) -> Expr {
     match e {
-        Expr::Ret(t) => Expr::Ret(subst_triv(t, s, aggressive)),
+        Expr::Ret(t) => Expr::Ret(subst_triv(t, s)),
         Expr::Tail(a) => {
-            let a = subst_app(a, s, aggressive);
-            match simplify_app(&a, aggressive) {
+            let a = subst_app(a, s);
+            match simplify_app(&a) {
                 Ok(t) => Expr::Ret(t),
                 Err(a) => Expr::Tail(a),
             }
@@ -221,7 +182,7 @@ fn pass(e: &Expr, s: &mut Subst, aggressive: bool) -> Expr {
         Expr::Let(x, rhs, body) => {
             match rhs {
                 Rhs::Triv(t) => {
-                    let t = subst_triv(t, s, aggressive);
+                    let t = subst_triv(t, s);
                     let propagate = match &t {
                         Triv::Const(_) | Triv::Var(_) => true,
                         // Don't duplicate lambdas: propagate only when the
@@ -237,25 +198,23 @@ fn pass(e: &Expr, s: &mut Subst, aggressive: bool) -> Expr {
                     };
                     if propagate {
                         s.insert(*x, t);
-                        pass(body, s, aggressive)
+                        pass(body, s)
                     } else {
-                        Expr::Let(*x, Rhs::Triv(t), Box::new(pass(body, s, aggressive)))
+                        Expr::Let(*x, Rhs::Triv(t), Box::new(pass(body, s)))
                     }
                 }
                 Rhs::App(a) => {
-                    let a = subst_app(a, s, aggressive);
-                    match simplify_app(&a, aggressive) {
+                    let a = subst_app(a, s);
+                    match simplify_app(&a) {
                         Ok(t) => {
                             s.insert(*x, t);
-                            pass(body, s, aggressive)
+                            pass(body, s)
                         }
                         Err(a) => {
-                            let body2 = pass(body, s, aggressive);
+                            let body2 = pass(body, s);
                             // Fault preservation: only *total* primitives
-                            // may vanish (aggressive mode extends this to
-                            // all pure primitives).
-                            let droppable = matches!(&a, App::Prim(p, _)
-                                if p.is_total() || (aggressive && p.is_pure()));
+                            // may vanish.
+                            let droppable = matches!(&a, App::Prim(p, _) if p.is_total());
                             if droppable && uses_in_expr(&body2, x) == 0 {
                                 body2
                             } else {
@@ -267,15 +226,15 @@ fn pass(e: &Expr, s: &mut Subst, aggressive: bool) -> Expr {
             }
         }
         Expr::If(t, c, a) => {
-            let t = subst_triv(t, s, aggressive);
+            let t = subst_triv(t, s);
             if let Triv::Const(d) = &t {
                 let branch = if d.is_truthy() { c } else { a };
-                return pass(branch, s, aggressive);
+                return pass(branch, s);
             }
             Expr::If(
                 t,
-                Box::new(pass(c, &mut s.clone(), aggressive)),
-                Box::new(pass(a, &mut s.clone(), aggressive)),
+                Box::new(pass(c, &mut s.clone())),
+                Box::new(pass(a, &mut s.clone())),
             )
         }
     }
@@ -296,21 +255,6 @@ mod tests {
         optimize_expr(&parse_anf(src)).to_string()
     }
 
-    fn opt_aggr(src: &str) -> String {
-        optimize_expr_aggressive(&parse_anf(src)).to_string()
-    }
-
-    #[test]
-    fn unit_laws_are_aggressive_only() {
-        assert_eq!(opt_aggr("(* x 1)"), "x");
-        assert_eq!(opt_aggr("(* 1 x)"), "x");
-        assert_eq!(opt_aggr("(+ x 0)"), "x");
-        assert_eq!(opt_aggr("(+ 0 x)"), "x");
-        assert_eq!(opt_aggr("(- x 0)"), "x");
-        // The safe level preserves the potential type fault.
-        assert_eq!(opt("(* x 1)"), "(* x 1)");
-    }
-
     #[test]
     fn constant_folding_chains() {
         assert_eq!(opt("(+ 1 (+ 2 3))"), "6");
@@ -319,6 +263,8 @@ mod tests {
         assert_eq!(opt("(car 5)"), "(car 5)");
         // Division by zero stays residual.
         assert_eq!(opt("(quotient 1 0)"), "(quotient 1 0)");
+        // No unit laws: `x` may not be a number, and the fault must stay.
+        assert_eq!(opt("(* x 1)"), "(* x 1)");
     }
 
     #[test]
@@ -331,11 +277,10 @@ mod tests {
     fn dead_binding_elimination_respects_totality() {
         // cons is total: safe to drop.
         assert_eq!(opt("(let ((unused (cons x y))) 42)"), "42");
-        // + can fault on non-numbers: only the aggressive level drops it.
+        // + can fault on non-numbers: it stays.
         assert!(opt("(let ((unused (+ x 1))) 42)").contains("+"));
-        assert_eq!(opt_aggr("(let ((unused (+ x 1))) 42)"), "42");
         // Calls are never dropped: they may diverge or have effects.
-        let e = opt_aggr("(let ((unused (f x))) 42)");
+        let e = opt("(let ((unused (f x))) 42)");
         assert!(e.contains("(f x)"), "{e}");
     }
 
@@ -381,28 +326,14 @@ mod tests {
     }
 
     #[test]
-    fn power_residual_shape_cleans_up() {
-        // The residual of power x^3: (* x (* x (* x 1))) in let-chain form.
-        let e = opt_aggr(
-            "(let ((t1 (* x 1)))
-               (let ((t2 (* x t1)))
-                 (* x t2)))",
-        );
-        // The innermost (* x 1) collapses to x.
-        assert!(!e.contains("* x 1"), "{e}");
-    }
-
-    #[test]
     fn optimizer_is_idempotent() {
         for src in [
             "(let ((a (* x 1))) (let ((b (+ a 0))) (f b b)))",
             "(if (< x 1) (* 2 3) (+ x 0))",
         ] {
-            for aggressive in [false, true] {
-                let once = optimize_expr_with(&parse_anf(src), aggressive);
-                let twice = optimize_expr_with(&once, aggressive);
-                assert_eq!(once, twice, "{src} (aggressive={aggressive})");
-            }
+            let once = optimize_expr(&parse_anf(src));
+            let twice = optimize_expr(&once);
+            assert_eq!(once, twice, "{src}");
         }
     }
 

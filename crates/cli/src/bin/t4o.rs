@@ -93,7 +93,7 @@ use two4one::{
 };
 use two4one_langs::grammar;
 use two4one_net::{net_stats_line, tenants::TenantTable, NetConfig, NetServer};
-use two4one_server::{serve_stats_line, ServeConfig, SpecRequest, SpecService};
+use two4one_server::{serve_stats_line, RestoreReport, ServeConfig, SpecRequest, SpecService};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -327,7 +327,7 @@ fn usage() -> String {
      [--tier0 [--promote-after <n>] [--promote-workers <n>]]\n  \
      t4o stats [<file.scm> --entry <name> --division <S|D letters> \
      [--static <datum>]... [--batch '(<datum>...)']... [--jobs <n>] \
-     [--name <logical>] [--cache-file <f.t4os>]] \
+     [--name <logical>] [--cache-file <f.t4os>] [--genext-cache <f.t4og>]] \
      [--json] [-o <file>]\n  \
      t4o dis <file.scm|file.t4o> --entry <name>"
         .to_string()
@@ -605,19 +605,71 @@ fn datum_list(d: &Datum) -> Result<Vec<Datum>, String> {
     }
 }
 
-/// One static-argument list per request: each `--batch '(<datum>...)'`,
-/// or the single `--static` list when no batches were given.
-fn build_batches(o: &Opts) -> Result<Vec<Vec<Datum>>, String> {
-    if o.batches.is_empty() {
-        return Ok(vec![read_data(&o.statics)?]);
-    }
-    o.batches
-        .iter()
-        .map(|text| {
-            let d = reader::read_one(text).map_err(|e| e.to_string())?;
-            datum_list(&d)
+/// One request per `--batch '(<datum>...)'`, or a single one from the
+/// `--static` list when no batches were given: for the program
+/// registered under `--name` when one is, else for `genext` itself.
+fn build_requests(o: &Opts, genext: &two4one::GenExt) -> Result<Vec<SpecRequest>, String> {
+    let batches = if o.batches.is_empty() {
+        vec![read_data(&o.statics)?]
+    } else {
+        o.batches
+            .iter()
+            .map(|text| datum_list(&reader::read_one(text).map_err(|e| e.to_string())?))
+            .collect::<Result<_, _>>()?
+    };
+    Ok(batches
+        .into_iter()
+        .map(|statics| match &o.name {
+            Some(name) => SpecRequest::named(name, statics),
+            None => SpecRequest::new(genext.clone(), statics),
         })
-        .collect()
+        .collect())
+}
+
+/// Restores `--cache-file` and `--genext-cache` when they exist — after
+/// registration, since snapshot records are judged against the live
+/// registry — and reports each restore on stdout, or on stderr when
+/// stdout carries something else.
+fn restore_snapshots(o: &Opts, service: &SpecService, to_stderr: bool) -> Result<(), String> {
+    type Restore = fn(&SpecService, &str) -> std::io::Result<RestoreReport>;
+    let snapshots: [(&Option<String>, &str, &str, Restore); 2] = [
+        (&o.cache_file, "cache", "entries", |s, p| s.restore(p)),
+        (&o.genext_cache, "genext-cache", "gen-ext(s)", |s, p| {
+            s.restore_genexts(p)
+        }),
+    ];
+    for (file, label, what, restore) in snapshots {
+        let Some(path) = file.as_ref().filter(|p| std::path::Path::new(p).exists()) else {
+            continue;
+        };
+        let report = restore(service, path).map_err(|e| format!("{path}: {e}"))?;
+        let line = format!(
+            ";; {label}: restored {} {what} from {path} \
+             ({} quarantined, {} stale dropped)",
+            report.restored, report.quarantined, report.stale_dropped
+        );
+        if to_stderr {
+            eprintln!("{line}");
+        } else {
+            println!("{line}");
+        }
+    }
+    Ok(())
+}
+
+/// Snapshots the caches to `--cache-file` and `--genext-cache`.
+fn save_snapshots(o: &Opts, service: &SpecService) -> Result<(), String> {
+    if let Some(path) = &o.cache_file {
+        service.snapshot(path).map_err(|e| format!("{path}: {e}"))?;
+        println!(";; cache: snapshot written to {path}");
+    }
+    if let Some(path) = &o.genext_cache {
+        service
+            .snapshot_genexts(path)
+            .map_err(|e| format!("{path}: {e}"))?;
+        println!(";; genext-cache: snapshot written to {path}");
+    }
+    Ok(())
 }
 
 /// A service configured from the CLI's serving flags.
@@ -644,12 +696,12 @@ fn build_service(o: &Opts) -> SpecService {
 fn report_results(
     o: &Opts,
     results: &[two4one_server::ServeResult],
-    batches: &[Vec<Datum>],
+    requests: &[SpecRequest],
 ) -> Result<(bool, usize), String> {
     let mut degraded = false;
     let mut failures = 0usize;
-    for (i, (result, statics)) in results.iter().zip(batches).enumerate() {
-        let rendered: Vec<String> = statics.iter().map(Datum::to_string).collect();
+    for (i, (result, req)) in results.iter().zip(requests).enumerate() {
+        let rendered: Vec<String> = req.statics.iter().map(Datum::to_string).collect();
         let rendered = rendered.join(" ");
         match result {
             Ok(outcome) => {
@@ -698,18 +750,7 @@ fn cmd_spec_serve(o: &Opts, genext: two4one::GenExt) -> Result<(), String> {
             .to_string());
     }
     let jobs = o.jobs.unwrap_or(1);
-    let batches = build_batches(o)?;
-    let requests: Vec<SpecRequest> = match &o.name {
-        Some(name) => batches
-            .iter()
-            .map(|statics| SpecRequest::named(name, statics.clone()))
-            .collect(),
-        None => batches
-            .iter()
-            .map(|statics| SpecRequest::new(genext.clone(), statics.clone()))
-            .collect(),
-    };
-
+    let requests = build_requests(o, &genext)?;
     let service = build_service(o);
     if requests.len() > service.admission_capacity() {
         return Err(format!(
@@ -719,40 +760,13 @@ fn cmd_spec_serve(o: &Opts, genext: two4one::GenExt) -> Result<(), String> {
             service.admission_capacity()
         ));
     }
-    // Register before restoring: snapshot records carry `(name, epoch)`
-    // backedges, and restore can only judge them stale or live against a
-    // populated registry.
     if let Some(name) = &o.name {
         let epoch = service.register(name, &genext);
         println!(";; program: {name} registered (epoch {epoch})");
     }
-    if let Some(path) = &o.cache_file {
-        if std::path::Path::new(path).exists() {
-            let report = service.restore(path).map_err(|e| format!("{path}: {e}"))?;
-            println!(
-                ";; cache: restored {} entries from {path} \
-                 ({} quarantined, {} stale dropped)",
-                report.restored, report.quarantined, report.stale_dropped
-            );
-        }
-    }
-    // Like `--cache-file`, but for compiled gen-ext artifacts: restore
-    // after registration (records are judged against the live registry),
-    // so a registered program's first cache miss skips the gen-ext build.
-    if let Some(path) = &o.genext_cache {
-        if std::path::Path::new(path).exists() {
-            let report = service
-                .restore_genexts(path)
-                .map_err(|e| format!("{path}: {e}"))?;
-            println!(
-                ";; genext-cache: restored {} gen-ext(s) from {path} \
-                 ({} quarantined, {} stale dropped)",
-                report.restored, report.quarantined, report.stale_dropped
-            );
-        }
-    }
+    restore_snapshots(o, &service, false)?;
     let results = service.specialize_many(&requests, jobs);
-    let (mut degraded, mut failures) = report_results(o, &results, &batches)?;
+    let (mut degraded, mut failures) = report_results(o, &results, &requests)?;
 
     if let Some(path) = &o.redefine {
         let name = o
@@ -766,21 +780,12 @@ fn cmd_spec_serve(o: &Opts, genext: two4one::GenExt) -> Result<(), String> {
             outcome.epoch, outcome.invalidated
         );
         let results = service.specialize_many(&requests, jobs);
-        let (d, f) = report_results(o, &results, &batches)?;
+        let (d, f) = report_results(o, &results, &requests)?;
         degraded |= d;
         failures += f;
     }
     println!("{}", serve_stats_line(jobs, &service.stats()));
-    if let Some(path) = &o.cache_file {
-        service.snapshot(path).map_err(|e| format!("{path}: {e}"))?;
-        println!(";; cache: snapshot written to {path}");
-    }
-    if let Some(path) = &o.genext_cache {
-        service
-            .snapshot_genexts(path)
-            .map_err(|e| format!("{path}: {e}"))?;
-        println!(";; genext-cache: snapshot written to {path}");
-    }
+    save_snapshots(o, &service)?;
     if let Some(path) = &o.stats_json {
         std::fs::write(path, service.stats().to_json()).map_err(|e| format!("{path}: {e}"))?;
         println!(";; stats: json written to {path}");
@@ -826,28 +831,7 @@ fn cmd_serve(o: &Opts) -> Result<(), String> {
     let service = Arc::new(build_service(o));
     let epoch = service.register(&name, &genext);
     println!(";; program: {name} registered (epoch {epoch})");
-    if let Some(path) = &o.cache_file {
-        if std::path::Path::new(path).exists() {
-            let report = service.restore(path).map_err(|e| format!("{path}: {e}"))?;
-            println!(
-                ";; cache: restored {} entries from {path} \
-                 ({} quarantined, {} stale dropped)",
-                report.restored, report.quarantined, report.stale_dropped
-            );
-        }
-    }
-    if let Some(path) = &o.genext_cache {
-        if std::path::Path::new(path).exists() {
-            let report = service
-                .restore_genexts(path)
-                .map_err(|e| format!("{path}: {e}"))?;
-            println!(
-                ";; genext-cache: restored {} gen-ext(s) from {path} \
-                 ({} quarantined, {} stale dropped)",
-                report.restored, report.quarantined, report.stale_dropped
-            );
-        }
-    }
+    restore_snapshots(o, &service, false)?;
 
     let mut config = NetConfig::default();
     if let Some(listen) = &o.listen {
@@ -879,17 +863,7 @@ fn cmd_serve(o: &Opts) -> Result<(), String> {
     println!(";; net: SIGTERM received, draining");
     let _ = std::io::stdout().flush();
     let net_snap = server.join();
-
-    if let Some(path) = &o.cache_file {
-        service.snapshot(path).map_err(|e| format!("{path}: {e}"))?;
-        println!(";; cache: snapshot written to {path}");
-    }
-    if let Some(path) = &o.genext_cache {
-        service
-            .snapshot_genexts(path)
-            .map_err(|e| format!("{path}: {e}"))?;
-        println!(";; genext-cache: snapshot written to {path}");
-    }
+    save_snapshots(o, &service)?;
     println!(
         "{}",
         serve_stats_line(o.jobs.unwrap_or(1), &service.stats())
@@ -918,33 +892,13 @@ fn cmd_stats(o: &Opts) -> Result<(), String> {
     if !o.positional.is_empty() {
         let genext = build_genext(o)?;
         let jobs = o.jobs.unwrap_or(1);
-        let batches = build_batches(o)?;
-        let requests: Vec<SpecRequest> = match &o.name {
-            Some(name) => batches
-                .iter()
-                .map(|statics| SpecRequest::named(name, statics.clone()))
-                .collect(),
-            None => batches
-                .iter()
-                .map(|statics| SpecRequest::new(genext.clone(), statics.clone()))
-                .collect(),
-        };
+        let requests = build_requests(o, &genext)?;
         if let Some(name) = &o.name {
             let epoch = service.register(name, &genext);
             eprintln!(";; program: {name} registered (epoch {epoch})");
         }
-        // Restoring after registration lets the page show `stale_dropped`
-        // for snapshot records whose program has since been redefined.
-        if let Some(path) = &o.cache_file {
-            if std::path::Path::new(path).exists() {
-                let report = service.restore(path).map_err(|e| format!("{path}: {e}"))?;
-                eprintln!(
-                    ";; cache: restored {} entries from {path} \
-                     ({} quarantined, {} stale dropped)",
-                    report.restored, report.quarantined, report.stale_dropped
-                );
-            }
-        }
+        // Keep stdout pure exposition: restore reports go to stderr too.
+        restore_snapshots(o, &service, true)?;
         let results = service.specialize_many(&requests, jobs);
         let failures = results.iter().filter(|r| r.is_err()).count();
         // Keep stdout pure exposition; the human summary goes to stderr.

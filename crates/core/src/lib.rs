@@ -67,8 +67,8 @@ pub use two4one_syntax::stack::{with_stack, with_stack_size};
 pub use two4one_syntax::symbol::Symbol;
 use two4one_syntax::symbol::{fnv1a, FNV1A_BASIS};
 pub use two4one_vm::{
-    crc32, decode_genext, decode_image, encode_genext, encode_image, ExecProfile, GenProgram,
-    Image, Machine, ObjError, Value, VmError,
+    crc32, decode_genext, decode_image, encode_genext, encode_image, objfile, ExecProfile,
+    GenProgram, Image, Machine, ObjError, Value, VmError,
 };
 
 /// Any error the pipeline can produce.

@@ -616,13 +616,10 @@ fn serve_binary(inner: &Arc<ServerInner>, stream: &TcpStream, watch: &Arc<ConnWa
                 // Framing is unrecoverable — the stream has lost sync.
                 // Report the typed error (best effort) and close; the
                 // accept loop and every other connection keep going.
-                inner.stats.protocol_errors.inc();
-                let err = WireError {
-                    code: 400,
-                    retry_after_ms: 0,
-                    message: e.to_string(),
-                };
-                let _ = write_bin_frame(inner, stream, watch, wire::RESP_ERROR, &err.encode());
+                let err = bad_request(inner, &e).encode();
+                let _ = write_response(inner, watch, |by| {
+                    send_frame(stream, wire::RESP_ERROR, &err, by)
+                });
                 return;
             }
         };
@@ -630,13 +627,17 @@ fn serve_binary(inner: &Arc<ServerInner>, stream: &TcpStream, watch: &Arc<ConnWa
         let answer = dispatch_frame(inner, watch, &frame);
         let write_ok = match answer {
             Ok((ftype, payload)) => {
-                let ok = write_bin_frame(inner, stream, watch, ftype, payload.as_slice());
+                let ok = write_response(inner, watch, |by| {
+                    send_frame(stream, ftype, payload.as_slice(), by)
+                });
                 if ok {
                     inner.stats.responses_ok.inc();
                 }
                 ok
             }
-            Err(err) => write_bin_frame(inner, stream, watch, wire::RESP_ERROR, &err.encode()),
+            Err(err) => write_response(inner, watch, |by| {
+                send_frame(stream, wire::RESP_ERROR, &err.encode(), by)
+            }),
         };
         if !write_ok || inner.draining() {
             return;
@@ -644,18 +645,17 @@ fn serve_binary(inner: &Arc<ServerInner>, stream: &TcpStream, watch: &Arc<ConnWa
     }
 }
 
-/// Writes one response frame under the write deadline; `false` means the
-/// connection is no longer usable.
-fn write_bin_frame(
+/// Writes one response, binary frame or HTTP, with the connection in the
+/// writing state: `write` gets the write deadline. `false` means the
+/// connection is no longer usable — a write that stalled past the
+/// deadline counts as reaped, any other failure as a disconnect.
+fn write_response(
     inner: &ServerInner,
-    stream: &TcpStream,
     watch: &ConnWatch,
-    ftype: u8,
-    payload: &[u8],
+    write: impl FnOnce(Instant) -> io::Result<()>,
 ) -> bool {
     watch.state.store(WRITING, Ordering::Release);
-    let deadline = Instant::now() + inner.config.request_deadline;
-    match send_frame(stream, ftype, payload, deadline) {
+    match write(Instant::now() + inner.config.request_deadline) {
         Ok(()) => true,
         Err(e) => {
             if e.kind() == io::ErrorKind::TimedOut {
@@ -683,14 +683,7 @@ fn dispatch_frame(
     match frame.ftype {
         wire::REQ_PING => Ok((wire::RESP_PONG, Payload::Empty)),
         wire::REQ_SPEC => {
-            let req = SpecWire::decode(&frame.payload).map_err(|e| {
-                inner.stats.protocol_errors.inc();
-                WireError {
-                    code: 400,
-                    retry_after_ms: 0,
-                    message: e.to_string(),
-                }
-            })?;
+            let req = SpecWire::decode(&frame.payload).map_err(|e| bad_request(inner, &e))?;
             spec_call(
                 inner,
                 watch,
@@ -702,37 +695,29 @@ fn dispatch_frame(
             )
         }
         wire::REQ_REGISTER => {
-            let req = wire::RegisterWireRequest::decode(&frame.payload).map_err(|e| {
-                inner.stats.protocol_errors.inc();
-                WireError {
-                    code: 400,
-                    retry_after_ms: 0,
-                    message: e.to_string(),
-                }
-            })?;
+            let req = wire::RegisterWireRequest::decode(&frame.payload)
+                .map_err(|e| bad_request(inner, &e))?;
             register_call(inner, watch, &req)
         }
         wire::REQ_GRAMMAR => {
-            let req = wire::GrammarWireRequest::decode(&frame.payload).map_err(|e| {
-                inner.stats.protocol_errors.inc();
-                WireError {
-                    code: 400,
-                    retry_after_ms: 0,
-                    message: e.to_string(),
-                }
-            })?;
+            let req = wire::GrammarWireRequest::decode(&frame.payload)
+                .map_err(|e| bad_request(inner, &e))?;
             grammar_call(inner, watch, &req)
         }
-        other => {
-            // A well-formed frame of an unexpected type: sync is intact,
-            // so answer the typed error and keep the connection.
-            inner.stats.protocol_errors.inc();
-            Err(WireError {
-                code: 400,
-                retry_after_ms: 0,
-                message: ProtocolError::UnknownType(other).to_string(),
-            })
-        }
+        // A well-formed frame of an unexpected type: sync is intact, so
+        // answer the typed error and keep the connection.
+        other => Err(bad_request(inner, &ProtocolError::UnknownType(other))),
+    }
+}
+
+/// The counted 400 for a binary request that does not decode: a framing
+/// error, a malformed payload, or a frame type nothing answers.
+fn bad_request(inner: &ServerInner, e: &ProtocolError) -> WireError {
+    inner.stats.protocol_errors.inc();
+    WireError {
+        code: 400,
+        retry_after_ms: 0,
+        message: e.to_string(),
     }
 }
 
@@ -1036,7 +1021,7 @@ fn serve_http(inner: &Arc<ServerInner>, stream: &TcpStream, watch: &Arc<ConnWatc
                 inner.stats.protocol_errors.inc();
                 let body = b"{\"error\": \"request head too large\"}";
                 let resp = http::response(431, "application/json", 0, body, false);
-                let _ = write_http(inner, stream, watch, &resp);
+                let _ = write_response(inner, watch, |by| write_all_deadline(stream, &resp, by));
                 return;
             }
             HeadRead::Ok { head, leftover } => (head, leftover),
@@ -1048,7 +1033,7 @@ fn serve_http(inner: &Arc<ServerInner>, stream: &TcpStream, watch: &Arc<ConnWatc
                 inner.stats.protocol_errors.inc();
                 let body = format!("{{\"error\": {}}}", obs::json_escape(&e.to_string()));
                 let resp = http::response(400, "application/json", 0, body.as_bytes(), false);
-                let _ = write_http(inner, stream, watch, &resp);
+                let _ = write_response(inner, watch, |by| write_all_deadline(stream, &resp, by));
                 return;
             }
         };
@@ -1056,7 +1041,7 @@ fn serve_http(inner: &Arc<ServerInner>, stream: &TcpStream, watch: &Arc<ConnWatc
             inner.stats.protocol_errors.inc();
             let body = b"{\"error\": \"request body too large\"}";
             let resp = http::response(413, "application/json", 0, body, false);
-            let _ = write_http(inner, stream, watch, &resp);
+            let _ = write_response(inner, watch, |by| write_all_deadline(stream, &resp, by));
             return;
         }
         let mut body = leftover;
@@ -1088,27 +1073,9 @@ fn serve_http(inner: &Arc<ServerInner>, stream: &TcpStream, watch: &Arc<ConnWatc
         }
         let keep_alive = head.keep_alive && !inner.draining();
         let resp = route_http(inner, watch, &head, &body, keep_alive);
-        if !write_http(inner, stream, watch, &resp) || !keep_alive {
+        if !write_response(inner, watch, |by| write_all_deadline(stream, &resp, by)) || !keep_alive
+        {
             return;
-        }
-    }
-}
-
-fn write_http(inner: &ServerInner, stream: &TcpStream, watch: &ConnWatch, bytes: &[u8]) -> bool {
-    watch.state.store(WRITING, Ordering::Release);
-    match write_all_deadline(
-        stream,
-        bytes,
-        Instant::now() + inner.config.request_deadline,
-    ) {
-        Ok(()) => true,
-        Err(e) => {
-            if e.kind() == io::ErrorKind::TimedOut {
-                inner.stats.conns_reaped.inc();
-            } else {
-                inner.stats.disconnects.inc();
-            }
-            false
         }
     }
 }

@@ -28,7 +28,8 @@
 
 use std::fmt;
 use std::io::{self, Read};
-use two4one::crc32;
+use two4one::objfile::{put_str, Reader};
+use two4one::{crc32, ObjError};
 
 /// Frame magic: the first four bytes of every binary-protocol frame (and
 /// how the server tells the binary protocol from HTTP on a new
@@ -151,6 +152,16 @@ impl From<io::Error> for ProtocolError {
     }
 }
 
+/// A payload field that does not decode: cut short, or not UTF-8.
+impl From<ObjError> for ProtocolError {
+    fn from(e: ObjError) -> Self {
+        ProtocolError::BadPayload(match e {
+            ObjError::BadUtf8 => "non-UTF-8 string",
+            _ => "truncated field",
+        })
+    }
+}
+
 /// One decoded frame: its type byte and verified payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
@@ -254,44 +265,6 @@ pub fn read_frame(r: &mut impl Read, max_payload: usize) -> Result<Option<Frame>
     }))
 }
 
-// ---- payload encoding helpers ------------------------------------------
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn get_u32(buf: &[u8], at: &mut usize) -> Result<u32, ProtocolError> {
-    let end = at
-        .checked_add(4)
-        .ok_or(ProtocolError::BadPayload("offset overflow"))?;
-    let bytes = buf
-        .get(*at..end)
-        .ok_or(ProtocolError::BadPayload("truncated integer"))?;
-    *at = end;
-    Ok(u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]))
-}
-
-fn get_u8(buf: &[u8], at: &mut usize) -> Result<u8, ProtocolError> {
-    let b = *buf
-        .get(*at)
-        .ok_or(ProtocolError::BadPayload("truncated byte"))?;
-    *at += 1;
-    Ok(b)
-}
-
-fn get_str(buf: &[u8], at: &mut usize) -> Result<String, ProtocolError> {
-    let len = get_u32(buf, at)? as usize;
-    let end = at
-        .checked_add(len)
-        .ok_or(ProtocolError::BadPayload("string length overflow"))?;
-    let bytes = buf
-        .get(*at..end)
-        .ok_or(ProtocolError::BadPayload("truncated string"))?;
-    *at = end;
-    String::from_utf8(bytes.to_vec()).map_err(|_| ProtocolError::BadPayload("non-UTF-8 string"))
-}
-
 // ---- request payloads --------------------------------------------------
 
 /// A [`REQ_SPEC`] payload: specialize the program registered under
@@ -329,16 +302,16 @@ impl SpecWireRequest {
     ///
     /// [`ProtocolError::BadPayload`] on any malformed field.
     pub fn decode(payload: &[u8]) -> Result<Self, ProtocolError> {
-        let mut at = 0;
-        let token = get_str(payload, &mut at)?;
-        let name = get_str(payload, &mut at)?;
-        let statics = get_str(payload, &mut at)?;
-        let deadline_ms = get_u32(payload, &mut at)?;
-        let want = get_u8(payload, &mut at)?;
+        let mut r = Reader::new(payload);
+        let token = r.str()?.to_string();
+        let name = r.str()?.to_string();
+        let statics = r.str()?.to_string();
+        let deadline_ms = r.u32()?;
+        let want = r.u8()?;
         if want > WANT_GENEXT {
             return Err(ProtocolError::BadPayload("unknown `want` selector"));
         }
-        if at != payload.len() {
+        if r.remaining() != 0 {
             return Err(ProtocolError::BadPayload("trailing bytes after request"));
         }
         Ok(SpecWireRequest {
@@ -386,13 +359,13 @@ impl RegisterWireRequest {
     ///
     /// [`ProtocolError::BadPayload`] on any malformed field.
     pub fn decode(payload: &[u8]) -> Result<Self, ProtocolError> {
-        let mut at = 0;
-        let token = get_str(payload, &mut at)?;
-        let name = get_str(payload, &mut at)?;
-        let source = get_str(payload, &mut at)?;
-        let entry = get_str(payload, &mut at)?;
-        let division = get_str(payload, &mut at)?;
-        if at != payload.len() {
+        let mut r = Reader::new(payload);
+        let token = r.str()?.to_string();
+        let name = r.str()?.to_string();
+        let source = r.str()?.to_string();
+        let entry = r.str()?.to_string();
+        let division = r.str()?.to_string();
+        if r.remaining() != 0 {
             return Err(ProtocolError::BadPayload("trailing bytes after request"));
         }
         Ok(RegisterWireRequest {
@@ -437,11 +410,11 @@ impl GrammarWireRequest {
     ///
     /// [`ProtocolError::BadPayload`] on any malformed field.
     pub fn decode(payload: &[u8]) -> Result<Self, ProtocolError> {
-        let mut at = 0;
-        let token = get_str(payload, &mut at)?;
-        let name = get_str(payload, &mut at)?;
-        let text = get_str(payload, &mut at)?;
-        if at != payload.len() {
+        let mut r = Reader::new(payload);
+        let token = r.str()?.to_string();
+        let name = r.str()?.to_string();
+        let text = r.str()?.to_string();
+        if r.remaining() != 0 {
             return Err(ProtocolError::BadPayload("trailing bytes after request"));
         }
         Ok(GrammarWireRequest { token, name, text })
@@ -480,26 +453,11 @@ impl WireError {
     ///
     /// [`ProtocolError::BadPayload`] on any malformed field.
     pub fn decode(payload: &[u8]) -> Result<Self, ProtocolError> {
-        let code_bytes = payload
-            .get(0..2)
-            .ok_or(ProtocolError::BadPayload("truncated error code"))?;
-        let retry_bytes = payload
-            .get(2..10)
-            .ok_or(ProtocolError::BadPayload("truncated retry hint"))?;
-        let code = u16::from_le_bytes([code_bytes[0], code_bytes[1]]);
-        let retry_after_ms = u64::from_le_bytes([
-            retry_bytes[0],
-            retry_bytes[1],
-            retry_bytes[2],
-            retry_bytes[3],
-            retry_bytes[4],
-            retry_bytes[5],
-            retry_bytes[6],
-            retry_bytes[7],
-        ]);
-        let mut at = 10;
-        let message = get_str(payload, &mut at)?;
-        if at != payload.len() {
+        let mut r = Reader::new(payload);
+        let code = r.u16()?;
+        let retry_after_ms = r.u64()?;
+        let message = r.str()?.to_string();
+        if r.remaining() != 0 {
             return Err(ProtocolError::BadPayload("trailing bytes after error"));
         }
         Ok(WireError {

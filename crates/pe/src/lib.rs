@@ -44,7 +44,7 @@ use std::fmt;
 use two4one_anf::build::CodeBuilder;
 use two4one_syntax::acs::AProgram;
 use two4one_syntax::datum::Datum;
-use two4one_syntax::limits::{Deadline, LimitExceeded, LimitKind, Limits};
+use two4one_syntax::limits::{LimitExceeded, LimitKind, Limits};
 use two4one_syntax::prim::Prim;
 use two4one_syntax::symbol::Symbol;
 use two4one_syntax::value::PrimError;
@@ -52,9 +52,11 @@ use two4one_syntax::value::PrimError;
 /// Specializes `entry` with respect to `static_args`, producing a residual
 /// program through the given backend.
 ///
-/// Stages `prog` into the gen-ext IR and runs the interpretive walker over
-/// it: the reference semantics the gen-ext machine is checked against.
-/// Production code stages once and runs [`run_genext`] instead.
+/// Stages `prog` into the gen-ext IR and runs it on the gen-ext machine
+/// ([`run_genext`]), the engine that serves requests, under a deadline
+/// started from `options.limits.timeout`. The interpretive walker stays
+/// reachable through [`specialize_staged`] as the oracle the machine is
+/// checked against.
 ///
 /// `static_args` are matched positionally against the *static* parameters
 /// of the entry's division; its dynamic parameters become the parameters of
@@ -70,28 +72,9 @@ pub fn specialize<B: CodeBuilder>(
     builder: B,
     options: &SpecOptions,
 ) -> Result<(B::Program, SpecStats), PeError> {
-    let deadline = options.limits.deadline();
-    specialize_with_deadline(prog, entry, static_args, builder, options, deadline)
-}
-
-/// Like [`specialize`], but runs under a caller-supplied [`Deadline`]
-/// instead of starting one from `options.limits.timeout`. This is how a
-/// serving layer threads a per-request deadline or a [`CancelToken`]
-/// (see [`Deadline::with_cancel`]) into the specializer: the token is
-/// checked at the same amortized points as the wall clock, so a
-/// cancellation stops the run mid-specialization.
-///
-/// [`CancelToken`]: two4one_syntax::limits::CancelToken
-pub fn specialize_with_deadline<B: CodeBuilder>(
-    prog: &AProgram,
-    entry: &Symbol,
-    static_args: &[Datum],
-    builder: B,
-    options: &SpecOptions,
-    deadline: Deadline,
-) -> Result<(B::Program, SpecStats), PeError> {
     let staged = stage(prog)?;
-    specialize_staged(&staged, entry, static_args, builder, options, deadline)
+    let deadline = options.limits.deadline();
+    run_genext(&staged, entry, static_args, builder, options, deadline)
 }
 
 /// Tuning knobs for specialization.

@@ -66,7 +66,7 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use admission::{Admission, Gate};
+use admission::{Admission, Gate, Permit};
 use breaker::{Breaker, BreakerScope, Verdict};
 use cache::{lock, Entry, Flight, FlightWait, Key, Promotion, Shard, Slot};
 use persist::{GenextSnapRecord, SnapRecord};
@@ -94,9 +94,9 @@ pub enum ServeError {
     /// The specialization pipeline failed; this requester led the flight
     /// and holds the original error.
     Spec(Error),
-    /// Another requester led the flight for the same key and failed; the
-    /// leader's error is shared as a rendered message (engine errors are
-    /// not cloneable).
+    /// Another requester led the flight for the same key and failed — in
+    /// the engine, or shed or timed out at admission; the leader's error
+    /// is shared as a rendered message (engine errors are not cloneable).
     Shared(String),
     /// A worker thread could not be spawned.
     Spawn(String),
@@ -277,11 +277,10 @@ pub struct ServeConfig {
     pub shards: usize,
     /// Maximum cached entries across all shards.
     pub max_entries: usize,
-    /// Limit record; its `code_cap` bounds the *total* residual code the
-    /// cache may hold (LRU-ish eviction keeps the cache under it).
-    pub limits: Limits,
-    /// Stack size for specialization workers.
-    pub stack_bytes: usize,
+    /// Bound on the *total* residual code the cache may hold, in
+    /// instructions (LRU-ish eviction keeps the cache under it); `None`
+    /// for no bound. Defaults to the engine's default code cap.
+    pub code_budget: Option<usize>,
     /// Maximum concurrent specializer fills (admission gate). Clamped to
     /// at least 1. Cache hits and coalesced waiters bypass the gate.
     pub max_inflight: usize,
@@ -318,8 +317,7 @@ impl Default for ServeConfig {
         ServeConfig {
             shards: 8,
             max_entries: 1024,
-            limits: Limits::default(),
-            stack_bytes: DEFAULT_STACK_BYTES,
+            code_budget: Limits::default().code_cap,
             max_inflight: 32,
             queue_bound: 256,
             default_deadline: None,
@@ -332,36 +330,23 @@ impl Default for ServeConfig {
     }
 }
 
-/// What a [`SpecService::restore`] pass recovered from a snapshot file.
+/// What a restore pass recovered from a snapshot file: a `.t4os` cache
+/// snapshot ([`SpecService::restore`]) or a `.t4og` gen-ext snapshot
+/// ([`SpecService::restore_genexts`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RestoreReport {
-    /// Entries restored into the cache.
+    /// Cache entries, or staged programs, restored.
     pub restored: u64,
-    /// Records rejected: bad checksum, torn tail, stale version, or an
-    /// undecodable payload. (A record whose key is already live in the
-    /// cache is skipped silently — it is valid, just outdated.)
+    /// Records rejected: bad checksum, torn tail, bad header or stale
+    /// version, or an undecodable payload. (A cache record whose key is
+    /// already live is skipped silently — it is valid, just outdated.)
     pub quarantined: u64,
     /// Structurally intact records dropped because their program's
     /// registration no longer matches the live registry: the name is
     /// unregistered, or the registered source/entry/options differ from
-    /// what the record was specialized against. Judged by content
-    /// identity, not raw epoch number, so a snapshot restores cleanly
-    /// into a fresh process that re-registered the same programs.
-    pub stale_dropped: u64,
-}
-
-/// What a [`SpecService::restore_genexts`] pass recovered from a
-/// gen-ext snapshot file.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GenextRestoreReport {
-    /// Staged programs restored into their live generation's extension.
-    pub restored: u64,
-    /// Records rejected: bad checksum, torn tail, bad header, or an
-    /// undecodable staged program.
-    pub quarantined: u64,
-    /// Structurally intact records dropped because their program's
-    /// registration no longer matches the live registry (unregistered
-    /// name, or different source identity/entry).
+    /// what the record was made from. Judged by content identity, not
+    /// raw epoch number, so a snapshot restores cleanly into a fresh
+    /// process that re-registered the same programs.
     pub stale_dropped: u64,
 }
 
@@ -390,7 +375,6 @@ struct Candidate {
     key: Key,
     ext: GenExt,
     statics: Vec<Datum>,
-    backedge: Option<Backedge>,
 }
 
 #[derive(Debug, Default)]
@@ -470,7 +454,6 @@ pub struct TierSnapshot {
 #[derive(Debug)]
 pub struct Core {
     shards: Vec<Mutex<Shard>>,
-    stack_bytes: usize,
     ticket: AtomicU64,
     stats: ServeStats,
     /// The versioned program registry: logical names → live epoch +
@@ -551,7 +534,7 @@ impl SpecService {
     pub fn with_config(config: ServeConfig) -> Self {
         let nshards = config.shards.max(1);
         let per_shard_entries = config.max_entries.div_ceil(nshards).max(1);
-        let per_shard_code = config.limits.code_cap.map(|c| c.div_ceil(nshards).max(1));
+        let per_shard_code = config.code_budget.map(|c| c.div_ceil(nshards).max(1));
         let shards = (0..nshards)
             .map(|_| Mutex::new(Shard::new(per_shard_entries, per_shard_code)))
             .collect();
@@ -562,7 +545,6 @@ impl SpecService {
         two4one::init_metrics();
         let core = Arc::new(Core {
             shards,
-            stack_bytes: config.stack_bytes,
             ticket: AtomicU64::new(0),
             stats: ServeStats::register(&registry),
             programs: Registry::new(registry.gauge("t4o_programs_registered")),
@@ -582,7 +564,7 @@ impl SpecService {
                     .name(format!("two4one-promote-{w}"))
                     // Promotion runs the full specializer: same big
                     // stacks as the request-path fill workers.
-                    .stack_size(config.stack_bytes)
+                    .stack_size(DEFAULT_STACK_BYTES)
                     .spawn(move || worker.promote_loop());
                 if let Ok(handle) = spawned {
                     workers.push(handle);
@@ -696,7 +678,8 @@ impl SpecService {
     /// deadlines ([`ServeError::DeadlineExceeded`]). Errors are never
     /// cached: the next request for the key retries.
     pub fn specialize(&self, ext: &GenExt, statics: &[Datum]) -> ServeResult {
-        self.serve(ext, statics, None, self.default_deadline, None, true)
+        let target = SpecTarget::Ext(ext.clone());
+        self.serve(&target, statics, self.default_deadline, None, true)
     }
 
     // ----- the versioned program registry --------------------------------
@@ -754,7 +737,8 @@ impl SpecService {
     /// [`ServeError::UnknownProgram`] when nothing is registered under
     /// `name`; otherwise exactly as [`SpecService::specialize`].
     pub fn specialize_named(&self, name: &str, statics: &[Datum]) -> ServeResult {
-        self.serve_named(name, statics, self.default_deadline, None, true)
+        let target = SpecTarget::Named(Arc::from(name));
+        self.serve(&target, statics, self.default_deadline, None, true)
     }
 }
 
@@ -787,48 +771,15 @@ impl SpecService {
         self.serve_request(req, true)
     }
 
-    /// Dispatches a request to the anonymous or named serve path.
+    /// Serves a request under its own deadline and token, or the
+    /// service defaults.
     fn serve_request(&self, req: &SpecRequest, spawn_stack: bool) -> ServeResult {
         let deadline = req.deadline.or(self.default_deadline);
-        match &req.target {
-            SpecTarget::Ext(ext) => self.serve(
-                ext,
-                &req.statics,
-                None,
-                deadline,
-                req.cancel.as_ref(),
-                spawn_stack,
-            ),
-            SpecTarget::Named(name) => self.serve_named(
-                name,
-                &req.statics,
-                deadline,
-                req.cancel.as_ref(),
-                spawn_stack,
-            ),
-        }
-    }
-
-    /// Resolves a registered name to its live generation and serves
-    /// against it, carrying the `(name, epoch)` backedge.
-    fn serve_named(
-        &self,
-        name: &str,
-        statics: &[Datum],
-        deadline: Option<Duration>,
-        cancel: Option<&CancelToken>,
-        spawn_stack: bool,
-    ) -> ServeResult {
-        let Some((name, epoch, ext)) = self.programs.resolve(name) else {
-            return Err(ServeError::UnknownProgram(name.to_string()));
-        };
-        let backedge = (name, epoch);
         self.serve(
-            &ext,
-            statics,
-            Some(&backedge),
+            &req.target,
+            &req.statics,
             deadline,
-            cancel,
+            req.cancel.as_ref(),
             spawn_stack,
         )
     }
@@ -854,7 +805,7 @@ impl SpecService {
             for w in 0..jobs {
                 let spawned = std::thread::Builder::new()
                     .name(format!("two4one-serve-{w}"))
-                    .stack_size(self.stack_bytes)
+                    .stack_size(DEFAULT_STACK_BYTES)
                     .spawn_scoped(scope, || loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         let Some(req) = requests.get(i) else { break };
@@ -956,27 +907,18 @@ impl SpecService {
             // A named record takes the live extension's identity, equal to
             // the record's by `live_for_identity`, so its key shares the
             // identity text and digest instead of copying and hashing them.
-            let (backedge, key) = if rec.name.is_empty() {
-                let program = CacheIdentity::new(rec.program);
-                (None, Key::new(&program, rec.entry, rec.statics))
-            } else {
-                match self
-                    .programs
+            let key = if rec.name.is_empty() {
+                Key::new(&CacheIdentity::new(rec.program), rec.entry, rec.statics)
+            } else if let Some((epoch, ext)) =
+                self.programs
                     .live_for_identity(rec.name, rec.program, rec.entry)
-                {
-                    Some((epoch, ext)) => {
-                        let name: Arc<str> = Arc::from(rec.name);
-                        let program = ext.cache_identity();
-                        let key = Key::versioned(&name, epoch, program, rec.entry, rec.statics);
-                        (Some((name, epoch)), key)
-                    }
-                    None => {
-                        stale_dropped += 1;
-                        continue;
-                    }
-                }
+            {
+                let name: Arc<str> = Arc::from(rec.name);
+                Key::versioned(&name, epoch, ext.cache_identity(), rec.entry, rec.statics)
+            } else {
+                stale_dropped += 1;
+                continue;
             };
-            let shard = self.shard_of(&key);
             // Snapshots only ever hold final entries, so a restored entry
             // is never a promotion candidate.
             let entry = Entry::new(
@@ -984,23 +926,10 @@ impl SpecService {
                 self.ticket.fetch_add(1, Ordering::Relaxed),
                 Promotion::Final,
             );
-            // The insert runs under the registry's epoch check (the same
-            // tombstone gate as a live fill), so a redefinition racing
-            // the restore cannot slip a newly stale record in.
-            let published = self.programs.publish_if_live(backedge.as_ref(), &key, || {
-                let mut guard = lock(shard);
-                if guard.map.contains_key(&key) {
-                    return None;
-                }
-                Some(guard.put(key.clone(), entry))
-            });
-            match published {
-                Some(Some(evicted)) => {
-                    self.stats.evictions.add(evicted);
-                    restored += 1;
-                }
-                // The key is already live in the cache: keep the live entry.
-                Some(None) => {}
+            // A key already live in the cache keeps its live entry.
+            match self.publish(&key, entry, |slot, _| slot.is_none()) {
+                Some(true) => restored += 1,
+                Some(false) => {}
                 // The program was redefined between the identity check
                 // and the publish: the record just became stale.
                 None => stale_dropped += 1,
@@ -1093,11 +1022,11 @@ impl SpecService {
     /// no longer match the live registration, are dropped as stale —
     /// epochs are per-process, content identity is what travels. A
     /// generation that already staged its program keeps it.
-    pub fn restore_genexts_bytes(&self, bytes: &[u8]) -> GenextRestoreReport {
+    pub fn restore_genexts_bytes(&self, bytes: &[u8]) -> RestoreReport {
         let decoded = persist::decode_genexts(bytes);
-        let mut report = GenextRestoreReport {
+        let mut report = RestoreReport {
             quarantined: decoded.quarantined,
-            ..GenextRestoreReport::default()
+            ..RestoreReport::default()
         };
         for rec in decoded.records {
             // A redefinition racing this restore retires the adopted
@@ -1135,48 +1064,64 @@ impl SpecService {
     pub fn restore_genexts(
         &self,
         path: impl AsRef<std::path::Path>,
-    ) -> std::io::Result<GenextRestoreReport> {
+    ) -> std::io::Result<RestoreReport> {
         let bytes = std::fs::read(path)?;
         Ok(self.restore_genexts_bytes(&bytes))
     }
 
     // ----- the serve path ------------------------------------------------
 
-    /// Cache lookup / single-flight fill, under admission control, the
-    /// per-request deadline, and the circuit breaker. `spawn_stack`
-    /// selects whether a miss runs on a fresh large-stack thread (`true`,
-    /// for callers on an ordinary stack) or inline (`false`, for pool
-    /// workers that already have one).
+    /// The request path, one stage after another: resolve a registered
+    /// name, arm the clock, ask the breaker, probe the cache, then either
+    /// wait on another leader's flight or lead one — admit, fill (or build
+    /// the Tier-0 generic image), publish. `spawn_stack` selects whether a
+    /// fill runs on a fresh large-stack thread (`true`, for callers on an
+    /// ordinary stack) or inline (`false`, for pool workers that already
+    /// have one).
     fn serve(
         &self,
-        ext: &GenExt,
+        target: &SpecTarget,
         statics: &[Datum],
-        backedge: Option<&Backedge>,
         deadline: Option<Duration>,
         cancel: Option<&CancelToken>,
         spawn_stack: bool,
     ) -> ServeResult {
+        // Resolve. A registered name binds the cache key, the breaker
+        // scope and the invalidation backedge to its live generation. An
+        // unknown name is refused before it counts as a request.
+        let live;
+        let (ext, backedge) = match target {
+            SpecTarget::Ext(ext) => (ext, None),
+            SpecTarget::Named(name) => {
+                let Some((name, epoch, ext)) = self.programs.resolve(name) else {
+                    return Err(ServeError::UnknownProgram(name.to_string()));
+                };
+                live = ext;
+                (&live, Some((name, epoch)))
+            }
+        };
         self.requests.inc();
         let _span = obs::Span::enter(obs::Phase::Serve);
         let start = Instant::now();
-        let r = self.serve_inner(ext, statics, backedge, deadline, cancel, spawn_stack);
+        let r = self.serve_resolved(ext, backedge, statics, deadline, cancel, spawn_stack);
         if obs::enabled() {
             self.request_latency.record_duration(start.elapsed());
         }
         r
     }
 
-    fn serve_inner(
+    /// The stages of [`SpecService::serve`] after resolution.
+    fn serve_resolved(
         &self,
         ext: &GenExt,
+        backedge: Option<Backedge>,
         statics: &[Datum],
-        backedge: Option<&Backedge>,
         deadline: Option<Duration>,
         cancel: Option<&CancelToken>,
         spawn_stack: bool,
     ) -> ServeResult {
-        // Arm the per-request clock. The token is shared with the caller
-        // (explicit cancellation) and threaded into the specializer.
+        // Arm the clock. The token is shared with the caller (explicit
+        // cancellation) and threaded into the specializer.
         let until = deadline.map(|d| Instant::now() + d);
         let token = match (cancel, until) {
             (None, None) => None,
@@ -1188,21 +1133,22 @@ impl SpecService {
                 Some(t)
             }
         };
-        if let Some(t) = &token {
-            if let Some(err) = self.stopped_error(t) {
-                return Err(err);
-            }
+        if let Some(err) = token.as_ref().and_then(|t| self.stopped_error(t)) {
+            return Err(err);
         }
 
-        let key = request_key(ext, statics, backedge);
-        let shard = self.shard_of(&key);
-
-        // Breaker identity: registered programs by logical (name, entry)
-        // with the failure streak scoped to the resolved epoch, so
-        // breaker state follows the program across redefinitions without
-        // one generation's record contaminating the next; anonymous
-        // extensions by content digest.
-        let (scope, epoch) = match backedge {
+        // Ask the breaker. Registered programs are judged by logical
+        // (name, entry), with the failure streak scoped to the resolved
+        // epoch, so breaker state follows the program across
+        // redefinitions without one generation's record contaminating the
+        // next; anonymous extensions by content digest. A tripped program
+        // never reaches the cache-fill machinery (its errors are not
+        // cached, so without the breaker every request would re-run the
+        // failing specialization): it gets its generic image, which is
+        // never cached either — it must disappear the moment the breaker
+        // closes.
+        let key = request_key(ext, statics, backedge.as_ref());
+        let (scope, epoch) = match &key.backedge {
             Some((name, epoch)) => (
                 BreakerScope::Named {
                     name: name.clone(),
@@ -1212,23 +1158,22 @@ impl SpecService {
             ),
             None => (BreakerScope::Anon(key.program_digest), BreakerScope::ANON),
         };
-
-        // Circuit breaker first: a tripped program never reaches the
-        // cache-fill machinery (its errors are not cached, so without the
-        // breaker every request would re-run the failing specialization).
         let verdict = self.breaker.preflight(&scope, epoch);
         if verdict == Verdict::Fallback {
             self.stats.breaker_open.inc();
             obs::event(obs::EventKind::BreakerOpen);
-            return self.breaker_fallback(ext, statics, spawn_stack);
+            return on_stack(spawn_stack, || self.generic_image(ext, statics, None))
+                .map(|(image, stats)| new_outcome(image, stats))
+                .map_err(|e| ServeError::BreakerOpen(e.to_string()));
         }
 
+        // Probe the cache.
         enum Plan {
             Hit(Arc<SpecOutcome>),
             Wait(Arc<Flight>),
             Lead(Arc<Flight>),
         }
-
+        let shard = self.shard_of(&key);
         // Set under the shard lock when this hit pushes a pending Tier-0
         // entry over the promotion threshold; acted on after the lock is
         // released (the queue has its own lock — never nest them).
@@ -1267,144 +1212,179 @@ impl SpecService {
                 }
             }
         };
-
         if promote {
-            self.core.enqueue_promotion(&key, ext, statics, backedge);
+            self.core.enqueue_promotion(&key, ext, statics);
         }
 
-        match plan {
-            Plan::Hit(outcome) => {
-                if verdict == Verdict::Probe {
-                    self.breaker.record_success(&scope);
-                }
-                Ok(outcome)
-            }
-            Plan::Wait(flight) => {
-                self.stats.coalesced.inc();
-                obs::event(obs::EventKind::Coalesced);
-                let r = match flight.wait_cancellable(until, token.as_ref()) {
-                    FlightWait::TimedOut => {
-                        self.stats.deadline_exceeded.inc();
-                        obs::event(obs::EventKind::DeadlineExceeded);
-                        Err(ServeError::DeadlineExceeded)
-                    }
-                    // The waiter's own token fired mid-wait (client gone or
-                    // its deadline expired); it detaches without touching
-                    // the leader, who publishes for the remaining waiters.
-                    FlightWait::Detached => Err(match &token {
-                        Some(t) => self.stopped_error(t).unwrap_or(ServeError::Cancelled),
-                        None => ServeError::Cancelled,
-                    }),
-                    FlightWait::Done(Ok(outcome)) => {
-                        self.stats.hits.inc();
-                        Ok(outcome)
-                    }
-                    FlightWait::Done(Err(msg)) => {
-                        self.stats.errors.inc();
-                        Err(ServeError::Shared(msg))
-                    }
-                };
-                // Waiters share the leader's run, which records its own
-                // breaker outcome; a probing waiter only settles its
-                // probe slot.
-                if verdict == Verdict::Probe {
-                    self.breaker_note(&scope, epoch, &r);
-                }
-                r
-            }
+        let r = match plan {
+            Plan::Hit(outcome) => Ok(outcome),
+            Plan::Wait(flight) => self.wait(&flight, until, token.as_ref()),
             Plan::Lead(flight) => {
-                // From here the in-flight slot is our responsibility: the
-                // guard removes it and fails the flight if anything
-                // unwinds before `finish_flight` takes over, so waiters
-                // can never deadlock on an abandoned fill.
-                let mut guard = FlightGuard {
+                // From here the in-flight slot is this leader's: the guard
+                // removes it and completes the flight on every way out, a
+                // panic included, so waiters never block on an abandoned
+                // fill.
+                let guard = FlightGuard {
                     shard,
                     key: &key,
-                    flight: &flight,
+                    flight,
                     armed: true,
                 };
-                let r = match self.gate.admit(until) {
-                    Admission::Shed { queue_depth } => {
-                        self.stats.shed.inc();
-                        obs::event_with(obs::EventKind::Shed, queue_depth as u64);
-                        guard.abandon("request shed at admission (overload)");
+                // Admit. A refused leader never ran, so the breaker only
+                // gets its probe slot back.
+                let permit = match self.admit(until) {
+                    Ok(permit) => permit,
+                    Err(e) => {
                         if verdict == Verdict::Probe {
                             self.breaker.release_probe(&scope, epoch);
                         }
-                        return Err(ServeError::Overloaded {
-                            queue_depth,
-                            retry_after_ms: 10 * (queue_depth as u64 + 1),
-                        });
-                    }
-                    Admission::TimedOut => {
-                        self.stats.deadline_exceeded.inc();
-                        obs::event(obs::EventKind::DeadlineExceeded);
-                        guard.abandon("request deadline passed while queued for admission");
-                        if verdict == Verdict::Probe {
-                            self.breaker.release_probe(&scope, epoch);
-                        }
-                        return Err(ServeError::DeadlineExceeded);
-                    }
-                    Admission::Admitted(permit) => {
-                        // Tier-0: answer the miss with the generically-
-                        // compiled image (linear in the source, tens of
-                        // microseconds) and leave full specialization to
-                        // the background promotion workers. Otherwise run
-                        // the full specializer synchronously, as ever.
-                        let tier0 = self.core.tier.is_some();
-                        let result = self.on_stack(spawn_stack, || {
-                            if let Some(hook) = &self.fill_hook {
-                                (hook.0)();
-                            }
-                            if tier0 {
-                                self.generic_image(ext, statics, token.as_ref())
-                            } else {
-                                self.fill(ext, statics, token.as_ref(), REQUEST_RETRIES)
-                            }
-                        });
-                        drop(permit);
-                        guard.armed = false;
-                        self.finish_flight(
-                            ext,
-                            statics,
-                            &key,
-                            backedge,
-                            shard,
-                            &flight,
-                            result,
-                            token.as_ref(),
-                            tier0,
-                        )
+                        return guard.finish(Err(e), false);
                     }
                 };
+                // Fill — or, under Tier-0, build the generic image (linear
+                // in the source, tens of microseconds) and leave full
+                // specialization to the background promotion workers.
+                let tier0 = self.core.tier.is_some();
+                let built = on_stack(spawn_stack, || {
+                    if let Some(hook) = &self.fill_hook {
+                        (hook.0)();
+                    }
+                    if tier0 {
+                        self.generic_image(ext, statics, token.as_ref())
+                    } else {
+                        self.fill(ext, statics, token.as_ref(), REQUEST_RETRIES)
+                    }
+                });
+                drop(permit);
+                // Publish.
+                let r = match built {
+                    Ok((image, stats)) => {
+                        let outcome = new_outcome(image, stats);
+                        let published = self.publish_fill(&key, ext, statics, &outcome, tier0);
+                        guard.finish(Ok(outcome), published)
+                    }
+                    Err(e) => guard.finish(Err(self.leader_error(e, token.as_ref())), false),
+                };
                 self.breaker_note(&scope, epoch, &r);
-                r
+                return r;
             }
+        };
+        // A hit or a waiter ran nothing of its own; the leader's run
+        // records the outcome. A probing one only settles its probe slot.
+        if verdict == Verdict::Probe {
+            self.breaker_note(&scope, epoch, &r);
+        }
+        r
+    }
+
+    /// Waits on another leader's flight and shares its result: a
+    /// coalesced hit, or the leader's error as its text.
+    fn wait(
+        &self,
+        flight: &Flight,
+        until: Option<Instant>,
+        token: Option<&CancelToken>,
+    ) -> ServeResult {
+        self.stats.coalesced.inc();
+        obs::event(obs::EventKind::Coalesced);
+        match flight.wait_cancellable(until, token) {
+            FlightWait::TimedOut => {
+                self.stats.deadline_exceeded.inc();
+                obs::event(obs::EventKind::DeadlineExceeded);
+                Err(ServeError::DeadlineExceeded)
+            }
+            // The waiter's own token fired mid-wait (client gone or its
+            // deadline expired); it detaches without touching the leader,
+            // who publishes for the remaining waiters.
+            FlightWait::Detached => Err(token
+                .and_then(|t| self.stopped_error(t))
+                .unwrap_or(ServeError::Cancelled)),
+            FlightWait::Done(Ok(outcome)) => {
+                self.stats.hits.inc();
+                Ok(outcome)
+            }
+            FlightWait::Done(Err(msg)) => {
+                self.stats.errors.inc();
+                Err(ServeError::Shared(msg))
+            }
+        }
+    }
+
+    /// Admits a leader's fill through the gate, or refuses it: shed when
+    /// the maximum number of fills is running and the queue is full, timed
+    /// out when the deadline passes in the queue.
+    fn admit(&self, until: Option<Instant>) -> Result<Permit<'_>, ServeError> {
+        match self.gate.admit(until) {
+            Admission::Admitted(permit) => Ok(permit),
+            Admission::Shed { queue_depth } => {
+                self.stats.shed.inc();
+                obs::event_with(obs::EventKind::Shed, queue_depth as u64);
+                Err(ServeError::Overloaded {
+                    queue_depth,
+                    retry_after_ms: 10 * (queue_depth as u64 + 1),
+                })
+            }
+            Admission::TimedOut => {
+                self.stats.deadline_exceeded.inc();
+                obs::event(obs::EventKind::DeadlineExceeded);
+                Err(ServeError::DeadlineExceeded)
+            }
+        }
+    }
+
+    /// Classifies a leader's failed fill. The request's own token, fired
+    /// mid-run, surfaces from the engine as a `Cancelled` limit and
+    /// becomes [`ServeError::Cancelled`] or
+    /// [`ServeError::DeadlineExceeded`]; anything else counts as an error.
+    fn leader_error(&self, e: ServeError, token: Option<&CancelToken>) -> ServeError {
+        match e {
+            ServeError::Spec(Error::Pe(PeError::Limit(l))) if l.kind == LimitKind::Cancelled => {
+                if token.is_some_and(CancelToken::is_cancelled) {
+                    ServeError::Cancelled
+                } else {
+                    self.stats.deadline_exceeded.inc();
+                    ServeError::DeadlineExceeded
+                }
+            }
+            e => {
+                self.stats.errors.inc();
+                e
+            }
+        }
+    }
+
+    /// Maps a fired token to the corresponding request error, bumping the
+    /// deadline counter.
+    fn stopped_error(&self, token: &CancelToken) -> Option<ServeError> {
+        if token.is_cancelled() {
+            Some(ServeError::Cancelled)
+        } else if token.deadline_expired() {
+            self.stats.deadline_exceeded.inc();
+            Some(ServeError::DeadlineExceeded)
+        } else {
+            None
+        }
+    }
+
+    /// Feeds a leader/probe outcome to the breaker. Hard failures
+    /// (specialization errors, dead workers, blown deadlines) count
+    /// toward tripping; overload sheds and explicit cancellations are
+    /// neutral.
+    fn breaker_note(&self, scope: &BreakerScope, epoch: Epoch, result: &ServeResult) {
+        match result {
+            Ok(_) => self.breaker.record_success(scope),
+            Err(
+                ServeError::Spec(_)
+                | ServeError::Worker(_)
+                | ServeError::Shared(_)
+                | ServeError::DeadlineExceeded,
+            ) => self.breaker.record_failure(scope, epoch),
+            Err(_) => self.breaker.release_probe(scope, epoch),
         }
     }
 }
 
 impl Core {
-    /// Runs `work` behind the fill boundary: on a fresh large-stack
-    /// thread when `spawn_stack` is set (callers on an ordinary stack),
-    /// inline otherwise (pool workers already have one). Either way a
-    /// panic becomes [`ServeError::Worker`]. Staging and the object
-    /// builder still recurse, which is what the big stack is for.
-    fn on_stack<T: Send>(
-        &self,
-        spawn_stack: bool,
-        work: impl FnOnce() -> T + Send,
-    ) -> Result<T, ServeError> {
-        if spawn_stack {
-            run_on_stack(self.stack_bytes, work)
-        } else {
-            // The panic boundary here mirrors the thread-join boundary of
-            // `run_on_stack`.
-            catch_unwind(AssertUnwindSafe(work))
-                .map_err(|_| ServeError::Worker("specialization worker panicked".to_string()))
-        }
-    }
-
     /// Stages `ext` for the gen-ext machine unless a clone of it already
     /// has, counting the build. A registered generation stages once: its
     /// clones share the staged program until a redefinition retires it.
@@ -1486,112 +1466,77 @@ impl Core {
         ext.specialize_object_governed(statics, &options, token)
     }
 
-    /// Publishes the leader's result: fills the cache on success, removes
-    /// the in-flight slot on failure, and wakes waiters either way.
-    ///
-    /// A successful fill for a registered program only reaches the cache
-    /// if its `(name, epoch)` backedge is still the live generation (the
-    /// check and the insert run under the registry lock, so they cannot
-    /// interleave with a `redefine`). When the epoch died mid-fill, the
-    /// result is still completed into the flight — every waiter on it
-    /// arrived before the redefinition and legitimately shares the
-    /// old-generation result — but the publication is tombstoned: the
-    /// in-flight slot is removed and nothing is cached, so no request
-    /// arriving after the redefinition can ever observe it.
-    ///
-    /// With `tier0` set the result is a generic image, published pending
-    /// promotion: `ext`/`statics` seed the promotion candidate when
-    /// `promote_after == 0` asks for immediate background specialization.
-    #[allow(clippy::too_many_arguments)]
-    fn finish_flight(
+    /// The one way a finished result enters the cache — a request's fill,
+    /// a promotion's swap, a restored record: under the registry's epoch
+    /// check ([`Registry::publish_if_live`]), so nothing is ever cached
+    /// into a dead generation, counting the evictions it causes. `admit`
+    /// sees the key's current slot and decides whether `entry` replaces
+    /// it, adjusting the entry if it needs to. `None` is the tombstone
+    /// (the generation died; nothing was written), `Some(false)` a slot
+    /// `admit` declined.
+    fn publish(
         &self,
+        key: &Key,
+        mut entry: Entry,
+        admit: impl FnOnce(Option<&Slot>, &mut Entry) -> bool,
+    ) -> Option<bool> {
+        self.programs
+            .publish_if_live(key.backedge.as_ref(), key, || {
+                let mut shard = lock(self.shard_of(key));
+                if !admit(shard.map.get(key), &mut entry) {
+                    return false;
+                }
+                self.stats.evictions.add(shard.put(key.clone(), entry));
+                true
+            })
+    }
+
+    /// Publishes a leader's fill over its in-flight slot and counts the
+    /// miss: a final entry, or a Tier-0 generic image pending promotion
+    /// (queued at once when `promote_after` is 0). Returns `false` when
+    /// the generation died mid-fill: the result still goes to every waiter
+    /// on the flight — they arrived before the redefinition — but it is
+    /// never cached, so no request arriving after the redefinition can
+    /// observe it.
+    fn publish_fill(
+        &self,
+        key: &Key,
         ext: &GenExt,
         statics: &[Datum],
-        key: &Key,
-        backedge: Option<&Backedge>,
-        shard: &Mutex<Shard>,
-        flight: &Flight,
-        result: Result<Result<(Image, SpecStats), Error>, ServeError>,
-        token: Option<&CancelToken>,
+        outcome: &Arc<SpecOutcome>,
         tier0: bool,
-    ) -> ServeResult {
-        match result {
-            Ok(Ok((image, spec_stats))) => {
-                let outcome = new_outcome(image, spec_stats);
-                let enqueue_now = tier0 && self.tier.as_ref().is_some_and(|t| t.promote_after == 0);
-                let promotion = match (tier0, enqueue_now) {
-                    (false, _) => Promotion::Final,
-                    (true, false) => Promotion::Pending,
-                    (true, true) => Promotion::Queued,
-                };
-                let ticket = self.ticket.fetch_add(1, Ordering::Relaxed);
-                let entry = Entry::new(outcome.clone(), ticket, promotion);
-                let published = self
-                    .programs
-                    .publish_if_live(backedge, key, || lock(shard).put(key.clone(), entry));
-                self.stats.misses.inc();
-                if tier0 {
-                    // Not a specializer run: the requester got the
-                    // generic image. `spec_runs` stays a count of real
-                    // specializations (the promotion worker bumps it).
-                    self.tier_stats.tier0_served.inc();
-                    obs::event(obs::EventKind::Tier0Served);
-                }
-                match published {
-                    Some(evicted) => {
-                        self.stats.evictions.add(evicted);
-                        if enqueue_now {
-                            self.enqueue_promotion(key, ext, statics, backedge);
-                        }
-                    }
-                    None => {
-                        // Tombstoned: drop our in-flight slot so the dead
-                        // generation's key does not linger in the shard.
-                        lock(shard).map.remove(key);
-                        self.stats.epoch_conflicts.inc();
-                        obs::event(obs::EventKind::EpochConflict);
-                    }
-                }
-                flight.complete(Ok(outcome.clone()));
-                Ok(outcome)
-            }
-            Ok(Err(engine_err)) => {
-                lock(shard).map.remove(key);
-                let serve_err = match cancellation_of(&engine_err, token) {
-                    Some(e) => {
-                        if matches!(e, ServeError::DeadlineExceeded) {
-                            self.stats.deadline_exceeded.inc();
-                        }
-                        e
-                    }
-                    None => {
-                        self.stats.errors.inc();
-                        ServeError::Spec(engine_err)
-                    }
-                };
-                flight.complete(Err(serve_err.to_string()));
-                Err(serve_err)
-            }
-            Err(serve_err) => {
-                lock(shard).map.remove(key);
-                self.stats.errors.inc();
-                flight.complete(Err(serve_err.to_string()));
-                Err(serve_err)
-            }
+    ) -> bool {
+        let enqueue_now = tier0 && self.tier.as_ref().is_some_and(|t| t.promote_after == 0);
+        let promotion = match (tier0, enqueue_now) {
+            (false, _) => Promotion::Final,
+            (true, false) => Promotion::Pending,
+            (true, true) => Promotion::Queued,
+        };
+        let ticket = self.ticket.fetch_add(1, Ordering::Relaxed);
+        let entry = Entry::new(outcome.clone(), ticket, promotion);
+        let published = self.publish(key, entry, |_, _| true).is_some();
+        self.stats.misses.inc();
+        if tier0 {
+            // Not a specializer run: the requester got the generic image.
+            // `spec_runs` stays a count of real specializations (the
+            // promotion worker bumps it).
+            self.tier_stats.tier0_served.inc();
+            obs::event(obs::EventKind::Tier0Served);
         }
+        if !published {
+            self.stats.epoch_conflicts.inc();
+            obs::event(obs::EventKind::EpochConflict);
+        } else if enqueue_now {
+            self.enqueue_promotion(key, ext, statics);
+        }
+        published
     }
 
     /// Hands a candidate to the promotion workers. Never blocks the
     /// serve path: when the queue is full (or the service is shutting
     /// down) the candidate is dropped and its cache entry re-armed, so a
     /// later hit simply tries again.
-    fn enqueue_promotion(
-        &self,
-        key: &Key,
-        ext: &GenExt,
-        statics: &[Datum],
-        backedge: Option<&Backedge>,
-    ) {
+    fn enqueue_promotion(&self, key: &Key, ext: &GenExt, statics: &[Datum]) {
         let Some(tier) = &self.tier else { return };
         let accepted = {
             let mut q = lock(&tier.queue);
@@ -1602,7 +1547,6 @@ impl Core {
                     key: key.clone(),
                     ext: ext.clone(),
                     statics: statics.to_vec(),
-                    backedge: backedge.cloned(),
                 });
                 true
             }
@@ -1648,17 +1592,17 @@ impl Core {
     /// cache slot as final, *if* the entry is still there and its
     /// generation is still live. A run still starved at the top of the
     /// ladder is swapped in all the same: it is better than generic. The
-    /// swap runs under the registry's epoch check, exactly like a
-    /// request-path publication: a `redefine` that lands mid-build
-    /// tombstones the swap and the stale image is dropped on the floor.
+    /// swap is a [`Core::publish`], exactly like a request-path
+    /// publication: a `redefine` that lands mid-build tombstones the swap
+    /// and the stale image is dropped on the floor.
     fn promote_one(&self, cand: Candidate) {
         let t0 = Instant::now();
         // The generation's staged program is normally in place already:
         // the Tier-0 fill that published the candidate staged it.
-        let built = catch_unwind(AssertUnwindSafe(|| {
+        let built = on_stack(false, || {
             self.fill(&cand.ext, &cand.statics, None, PROMOTION_RETRIES)
-        }));
-        let Ok(Ok((image, spec_stats))) = built else {
+        });
+        let Ok((image, spec_stats)) = built else {
             // Specializer failed or panicked: demote. The generic image
             // keeps serving and this entry is never promoted again — its
             // failures must not re-run the specializer on every N hits.
@@ -1670,23 +1614,19 @@ impl Core {
             }
             return;
         };
-        let mut promoted = Entry::new(new_outcome(image, spec_stats), 0, Promotion::Final);
-        let shard = self.shard_of(&cand.key);
-        let published = self
-            .programs
-            .publish_if_live(cand.backedge.as_ref(), &cand.key, || {
-                let mut guard = lock(shard);
-                promoted.last_access = match guard.map.get(&cand.key) {
-                    Some(Slot::Ready(entry)) => entry.last_access,
-                    // Evicted, invalidated, or replaced by a fresh flight
-                    // while we built: nothing to swap into.
-                    _ => return None,
-                };
-                Some(guard.put(cand.key.clone(), promoted))
-            });
-        match published {
-            Some(Some(evicted)) => {
-                self.stats.evictions.add(evicted);
+        let promoted = Entry::new(new_outcome(image, spec_stats), 0, Promotion::Final);
+        // The promoted image takes the generic one's place in the LRU
+        // order. An entry evicted, invalidated, or replaced by a fresh
+        // flight while this built has nothing to swap into.
+        let swapped = self.publish(&cand.key, promoted, |slot, promoted| match slot {
+            Some(Slot::Ready(generic)) => {
+                promoted.last_access = generic.last_access;
+                true
+            }
+            _ => false,
+        });
+        match swapped {
+            Some(true) => {
                 self.tier_stats.promotions.inc();
                 self.tier_stats
                     .promotion_nanos
@@ -1694,7 +1634,7 @@ impl Core {
                 obs::event(obs::EventKind::Promoted);
             }
             // The slot vanished mid-build; drop the image silently.
-            Some(None) => {}
+            Some(false) => {}
             // The generation died mid-build (`redefine` raced us): the
             // stale-epoch image must never be swapped in.
             None => {
@@ -1705,93 +1645,78 @@ impl Core {
     }
 }
 
-impl SpecService {
-    /// Serves generic (no-unfolding) fallback code for a program whose
-    /// breaker is open. The result is *not* cached: it must disappear the
-    /// moment the breaker closes, and producing it is linear in the
-    /// source program.
-    fn breaker_fallback(&self, ext: &GenExt, statics: &[Datum], spawn_stack: bool) -> ServeResult {
-        match self.on_stack(spawn_stack, || self.generic_image(ext, statics, None)) {
-            Ok(Ok((image, stats))) => Ok(new_outcome(image, stats)),
-            Ok(Err(e)) => Err(ServeError::BreakerOpen(e.to_string())),
-            Err(e) => Err(ServeError::BreakerOpen(e.to_string())),
-        }
-    }
-
-    /// Maps a fired token to the corresponding request error, bumping the
-    /// deadline counter.
-    fn stopped_error(&self, token: &CancelToken) -> Option<ServeError> {
-        if token.is_cancelled() {
-            Some(ServeError::Cancelled)
-        } else if token.deadline_expired() {
-            self.stats.deadline_exceeded.inc();
-            Some(ServeError::DeadlineExceeded)
-        } else {
-            None
-        }
-    }
-
-    /// Feeds a leader/probe outcome to the breaker. Hard failures
-    /// (specialization errors, dead workers, blown deadlines) count
-    /// toward tripping; overload sheds and explicit cancellations are
-    /// neutral.
-    fn breaker_note(&self, scope: &BreakerScope, epoch: Epoch, result: &ServeResult) {
-        match result {
-            Ok(_) => self.breaker.record_success(scope),
-            Err(
-                ServeError::Spec(_)
-                | ServeError::Worker(_)
-                | ServeError::Shared(_)
-                | ServeError::DeadlineExceeded,
-            ) => self.breaker.record_failure(scope, epoch),
-            Err(_) => self.breaker.release_probe(scope, epoch),
-        }
-    }
-}
-
-/// Removes the in-flight slot and fails the flight when a leader bails
-/// out before `finish_flight` — including by panic. Without this, a
-/// worker that dies mid-fill would leave an `InFlight` slot behind
-/// forever and every later requester for the key would block on it.
+/// A leader's hold on its in-flight slot, and the one owner of the
+/// flight's end: only [`FlightGuard::finish`] and its `Drop` remove the
+/// slot and complete the flight. Dropped unfinished — a panic unwinding
+/// past the leader — it fails the flight, so a worker that dies mid-fill
+/// never leaves an `InFlight` slot behind for every later requester of
+/// the key to block on.
 struct FlightGuard<'a> {
     shard: &'a Mutex<Shard>,
     key: &'a Key,
-    flight: &'a Arc<Flight>,
+    flight: Arc<Flight>,
     armed: bool,
 }
 
 impl FlightGuard<'_> {
-    /// Controlled bail-out with a meaningful message for waiters.
-    fn abandon(&mut self, msg: &str) {
+    /// Ends the flight with the leader's result, shared with the waiters
+    /// (an error as its text), and removes the slot unless the result was
+    /// `published` into it.
+    fn finish(mut self, r: ServeResult, published: bool) -> ServeResult {
         self.armed = false;
-        lock(self.shard).map.remove(self.key);
-        self.flight.complete(Err(msg.to_string()));
+        let shared = match &r {
+            Ok(outcome) => Ok(outcome.clone()),
+            Err(e) => Err(e.to_string()),
+        };
+        self.end(shared, published);
+        r
+    }
+
+    fn end(&self, shared: Result<Arc<SpecOutcome>, String>, published: bool) {
+        if !published {
+            lock(self.shard).map.remove(self.key);
+        }
+        self.flight.complete(shared);
     }
 }
 
 impl Drop for FlightGuard<'_> {
     fn drop(&mut self) {
         if self.armed {
-            lock(self.shard).map.remove(self.key);
-            self.flight.complete(Err(
-                "specialization fill abandoned (worker panicked)".to_string()
-            ));
+            let abandoned = "specialization fill abandoned (worker panicked)";
+            self.end(Err(abandoned.to_string()), false);
         }
     }
 }
 
-/// Classifies an engine error as a request cancellation, if it is one.
-fn cancellation_of(err: &Error, token: Option<&CancelToken>) -> Option<ServeError> {
-    match err {
-        Error::Pe(PeError::Limit(l)) if l.kind == LimitKind::Cancelled => {
-            Some(if token.is_some_and(CancelToken::is_cancelled) {
-                ServeError::Cancelled
-            } else {
-                ServeError::DeadlineExceeded
-            })
-        }
-        _ => None,
-    }
+/// Runs `work` behind the fill boundary: on a fresh large-stack thread
+/// when `spawn_stack` is set (callers on an ordinary stack), inline
+/// otherwise (pool workers already have one). Either way a panic becomes
+/// [`ServeError::Worker`] and an engine error [`ServeError::Spec`].
+/// Staging and the object builder still recurse, which is what the big
+/// stack is for.
+fn on_stack<T: Send>(
+    spawn_stack: bool,
+    work: impl FnOnce() -> Result<T, Error> + Send,
+) -> Result<T, ServeError> {
+    let died = |_| ServeError::Worker("specialization worker panicked".to_string());
+    let ran = if spawn_stack {
+        std::thread::scope(|scope| {
+            let handle = std::thread::Builder::new()
+                .name("two4one-spec".into())
+                .stack_size(DEFAULT_STACK_BYTES)
+                // Carry the worker's trace ring back so the request's
+                // spans and events stay on the requesting thread's trace.
+                .spawn_scoped(scope, move || (work(), obs::take_trace()))
+                .map_err(|e| ServeError::Spawn(e.to_string()))?;
+            let (ran, trace) = handle.join().map_err(died)?;
+            obs::absorb_trace(trace);
+            Ok(ran)
+        })?
+    } else {
+        catch_unwind(AssertUnwindSafe(work)).map_err(died)?
+    };
+    ran.map_err(ServeError::Spec)
 }
 
 /// Multiplies the transient budgets (unfold fuel, memo cap) for a re-run.
@@ -1849,28 +1774,6 @@ fn request_key(ext: &GenExt, statics: &[Datum], backedge: Option<&Backedge>) -> 
     }
 }
 
-/// Runs `f` on a dedicated thread with `bytes` of stack, for the deeply
-/// recursive specializer phases.
-fn run_on_stack<T: Send>(bytes: usize, f: impl FnOnce() -> T + Send) -> Result<T, ServeError> {
-    std::thread::scope(|scope| {
-        let handle = std::thread::Builder::new()
-            .name("two4one-spec".into())
-            .stack_size(bytes)
-            // Carry the worker's trace ring back so the request's spans
-            // and events stay on the requesting thread's trace.
-            .spawn_scoped(scope, move || {
-                let result = f();
-                (result, obs::take_trace())
-            })
-            .map_err(|e| ServeError::Spawn(e.to_string()))?;
-        let (result, trace) = handle
-            .join()
-            .map_err(|_| ServeError::Worker("specialization worker panicked".to_string()))?;
-        obs::absorb_trace(trace);
-        Ok(result)
-    })
-}
-
 // The service is shared by reference across worker threads.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
@@ -1881,6 +1784,6 @@ const _: () = {
     assert_send_sync::<ServeError>();
     assert_send_sync::<ServeSnapshot>();
     assert_send_sync::<RedefineOutcome>();
-    assert_send_sync::<GenextRestoreReport>();
+    assert_send_sync::<RestoreReport>();
     assert_send_sync::<TierSnapshot>();
 };

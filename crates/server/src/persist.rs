@@ -36,11 +36,11 @@
 
 use std::sync::Arc;
 
-use two4one::{crc32, decode_image, encode_image, Image, LimitKind, SpecStats};
+use two4one::objfile::{put_str, Reader};
+use two4one::{crc32, decode_image, encode_image, Image, LimitKind, ObjError, SpecStats};
 
 const MAGIC: &[u8; 8] = b"t4osnap\0";
 const VERSION: u32 = 3;
-const HEADER_LEN: usize = 8 + 4 + 4;
 
 /// One cache entry in transit between the shard map and a snapshot file.
 /// Its text borrows from the cache keys being written or the snapshot
@@ -69,43 +69,24 @@ pub(crate) struct Decoded<T> {
     pub(crate) quarantined: u64,
 }
 
-// ---- encoding ----------------------------------------------------------
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
+/// The tag byte of a fallback kind: 0 for none, otherwise 1 plus the
+/// kind's index in [`LimitKind::ALL`].
+fn kind_tag(kind: Option<LimitKind>) -> u8 {
+    kind.and_then(|k| LimitKind::ALL.iter().position(|&a| a == k))
+        .map_or(0, |i| i as u8 + 1)
 }
 
-fn kind_tag(kind: Option<LimitKind>) -> u8 {
-    match kind {
-        None => 0,
-        Some(LimitKind::Deadline) => 1,
-        Some(LimitKind::Cancelled) => 2,
-        Some(LimitKind::StepFuel) => 3,
-        Some(LimitKind::UnfoldFuel) => 4,
-        Some(LimitKind::Depth) => 5,
-        Some(LimitKind::MemoEntries) => 6,
-        Some(LimitKind::CodeSize) => 7,
-        Some(LimitKind::InputNodes) => 8,
-        Some(LimitKind::InputDepth) => 9,
+fn kind_from_tag(tag: u8) -> Result<Option<LimitKind>, ObjError> {
+    match tag {
+        0 => Ok(None),
+        t => LimitKind::ALL
+            .get(usize::from(t) - 1)
+            .map(|&k| Some(k))
+            .ok_or(ObjError::BadTag("limit kind", t)),
     }
 }
 
-fn kind_from_tag(tag: u8) -> Option<Option<LimitKind>> {
-    Some(match tag {
-        0 => None,
-        1 => Some(LimitKind::Deadline),
-        2 => Some(LimitKind::Cancelled),
-        3 => Some(LimitKind::StepFuel),
-        4 => Some(LimitKind::UnfoldFuel),
-        5 => Some(LimitKind::Depth),
-        6 => Some(LimitKind::MemoEntries),
-        7 => Some(LimitKind::CodeSize),
-        8 => Some(LimitKind::InputNodes),
-        9 => Some(LimitKind::InputDepth),
-        _ => return None,
-    })
-}
+// ---- encoding ----------------------------------------------------------
 
 fn encode_record(r: &SnapRecord) -> Vec<u8> {
     let mut payload = Vec::new();
@@ -159,55 +140,7 @@ pub(crate) fn encode(records: &[SnapRecord]) -> Vec<u8> {
 
 // ---- decoding ----------------------------------------------------------
 
-/// A bounds-checked little-endian reader; every accessor returns `None`
-/// instead of running past the end.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Reader { bytes, pos: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        if n > self.remaining() {
-            return None;
-        }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Some(s)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        self.take(1).map(|b| b[0])
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        self.take(4)
-            .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        self.take(8)
-            .map(|b| u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
-    }
-
-    /// A length-prefixed string, borrowed from the input; the length is
-    /// validated against the bytes actually present.
-    fn str(&mut self) -> Option<&'a str> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        std::str::from_utf8(bytes).ok()
-    }
-}
-
-fn parse_record(payload: &[u8]) -> Option<SnapRecord<'_>> {
+fn parse_record(payload: &[u8]) -> Result<SnapRecord<'_>, ObjError> {
     let mut r = Reader::new(payload);
     let program = r.str()?;
     let entry = r.str()?;
@@ -224,14 +157,13 @@ fn parse_record(payload: &[u8]) -> Option<SnapRecord<'_>> {
         fallback_kind: kind_from_tag(r.u8()?)?,
     };
     let image_len = r.u32()? as usize;
-    let image_bytes = r.take(image_len)?;
-    let image = decode_image(image_bytes).ok()?;
+    let image = decode_image(r.take(image_len)?)?;
     if r.remaining() != 0 {
         // Trailing garbage inside a CRC-valid payload: structurally
         // impossible for files we wrote, so treat it as corruption.
-        return None;
+        return Err(ObjError::TrailingBytes(r.remaining()));
     }
-    Some(SnapRecord {
+    Ok(SnapRecord {
         program,
         entry,
         statics,
@@ -250,47 +182,34 @@ fn decode_container<'a, T>(
     magic: &[u8; 8],
     version: u32,
     bytes: &'a [u8],
-    parse: impl Fn(&'a [u8]) -> Option<T>,
+    parse: impl Fn(&'a [u8]) -> Result<T, ObjError>,
 ) -> Decoded<T> {
     let mut out = Decoded {
         records: Vec::new(),
         quarantined: 0,
     };
-    if bytes.len() < HEADER_LEN
-        || &bytes[..8] != magic
-        || u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]) != version
-    {
-        // Bad header: nothing in the file can be trusted.
-        out.quarantined = 1;
-        return out;
-    }
-    let count = u32::from_le_bytes([bytes[12], bytes[13], bytes[14], bytes[15]]) as u64;
-    let mut r = Reader::new(&bytes[HEADER_LEN..]);
-    let mut seen: u64 = 0;
-    while seen < count {
-        let header = match (r.u32(), r.u32()) {
-            (Some(len), Some(crc)) => Some((len as usize, crc)),
-            // Torn tail: the crash hit mid-record-header. Everything the
-            // count still promised is gone.
-            _ => None,
-        };
-        let Some((len, crc)) = header else {
-            out.quarantined += count - seen;
+    let mut r = Reader::new(bytes);
+    let count = match (r.take(8), r.u32(), r.u32()) {
+        (Ok(m), Ok(v), Ok(count)) if m == magic && v == version => u64::from(count),
+        _ => {
+            // Bad header: nothing in the file can be trusted.
+            out.quarantined = 1;
             return out;
-        };
-        let Some(payload) = r.take(len) else {
-            // Torn tail: the final record was cut short mid-payload.
-            out.quarantined += count - seen;
-            return out;
-        };
-        seen += 1;
-        if crc32(payload) != crc {
-            out.quarantined += 1;
-            continue;
         }
-        match parse(payload) {
-            Some(rec) => out.records.push(rec),
-            None => out.quarantined += 1,
+    };
+    for seen in 0..count {
+        let Ok((crc, payload)) = r
+            .u32()
+            .and_then(|len| Ok((r.u32()?, r.take(len as usize)?)))
+        else {
+            // Torn tail: the crash hit mid-record. Everything the count
+            // still promised is gone.
+            out.quarantined += count - seen;
+            return out;
+        };
+        match (crc32(payload) == crc).then(|| parse(payload)) {
+            Some(Ok(rec)) => out.records.push(rec),
+            _ => out.quarantined += 1,
         }
     }
     if r.remaining() != 0 {
@@ -355,7 +274,7 @@ pub(crate) fn encode_genexts(records: &[GenextSnapRecord]) -> Vec<u8> {
     )
 }
 
-fn parse_genext_record(payload: &[u8]) -> Option<GenextSnapRecord> {
+fn parse_genext_record(payload: &[u8]) -> Result<GenextSnapRecord, ObjError> {
     let mut r = Reader::new(payload);
     let name = r.str()?.to_string();
     let identity = r.str()?.to_string();
@@ -364,9 +283,9 @@ fn parse_genext_record(payload: &[u8]) -> Option<GenextSnapRecord> {
     let len = r.u32()? as usize;
     let genext = r.take(len)?.to_vec();
     if r.remaining() != 0 {
-        return None;
+        return Err(ObjError::TrailingBytes(r.remaining()));
     }
-    Some(GenextSnapRecord {
+    Ok(GenextSnapRecord {
         name,
         identity,
         entry,
@@ -384,6 +303,9 @@ pub(crate) fn decode_genexts(bytes: &[u8]) -> Decoded<GenextSnapRecord> {
 mod tests {
     use super::*;
     use two4one::{Image, Symbol};
+
+    /// Magic, version and record count.
+    const HEADER_LEN: usize = 8 + 4 + 4;
 
     fn record(program: &str) -> SnapRecord<'_> {
         SnapRecord {
@@ -489,6 +411,45 @@ mod tests {
         let out = decode(&bytes);
         assert!(out.records.is_empty());
         assert_eq!(out.quarantined, 1);
+    }
+
+    #[test]
+    fn fallback_kinds_keep_their_tags() {
+        use LimitKind::*;
+        // Pinned: a reordered `LimitKind::ALL` would change every tag.
+        let pinned = [
+            (None, 0),
+            (Some(Deadline), 1),
+            (Some(Cancelled), 2),
+            (Some(StepFuel), 3),
+            (Some(UnfoldFuel), 4),
+            (Some(Depth), 5),
+            (Some(MemoEntries), 6),
+            (Some(CodeSize), 7),
+            (Some(InputNodes), 8),
+            (Some(InputDepth), 9),
+        ];
+        assert_eq!(pinned.len(), LimitKind::ALL.len() + 1);
+        // The tag is the byte before the image length and image, which
+        // end the file's one record.
+        let mut rec = record("a");
+        let at = encode(std::slice::from_ref(&rec)).len() - 4 - encode_image(&rec.image).len() - 1;
+        for (kind, tag) in pinned {
+            rec.stats.fallback_kind = kind;
+            let bytes = encode(std::slice::from_ref(&rec));
+            assert_eq!(bytes[at], tag, "{kind:?}");
+            let out = decode(&bytes);
+            assert_eq!(out.quarantined, 0, "{kind:?}");
+            assert_eq!(out.records[0].stats.fallback_kind, kind);
+        }
+        // An unknown tag, under a valid CRC, quarantines the record.
+        let mut bytes = encode(&[record("a")]);
+        bytes[at] = 10;
+        let crc = crc32(&bytes[HEADER_LEN + 8..]);
+        bytes[HEADER_LEN + 4..HEADER_LEN + 8].copy_from_slice(&crc.to_le_bytes());
+        let out = decode(&bytes);
+        assert_eq!(out.quarantined, 1);
+        assert!(out.records.is_empty());
     }
 
     fn genext_record(name: &str, epoch: u64) -> GenextSnapRecord {

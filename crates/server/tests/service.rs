@@ -8,7 +8,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use two4one::{CancelToken, Datum, Division, Limits, Pgg, BT};
+use two4one::{CancelToken, Datum, Division, Pgg, BT};
 use two4one_server::{BreakerPolicy, FillHook, ServeConfig, ServeError, SpecRequest, SpecService};
 use two4one_testkit::faults::{corrupt, PanicPlan};
 use two4one_testkit::rng::Rng;
@@ -238,7 +238,7 @@ fn code_budget_evicts_lru() {
     let service = SpecService::with_config(ServeConfig {
         shards: 1,
         max_entries: 1024,
-        limits: Limits::default().with_code_cap(1),
+        code_budget: Some(1),
         ..ServeConfig::default()
     });
     let ext = power_ext(&Pgg::new());

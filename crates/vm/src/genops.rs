@@ -209,48 +209,42 @@ impl GenProgram {
 
 const MAGIC: &[u8; 8] = b"t4ogenx\0";
 const VERSION: u32 = 1;
-const HEADER_LEN: usize = 16;
 
 /// Serializes a gen-ext program and its entry name to `.t4og` bytes:
 /// magic, version, CRC-32 of the payload, then the tables.
 pub fn encode_genext(prog: &GenProgram, entry: &Symbol) -> Vec<u8> {
-    let mut out = Vec::with_capacity(1024);
-    out.extend_from_slice(MAGIC);
-    objfile::put_u32(&mut out, VERSION);
-    objfile::put_u32(&mut out, 0); // checksum placeholder, patched below
-    objfile::put_sym(&mut out, entry);
-    objfile::put_u32(&mut out, prog.consts.len() as u32);
-    for d in &prog.consts {
-        objfile::put_datum(&mut out, d);
-    }
-    objfile::put_u32(&mut out, prog.code.len() as u32);
-    for i in &prog.code {
-        put_geninstr(&mut out, i);
-    }
-    objfile::put_u32(&mut out, prog.lams.len() as u32);
-    for l in &prog.lams {
-        objfile::put_sym(&mut out, &l.name);
-        objfile::put_u32(&mut out, l.params.len() as u32);
-        for p in &l.params {
-            objfile::put_sym(&mut out, p);
+    objfile::sealed(MAGIC, VERSION, |out| {
+        objfile::put_sym(out, entry);
+        objfile::put_u32(out, prog.consts.len() as u32);
+        for d in &prog.consts {
+            objfile::put_datum(out, d);
         }
-        objfile::put_u32(&mut out, l.body);
-    }
-    objfile::put_u32(&mut out, prog.defs.len() as u32);
-    for d in &prog.defs {
-        objfile::put_sym(&mut out, &d.name);
-        objfile::put_u32(&mut out, d.params.len() as u32);
-        for p in &d.params {
-            objfile::put_sym(&mut out, &p.name);
-            out.push(u8::from(p.dynamic));
+        objfile::put_u32(out, prog.code.len() as u32);
+        for i in &prog.code {
+            put_geninstr(out, i);
         }
-        out.push(u8::from(d.memoize));
-        objfile::put_u32(&mut out, d.body);
-        objfile::put_u32(&mut out, d.generic);
-    }
-    let crc = objfile::crc32(&out[HEADER_LEN..]);
-    out[12..16].copy_from_slice(&crc.to_le_bytes());
-    out
+        objfile::put_u32(out, prog.lams.len() as u32);
+        for l in &prog.lams {
+            objfile::put_sym(out, &l.name);
+            objfile::put_u32(out, l.params.len() as u32);
+            for p in &l.params {
+                objfile::put_sym(out, p);
+            }
+            objfile::put_u32(out, l.body);
+        }
+        objfile::put_u32(out, prog.defs.len() as u32);
+        for d in &prog.defs {
+            objfile::put_sym(out, &d.name);
+            objfile::put_u32(out, d.params.len() as u32);
+            for p in &d.params {
+                objfile::put_sym(out, &p.name);
+                out.push(u8::from(p.dynamic));
+            }
+            out.push(u8::from(d.memoize));
+            objfile::put_u32(out, d.body);
+            objfile::put_u32(out, d.generic);
+        }
+    })
 }
 
 fn put_ips(out: &mut Vec<u8>, args: &[u32]) {
@@ -336,7 +330,7 @@ fn read_ips(r: &mut Reader<'_>) -> Result<Box<[u32]>, ObjError> {
 
 fn read_prim(r: &mut Reader<'_>) -> Result<Prim, ObjError> {
     let name = r.str()?;
-    Prim::from_name(&name).ok_or(ObjError::BadPrim(name))
+    Prim::from_name(name).ok_or_else(|| ObjError::BadPrim(name.to_string()))
 }
 
 fn read_geninstr(r: &mut Reader<'_>) -> Result<GenInstr, ObjError> {
@@ -387,23 +381,7 @@ fn read_geninstr(r: &mut Reader<'_>) -> Result<GenInstr, ObjError> {
 ///
 /// Returns an [`ObjError`] on malformed input.
 pub fn decode_genext(bytes: &[u8]) -> Result<(Arc<GenProgram>, Symbol), ObjError> {
-    let mut r = Reader::new(bytes);
-    let magic = r.take(8)?;
-    if magic != MAGIC {
-        return Err(ObjError::BadMagic);
-    }
-    let version = r.u32()?;
-    if version != VERSION {
-        return Err(ObjError::BadVersion(version));
-    }
-    let stored = r.u32()?;
-    if bytes.len() < HEADER_LEN {
-        return Err(ObjError::Truncated);
-    }
-    let computed = objfile::crc32(&bytes[HEADER_LEN..]);
-    if stored != computed {
-        return Err(ObjError::BadChecksum { stored, computed });
-    }
+    let mut r = Reader::open(bytes, MAGIC, VERSION)?;
     let entry = r.sym()?;
     let nconsts = r.vec_len()?;
     let mut consts = Vec::with_capacity(nconsts);

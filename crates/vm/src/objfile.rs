@@ -155,19 +155,14 @@ const HEADER_LEN: usize = 16;
 
 /// Serializes an image to bytes.
 pub fn encode(image: &Image) -> Vec<u8> {
-    let mut out = Vec::with_capacity(1024);
-    out.extend_from_slice(MAGIC);
-    put_u32(&mut out, VERSION);
-    put_u32(&mut out, 0); // checksum placeholder, patched below
-    put_sym(&mut out, &image.entry);
-    put_u32(&mut out, image.templates.len() as u32);
-    for (name, t) in &image.templates {
-        put_sym(&mut out, name);
-        put_template(&mut out, t);
-    }
-    let crc = crc32(&out[HEADER_LEN..]);
-    out[12..16].copy_from_slice(&crc.to_le_bytes());
-    out
+    sealed(MAGIC, VERSION, |out| {
+        put_sym(out, &image.entry);
+        put_u32(out, image.templates.len() as u32);
+        for (name, t) in &image.templates {
+            put_sym(out, name);
+            put_template(out, t);
+        }
+    })
 }
 
 /// Deserializes an image from bytes.
@@ -176,24 +171,7 @@ pub fn encode(image: &Image) -> Vec<u8> {
 ///
 /// Returns an [`ObjError`] on malformed input.
 pub fn decode(bytes: &[u8]) -> Result<Image, ObjError> {
-    let mut r = Reader {
-        bytes,
-        pos: 0,
-        depth: 0,
-    };
-    let magic = r.take(8)?;
-    if magic != MAGIC {
-        return Err(ObjError::BadMagic);
-    }
-    let version = r.u32()?;
-    if version != VERSION {
-        return Err(ObjError::BadVersion(version));
-    }
-    let stored = r.u32()?;
-    let computed = crc32(&bytes[HEADER_LEN..]);
-    if stored != computed {
-        return Err(ObjError::BadChecksum { stored, computed });
-    }
+    let mut r = Reader::open(bytes, MAGIC, VERSION)?;
     let entry = r.sym()?;
     let n = r.vec_len()?;
     let mut templates = Vec::with_capacity(n);
@@ -202,10 +180,24 @@ pub fn decode(bytes: &[u8]) -> Result<Image, ObjError> {
         let t = r.template()?;
         templates.push((name, t));
     }
-    if r.pos != bytes.len() {
-        return Err(ObjError::TrailingBytes(bytes.len() - r.pos));
+    if r.remaining() != 0 {
+        return Err(ObjError::TrailingBytes(r.remaining()));
     }
     Ok(Image { templates, entry })
+}
+
+/// Writes a checked file: `magic`, `version`, then the CRC-32 of the
+/// payload `write` appends — the prefix every `.t4o` and `.t4og` file
+/// starts with, and [`Reader::open`] checks.
+pub(crate) fn sealed(magic: &[u8; 8], version: u32, write: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut out = Vec::with_capacity(1024);
+    out.extend_from_slice(magic);
+    put_u32(&mut out, version);
+    put_u32(&mut out, 0); // checksum placeholder, patched below
+    write(&mut out);
+    let crc = crc32(&out[HEADER_LEN..]);
+    out[12..16].copy_from_slice(&crc.to_le_bytes());
+    out
 }
 
 // ----- encoding -------------------------------------------------------
@@ -218,11 +210,9 @@ pub(crate) fn put_u16(out: &mut Vec<u8>, v: u16) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-pub(crate) fn put_i64(out: &mut Vec<u8>, v: i64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_str(out: &mut Vec<u8>, s: &str) {
+/// Writes `s` behind its `u32` byte length: the string encoding of every
+/// binary format, read back by [`Reader::str`].
+pub fn put_str(out: &mut Vec<u8>, s: &str) {
     put_u32(out, s.len() as u32);
     out.extend_from_slice(s.as_bytes());
 }
@@ -239,7 +229,7 @@ pub(crate) fn put_datum(out: &mut Vec<u8>, d: &Datum) {
         Datum::Bool(true) => out.push(3),
         Datum::Int(n) => {
             out.push(4);
-            put_i64(out, *n);
+            out.extend_from_slice(&n.to_le_bytes());
         }
         Datum::Char(c) => {
             out.push(5);
@@ -344,14 +334,20 @@ fn put_template(out: &mut Vec<u8>, t: &Template) {
 /// near this deep.
 const MAX_DECODE_DEPTH: usize = 8_192;
 
-pub(crate) struct Reader<'a> {
+/// A bounds-checked little-endian reader: every binary format is read
+/// through it — `.t4o` and `.t4og` files, `.t4os` snapshot records and
+/// wire payloads. No accessor runs past the end of the input: each
+/// returns [`ObjError::Truncated`] instead, and a length or count is
+/// checked against the bytes remaining before anything is allocated.
+pub struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
 }
 
 impl<'a> Reader<'a> {
-    pub(crate) fn new(bytes: &'a [u8]) -> Self {
+    /// A reader at the start of `bytes`.
+    pub fn new(bytes: &'a [u8]) -> Self {
         Reader {
             bytes,
             pos: 0,
@@ -359,12 +355,36 @@ impl<'a> Reader<'a> {
         }
     }
 
-    pub(crate) fn remaining(&self) -> usize {
+    /// Checks the prefix [`sealed`] writes — `magic`, `version`, and the
+    /// CRC-32 of the rest — and returns a reader at the payload after it:
+    /// [`ObjError::BadMagic`], [`ObjError::BadVersion`] or
+    /// [`ObjError::BadChecksum`] otherwise, or [`ObjError::Truncated`]
+    /// when `bytes` is shorter than the prefix.
+    pub(crate) fn open(bytes: &'a [u8], magic: &[u8; 8], version: u32) -> Result<Self, ObjError> {
+        let mut r = Reader::new(bytes);
+        if r.take(8)? != magic {
+            return Err(ObjError::BadMagic);
+        }
+        let found = r.u32()?;
+        if found != version {
+            return Err(ObjError::BadVersion(found));
+        }
+        let stored = r.u32()?;
+        let computed = crc32(&bytes[HEADER_LEN..]);
+        if stored != computed {
+            return Err(ObjError::BadChecksum { stored, computed });
+        }
+        Ok(r)
+    }
+
+    /// Bytes not yet read.
+    pub fn remaining(&self) -> usize {
         self.bytes.len() - self.pos
     }
 
-    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], ObjError> {
-        if self.pos + n > self.bytes.len() {
+    /// The next `n` bytes, borrowed from the input.
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], ObjError> {
+        if n > self.remaining() {
             return Err(ObjError::Truncated);
         }
         let s = &self.bytes[self.pos..self.pos + n];
@@ -372,25 +392,31 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
-    pub(crate) fn u8(&mut self) -> Result<u8, ObjError> {
+    /// The next `N` bytes as an array.
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], ObjError> {
+        let mut out = [0; N];
+        out.copy_from_slice(self.take(N)?);
+        Ok(out)
+    }
+
+    /// A byte.
+    pub fn u8(&mut self) -> Result<u8, ObjError> {
         Ok(self.take(1)?[0])
     }
 
-    pub(crate) fn u16(&mut self) -> Result<u16, ObjError> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
+    /// A little-endian `u16`.
+    pub fn u16(&mut self) -> Result<u16, ObjError> {
+        self.array().map(u16::from_le_bytes)
     }
 
-    pub(crate) fn u32(&mut self) -> Result<u32, ObjError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+    /// A little-endian `u32`.
+    pub fn u32(&mut self) -> Result<u32, ObjError> {
+        self.array().map(u32::from_le_bytes)
     }
 
-    pub(crate) fn i64(&mut self) -> Result<i64, ObjError> {
-        let b = self.take(8)?;
-        Ok(i64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
+    /// A little-endian `u64`.
+    pub fn u64(&mut self) -> Result<u64, ObjError> {
+        self.array().map(u64::from_le_bytes)
     }
 
     /// Reads a `u32` element count, rejecting counts larger than the
@@ -399,20 +425,21 @@ impl<'a> Reader<'a> {
     /// corrupt count cannot force a huge allocation.
     pub(crate) fn vec_len(&mut self) -> Result<usize, ObjError> {
         let n = self.u32()? as usize;
-        if n > self.bytes.len() - self.pos {
+        if n > self.remaining() {
             return Err(ObjError::Truncated);
         }
         Ok(n)
     }
 
-    pub(crate) fn str(&mut self) -> Result<String, ObjError> {
-        let n = self.vec_len()?;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| ObjError::BadUtf8)
+    /// A string written by [`put_str`], borrowed from the input;
+    /// [`ObjError::BadUtf8`] when its bytes are not UTF-8.
+    pub fn str(&mut self) -> Result<&'a str, ObjError> {
+        let n = self.u32()? as usize;
+        std::str::from_utf8(self.take(n)?).map_err(|_| ObjError::BadUtf8)
     }
 
     pub(crate) fn sym(&mut self) -> Result<Symbol, ObjError> {
-        Ok(Symbol::new(&self.str()?))
+        Ok(Symbol::new(self.str()?))
     }
 
     pub(crate) fn datum(&mut self) -> Result<Datum, ObjError> {
@@ -421,12 +448,12 @@ impl<'a> Reader<'a> {
             1 => Datum::Unspec,
             2 => Datum::Bool(false),
             3 => Datum::Bool(true),
-            4 => Datum::Int(self.i64()?),
+            4 => Datum::Int(i64::from_le_bytes(self.array()?)),
             5 => {
                 let c = self.u32()?;
                 Datum::Char(char::from_u32(c).ok_or(ObjError::BadTag("char", 5))?)
             }
-            6 => Datum::string(&self.str()?),
+            6 => Datum::string(self.str()?),
             7 => Datum::Sym(self.sym()?),
             8 => {
                 self.enter()?;
@@ -459,7 +486,8 @@ impl<'a> Reader<'a> {
             12 => Instr::JumpIfFalse(self.u32()?),
             13 => {
                 let name = self.str()?;
-                let prim = Prim::from_name(&name).ok_or(ObjError::BadPrim(name.clone()))?;
+                let prim =
+                    Prim::from_name(name).ok_or_else(|| ObjError::BadPrim(name.to_string()))?;
                 Instr::Prim {
                     prim,
                     nargs: self.u8()?,

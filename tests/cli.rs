@@ -932,6 +932,64 @@ fn t4o_spec_genext_cache_warm_starts_across_processes() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+#[test]
+fn t4o_stats_restores_the_genext_cache() {
+    let dir = tmp_dir();
+    let src = dir.join("powx.scm");
+    std::fs::write(
+        &src,
+        "(define (power n x) (if (= n 0) 1 (* x (power (- n 1) x))))",
+    )
+    .unwrap();
+    let gxs = dir.join("genexts.t4og");
+    let args = |cmd: &str, batch: &str| {
+        [
+            cmd,
+            src.to_str().unwrap(),
+            "--entry",
+            "power",
+            "--division",
+            "SD",
+            "--name",
+            "pow",
+            "--batch",
+            batch,
+            "--genext-cache",
+            gxs.to_str().unwrap(),
+        ]
+        .map(String::from)
+    };
+
+    // A serve run stages the gen-ext and snapshots it.
+    let out = t4o().args(args("spec", "(4)")).output().unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout.contains("genext_builds=1"), "{stdout}");
+    assert!(gxs.exists());
+
+    // `stats` restores it like `spec` and `serve` do: its first miss runs
+    // the restored gen-ext without staging it again. The reports go to
+    // stderr, so stdout stays pure exposition.
+    let out = t4o().args(args("stats", "(6)")).output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let page = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stderr}");
+    assert!(
+        stderr.contains(";; genext-cache: restored 1 gen-ext(s)"),
+        "{stderr}"
+    );
+    assert!(stderr.contains("misses=1"), "{stderr}");
+    assert!(stderr.contains("genext_builds=0"), "{stderr}");
+    assert!(page.contains("t4o_serve_genext_builds_total 0"), "{page}");
+    assert!(!page.contains(";;"), "{page}");
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 // The bytes `t4o_files_keep_their_bytes` expects for `power`, captured
 // from the commands it runs. A change to any of these formats must
 // update them on purpose, with the format's `VERSION`.
