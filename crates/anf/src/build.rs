@@ -107,9 +107,10 @@ pub trait CodeBuilder {
     /// A monotone measure of the residual code built so far, in
     /// backend-specific units (syntax nodes for the source backend,
     /// emitted instructions for the object backend). The specializer
-    /// polls this to enforce [`Limits::code_cap`]
-    /// (`two4one_syntax::limits::Limits`) — run-time code generation must
-    /// not fill memory with residual code before anyone runs it.
+    /// polls this to enforce
+    /// [`Limits::code_cap`](two4one_syntax::limits::Limits::code_cap) —
+    /// run-time code generation must not fill memory with residual code
+    /// before anyone runs it.
     fn code_size(&self) -> usize;
 }
 

@@ -204,10 +204,12 @@ fn note_spec_stats(stats: &SpecStats) {
 }
 
 /// Process-wide generating-extension counters: how many gen-exts were
-/// staged and how many specializations ran through one.
+/// staged, how many specializations ran through one, and how many of
+/// those kept a guarded re-run (`SpecStats::guarded_rerun`).
 struct GenextMetrics {
     builds: obs::Counter,
     runs: obs::Counter,
+    guarded_reruns: obs::Counter,
 }
 
 fn genext_metrics() -> &'static GenextMetrics {
@@ -217,6 +219,7 @@ fn genext_metrics() -> &'static GenextMetrics {
         GenextMetrics {
             builds: g.counter("t4o_genext_builds_total"),
             runs: g.counter("t4o_genext_runs_total"),
+            guarded_reruns: g.counter("t4o_genext_guarded_reruns_total"),
         }
     })
 }
@@ -575,7 +578,7 @@ impl GenExt {
 
     /// Runs the gen-ext machine under explicit `options` and an optional
     /// caller-side [`CancelToken`], through the given backend.
-    fn run<B: CodeBuilder>(
+    fn run<B: CodeBuilder + Default>(
         &self,
         statics: &[Datum],
         builder: B,
@@ -591,7 +594,11 @@ impl GenExt {
             let _span = obs::Span::enter(obs::Phase::GenextRun);
             let (prog, stats) =
                 two4one_pe::run_genext(staged, &self.entry, statics, builder, options, deadline)?;
-            genext_metrics().runs.inc();
+            let m = genext_metrics();
+            m.runs.inc();
+            if stats.guarded_rerun {
+                m.guarded_reruns.inc();
+            }
             note_spec_stats(&stats);
             Ok((prog, stats))
         })

@@ -105,7 +105,11 @@ pub(crate) enum StaticKey {
 }
 
 /// Counters reported after specialization.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// Equality compares what the kept run produced and leaves out
+/// [`SpecStats::guarded_rerun`], which records how the run was reached:
+/// a re-run and a run guarded from the start report equal stats.
+#[derive(Debug, Clone, Default)]
 pub struct SpecStats {
     /// Calls unfolded.
     pub unfolds: u64,
@@ -123,7 +127,45 @@ pub struct SpecStats {
     /// serving layer distinguish transient starvation (unfold fuel, memo
     /// cap — worth retrying with a bigger budget) from structural limits.
     pub fallback_kind: Option<LimitKind>,
+    /// The kept run is the guarded re-run: the guard-free first run hit a
+    /// recoverable limit and was started over with fallback guards armed
+    /// (see `two4one_pe::genrun`). Snapshots do not store it.
+    pub guarded_rerun: bool,
 }
+
+impl PartialEq for SpecStats {
+    fn eq(&self, other: &Self) -> bool {
+        let SpecStats {
+            unfolds,
+            memo_hits,
+            memo_misses,
+            residual_defs,
+            fallbacks,
+            generic_defs,
+            fallback_kind,
+            guarded_rerun: _,
+        } = self;
+        (
+            *unfolds,
+            *memo_hits,
+            *memo_misses,
+            *residual_defs,
+            *fallbacks,
+            *generic_defs,
+            *fallback_kind,
+        ) == (
+            other.unfolds,
+            other.memo_hits,
+            other.memo_misses,
+            other.residual_defs,
+            other.fallbacks,
+            other.generic_defs,
+            other.fallback_kind,
+        )
+    }
+}
+
+impl Eq for SpecStats {}
 
 impl SpecStats {
     /// True when specialization hit a resource limit somewhere and

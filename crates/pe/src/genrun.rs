@@ -20,11 +20,11 @@
 //!
 //! * **Deferred wraps.** The walker's `deliver_serious`/unfold rebinding
 //!   wrap `let`s around code computed by continuation *returns*. The
-//!   machine pushes a [`Wrap`] record instead and applies pending wraps
+//!   machine pushes a `Wrap` record instead and applies pending wraps
 //!   LIFO whenever a region (a residual body, an `if` branch, a join
 //!   continuation) completes — the same builder-call order, iteratively.
 //! * **Region terminals.** Each boundary frame records how the region
-//!   above it terminates ([`Term::Tail`] → `ret`/tail call, [`Term::Jump`]
+//!   above it terminates (`Term::Tail` → `ret`/tail call, `Term::Jump`
 //!   → a call to a join point), mirroring the walker's `Kont::Tail` vs.
 //!   jump-continuation distinction.
 //! * **Persistent frame stacks.** Fallback guards snapshot the
@@ -33,6 +33,20 @@
 //!   again, with observable gensym/builder effects — and the persistent
 //!   stack reproduces that exactly: restoring a handle resurrects popped
 //!   nodes by sharing, at O(1) cost per armed guard.
+//!
+//! # The guard-free first run
+//!
+//! Guards insure against limits the division cannot foresee, and almost
+//! no run hits one. So [`run_genext`] first runs with fallback semantics
+//! but no guard armed: a top-level call takes no snapshot, popped frames
+//! are always moved rather than cloned, and the first recoverable
+//! [`PeError`] aborts the run instead of recovering. Up to that error the
+//! run is step for step the guarded one, so a clean run emits the guarded
+//! run's bytes. An aborted run starts over from a fresh builder with
+//! guards armed — the degraded image of a run guarded from the start,
+//! after one extra partial run — and [`SpecStats::guarded_rerun`]
+//! records that the kept run is the re-run. A non-recoverable error ends the first run as it would end
+//! the guarded one.
 //!
 //! # The depth limit
 //!
@@ -443,6 +457,9 @@ pub struct GenRun<'p, B: CodeBuilder> {
     deadline: Deadline,
     ticks: u64,
     fallback: bool,
+    /// Guards armed and recovery on. Off on the guard-free first run
+    /// (see the module doc), which aborts at the first recoverable limit.
+    armed: bool,
     in_generic: bool,
     stack: FStack<'p, B>,
     /// Reclaimed stack nodes: a popped node that no guard snapshot shares
@@ -467,16 +484,35 @@ pub struct GenRun<'p, B: CodeBuilder> {
 /// [`specialize_staged`](crate::walk::specialize_staged) on the same
 /// staged program (and equal stats, or the same error).
 ///
+/// With `options.fallback` on, the first run arms no fallback guard (see
+/// the module doc); a run that hits a recoverable limit starts over with
+/// guards armed from `B::default()`, and its stats set
+/// [`SpecStats::guarded_rerun`].
+///
 /// # Errors
 ///
 /// See [`PeError`].
-pub fn run_genext<B: CodeBuilder>(
+pub fn run_genext<B: CodeBuilder + Default>(
     prog: &GenProgram,
     entry: &Symbol,
     static_args: &[Datum],
     builder: B,
     options: &SpecOptions,
     deadline: Deadline,
+) -> Result<(B::Program, SpecStats), PeError> {
+    run_genext_with(prog, entry, static_args, builder, options, deadline, true)
+}
+
+/// [`run_genext`], with the guard-free first run switchable: off, the one
+/// run arms its guards from the start.
+fn run_genext_with<B: CodeBuilder + Default>(
+    prog: &GenProgram,
+    entry: &Symbol,
+    static_args: &[Datum],
+    builder: B,
+    options: &SpecOptions,
+    deadline: Deadline,
+    guard_free_first: bool,
 ) -> Result<(B::Program, SpecStats), PeError> {
     let entry_idx = prog.lookup(entry).ok_or(PeError::NoSuchFunction(*entry))?;
     let def = &prog.defs[entry_idx as usize];
@@ -488,40 +524,69 @@ pub fn run_genext<B: CodeBuilder>(
             got: static_args.len(),
         });
     }
-    let limits = &options.limits;
-    let mut m = GenRun {
-        prog,
-        builder,
-        gensym: Gensym::new(),
-        cache: HashMap::new(),
-        pending: VecDeque::new(),
-        generic: HashMap::new(),
-        pending_generic: VecDeque::new(),
-        fuel: limits.unfold_fuel.unwrap_or(u64::MAX),
-        depth: 0,
-        max_depth: limits.max_depth.unwrap_or(usize::MAX),
-        memo_cap: limits.memo_cap.unwrap_or(usize::MAX),
-        code_cap: limits.code_cap.unwrap_or(usize::MAX),
-        deadline,
-        ticks: 0,
-        fallback: options.fallback,
-        in_generic: false,
-        stack: None,
-        free: Vec::new(),
-        param_names: Vec::new(),
-        val_pool: Vec::new(),
-        wraps: Vec::new(),
-        guards: Vec::new(),
-        stats: SpecStats::default(),
-    };
-    let statics: Vec<GVal<B>> = static_args.iter().map(|d| GVal::Data(d.clone())).collect();
-    m.run_spec_body(entry_idx, *entry, statics)?;
-    m.drain_pending()?;
-    let stats = m.stats.clone();
-    Ok((m.builder.finish(entry), stats))
+    let armed = options.fallback && !guard_free_first;
+    let first = GenRun::new(prog, builder, options, deadline.clone(), armed);
+    match first.run(entry_idx, *entry, static_args) {
+        Err(e) if options.fallback && !armed && e.is_recoverable() => {
+            let rerun = GenRun::new(prog, B::default(), options, deadline, true);
+            let (program, mut stats) = rerun.run(entry_idx, *entry, static_args)?;
+            stats.guarded_rerun = true;
+            Ok((program, stats))
+        }
+        r => r,
+    }
 }
 
 impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
+    fn new(
+        prog: &'p GenProgram,
+        builder: B,
+        options: &SpecOptions,
+        deadline: Deadline,
+        armed: bool,
+    ) -> Self {
+        let limits = &options.limits;
+        GenRun {
+            prog,
+            builder,
+            gensym: Gensym::new(),
+            cache: HashMap::new(),
+            pending: VecDeque::new(),
+            generic: HashMap::new(),
+            pending_generic: VecDeque::new(),
+            fuel: limits.unfold_fuel.unwrap_or(u64::MAX),
+            depth: 0,
+            max_depth: limits.max_depth.unwrap_or(usize::MAX),
+            memo_cap: limits.memo_cap.unwrap_or(usize::MAX),
+            code_cap: limits.code_cap.unwrap_or(usize::MAX),
+            deadline,
+            ticks: 0,
+            fallback: options.fallback,
+            armed,
+            in_generic: false,
+            stack: None,
+            free: Vec::new(),
+            param_names: Vec::new(),
+            val_pool: Vec::new(),
+            wraps: Vec::new(),
+            guards: Vec::new(),
+            stats: SpecStats::default(),
+        }
+    }
+
+    /// One run from the entry: its body, then every pending work item.
+    fn run(
+        mut self,
+        entry_idx: u32,
+        entry: Symbol,
+        static_args: &[Datum],
+    ) -> Result<(B::Program, SpecStats), PeError> {
+        let statics = static_args.iter().map(|d| GVal::Data(d.clone())).collect();
+        self.run_spec_body(entry_idx, entry, statics)?;
+        self.drain_pending()?;
+        Ok((self.builder.finish(&entry), self.stats))
+    }
+
     // ----- stack primitives ---------------------------------------------
 
     fn push(&mut self, f: Frame<'p, B>) {
@@ -709,7 +774,7 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
         }
         let name = match self.memo_name(g, def, Vec::new(), Vec::new()) {
             Ok(n) => n,
-            Err(e) if self.fallback && e.is_recoverable() => {
+            Err(e) if self.armed && e.is_recoverable() => {
                 self.stats.note_fallback(&e);
                 self.generic_name(g, def)
             }
@@ -1192,8 +1257,9 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
                 // anywhere downstream within the current region), the
                 // call is residualized against the generic version of the
                 // callee. The walker's attempt/catch at this site, as a
-                // persistent-stack snapshot.
-                if self.fallback {
+                // persistent-stack snapshot. Unarmed on the guard-free
+                // first run.
+                if self.armed {
                     let mut snap = self.take_vec(args.len());
                     snap.extend(args.iter().cloned());
                     self.guards.push(Guard {
@@ -1567,7 +1633,8 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
     /// guards innermost-first, restore the snapshotted continuation, and
     /// residualize the guarded call against the callee's generic version;
     /// when no guard remains, fall back at the work-item level (the body
-    /// recompiled generically), at most once per item.
+    /// recompiled generically), at most once per item. Unarmed, the error
+    /// ends the run: [`run_genext`] re-runs it guarded.
     fn recover(
         &mut self,
         mut e: PeError,
@@ -1576,7 +1643,7 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
         can_fall_back: &mut bool,
     ) -> Result<Step<B>, PeError> {
         loop {
-            if !e.is_recoverable() {
+            if !self.armed || !e.is_recoverable() {
                 return Err(e);
             }
             if let Some(g) = self.guards.pop() {
@@ -1625,7 +1692,7 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
         self.in_generic = drained_generic;
         // Work-item-level fallback is available once, and never while
         // already emitting a generic body.
-        let mut can_fall_back = self.fallback && !drained_generic;
+        let mut can_fall_back = self.armed && !drained_generic;
         let mut state = Step::Eval(start, env.clone());
         let code = loop {
             let flow = match state {
@@ -1708,5 +1775,496 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
                 return Ok(());
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! The guard-free first run against the one guarded run it replaces,
+    //! with no walker involved: equal programs and equal stats (or the
+    //! same error) at every limit the sweeps of `tests/genext.rs` cover,
+    //! and exactly one re-run for a first run that hits a recoverable
+    //! limit.
+
+    use super::*;
+    use crate::stage;
+    use std::cell::Cell;
+    use std::time::Duration;
+    use two4one_anf::build::SourceBuilder;
+    use two4one_bta::{bta_with, Division, Options};
+    use two4one_compiler::ObjectBuilder;
+    use two4one_langs::grammar;
+    use two4one_syntax::acs::{CallPolicy, BT};
+    use two4one_syntax::limits::{CancelToken, Limits};
+    use two4one_syntax::stack::with_stack;
+
+    struct Workload {
+        name: &'static str,
+        src: String,
+        entry: &'static str,
+        div: Vec<BT>,
+        statics: Vec<Datum>,
+        policies: Vec<(&'static str, CallPolicy)>,
+    }
+
+    fn program(
+        name: &'static str,
+        src: &str,
+        entry: &'static str,
+        div: Vec<BT>,
+        statics: Vec<Datum>,
+        memoize: &[&'static str],
+    ) -> Workload {
+        Workload {
+            name,
+            src: src.to_string(),
+            entry,
+            div,
+            statics,
+            policies: memoize.iter().map(|m| (*m, CallPolicy::Memoize)).collect(),
+        }
+    }
+
+    /// The hand-written programs of the genext sweeps.
+    fn programs() -> Vec<Workload> {
+        use BT::{Dynamic as D, Static as S};
+        vec![
+            program(
+                "power-unfolded",
+                "(define (power x n) (if (= n 0) 1 (* x (power x (- n 1)))))",
+                "power",
+                vec![D, S],
+                vec![Datum::Int(9)],
+                &[],
+            ),
+            program(
+                "join-points",
+                "(define (f a b c d)
+                   (+ (if a 1 2) (+ (if b 3 4) (+ (if c 5 6) (if d 7 8)))))",
+                "f",
+                vec![D; 4],
+                vec![],
+                &[],
+            ),
+            program(
+                "memoized-higher-order",
+                "(define (apply-n f n x) (if (= n 0) x (apply-n f (- n 1) (f x))))
+                 (define (inc v) (+ v 1))
+                 (define (dbl v) (* v 2))
+                 (define (main x) (+ (apply-n inc 3 x) (apply-n dbl 2 x)))",
+                "main",
+                vec![D],
+                vec![],
+                &["apply-n"],
+            ),
+            program(
+                "fnref-lifting",
+                "(define (step x) (+ x 1)) (define (main) (lambda (y) (step y)))",
+                "main",
+                vec![],
+                vec![],
+                &[],
+            ),
+            program(
+                "faulting-static-prim",
+                "(define (f d) (if d (car '()) 'safe))",
+                "f",
+                vec![D],
+                vec![],
+                &[],
+            ),
+            program(
+                "lambda-rebinding",
+                "(define (use2 f x) (eq? f f))
+                 (define (main n x) (use2 (lambda (y) (+ y x)) n))",
+                "main",
+                vec![D, D],
+                vec![],
+                &[],
+            ),
+            program(
+                "memoized-recursion-dynamic-n",
+                "(define (loop n acc) (if (= n 0) acc (loop (- n 1) (+ acc acc))))
+                 (define (main n) (loop n 1))",
+                "main",
+                vec![D],
+                vec![],
+                &["loop"],
+            ),
+        ]
+    }
+
+    /// What the serving layer specializes: MIXWELL and LAZY under the
+    /// compilation division, and the matcher on the adversarial grammars.
+    fn langs() -> Vec<Workload> {
+        let mut out = vec![
+            Workload {
+                name: "mixwell",
+                src: two4one_langs::MIXWELL_INTERP.to_string(),
+                entry: "mixwell-run",
+                div: vec![BT::Static, BT::Dynamic],
+                statics: vec![two4one_langs::mixwell_program()],
+                policies: two4one_langs::mixwell_policies(),
+            },
+            Workload {
+                name: "lazy",
+                src: two4one_langs::LAZY_INTERP.to_string(),
+                entry: "lazy-run",
+                div: vec![BT::Static, BT::Dynamic],
+                statics: vec![two4one_langs::lazy_program()],
+                policies: two4one_langs::lazy_policies(),
+            },
+        ];
+        for (name, text, _, _) in grammar::adversarial_suite() {
+            let g = grammar::parse(text).unwrap();
+            out.push(Workload {
+                name,
+                src: grammar::workload_source(&g),
+                entry: grammar::WORKLOAD_ENTRY,
+                div: vec![BT::Dynamic],
+                statics: vec![],
+                policies: grammar::grammar_policies(),
+            });
+        }
+        out
+    }
+
+    fn staged(w: &Workload) -> Arc<GenProgram> {
+        let p = two4one_frontend::frontend(&w.src).unwrap();
+        let mut opts = Options::default();
+        for (name, policy) in &w.policies {
+            opts.policy_overrides.insert(Symbol::new(name), *policy);
+        }
+        let div = Division::new(w.div.iter().copied());
+        stage(&bta_with(&p, w.entry, &div, &opts).unwrap()).unwrap()
+    }
+
+    /// Runs `w` with the guard-free first run on and off, through both
+    /// backends, and asserts equal programs and equal stats, or the same
+    /// error. A kept re-run is exactly a run that fell back.
+    fn assert_first_run_invisible(w: &Workload, opts: &SpecOptions, ctx: &str) {
+        let ctx = format!("{}/{ctx}", w.name);
+        assert_invisible(&staged(w), w.entry, &w.statics, opts, &ctx);
+    }
+
+    fn assert_invisible(
+        prog: &GenProgram,
+        entry: &str,
+        statics: &[Datum],
+        opts: &SpecOptions,
+        ctx: &str,
+    ) {
+        let entry = Symbol::new(entry);
+        let deadline = || opts.limits.deadline();
+        let run_source = |first| {
+            let builder = SourceBuilder::new();
+            run_genext_with(prog, &entry, statics, builder, opts, deadline(), first)
+                .map(|(p, stats)| (p.to_source(), stats))
+        };
+        let run_object = |first| {
+            let builder = ObjectBuilder::new();
+            run_genext_with(prog, &entry, statics, builder, opts, deadline(), first)
+                .map(|(p, stats)| (two4one_vm::encode_image(&p.unwrap()), stats))
+        };
+        let (on, off) = (run_source(true), run_source(false));
+        assert_eq!(on, off, "[{ctx}] source backend");
+        assert_eq!(
+            run_object(true),
+            run_object(false),
+            "[{ctx}] object backend"
+        );
+        if let (Ok((_, on)), Ok((_, off))) = (&on, &off) {
+            assert_eq!(on.guarded_rerun, on.fallbacks > 0, "[{ctx}] {on:?}");
+            assert!(!off.guarded_rerun, "[{ctx}] {off:?}");
+        }
+    }
+
+    /// Limits with the depth limit off, so each sweep isolates its knob.
+    fn deep() -> Limits {
+        Limits::default().with_max_depth(usize::MAX)
+    }
+
+    fn governed(limits: Limits) -> SpecOptions {
+        SpecOptions {
+            limits,
+            fallback: true,
+        }
+    }
+
+    #[test]
+    fn first_run_changes_no_output_across_the_limit_sweeps() {
+        let mut points = vec![("clean".to_string(), governed(deep()))];
+        for fuel in 0..14u64 {
+            points.push((
+                format!("fuel={fuel}"),
+                governed(deep().with_unfold_fuel(fuel)),
+            ));
+        }
+        for cap in 0..5usize {
+            points.push((
+                format!("memo_cap={cap}"),
+                governed(deep().with_memo_cap(cap)),
+            ));
+        }
+        for cap in [1usize, 2, 4, 8, 16, 64, 256] {
+            points.push((
+                format!("code_cap={cap}"),
+                governed(deep().with_code_cap(cap)),
+            ));
+        }
+        for fuel in [0u64, 1, 3, 5] {
+            let strict = SpecOptions::strict(deep().with_unfold_fuel(fuel));
+            points.push((format!("strict-fuel={fuel}"), strict));
+        }
+        for w in &programs() {
+            for (ctx, opts) in &points {
+                assert_first_run_invisible(w, opts, ctx);
+            }
+        }
+    }
+
+    #[test]
+    fn first_run_changes_no_output_on_langs_and_across_depths() {
+        with_stack(|| {
+            for fuel in [None, Some(0u64), Some(1), Some(3), Some(10), Some(100)] {
+                let limits = match fuel {
+                    Some(f) => deep().with_unfold_fuel(f),
+                    None => deep(),
+                };
+                for w in &langs() {
+                    assert_first_run_invisible(w, &governed(limits.clone()), &format!("{fuel:?}"));
+                }
+            }
+            for depth in [1usize, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 377, 987, 2584] {
+                let opts = governed(Limits::default().with_max_depth(depth));
+                for w in programs().iter().chain(&langs()) {
+                    assert_first_run_invisible(w, &opts, &format!("depth={depth}"));
+                }
+            }
+        });
+    }
+
+    thread_local! {
+        static FRESH_BUILDERS: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// A source builder that counts the fresh builders `run_genext` makes
+    /// for itself: one per guarded re-run.
+    struct Counted(SourceBuilder);
+
+    impl Default for Counted {
+        fn default() -> Self {
+            FRESH_BUILDERS.with(|n| n.set(n.get() + 1));
+            Counted(SourceBuilder::new())
+        }
+    }
+
+    impl CodeBuilder for Counted {
+        type Triv = <SourceBuilder as CodeBuilder>::Triv;
+        type Serious = <SourceBuilder as CodeBuilder>::Serious;
+        type Code = <SourceBuilder as CodeBuilder>::Code;
+        type Program = <SourceBuilder as CodeBuilder>::Program;
+
+        fn const_(&mut self, d: &Datum) -> Self::Triv {
+            self.0.const_(d)
+        }
+        fn var(&mut self, x: &Symbol) -> Self::Triv {
+            self.0.var(x)
+        }
+        fn global(&mut self, x: &Symbol) -> Self::Triv {
+            self.0.global(x)
+        }
+        fn lambda(
+            &mut self,
+            name: &Symbol,
+            params: &[Symbol],
+            free: &[Symbol],
+            body: Self::Code,
+        ) -> Self::Triv {
+            self.0.lambda(name, params, free, body)
+        }
+        fn call(&mut self, f: Self::Triv, args: Vec<Self::Triv>) -> Self::Serious {
+            self.0.call(f, args)
+        }
+        fn call_global(&mut self, g: &Symbol, args: Vec<Self::Triv>) -> Self::Serious {
+            self.0.call_global(g, args)
+        }
+        fn prim(&mut self, p: Prim, args: Vec<Self::Triv>) -> Self::Serious {
+            self.0.prim(p, args)
+        }
+        fn ret(&mut self, t: Self::Triv) -> Self::Code {
+            self.0.ret(t)
+        }
+        fn tail(&mut self, s: Self::Serious) -> Self::Code {
+            self.0.tail(s)
+        }
+        fn let_serious(&mut self, x: &Symbol, rhs: Self::Serious, body: Self::Code) -> Self::Code {
+            self.0.let_serious(x, rhs, body)
+        }
+        fn let_triv(&mut self, x: &Symbol, rhs: Self::Triv, body: Self::Code) -> Self::Code {
+            self.0.let_triv(x, rhs, body)
+        }
+        fn if_(&mut self, t: Self::Triv, then: Self::Code, els: Self::Code) -> Self::Code {
+            self.0.if_(t, then, els)
+        }
+        fn join(
+            &mut self,
+            j: &Symbol,
+            r: &Symbol,
+            jbody: Self::Code,
+            body: Self::Code,
+        ) -> Self::Code {
+            self.0.join(j, r, jbody, body)
+        }
+        fn define(&mut self, name: &Symbol, params: &[Symbol], body: Self::Code) {
+            self.0.define(name, params, body)
+        }
+        fn finish(self, entry: &Symbol) -> Self::Program {
+            self.0.finish(entry)
+        }
+        fn code_size(&self) -> usize {
+            self.0.code_size()
+        }
+    }
+
+    /// Runs `prog` through [`run_genext`] and counts its guarded re-runs.
+    fn reruns(
+        prog: &GenProgram,
+        entry: &str,
+        statics: &[Datum],
+        opts: &SpecOptions,
+        deadline: Deadline,
+    ) -> (Result<SpecStats, PeError>, usize) {
+        FRESH_BUILDERS.with(|n| n.set(0));
+        let builder = Counted(SourceBuilder::new());
+        let r = run_genext(prog, &Symbol::new(entry), statics, builder, opts, deadline);
+        (r.map(|(_, stats)| stats), FRESH_BUILDERS.with(Cell::get))
+    }
+
+    fn workload_reruns(
+        w: &Workload,
+        opts: &SpecOptions,
+        deadline: Deadline,
+    ) -> (Result<SpecStats, PeError>, usize) {
+        reruns(&staged(w), w.entry, &w.statics, opts, deadline)
+    }
+
+    #[test]
+    fn a_recoverable_limit_costs_exactly_one_guarded_rerun() {
+        let ws = programs();
+        let (power, memoized) = (&ws[0], &ws[2]);
+        let unlimited = Deadline::unlimited;
+        let (clean, n) = workload_reruns(power, &SpecOptions::new(), unlimited());
+        assert_eq!(n, 0, "a clean fill never re-runs");
+        assert!(!clean.unwrap().guarded_rerun);
+        let expired = || Deadline::start(Some(Duration::ZERO));
+        let starved = [
+            (
+                power,
+                deep().with_unfold_fuel(1),
+                unlimited(),
+                LimitKind::UnfoldFuel,
+            ),
+            (
+                memoized,
+                deep().with_memo_cap(0),
+                unlimited(),
+                LimitKind::MemoEntries,
+            ),
+            (
+                memoized,
+                deep().with_code_cap(1),
+                unlimited(),
+                LimitKind::CodeSize,
+            ),
+            (power, deep(), expired(), LimitKind::Deadline),
+        ];
+        for (w, limits, deadline, kind) in starved {
+            let (stats, n) = workload_reruns(w, &governed(limits), deadline);
+            let stats = stats.unwrap();
+            assert_eq!(n, 1, "{kind:?}: {stats:?}");
+            assert!(stats.guarded_rerun, "{kind:?}: {stats:?}");
+            assert_eq!(stats.fallback_kind, Some(kind), "{stats:?}");
+        }
+    }
+
+    #[test]
+    fn a_non_recoverable_error_ends_the_first_run() {
+        let ws = programs();
+        let power = &ws[0];
+        let shallow = governed(Limits::default().with_max_depth(3));
+        let (r, n) = workload_reruns(power, &shallow, Deadline::unlimited());
+        assert!(matches!(r, Err(PeError::DepthLimit { .. })), "{r:?}");
+        assert_eq!(n, 0);
+
+        let token = CancelToken::new();
+        token.cancel();
+        let cancelled = Deadline::unlimited().with_cancel(token);
+        let (r, n) = workload_reruns(power, &SpecOptions::new(), cancelled);
+        let kind = match r {
+            Err(PeError::Limit(l)) => l.kind,
+            other => panic!("expected a cancellation, got {other:?}"),
+        };
+        assert_eq!((kind, n), (LimitKind::Cancelled, 0));
+
+        let arity = program(
+            "static-arity",
+            "(define (g a b) a) (define (f s) (g s))",
+            "f",
+            vec![BT::Static],
+            vec![Datum::Int(1)],
+            &[],
+        );
+        let (r, n) = workload_reruns(&arity, &SpecOptions::new(), Deadline::unlimited());
+        assert!(matches!(r, Err(PeError::ArityMismatch { .. })), "{r:?}");
+        assert_eq!(n, 0);
+    }
+
+    #[test]
+    fn an_escaping_function_with_static_parameters_lifts_to_its_generic_version() {
+        // `(define (f s d) (d f))` with `s` static: `f` escapes into a
+        // dynamic call while its division keeps `s` static. The BTA never
+        // emits this (it raises an escaping function's parameters), so
+        // the annotation is built by hand. Fallback semantics reference
+        // the generic version of `f`. The first run keeps those
+        // semantics, so this needs no re-run; strict mode refuses it.
+        use two4one_syntax::acs::{ADef, AExpr, AParam, AProgram};
+        let [f, s, d] = ["f", "s", "d"].map(Symbol::new);
+        let param = |name, bt| AParam { name, bt };
+        let aprog = AProgram {
+            defs: vec![ADef {
+                name: f,
+                params: vec![param(s, BT::Static), param(d, BT::Dynamic)],
+                body: AExpr::AppD(
+                    Arc::new(AExpr::Var(d)),
+                    vec![Arc::new(AExpr::Lift(Arc::new(AExpr::Var(f))))],
+                ),
+                policy: CallPolicy::Unfold,
+                result_bt: BT::Dynamic,
+            }],
+        };
+        let prog = stage(&aprog).unwrap();
+        let statics = [Datum::Int(1)];
+        let (stats, n) = reruns(
+            &prog,
+            "f",
+            &statics,
+            &SpecOptions::new(),
+            Deadline::unlimited(),
+        );
+        let stats = stats.unwrap();
+        assert_eq!(n, 0);
+        assert!(!stats.guarded_rerun);
+        assert_eq!((stats.fallbacks, stats.generic_defs), (0, 1), "{stats:?}");
+        let run = |opts: &SpecOptions| {
+            let deadline = Deadline::unlimited();
+            run_genext(&prog, &f, &statics, SourceBuilder::new(), opts, deadline)
+        };
+        let (residual, _) = run(&SpecOptions::new()).unwrap();
+        let text = residual.to_source();
+        assert!(text.contains("f-generic"), "{text}");
+        assert_invisible(&prog, "f", &statics, &SpecOptions::new(), "escaping");
+        let strict = run(&SpecOptions::strict(Limits::default()));
+        assert!(matches!(strict, Err(PeError::Internal(_))), "{strict:?}");
     }
 }

@@ -18,7 +18,7 @@
 //!   form. It is the reference semantics: tests hold the machine to
 //!   bit-identical residual programs and equal stats.
 //!
-//! Both are **generic over [`CodeBuilder`](two4one_anf::build::CodeBuilder)** — the reification of
+//! Both are **generic over [`CodeBuilder`]** — the reification of
 //! the paper's Sec. 6.3. With `SourceBuilder` the system is the classical
 //! source-to-source partial evaluator; with the compiler's `ObjectBuilder`
 //! it *is* the fused run-time code generator: monomorphization plays the
@@ -65,7 +65,7 @@ use two4one_syntax::value::PrimError;
 /// # Errors
 ///
 /// See [`PeError`].
-pub fn specialize<B: CodeBuilder>(
+pub fn specialize<B: CodeBuilder + Default>(
     prog: &AProgram,
     entry: &Symbol,
     static_args: &[Datum],

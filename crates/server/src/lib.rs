@@ -39,11 +39,12 @@
 //! # What is shared, what is per-request
 //!
 //! The service owns only the cache and its counters. Each specialization
-//! runs on its own large-stack thread with a private specializer state
-//! (memo tables, gensym, fuel), so requests never contend except on the
-//! shard mutex for the few microseconds of a lookup or fill. Results are
-//! handed out as `Arc<SpecOutcome>`: a warm hit is one shard-mutex
-//! acquisition and one atomic refcount increment.
+//! runs on a large-stack thread — the requesting thread's persistent fill
+//! companion, or the batch or promotion worker itself — with a private
+//! specializer state (memo tables, gensym, fuel), so requests never
+//! contend except on the shard mutex for the few microseconds of a lookup
+//! or fill. Results are handed out as `Arc<SpecOutcome>`: a warm hit is
+//! one shard-mutex acquisition and one atomic refcount increment.
 
 #![warn(missing_docs)]
 
@@ -58,11 +59,12 @@ pub use breaker::BreakerPolicy;
 pub use registry::RedefineOutcome;
 pub use stats::{serve_stats_line, ServeSnapshot};
 
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -540,9 +542,10 @@ impl SpecService {
             .collect();
         let registry = Arc::new(obs::MetricsRegistry::new());
         // Ensure the global pipeline families (phase histograms, spec
-        // counters) exist too, so a freshly built service can expose the
-        // complete page before serving anything.
+        // counters, fill threads) exist too, so a freshly built service
+        // can expose the complete page before serving anything.
         two4one::init_metrics();
+        let _ = fill_threads_started();
         let core = Arc::new(Core {
             shards,
             ticket: AtomicU64::new(0),
@@ -565,7 +568,10 @@ impl SpecService {
                     // Promotion runs the full specializer: same big
                     // stacks as the request-path fill workers.
                     .stack_size(DEFAULT_STACK_BYTES)
-                    .spawn(move || worker.promote_loop());
+                    .spawn(move || {
+                        mark_big_stack();
+                        worker.promote_loop();
+                    });
                 if let Ok(handle) = spawned {
                     workers.push(handle);
                 }
@@ -666,9 +672,12 @@ impl SpecService {
 
     /// Specializes `ext` to `statics`, answering from the cache when the
     /// identical request has been served before. Concurrent misses for
-    /// the same key are deduplicated: one requester runs the specializer
-    /// (on a dedicated large-stack thread), the rest wait and share its
-    /// result. Runs under [`ServeConfig::default_deadline`], if set.
+    /// the same key are deduplicated: one requester runs the specializer,
+    /// the rest wait and share its result. The specializer runs on the
+    /// requesting thread's fill companion: a large-stack thread spawned on
+    /// the thread's first miss and reused by every later one (a thread
+    /// that already has a big stack fills inline). Runs under
+    /// [`ServeConfig::default_deadline`], if set.
     ///
     /// # Errors
     ///
@@ -679,7 +688,7 @@ impl SpecService {
     /// cached: the next request for the key retries.
     pub fn specialize(&self, ext: &GenExt, statics: &[Datum]) -> ServeResult {
         let target = SpecTarget::Ext(ext.clone());
-        self.serve(&target, statics, self.default_deadline, None, true)
+        self.serve(&target, statics, self.default_deadline, None)
     }
 
     // ----- the versioned program registry --------------------------------
@@ -738,7 +747,7 @@ impl SpecService {
     /// `name`; otherwise exactly as [`SpecService::specialize`].
     pub fn specialize_named(&self, name: &str, statics: &[Datum]) -> ServeResult {
         let target = SpecTarget::Named(Arc::from(name));
-        self.serve(&target, statics, self.default_deadline, None, true)
+        self.serve(&target, statics, self.default_deadline, None)
     }
 }
 
@@ -768,20 +777,8 @@ impl SpecService {
     /// Serves one [`SpecRequest`], honouring its deadline and
     /// cancellation token (falling back to the service defaults).
     pub fn specialize_request(&self, req: &SpecRequest) -> ServeResult {
-        self.serve_request(req, true)
-    }
-
-    /// Serves a request under its own deadline and token, or the
-    /// service defaults.
-    fn serve_request(&self, req: &SpecRequest, spawn_stack: bool) -> ServeResult {
         let deadline = req.deadline.or(self.default_deadline);
-        self.serve(
-            &req.target,
-            &req.statics,
-            deadline,
-            req.cancel.as_ref(),
-            spawn_stack,
-        )
+        self.serve(&req.target, &req.statics, deadline, req.cancel.as_ref())
     }
 
     /// Runs a batch of requests over a bounded pool of `jobs` large-stack
@@ -792,8 +789,8 @@ impl SpecService {
     /// [`SpecService::specialize_request`].
     ///
     /// Even with `jobs == 1` the batch runs on a pooled worker: one
-    /// large-stack thread serves every miss inline, instead of paying a
-    /// fresh thread spawn per miss as [`SpecService::specialize`] would.
+    /// large-stack thread serves every miss inline, with no hand-off to a
+    /// fill companion as [`SpecService::specialize`] makes.
     pub fn specialize_many(&self, requests: &[SpecRequest], jobs: usize) -> Vec<ServeResult> {
         let jobs = jobs.max(1).min(requests.len().max(1));
         let next = AtomicUsize::new(0);
@@ -806,14 +803,17 @@ impl SpecService {
                 let spawned = std::thread::Builder::new()
                     .name(format!("two4one-serve-{w}"))
                     .stack_size(DEFAULT_STACK_BYTES)
-                    .spawn_scoped(scope, || loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(req) = requests.get(i) else { break };
-                        // Workers already run on big stacks, so serve
-                        // misses inline instead of re-spawning.
-                        let r = self.serve_request(req, false);
-                        if let Some(slot) = results.get(i) {
-                            *lock(slot) = Some(r);
+                    .spawn_scoped(scope, || {
+                        // Workers already run on big stacks, so they fill
+                        // inline.
+                        mark_big_stack();
+                        loop {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            let Some(req) = requests.get(i) else { break };
+                            let r = self.specialize_request(req);
+                            if let Some(slot) = results.get(i) {
+                                *lock(slot) = Some(r);
+                            }
                         }
                     });
                 match spawned {
@@ -822,8 +822,8 @@ impl SpecService {
                 }
             }
             if workers == 0 {
-                // Degenerate fallback: no pool, serve sequentially (each
-                // miss still gets its own large-stack thread).
+                // Degenerate fallback: no pool, serve sequentially (the
+                // misses go to this thread's fill companion).
                 for (req, slot) in requests.iter().zip(&results) {
                     *lock(slot) = Some(self.specialize_request(req));
                 }
@@ -935,23 +935,29 @@ impl SpecService {
                 None => stale_dropped += 1,
             }
         }
-        self.stats.restored.add(restored);
-        self.stats.quarantined.add(decoded.quarantined);
-        self.stats.stale_dropped.add(stale_dropped);
-        if restored > 0 {
-            obs::event_with(obs::EventKind::Restored, restored);
-        }
-        if decoded.quarantined > 0 {
-            obs::event_with(obs::EventKind::Quarantined, decoded.quarantined);
-        }
-        if stale_dropped > 0 {
-            obs::event_with(obs::EventKind::StaleDropped, stale_dropped);
-        }
-        RestoreReport {
+        self.note_restore(RestoreReport {
             restored,
             quarantined: decoded.quarantined,
             stale_dropped,
+        })
+    }
+
+    /// Counts a restore pass — of either snapshot kind — on the service
+    /// counters and the trace, and returns its report.
+    fn note_restore(&self, report: RestoreReport) -> RestoreReport {
+        self.stats.restored.add(report.restored);
+        self.stats.quarantined.add(report.quarantined);
+        self.stats.stale_dropped.add(report.stale_dropped);
+        for (kind, n) in [
+            (obs::EventKind::Restored, report.restored),
+            (obs::EventKind::Quarantined, report.quarantined),
+            (obs::EventKind::StaleDropped, report.stale_dropped),
+        ] {
+            if n > 0 {
+                obs::event_with(kind, n);
+            }
         }
+        report
     }
 
     /// Snapshots the cache to `path` crash-safely: the bytes are written
@@ -1021,7 +1027,9 @@ impl SpecService {
     /// program is unregistered, or whose recorded source identity/entry
     /// no longer match the live registration, are dropped as stale —
     /// epochs are per-process, content identity is what travels. A
-    /// generation that already staged its program keeps it.
+    /// generation that already staged its program keeps it. The pass
+    /// moves the same service counters and emits the same events as a
+    /// cache restore.
     pub fn restore_genexts_bytes(&self, bytes: &[u8]) -> RestoreReport {
         let decoded = persist::decode_genexts(bytes);
         let mut report = RestoreReport {
@@ -1042,7 +1050,7 @@ impl SpecService {
                 },
             }
         }
-        report
+        self.note_restore(report)
     }
 
     /// Snapshots the staged gen-exts to `path` crash-safely
@@ -1074,17 +1082,15 @@ impl SpecService {
     /// The request path, one stage after another: resolve a registered
     /// name, arm the clock, ask the breaker, probe the cache, then either
     /// wait on another leader's flight or lead one — admit, fill (or build
-    /// the Tier-0 generic image), publish. `spawn_stack` selects whether a
-    /// fill runs on a fresh large-stack thread (`true`, for callers on an
-    /// ordinary stack) or inline (`false`, for pool workers that already
-    /// have one).
+    /// the Tier-0 generic image), publish. A fill runs behind
+    /// [`on_stack`]: on the requesting thread's fill companion, or inline
+    /// on a thread that already has a big stack.
     fn serve(
         &self,
         target: &SpecTarget,
         statics: &[Datum],
         deadline: Option<Duration>,
         cancel: Option<&CancelToken>,
-        spawn_stack: bool,
     ) -> ServeResult {
         // Resolve. A registered name binds the cache key, the breaker
         // scope and the invalidation backedge to its live generation. An
@@ -1103,7 +1109,7 @@ impl SpecService {
         self.requests.inc();
         let _span = obs::Span::enter(obs::Phase::Serve);
         let start = Instant::now();
-        let r = self.serve_resolved(ext, backedge, statics, deadline, cancel, spawn_stack);
+        let r = self.serve_resolved(ext, backedge, statics, deadline, cancel);
         if obs::enabled() {
             self.request_latency.record_duration(start.elapsed());
         }
@@ -1118,7 +1124,6 @@ impl SpecService {
         statics: &[Datum],
         deadline: Option<Duration>,
         cancel: Option<&CancelToken>,
-        spawn_stack: bool,
     ) -> ServeResult {
         // Arm the clock. The token is shared with the caller (explicit
         // cancellation) and threaded into the specializer.
@@ -1162,7 +1167,8 @@ impl SpecService {
         if verdict == Verdict::Fallback {
             self.stats.breaker_open.inc();
             obs::event(obs::EventKind::BreakerOpen);
-            return on_stack(spawn_stack, || self.generic_image(ext, statics, None))
+            let (core, ext, statics) = (self.core.clone(), ext.clone(), statics.to_vec());
+            return on_stack(move || core.generic_image(&ext, &statics, None))
                 .map(|(image, stats)| new_outcome(image, stats))
                 .map_err(|e| ServeError::BreakerOpen(e.to_string()));
         }
@@ -1245,16 +1251,21 @@ impl SpecService {
                 // in the source, tens of microseconds) and leave full
                 // specialization to the background promotion workers.
                 let tier0 = self.core.tier.is_some();
-                let built = on_stack(spawn_stack, || {
-                    if let Some(hook) = &self.fill_hook {
-                        (hook.0)();
+                let job = {
+                    let (core, ext, statics) = (self.core.clone(), ext.clone(), statics.to_vec());
+                    let token = token.clone();
+                    move || {
+                        if let Some(hook) = &core.fill_hook {
+                            (hook.0)();
+                        }
+                        if tier0 {
+                            core.generic_image(&ext, &statics, token.as_ref())
+                        } else {
+                            core.fill(&ext, &statics, token.as_ref(), REQUEST_RETRIES)
+                        }
                     }
-                    if tier0 {
-                        self.generic_image(ext, statics, token.as_ref())
-                    } else {
-                        self.fill(ext, statics, token.as_ref(), REQUEST_RETRIES)
-                    }
-                });
+                };
+                let built = on_stack(job);
                 drop(permit);
                 // Publish.
                 let r = match built {
@@ -1599,10 +1610,10 @@ impl Core {
         let t0 = Instant::now();
         // The generation's staged program is normally in place already:
         // the Tier-0 fill that published the candidate staged it.
-        let built = on_stack(false, || {
+        let built = catch_unwind(AssertUnwindSafe(|| {
             self.fill(&cand.ext, &cand.statics, None, PROMOTION_RETRIES)
-        });
-        let Ok((image, spec_stats)) = built else {
+        }));
+        let Ok(Ok((image, spec_stats))) = built else {
             // Specializer failed or panicked: demote. The generic image
             // keeps serving and this entry is never promoted again — its
             // failures must not re-run the specializer on every N hits.
@@ -1689,34 +1700,133 @@ impl Drop for FlightGuard<'_> {
     }
 }
 
-/// Runs `work` behind the fill boundary: on a fresh large-stack thread
-/// when `spawn_stack` is set (callers on an ordinary stack), inline
-/// otherwise (pool workers already have one). Either way a panic becomes
+/// What a fill builds: the residual image and the specializer's stats.
+type Built = Result<(Image, SpecStats), Error>;
+
+/// A fill handed to a companion. It owns what it touches (refcount clones
+/// of the core, the extension, the statics and the token), so it may
+/// outlive the request's borrows.
+type Job = Box<dyn FnOnce() -> Built + Send>;
+
+/// A companion's answer: the fill's result (`None` when it panicked) and
+/// the trace events it recorded.
+type Reply = (Option<Built>, Vec<obs::TraceEvent>);
+
+thread_local! {
+    /// Set on threads that already run on a big stack — the
+    /// `specialize_many` workers, the promotion workers and the fill
+    /// companions themselves — which fill inline.
+    static BIG_STACK: Cell<bool> = const { Cell::new(false) };
+    /// This thread's fill companion, spawned on its first miss.
+    static COMPANION: RefCell<Option<Companion>> = const { RefCell::new(None) };
+}
+
+/// Marks the calling thread as running on a big stack: its fills run
+/// inline.
+fn mark_big_stack() {
+    let _ = BIG_STACK.try_with(|b| b.set(true));
+}
+
+/// Fill companions started in this process.
+fn fill_threads_started() -> &'static obs::Counter {
+    static C: OnceLock<obs::Counter> = OnceLock::new();
+    C.get_or_init(|| obs::global().counter("t4o_fill_threads_started_total"))
+}
+
+/// A requesting thread's persistent large-stack fill thread. It runs one
+/// job at a time while its requester blocks on the reply, survives a
+/// panicking job, and exits when the requester exits and drops it.
+struct Companion {
+    /// `None` once dropping: closing the queue ends the companion's loop.
+    jobs: Option<mpsc::Sender<Job>>,
+    replies: mpsc::Receiver<Reply>,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl Companion {
+    fn spawn() -> Result<Companion, ServeError> {
+        let (jobs, queue) = mpsc::channel::<Job>();
+        let (answer, replies) = mpsc::channel::<Reply>();
+        let thread = std::thread::Builder::new()
+            .name("two4one-spec".into())
+            .stack_size(DEFAULT_STACK_BYTES)
+            .spawn(move || {
+                mark_big_stack();
+                for job in queue {
+                    let built = catch_unwind(AssertUnwindSafe(job)).ok();
+                    // Carry the trace ring back so the fill's spans and
+                    // events land on the requesting thread's trace.
+                    if answer.send((built, obs::take_trace())).is_err() {
+                        break;
+                    }
+                }
+            })
+            .map_err(|e| ServeError::Spawn(e.to_string()))?;
+        fill_threads_started().inc();
+        Ok(Companion {
+            jobs: Some(jobs),
+            replies,
+            thread: Some(thread),
+        })
+    }
+
+    /// Runs `job` on the companion and waits for its reply. `None` when
+    /// the companion is gone.
+    fn run(&self, job: Job) -> Option<Reply> {
+        self.jobs.as_ref()?.send(job).ok()?;
+        self.replies.recv().ok()
+    }
+}
+
+impl Drop for Companion {
+    fn drop(&mut self) {
+        self.jobs = None;
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
+        }
+    }
+}
+
+/// Runs a fill behind the fill boundary, on a big stack: inline on a
+/// thread marked by [`mark_big_stack`], otherwise on the calling thread's
+/// companion, spawned on its first miss. Either way a panic becomes
 /// [`ServeError::Worker`] and an engine error [`ServeError::Spec`].
 /// Staging and the object builder still recurse, which is what the big
 /// stack is for.
-fn on_stack<T: Send>(
-    spawn_stack: bool,
-    work: impl FnOnce() -> Result<T, Error> + Send,
-) -> Result<T, ServeError> {
-    let died = |_| ServeError::Worker("specialization worker panicked".to_string());
-    let ran = if spawn_stack {
-        std::thread::scope(|scope| {
-            let handle = std::thread::Builder::new()
-                .name("two4one-spec".into())
-                .stack_size(DEFAULT_STACK_BYTES)
-                // Carry the worker's trace ring back so the request's
-                // spans and events stay on the requesting thread's trace.
-                .spawn_scoped(scope, move || (work(), obs::take_trace()))
-                .map_err(|e| ServeError::Spawn(e.to_string()))?;
-            let (ran, trace) = handle.join().map_err(died)?;
-            obs::absorb_trace(trace);
-            Ok(ran)
-        })?
+fn on_stack(
+    fill: impl FnOnce() -> Built + Send + 'static,
+) -> Result<(Image, SpecStats), ServeError> {
+    let built = if BIG_STACK.try_with(Cell::get).unwrap_or(false) {
+        catch_unwind(AssertUnwindSafe(fill)).ok()
     } else {
-        catch_unwind(AssertUnwindSafe(work)).map_err(died)?
+        on_companion(Box::new(fill))?
     };
-    ran.map_err(ServeError::Spec)
+    match built {
+        Some(r) => r.map_err(ServeError::Spec),
+        None => Err(ServeError::Worker(
+            "specialization worker panicked".to_string(),
+        )),
+    }
+}
+
+/// Hands `job` to the calling thread's companion, spawning it first if
+/// the thread has none. A companion that died is dropped, so the next
+/// miss spawns a fresh one.
+fn on_companion(job: Job) -> Result<Option<Built>, ServeError> {
+    let gone = || ServeError::Worker("specialization worker exited".to_string());
+    COMPANION
+        .try_with(|slot| {
+            let mut slot = slot.borrow_mut();
+            let companion = match slot.take() {
+                Some(c) => c,
+                None => Companion::spawn()?,
+            };
+            let (built, trace) = companion.run(job).ok_or_else(gone)?;
+            *slot = Some(companion);
+            obs::absorb_trace(trace);
+            Ok(built)
+        })
+        .map_err(|_| gone())?
 }
 
 /// Multiplies the transient budgets (unfold fuel, memo cap) for a re-run.

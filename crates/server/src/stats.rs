@@ -127,10 +127,11 @@ pub struct ServeSnapshot {
     /// fallback code instead of running the (repeatedly failing)
     /// specialization.
     pub breaker_open: u64,
-    /// Cache entries restored from a snapshot file.
+    /// Cache entries (`.t4os`) and staged programs (`.t4og`) restored
+    /// from snapshots.
     pub restored: u64,
-    /// Snapshot records rejected during restore (bad checksum, torn tail,
-    /// stale version, undecodable payload).
+    /// Snapshot records of either kind rejected during restore (bad
+    /// checksum, torn tail, stale version, undecodable payload).
     pub quarantined: u64,
     /// Cached specializations dropped because their program was
     /// redefined (invalidation via registry backedges).

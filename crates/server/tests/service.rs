@@ -736,6 +736,133 @@ fn panic_during_inline_pool_fill_fails_only_that_request() {
     assert!(retry.iter().all(|r| r.is_ok()));
 }
 
+/// Records the name and id of every thread a fill runs on.
+#[derive(Default)]
+struct FillThreads(Mutex<Vec<(Option<String>, std::thread::ThreadId)>>);
+
+impl FillThreads {
+    fn note(&self) {
+        let t = std::thread::current();
+        self.0
+            .lock()
+            .unwrap()
+            .push((t.name().map(str::to_string), t.id()));
+    }
+
+    fn distinct(&self) -> Vec<(Option<String>, std::thread::ThreadId)> {
+        let mut seen = self.0.lock().unwrap().clone();
+        seen.dedup();
+        seen
+    }
+}
+
+#[test]
+fn one_companion_serves_every_miss_of_its_thread() {
+    use two4one::obs;
+
+    let threads = Arc::new(FillThreads::default());
+    let hook_threads = threads.clone();
+    let service = Arc::new(SpecService::with_config(ServeConfig {
+        fill_hook: Some(FillHook::new(move || hook_threads.note())),
+        ..ServeConfig::default()
+    }));
+    let ext = power_ext(&Pgg::new());
+    // A fresh requester thread: its first miss spawns its companion.
+    let requester = {
+        let service = service.clone();
+        std::thread::spawn(move || {
+            obs::clear_trace();
+            service.specialize(&ext, &int(0)).expect("first miss");
+            let trace = obs::take_trace();
+            for n in 1..200 {
+                service.specialize(&ext, &int(n)).expect("miss");
+            }
+            (std::thread::current().id(), trace)
+        })
+    };
+    let (requester_id, trace) = requester.join().unwrap();
+    assert_eq!(service.stats().misses, 200);
+    let distinct = threads.distinct();
+    assert_eq!(distinct.len(), 1, "every fill on one thread: {distinct:?}");
+    let (name, id) = &distinct[0];
+    assert_eq!(name.as_deref(), Some("two4one-spec"));
+    assert_ne!(*id, requester_id, "fills run on the companion");
+    // The companion carries its trace back: the fill's gen-ext run span
+    // is on the requesting thread's ring.
+    assert!(
+        trace
+            .iter()
+            .any(|e| matches!(e.what, obs::TraceWhat::Enter(obs::Phase::GenextRun))),
+        "{}",
+        obs::render_trace(&trace)
+    );
+    let page = service.metrics().to_prometheus();
+    assert!(page.contains("t4o_fill_threads_started_total "), "{page}");
+}
+
+#[test]
+fn a_panicking_fill_leaves_its_companion_serving() {
+    let plan = PanicPlan::once();
+    let hook_plan = plan.clone();
+    let threads = Arc::new(FillThreads::default());
+    let hook_threads = threads.clone();
+    let service = Arc::new(SpecService::with_config(ServeConfig {
+        fill_hook: Some(FillHook::new(move || {
+            hook_threads.note();
+            hook_plan.tick();
+        })),
+        ..ServeConfig::default()
+    }));
+    let ext = power_ext(&Pgg::new());
+    let requester = {
+        let service = service.clone();
+        std::thread::spawn(move || {
+            let first = service.specialize(&ext, &int(9));
+            let second = service.specialize(&ext, &int(9));
+            (first.map(|_| ()), second.map(|_| ()))
+        })
+    };
+    let (first, second) = requester.join().unwrap();
+    assert!(matches!(first, Err(ServeError::Worker(_))), "{first:?}");
+    assert!(second.is_ok(), "{second:?}");
+    assert_eq!(plan.calls(), 2);
+    let distinct = threads.distinct();
+    assert_eq!(distinct.len(), 1, "the same companion: {distinct:?}");
+}
+
+#[test]
+fn a_companion_exits_with_its_requester() {
+    // A fill leaves a guard in its companion's thread-locals; the guard
+    // drops when that thread exits.
+    struct OnExit(Arc<AtomicBool>);
+    impl Drop for OnExit {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::SeqCst);
+        }
+    }
+    thread_local! {
+        static GUARD: std::cell::RefCell<Option<OnExit>> = const { std::cell::RefCell::new(None) };
+    }
+    let exited = Arc::new(AtomicBool::new(false));
+    let flag = exited.clone();
+    let service = Arc::new(SpecService::with_config(ServeConfig {
+        fill_hook: Some(FillHook::new(move || {
+            GUARD.with(|g| *g.borrow_mut() = Some(OnExit(flag.clone())));
+        })),
+        ..ServeConfig::default()
+    }));
+    let ext = power_ext(&Pgg::new());
+    let requester = {
+        let service = service.clone();
+        std::thread::spawn(move || service.specialize(&ext, &int(3)).map(|_| ()))
+    };
+    requester.join().unwrap().expect("fill");
+    assert!(
+        exited.load(Ordering::SeqCst),
+        "the companion outlived its requester"
+    );
+}
+
 #[test]
 fn waiters_on_a_panicking_leader_are_woken_with_an_error() {
     // The leader panics mid-fill while others are coalesced on its
@@ -1438,6 +1565,65 @@ fn genext_snapshot_warm_starts_a_second_process() {
     assert_eq!(report.restored, 0);
     assert!(report.quarantined >= 1);
     assert!(fifth.genext_of("hot").is_none());
+}
+
+#[test]
+fn genext_restores_show_in_the_service_counters() {
+    use two4one::obs;
+
+    // Three staged programs, snapshotted in name order: a, b, c.
+    let first = SpecService::new();
+    for (name, generation) in [("a", 1), ("b", 2), ("c", 3)] {
+        first.register(name, &epoch_ext(generation));
+        first.specialize_named(name, &int(3)).expect("fill");
+    }
+    let mut snapshot = first.genext_snapshot_bytes();
+    // Corrupt the last record, c's.
+    let n = snapshot.len();
+    snapshot[n - 9] ^= 0x41;
+
+    // a matches its registration, b's source changed, c's record is torn.
+    let second = SpecService::new();
+    for (name, generation) in [("a", 1), ("b", 5), ("c", 3)] {
+        second.register(name, &epoch_ext(generation));
+    }
+    obs::clear_trace();
+    let report = second.restore_genexts_bytes(&snapshot);
+    let trace = obs::take_trace();
+    assert_eq!(
+        (report.restored, report.stale_dropped, report.quarantined),
+        (1, 1, 1),
+        "{report:?}"
+    );
+    let stats = second.stats();
+    assert_eq!(
+        (stats.restored, stats.stale_dropped, stats.quarantined),
+        (1, 1, 1),
+        "{stats:?}"
+    );
+    let page = second.metrics().to_prometheus();
+    for family in [
+        "t4o_serve_restored_total 1",
+        "t4o_serve_stale_dropped_total 1",
+        "t4o_serve_quarantined_total 1",
+    ] {
+        assert!(page.contains(family), "missing `{family}` in:\n{page}");
+    }
+    if obs::enabled() {
+        for kind in [
+            obs::EventKind::Restored,
+            obs::EventKind::StaleDropped,
+            obs::EventKind::Quarantined,
+        ] {
+            assert!(
+                trace
+                    .iter()
+                    .any(|e| matches!(e.what, obs::TraceWhat::Point(k, 1) if k == kind)),
+                "no {kind:?} event: {}",
+                obs::render_trace(&trace)
+            );
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

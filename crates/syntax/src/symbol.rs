@@ -145,7 +145,7 @@ const SHARDS: usize = 16;
 /// first-intern order, starting at 1 (`NonZeroU32` lets `Option<Symbol>`
 /// stay 4 bytes).
 ///
-/// The name→id map is split into [`SHARDS`] independent locks, selected
+/// The name→id map is split into `SHARDS` (16) independent locks, selected
 /// by the name's content digest. A single global `RwLock` put every
 /// intern — even warm fast-path reads — through one reader-count cache
 /// line, and the specializer interns constantly from every worker; under

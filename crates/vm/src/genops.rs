@@ -12,9 +12,10 @@
 //!
 //! The IR lives in `two4one-vm` because it is a program format of the
 //! virtual machine layer: it has the same obligations as [`Image`] — a
-//! versioned, CRC-checked on-disk encoding (`.t4og`, see [`encode`] /
-//! [`decode`]) so a serving process can warm-start gen-exts across
-//! processes, next to its `.t4os` residual snapshots.
+//! versioned, CRC-checked on-disk encoding (`.t4og`, see
+//! [`encode_genext`] / [`decode_genext`]) so a serving process can
+//! warm-start gen-exts across processes, next to its `.t4os` residual
+//! snapshots.
 //!
 //! # Shape
 //!

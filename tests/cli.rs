@@ -1338,6 +1338,10 @@ fn t4o_stats_emits_the_full_prometheus_page() {
         "t4o_breaker_open 0",
         "t4o_phase_nanos_bucket{phase=\"genext-run\",le=\"+Inf\"} 2",
         "t4o_serve_request_nanos_count 3",
+        // Pool workers fill inline on their own big stacks, and a clean
+        // fill never re-runs guarded.
+        "t4o_fill_threads_started_total 0",
+        "t4o_genext_guarded_reruns_total 0",
     ] {
         assert!(page.contains(family), "missing `{family}` in:\n{page}");
     }
@@ -1363,6 +1367,14 @@ fn t4o_stats_emits_the_full_prometheus_page() {
     assert!(out.status.success());
     let json = String::from_utf8_lossy(&out.stdout);
     assert!(json.contains("\"t4o_serve_requests_total\": 0"), "{json}");
+    assert!(
+        json.contains("\"t4o_fill_threads_started_total\": 0"),
+        "{json}"
+    );
+    assert!(
+        json.contains("\"t4o_genext_guarded_reruns_total\": 0"),
+        "{json}"
+    );
     assert!(json.contains("t4o_phase_nanos{phase="), "{json}");
 
     std::fs::remove_dir_all(&dir).ok();
