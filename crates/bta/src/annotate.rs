@@ -6,7 +6,7 @@
 //! value as a constant, which is the essence of constant propagation by
 //! partial evaluation.
 
-use crate::analysis::{Analysis, Node, NodeId};
+use crate::analysis::{Analysis, Node, NodeId, ProcId};
 use std::sync::Arc;
 use two4one_syntax::acs::{ADef, AExpr, ALambda, AParam, AProgram, CallPolicy, BT};
 
@@ -51,9 +51,12 @@ pub fn reconstruct(a: &Analysis) -> AProgram {
 fn annotate(a: &Analysis, n: NodeId, demand: bool) -> AExpr {
     let bt = a.bt_node[n];
     if demand && bt == BT::Static {
+        // A top-level function lifts to its all-dynamic residual version
+        // (the fixpoint made every escaping function all-dynamic); a
+        // closure cannot be lifted.
         debug_assert!(
-            a.flow_node[n].is_empty(),
-            "static node with procedure flow under demand: the fixpoint \
+            a.flow_node[n].iter().all(|p| matches!(p, ProcId::Fn(_))),
+            "static node with closure flow under demand: the fixpoint \
              should have residualized {:?}",
             a.flow_node[n]
         );

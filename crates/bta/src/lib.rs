@@ -106,6 +106,16 @@ pub enum BtaError {
     /// The program is not alpha-renamed (duplicate binder); run the front
     /// end first.
     NonUniqueBinder(Symbol),
+    /// The analysis made dynamic an entry parameter that the division
+    /// marks static: the entry escapes into dynamic code, or a call to it
+    /// passes a dynamic argument there. No static value can be supplied
+    /// for that parameter, so the division is rejected.
+    StaticParamRaised {
+        /// Entry name.
+        entry: Symbol,
+        /// The parameter the analysis raised.
+        param: Symbol,
+    },
     /// A resource limit was hit (wall-clock deadline of
     /// [`Options::limits`]).
     Limit(LimitExceeded),
@@ -127,6 +137,12 @@ impl fmt::Display for BtaError {
                 f,
                 "binder `{x}` is not unique; binding-time analysis requires \
                  alpha-renamed input (run the front end)"
+            ),
+            BtaError::StaticParamRaised { entry, param } => write!(
+                f,
+                "parameter `{param}` of entry `{entry}` is static in the division, but \
+                 the binding-time analysis made it dynamic (the entry escapes into \
+                 dynamic code or is called with a dynamic argument for it); mark it dynamic"
             ),
             BtaError::Limit(l) => write!(f, "binding-time analysis: {l}"),
         }
@@ -169,6 +185,14 @@ pub fn bta_with(
     check_unique_binders(prog)?;
     let mut a = analysis::Analysis::build(prog, &entry_sym, division, options);
     a.run(&options.limits.deadline()).map_err(BtaError::Limit)?;
+    for (param, bt) in edef.params.iter().zip(&division.params) {
+        if *bt == BT::Static && a.bt_var.get(param).is_some_and(|b| b.is_dynamic()) {
+            return Err(BtaError::StaticParamRaised {
+                entry: entry_sym,
+                param: *param,
+            });
+        }
+    }
     Ok(annotate::reconstruct(&a))
 }
 
@@ -465,5 +489,28 @@ mod tests {
             bta(&dup, "f", &Division::new([BT::Static])),
             Err(BtaError::NonUniqueBinder(_))
         ));
+    }
+
+    #[test]
+    fn a_static_entry_parameter_the_analysis_raises_is_rejected() {
+        // `f` escapes into a dynamic call, so every parameter of `f`
+        // becomes dynamic; the division cannot keep `s` static.
+        let p = frontend("(define (f s d) (d f))").unwrap();
+        let err = bta(&p, "f", &Division::new([BT::Static, BT::Dynamic])).unwrap_err();
+        let BtaError::StaticParamRaised { entry, param } = &err else {
+            panic!("expected StaticParamRaised, got {err:?}");
+        };
+        assert_eq!(entry.as_str(), "f");
+        assert_eq!(param, &p.def(&"f".into()).unwrap().params[0]);
+        assert!(err.to_string().contains("static in the division"), "{err}");
+        // A recursive call passing a dynamic argument raises it too.
+        let p = frontend("(define (g s d) (if (= d 0) s (g d (- d 1))))").unwrap();
+        assert!(matches!(
+            bta(&p, "g", &Division::new([BT::Static, BT::Dynamic])),
+            Err(BtaError::StaticParamRaised { .. })
+        ));
+        // The same programs with the parameter dynamic are accepted.
+        let p = frontend("(define (f s d) (d f))").unwrap();
+        assert!(bta(&p, "f", &Division::all_dynamic(2)).is_ok());
     }
 }

@@ -27,26 +27,31 @@
 //!   above it terminates (`Term::Tail` → `ret`/tail call, `Term::Jump`
 //!   → a call to a join point), mirroring the walker's `Kont::Tail` vs.
 //!   jump-continuation distinction.
-//! * **Persistent frame stacks.** Fallback guards snapshot the
-//!   continuation as an `Arc`-linked stack handle. The walker *replays*
-//!   the saved continuation on recovery — frames that already ran execute
-//!   again, with observable gensym/builder effects — and the persistent
-//!   stack reproduces that exactly: restoring a handle resurrects popped
-//!   nodes by sharing, at O(1) cost per armed guard.
+//! * **A guard trail.** The continuation stack is a flat `Vec` of
+//!   frames. The walker *replays* a fallback guard's saved continuation
+//!   on recovery — frames that already ran execute again, with observable
+//!   gensym/builder effects — so a guard records only the stack height
+//!   and a trail mark when it is armed, and a frame popped from below the
+//!   highest armed guard's height is cloned onto the trail with its
+//!   index. A recovery rebuilds the guard's stack from the prefix that
+//!   never left it plus the first trail entry at each index above that
+//!   prefix. Arming is O(1), copies no frame, and a restore costs
+//!   O(frames popped since the guard was armed); with no guard armed a
+//!   pop is a plain `Vec::pop`.
 //!
 //! # The guard-free first run
 //!
 //! Guards insure against limits the division cannot foresee, and almost
 //! no run hits one. So [`run_genext`] first runs with fallback semantics
-//! but no guard armed: a top-level call takes no snapshot, popped frames
-//! are always moved rather than cloned, and the first recoverable
+//! but no guard armed: a top-level call records nothing, no popped frame
+//! goes on the trail, and the first recoverable
 //! [`PeError`] aborts the run instead of recovering. Up to that error the
 //! run is step for step the guarded one, so a clean run emits the guarded
 //! run's bytes. An aborted run starts over from a fresh builder with
 //! guards armed — the degraded image of a run guarded from the start,
 //! after one extra partial run — and [`SpecStats::guarded_rerun`]
-//! records that the kept run is the re-run. A non-recoverable error ends the first run as it would end
-//! the guarded one.
+//! records that the kept run is the re-run. A non-recoverable error ends
+//! the first run as it would end the guarded one.
 //!
 //! # The depth limit
 //!
@@ -385,16 +390,6 @@ impl<'p, B: CodeBuilder> Frame<'p, B> {
     }
 }
 
-/// The persistent continuation stack: an `Arc`-linked list so a fallback
-/// guard can snapshot it in O(1) and restoring a snapshot *replays* any
-/// frames that ran since (the walker's replay-on-recovery semantics).
-type FStack<'p, B> = Option<Arc<FNode<'p, B>>>;
-
-struct FNode<'p, B: CodeBuilder> {
-    f: Frame<'p, B>,
-    next: FStack<'p, B>,
-}
-
 /// A deferred residual `let` wrapper, applied when the region completes.
 enum Wrap<B: CodeBuilder> {
     /// `(let (x serious) …)` from `deliver_serious` in non-tail position.
@@ -408,9 +403,15 @@ enum Wrap<B: CodeBuilder> {
 }
 
 /// An armed fallback guard: enough state to replay a top-level call as a
-/// generic residual call if a recoverable limit fires downstream.
-struct Guard<'p, B: CodeBuilder> {
-    stack: FStack<'p, B>,
+/// generic residual call if a recoverable limit fires downstream. The
+/// continuation it saw is the stack's first `height` frames, rebuilt from
+/// the trail entries from `trail` on (see the module doc).
+struct Guard<B: CodeBuilder> {
+    height: usize,
+    trail: usize,
+    /// The highest `height` of this guard and every guard armed before
+    /// it: a frame popped from below it goes on the trail.
+    reach: usize,
     wraps_len: usize,
     depth: usize,
     def: u32,
@@ -461,19 +462,22 @@ pub struct GenRun<'p, B: CodeBuilder> {
     /// (see the module doc), which aborts at the first recoverable limit.
     armed: bool,
     in_generic: bool,
-    stack: FStack<'p, B>,
-    /// Reclaimed stack nodes: a popped node that no guard snapshot shares
-    /// is parked here and reused by the next push, so the steady-state
-    /// push/pop cycle allocates nothing.
-    free: Vec<Arc<FNode<'p, B>>>,
+    /// The continuation stack, top last.
+    stack: Vec<Frame<'p, B>>,
+    /// Frames popped from below an armed guard's height, with the index
+    /// each held (see the module doc).
+    trail: Vec<(usize, Frame<'p, B>)>,
     /// Per-definition parameter names, interned lazily (see
     /// [`GenRun::def_params`]).
     param_names: Vec<Option<Arc<[Symbol]>>>,
     /// Spent argument vectors, reused by [`GenRun::take_vec`] so the
     /// prim-heavy inner loop recycles its buffers instead of allocating.
     val_pool: Vec<Vec<GVal<B>>>,
+    /// Scratch for a static primitive's arguments, moved in from the
+    /// argument list and cleared after each application.
+    prim_args: Vec<Datum>,
     wraps: Vec<Wrap<B>>,
-    guards: Vec<Guard<'p, B>>,
+    guards: Vec<Guard<B>>,
     /// Counters.
     pub stats: SpecStats,
 }
@@ -564,10 +568,11 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
             fallback: options.fallback,
             armed,
             in_generic: false,
-            stack: None,
-            free: Vec::new(),
+            stack: Vec::new(),
+            trail: Vec::new(),
             param_names: Vec::new(),
             val_pool: Vec::new(),
+            prim_args: Vec::new(),
             wraps: Vec::new(),
             guards: Vec::new(),
             stats: SpecStats::default(),
@@ -589,64 +594,53 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
 
     // ----- stack primitives ---------------------------------------------
 
-    fn push(&mut self, f: Frame<'p, B>) {
-        let next = self.stack.take();
-        let node = loop {
-            // Reuse a reclaimed node when one is free; a node can only
-            // sit on the freelist unshared, so `get_mut` succeeds unless
-            // a guard armed a snapshot between reclaim and reuse — then
-            // the node is abandoned and the next candidate tried.
-            let Some(mut n) = self.free.pop() else {
-                break Arc::new(FNode { f, next });
-            };
-            if let Some(m) = Arc::get_mut(&mut n) {
-                m.f = f;
-                m.next = next;
-                break n;
-            }
-        };
-        self.stack = Some(node);
+    /// Pops the top frame. A frame below an armed guard's height is also
+    /// cloned onto the trail, so a recovery can replay it.
+    fn pop(&mut self) -> Option<Frame<'p, B>> {
+        let f = self.stack.pop()?;
+        let i = self.stack.len();
+        if self.guards.last().is_some_and(|g| i < g.reach) {
+            self.trail.push((i, f.clone()));
+        }
+        Some(f)
     }
 
-    /// Pops the top frame. A node shared with an armed guard's snapshot
-    /// is cloned rather than moved, leaving the snapshot intact so a
-    /// recovery can replay it; an unshared node is reclaimed for reuse.
-    fn pop(&mut self) -> Option<Frame<'p, B>> {
-        let mut node = self.stack.take()?;
-        match Arc::get_mut(&mut node) {
-            Some(n) => {
-                self.stack = n.next.take();
-                let f = std::mem::replace(&mut n.f, Frame::Lift);
-                self.free.push(node);
-                Some(f)
-            }
-            None => {
-                self.stack = node.next.clone();
-                Some(node.f.clone())
+    /// Rebuilds the stack `g` saw when it was armed and drops the trail
+    /// entries made since. The first entry at an index below `g.height`
+    /// holds the frame `g` saw there: until that pop the index was never
+    /// overwritten. Those first entries come in descending index order
+    /// (no index is popped before every index above it), so the stack
+    /// below the lowest of them never left and is kept as it is.
+    fn restore(&mut self, g: &Guard<B>) {
+        let mut low = g.height;
+        let mut back = Vec::new();
+        for (i, f) in self.trail.drain(g.trail..) {
+            if i < low {
+                low = i;
+                back.push(f);
             }
         }
+        self.stack.truncate(low);
+        self.stack.extend(back.into_iter().rev());
     }
 
     /// Terminal and wrap floor of the current region, if the machine sits
     /// exactly at its boundary (top of stack is a boundary frame, or the
     /// stack is empty — the body of the current work item).
     fn at_terminal(&self) -> Option<(Term, usize)> {
-        match self.stack.as_ref() {
+        match self.stack.last() {
             None => Some((Term::Tail, 0)),
-            Some(n) => n.f.boundary(),
+            Some(f) => f.boundary(),
         }
     }
 
     /// Wrap floor of the region now on top (after a boundary popped).
     fn wrap_floor(&self) -> usize {
-        let mut cur = self.stack.as_ref();
-        while let Some(n) = cur {
-            if let Some((_, w)) = n.f.boundary() {
-                return w;
-            }
-            cur = n.next.as_ref();
-        }
-        0
+        self.stack
+            .iter()
+            .rev()
+            .find_map(Frame::boundary)
+            .map_or(0, |(_, w)| w)
     }
 
     fn marks(&self) -> Marks {
@@ -673,14 +667,17 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
     }
 
     /// Closes a completed region: expires the guards armed inside it
-    /// (recycling the argument snapshots they held) and returns to the
-    /// depth it started at.
+    /// (recycling the argument snapshots they held, and the trail once no
+    /// guard is left to replay it) and returns to the depth it started at.
     fn close_region(&mut self, marks: Marks) {
         self.depth = marks.depth;
         while self.guards.len() > marks.guards {
             if let Some(g) = self.guards.pop() {
                 self.recycle(g.args);
             }
+        }
+        if self.guards.is_empty() {
+            self.trail.clear();
         }
     }
 
@@ -823,7 +820,7 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
                 )))
             }
             GenInstr::Lift => {
-                self.push(Frame::Lift);
+                self.stack.push(Frame::Lift);
                 Step::Eval(ip + 1, env)
             }
             GenInstr::Clo(l) => Step::Value(GVal::Clo(Arc::new(GClo { lam: *l, env }))),
@@ -840,7 +837,7 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
                 }
                 let inner = env_push(&env, vals);
                 let marks = self.marks();
-                self.push(Frame::LamB {
+                self.stack.push(Frame::LamB {
                     name: lam.name,
                     fresh,
                     marks,
@@ -848,7 +845,7 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
                 Step::Eval(lam.body, inner)
             }
             GenInstr::IfS { then_, els } => {
-                self.push(Frame::If {
+                self.stack.push(Frame::If {
                     then_: *then_,
                     els: *els,
                     env: env.clone(),
@@ -857,7 +854,7 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
                 Step::Eval(ip + 1, env)
             }
             GenInstr::IfD { then_, els } => {
-                self.push(Frame::If {
+                self.stack.push(Frame::If {
                     then_: *then_,
                     els: *els,
                     env: env.clone(),
@@ -866,7 +863,7 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
                 Step::Eval(ip + 1, env)
             }
             GenInstr::Let { body, .. } => {
-                self.push(Frame::Let {
+                self.stack.push(Frame::Let {
                     body: *body,
                     env: env.clone(),
                 });
@@ -874,7 +871,7 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
             }
             GenInstr::App { args } => {
                 let args: &'p [u32] = args;
-                self.push(Frame::AppOp {
+                self.stack.push(Frame::AppOp {
                     args,
                     env: env.clone(),
                     dynamic: false,
@@ -883,7 +880,7 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
             }
             GenInstr::AppD { args } => {
                 let args: &'p [u32] = args;
-                self.push(Frame::AppOp {
+                self.stack.push(Frame::AppOp {
                     args,
                     env: env.clone(),
                     dynamic: true,
@@ -913,7 +910,7 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
             self.finish_args(dest, Vec::new())
         } else {
             let acc = self.take_vec(args.len());
-            self.push(Frame::Args {
+            self.stack.push(Frame::Args {
                 dest,
                 args,
                 idx: 0,
@@ -986,7 +983,7 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
                 acc.push(v);
                 let next = idx + 1;
                 if next < args.len() {
-                    self.push(Frame::Args {
+                    self.stack.push(Frame::Args {
                         dest,
                         args,
                         idx: next,
@@ -1095,7 +1092,7 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
         if let Some((Term::Tail, _)) = self.at_terminal() {
             let marks = self.marks();
             let e2 = env.clone();
-            self.push(Frame::IfTail {
+            self.stack.push(Frame::IfTail {
                 test,
                 els,
                 env,
@@ -1107,12 +1104,7 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
         let r = self.gensym.fresh("r");
         let rv = self.dyn_val(&r);
         let mut seg = Vec::new();
-        while self
-            .stack
-            .as_ref()
-            .map(|n| n.f.boundary().is_none())
-            .unwrap_or(false)
-        {
+        while self.stack.last().is_some_and(|f| f.boundary().is_none()) {
             if let Some(f) = self.pop() {
                 seg.push(f);
             }
@@ -1122,7 +1114,7 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
             None => Term::Tail,
         };
         let marks = self.marks();
-        self.push(Frame::Join {
+        self.stack.push(Frame::Join {
             test,
             r,
             then_,
@@ -1133,7 +1125,7 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
             marks,
         });
         for f in seg.into_iter().rev() {
-            self.push(f);
+            self.stack.push(f);
         }
         Ok(Step::Value(rv))
     }
@@ -1178,10 +1170,12 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
                     let serious = self.builder.prim(p, trivs);
                     return self.deliver_serious(serious, fv);
                 }
-                let mut data = Vec::with_capacity(acc.len());
-                for v in &acc {
+                // Applied in place: the arguments move into the reused
+                // scratch vector, with no copy of any datum.
+                let mut data = std::mem::take(&mut self.prim_args);
+                for v in acc.drain(..) {
                     match v {
-                        GVal::Data(d) => data.push(d.clone()),
+                        GVal::Data(d) => data.push(d),
                         GVal::Clo(c) => {
                             let name = self.lam_at(c.lam)?.name;
                             return Err(PeError::StaticPrim {
@@ -1194,7 +1188,7 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
                             });
                         }
                         GVal::FnRef(g) => {
-                            let name = self.def_at(*g)?.name;
+                            let name = self.def_at(g)?.name;
                             return Err(PeError::StaticPrim {
                                 prim: p,
                                 error: PrimError::TypeError {
@@ -1212,7 +1206,7 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
                     }
                 }
                 self.recycle(acc);
-                match apply_prim_datum(p, &data) {
+                let step = match apply_prim_datum(p, &data) {
                     Ok(d) => Ok(Step::Value(GVal::Data(d))),
                     // A static primitive fault under dynamic control must
                     // not abort specialization: the branch may be
@@ -1226,7 +1220,10 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
                         let serious = self.builder.prim(p, trivs);
                         self.deliver_serious(serious, SymSet::new())
                     }
-                }
+                };
+                data.clear();
+                self.prim_args = data;
+                step
             }
             Dest::PrimD(p) => {
                 let mut fv = SymSet::new();
@@ -1252,18 +1249,22 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
             GVal::FnRef(g) => {
                 let def = self.def_at(g)?;
                 // A top-level call is a *recoverable* position: arm a
-                // guard snapshotting the continuation, so that if a
+                // guard recording the continuation, so that if a
                 // resource limit fires while processing the call (or
                 // anywhere downstream within the current region), the
                 // call is residualized against the generic version of the
                 // callee. The walker's attempt/catch at this site, as a
-                // persistent-stack snapshot. Unarmed on the guard-free
+                // stack height and trail mark. Unarmed on the guard-free
                 // first run.
                 if self.armed {
                     let mut snap = self.take_vec(args.len());
                     snap.extend(args.iter().cloned());
+                    let height = self.stack.len();
+                    let reach = self.guards.last().map_or(height, |g| g.reach.max(height));
                     self.guards.push(Guard {
-                        stack: self.stack.clone(),
+                        height,
+                        trail: self.trail.len(),
+                        reach,
                         wraps_len: self.wraps.len(),
                         depth: self.depth,
                         def: g,
@@ -1496,10 +1497,10 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
     /// or join assembled at one boundary immediately completes the next).
     fn complete(&mut self, mut code: RCode<B>) -> Result<Flow<B>, PeError> {
         loop {
-            let Some(top) = self.stack.as_ref() else {
+            let Some(top) = self.stack.last() else {
                 return Ok(Flow::Done(code));
             };
-            if top.f.boundary().is_none() {
+            if top.boundary().is_none() {
                 return Err(PeError::Internal(
                     "region completed into an ordinary continuation frame".into(),
                 ));
@@ -1532,7 +1533,7 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
                 } => {
                     self.close_region(marks);
                     let e2 = env.clone();
-                    self.push(Frame::IfTail {
+                    self.stack.push(Frame::IfTail {
                         test,
                         els,
                         env,
@@ -1571,7 +1572,7 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
                         JState::JCode => {
                             let jname = self.gensym.fresh("join");
                             let e2 = env.clone();
-                            self.push(Frame::Join {
+                            self.stack.push(Frame::Join {
                                 test,
                                 r,
                                 then_,
@@ -1585,7 +1586,7 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
                         }
                         JState::Then { jname, jcode } => {
                             let e2 = env.clone();
-                            self.push(Frame::Join {
+                            self.stack.push(Frame::Join {
                                 test,
                                 r,
                                 then_,
@@ -1630,7 +1631,7 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
     // ----- recovery and the driver ---------------------------------------
 
     /// Error recovery, mirroring the walker's nested attempt/catch: pop
-    /// guards innermost-first, restore the snapshotted continuation, and
+    /// guards innermost-first, restore the recorded continuation, and
     /// residualize the guarded call against the callee's generic version;
     /// when no guard remains, fall back at the work-item level (the body
     /// recompiled generically), at most once per item. Unarmed, the error
@@ -1648,7 +1649,7 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
             }
             if let Some(g) = self.guards.pop() {
                 self.stats.note_fallback(&e);
-                self.stack = g.stack;
+                self.restore(&g);
                 self.wraps.truncate(g.wraps_len);
                 self.depth = g.depth;
                 match self.generic_call_step(g.def, g.args) {
@@ -1662,7 +1663,8 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
             if *can_fall_back {
                 *can_fall_back = false;
                 self.stats.note_fallback(&e);
-                self.stack = None;
+                self.stack.clear();
+                self.trail.clear();
                 self.wraps.clear();
                 self.guards.clear();
                 self.depth = 0;
@@ -1685,7 +1687,8 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
         start: u32,
         drained_generic: bool,
     ) -> Result<(), PeError> {
-        self.stack = None;
+        self.stack.clear();
+        self.trail.clear();
         self.wraps.clear();
         self.guards.clear();
         self.depth = 0;

@@ -196,12 +196,21 @@ fn assert_equivalent(w: &Workload, spec_opts: &SpecOptions, ctx: &str) -> bool {
     );
     match (walker_src, genext_src) {
         (Ok((wp, ws)), Ok((gp, gs))) => {
-            assert_eq!(
-                wp.to_source(),
-                gp.to_source(),
-                "[{}/{ctx}] residual source drift",
-                w.name
-            );
+            // Compared as trees, and printed only to show a drift: the
+            // deep workloads' residuals take seconds to print in a debug
+            // build.
+            if wp != gp {
+                assert_eq!(
+                    wp.to_source(),
+                    gp.to_source(),
+                    "[{}/{ctx}] residual source drift",
+                    w.name
+                );
+                panic!(
+                    "[{}/{ctx}] residual programs differ but print alike",
+                    w.name
+                );
+            }
             assert_eq!(ws, gs, "[{}/{ctx}] stats drift (source backend)", w.name);
         }
         (Err(we), Err(ge)) => {
@@ -406,6 +415,59 @@ fn engines_agree_across_depth_sweep() {
             };
             for w in workloads().iter().chain(&langs_workloads()) {
                 assert_equivalent(w, &opts, &format!("depth={depth}"));
+            }
+        }
+    });
+}
+
+/// Non-tail static recursion thousands of calls deep, so a fuel that runs
+/// out mid-descent leaves thousands of frames and armed guards below the
+/// failing call. In `deep-replay` every twentieth level applies a closure
+/// to the recursive call's result; once fuel is gone that unfold fails
+/// too, so recovery restores the deeper guards one by one, each time
+/// rebuilding up to twenty levels of popped frames on top of a stack
+/// thousands of frames deep. (Its static test doubles the walker's Rust
+/// stack per level, hence the smaller `n`.)
+fn deep_workloads() -> Vec<Workload> {
+    vec![
+        Workload::new(
+            "deep-non-tail",
+            "(define (f n d) (if (= n 0) d (+ 1 (f (- n 1) d))))",
+            "f",
+            vec![BT::Static, BT::Dynamic],
+            vec![Datum::Int(5_000)],
+            vec![],
+        ),
+        Workload::new(
+            "deep-replay",
+            "(define (f n d)
+                   (if (= n 0)
+                       d
+                       (if (= (remainder n 20) 0)
+                           ((lambda (x) x) (f (- n 1) d))
+                           (+ 1 (f (- n 1) d)))))",
+            "f",
+            vec![BT::Static, BT::Dynamic],
+            vec![Datum::Int(2_500)],
+            vec![],
+        ),
+    ]
+}
+
+#[test]
+fn engines_agree_on_deep_guarded_reruns() {
+    with_stack(|| {
+        for fuel in [None, Some(1_000u64), Some(2_500), Some(4_999)] {
+            let limits = match fuel {
+                Some(f) => deep_limits().with_unfold_fuel(f),
+                None => deep_limits(),
+            };
+            let opts = SpecOptions {
+                limits,
+                fallback: true,
+            };
+            for w in &deep_workloads() {
+                assert!(assert_equivalent(w, &opts, &format!("fuel={fuel:?}")));
             }
         }
     });

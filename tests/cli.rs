@@ -348,6 +348,44 @@ fn t4o_rejects_malformed_inputs_with_a_message() {
 }
 
 #[test]
+fn t4o_spec_rejects_a_static_parameter_the_bta_makes_dynamic() {
+    // `f` escapes into a dynamic call, so the analysis makes all of its
+    // parameters dynamic: a division keeping `s` static is rejected by the
+    // BTA with a message naming the entry and the parameter, not by a
+    // static-argument count mismatch later on.
+    let dir = tmp_dir();
+    let src = dir.join("escape.scm");
+    std::fs::write(&src, "(define (f s d) (d f))").unwrap();
+    let spec = |division: &str, statics: &[&str]| {
+        let mut cmd = t4o();
+        cmd.args(["spec", src.to_str().unwrap(), "--entry", "f"]);
+        cmd.args(["--division", division, "--source"]);
+        for s in statics {
+            cmd.args(["--static", s]);
+        }
+        cmd.output().unwrap()
+    };
+    let out = spec("SD", &["1"]);
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.starts_with("t4o: "), "{err}");
+    assert!(
+        err.contains("entry `f`") && err.contains("static in the division"),
+        "{err}"
+    );
+    assert!(!err.contains("static argument(s)"), "{err}");
+
+    // All dynamic, the escaping entry specializes.
+    let out = spec("DD", &[]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(String::from_utf8_lossy(&out.stdout).contains("(define (f"));
+}
+
+#[test]
 fn t4o_run_limits_and_spec_fallback() {
     let dir = tmp_dir();
     let src = dir.join("loop.scm");
