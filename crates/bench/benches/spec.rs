@@ -208,7 +208,7 @@ fn bench_spec_phases(c: &mut Criterion) {
 /// One walker run, the reference specializer the gen-ext machine is
 /// checked against: stage the annotated program, then walk the staged
 /// code.
-fn walk<B: two4one::anf::build::CodeBuilder>(
+fn walk<B: two4one::anf::build::CodeBuilder + Default>(
     annotated: &AProgram,
     entry: &str,
     statics: &[two4one::Datum],

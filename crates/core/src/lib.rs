@@ -204,12 +204,10 @@ fn note_spec_stats(stats: &SpecStats) {
 }
 
 /// Process-wide generating-extension counters: how many gen-exts were
-/// staged, how many specializations ran through one, and how many of
-/// those kept a guarded re-run (`SpecStats::guarded_rerun`).
+/// staged, and how many specializations ran through one.
 struct GenextMetrics {
     builds: obs::Counter,
     runs: obs::Counter,
-    guarded_reruns: obs::Counter,
 }
 
 fn genext_metrics() -> &'static GenextMetrics {
@@ -219,7 +217,6 @@ fn genext_metrics() -> &'static GenextMetrics {
         GenextMetrics {
             builds: g.counter("t4o_genext_builds_total"),
             runs: g.counter("t4o_genext_runs_total"),
-            guarded_reruns: g.counter("t4o_genext_guarded_reruns_total"),
         }
     })
 }
@@ -594,11 +591,7 @@ impl GenExt {
             let _span = obs::Span::enter(obs::Phase::GenextRun);
             let (prog, stats) =
                 two4one_pe::run_genext(staged, &self.entry, statics, builder, options, deadline)?;
-            let m = genext_metrics();
-            m.runs.inc();
-            if stats.guarded_rerun {
-                m.guarded_reruns.inc();
-            }
+            genext_metrics().runs.inc();
             note_spec_stats(&stats);
             Ok((prog, stats))
         })
@@ -677,6 +670,27 @@ impl GenExt {
     ) -> Result<(Image, SpecStats), Error> {
         let (image, stats) = self.run(statics, ObjectBuilder::new(), options, cancel)?;
         Ok((image?, stats))
+    }
+
+    /// The generic image of `statics` as object code: Kleene's s-m-n
+    /// specialization, a stub passing the statics as constants to the
+    /// generic version of the entry, plus the generic version of every
+    /// definition reachable from it (see `two4one_pe::generic_image`). It
+    /// is what a fallback answers with, built directly: correct under any
+    /// division, linear in the source program, and under no limit. It is
+    /// not a specialization, so it counts as no gen-ext run.
+    ///
+    /// # Errors
+    ///
+    /// Fails on a bad request (wrong static argument count), a staging
+    /// error, or a code-generation error.
+    pub fn generic_object(&self, statics: &[Datum]) -> Result<(Image, SpecStats), Error> {
+        catching(|| {
+            let staged = self.staged()?;
+            let (image, stats) =
+                two4one_pe::generic_image(staged, &self.entry, statics, ObjectBuilder::new())?;
+            Ok((image?, stats))
+        })
     }
 
     /// The limits and fallback setting this generating extension runs

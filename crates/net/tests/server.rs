@@ -234,6 +234,83 @@ fn register_over_the_wire_then_specialize() {
 }
 
 #[test]
+fn tier0_first_touch_over_the_wire_serves_mixwell_and_lazy() {
+    // A Tier-0 server answers each first request with the generic image.
+    // Under their explicit call policies the interpreters' memoized
+    // `mw-call` and `lz-call` keep a static parameter, which the generic
+    // image must never feed residual code.
+    use two4one_langs as langs;
+
+    two4one::with_stack(|| {
+        let ints = |ns: &[i64]| two4one::Datum::list(ns.iter().map(|n| two4one::Datum::Int(*n)));
+        let cases = [
+            (
+                "mixwell",
+                langs::MIXWELL_INTERP,
+                "mixwell-run",
+                langs::mixwell_policies(),
+                langs::MIXWELL_PROGRAM,
+                ints(&[20]),
+            ),
+            (
+                "lazy",
+                langs::LAZY_INTERP,
+                "lazy-run",
+                langs::lazy_policies(),
+                langs::LAZY_PROGRAM,
+                ints(&[3, 4]),
+            ),
+        ];
+        let service = Arc::new(SpecService::with_config(ServeConfig {
+            tier0: true,
+            promote_after: u64::MAX,
+            ..ServeConfig::default()
+        }));
+        let mut wants = Vec::new();
+        for (name, src, entry, policies, program, args) in &cases {
+            let pgg = policies
+                .iter()
+                .fold(Pgg::new(), |p, (n, pol)| p.policy(n, *pol));
+            let p = pgg.parse(src).expect("parse interpreter");
+            let ext = pgg
+                .cogen(&p, entry, &Division::new([BT::Static, BT::Dynamic]))
+                .expect("cogen interpreter");
+            service.register(name, &ext);
+            let statics = two4one::reader::read_one(program).expect("read program");
+            let want = two4one::interpret(&p, entry, &[statics, args.clone()])
+                .expect("interpret")
+                .value;
+            wants.push(want);
+        }
+        let config = NetConfig {
+            request_deadline: Duration::from_secs(20),
+            ..quick_config()
+        };
+        let server = NetServer::bind(service.clone(), config).expect("bind");
+        let mut conn = connect(&server);
+        for ((name, _, entry, _, program, args), want) in cases.iter().zip(&wants) {
+            let obj = exchange(
+                &mut conn,
+                wire::REQ_SPEC,
+                &spec_frame(name, program, wire::WANT_OBJECT),
+            );
+            assert_eq!(
+                obj.ftype,
+                wire::RESP_OBJECT,
+                "{name}: {}",
+                String::from_utf8_lossy(&obj.payload)
+            );
+            let image = two4one::decode_image(&obj.payload).expect("decode .t4o");
+            let out = run_image(&image, entry, std::slice::from_ref(args)).expect("run image");
+            assert_eq!(&out.value, want, "{name}");
+        }
+        assert_eq!(service.tier_stats().tier0_served, 2);
+        drop(conn);
+        assert_eq!(server.shutdown().worker_panics, 0);
+    });
+}
+
+#[test]
 fn grammar_over_the_wire_registers_serves_and_redefines() {
     use two4one_langs::grammar;
 

@@ -105,11 +105,7 @@ pub(crate) enum StaticKey {
 }
 
 /// Counters reported after specialization.
-///
-/// Equality compares what the kept run produced and leaves out
-/// [`SpecStats::guarded_rerun`], which records how the run was reached:
-/// a re-run and a run guarded from the start report equal stats.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SpecStats {
     /// Calls unfolded.
     pub unfolds: u64,
@@ -119,72 +115,33 @@ pub struct SpecStats {
     pub memo_misses: u64,
     /// Residual definitions emitted.
     pub residual_defs: u64,
-    /// Calls downgraded to a generic version after a recoverable limit.
+    /// Runs dropped at a recoverable limit and answered with the generic
+    /// image instead (see `two4one_pe::genrun`): 0 or 1.
     pub fallbacks: u64,
-    /// Generic (all-dynamic) residual definitions emitted for fallback.
+    /// Generic (all-dynamic) residual definitions emitted: those of a
+    /// generic image.
     pub generic_defs: u64,
-    /// The limit behind the *first* fallback, when any fired. Lets a
-    /// serving layer distinguish transient starvation (unfold fuel, memo
-    /// cap — worth retrying with a bigger budget) from structural limits.
+    /// The limit behind the fallback, when one fired. Lets a serving
+    /// layer distinguish transient starvation (unfold fuel, memo cap —
+    /// worth retrying with a bigger budget) from structural limits.
     pub fallback_kind: Option<LimitKind>,
-    /// The kept run is the guarded re-run: the guard-free first run hit a
-    /// recoverable limit and was started over with fallback guards armed
-    /// (see `two4one_pe::genrun`). Snapshots do not store it.
-    pub guarded_rerun: bool,
 }
-
-impl PartialEq for SpecStats {
-    fn eq(&self, other: &Self) -> bool {
-        let SpecStats {
-            unfolds,
-            memo_hits,
-            memo_misses,
-            residual_defs,
-            fallbacks,
-            generic_defs,
-            fallback_kind,
-            guarded_rerun: _,
-        } = self;
-        (
-            *unfolds,
-            *memo_hits,
-            *memo_misses,
-            *residual_defs,
-            *fallbacks,
-            *generic_defs,
-            *fallback_kind,
-        ) == (
-            other.unfolds,
-            other.memo_hits,
-            other.memo_misses,
-            other.residual_defs,
-            other.fallbacks,
-            other.generic_defs,
-            other.fallback_kind,
-        )
-    }
-}
-
-impl Eq for SpecStats {}
 
 impl SpecStats {
-    /// True when specialization hit a resource limit somewhere and
-    /// degraded to generic residual code instead of aborting.
+    /// True when the residual program is generic code: a generic image,
+    /// whether a run fell back to it or it was asked for directly.
     pub fn degraded(&self) -> bool {
         self.fallbacks > 0 || self.generic_defs > 0
     }
 
-    /// Records one graceful fallback and which limit caused it (first
-    /// cause wins — later fallbacks are usually knock-on effects).
+    /// Records the fallback of a run dropped at the recoverable limit `e`.
     pub(crate) fn note_fallback(&mut self, e: &PeError) {
         self.fallbacks += 1;
         two4one_obs::event(two4one_obs::EventKind::Fallback);
-        if self.fallback_kind.is_none() {
-            self.fallback_kind = match e {
-                PeError::UnfoldLimit(_) => Some(LimitKind::UnfoldFuel),
-                PeError::Limit(l) => Some(l.kind),
-                _ => None,
-            };
-        }
+        self.fallback_kind = match e {
+            PeError::UnfoldLimit(_) => Some(LimitKind::UnfoldFuel),
+            PeError::Limit(l) => Some(l.kind),
+            _ => None,
+        };
     }
 }

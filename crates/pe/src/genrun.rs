@@ -5,10 +5,11 @@
 //! code with heap-allocated continuation closures and name-keyed
 //! environments, this machine threads instruction pointers directly,
 //! addresses environments by `(up, idx)` slots, and represents the
-//! specialization continuation as an explicit frame stack. Run on the
-//! static inputs, it produces the residual program directly through the
-//! [`CodeBuilder`] — with `two4one-compiler`'s `ObjectBuilder`, the
-//! residual object image, with no interpretive overhead per source node.
+//! specialization continuation as an explicit frame stack, a flat `Vec`.
+//! Run on the static inputs, it produces the residual program directly
+//! through the [`CodeBuilder`] — with `two4one-compiler`'s
+//! `ObjectBuilder`, the residual object image, with no interpretive
+//! overhead per source node.
 //!
 //! # Bit-identity with the walker
 //!
@@ -16,7 +17,7 @@
 //! calls, memoization probes, observability events — in exactly the order
 //! the walker performs them, so both engines produce bit-identical
 //! residual programs and equal [`SpecStats`] (`crates/pe/tests/genext.rs`
-//! pins this property). Three devices make that possible:
+//! pins this property). Two devices make that possible:
 //!
 //! * **Deferred wraps.** The walker's `deliver_serious`/unfold rebinding
 //!   wrap `let`s around code computed by continuation *returns*. The
@@ -27,46 +28,35 @@
 //!   above it terminates (`Term::Tail` → `ret`/tail call, `Term::Jump`
 //!   → a call to a join point), mirroring the walker's `Kont::Tail` vs.
 //!   jump-continuation distinction.
-//! * **A guard trail.** The continuation stack is a flat `Vec` of
-//!   frames. The walker *replays* a fallback guard's saved continuation
-//!   on recovery — frames that already ran execute again, with observable
-//!   gensym/builder effects — so a guard records only the stack height
-//!   and a trail mark when it is armed, and a frame popped from below the
-//!   highest armed guard's height is cloned onto the trail with its
-//!   index. A recovery rebuilds the guard's stack from the prefix that
-//!   never left it plus the first trail entry at each index above that
-//!   prefix. Arming is O(1), copies no frame, and a restore costs
-//!   O(frames popped since the guard was armed); with no guard armed a
-//!   pop is a plain `Vec::pop`.
 //!
-//! # The guard-free first run
+//! # The generic image
 //!
-//! Guards insure against limits the division cannot foresee, and almost
-//! no run hits one. So [`run_genext`] first runs with fallback semantics
-//! but no guard armed: a top-level call records nothing, no popped frame
-//! goes on the trail, and the first recoverable
-//! [`PeError`] aborts the run instead of recovering. Up to that error the
-//! run is step for step the guarded one, so a clean run emits the guarded
-//! run's bytes. An aborted run starts over from a fresh builder with
-//! guards armed — the degraded image of a run guarded from the start,
-//! after one extra partial run — and [`SpecStats::guarded_rerun`]
-//! records that the kept run is the re-run. A non-recoverable error ends
-//! the first run as it would end the guarded one.
+//! With [`SpecOptions::fallback`] on, a run that hits a recoverable limit
+//! (unfold fuel, the memo cap, the code cap, the deadline) is dropped,
+//! and [`run_genext`] answers with the request's generic image instead
+//! ([`generic_image`]). That image is Kleene's s-m-n specialization of
+//! the program to the statics: a stub `(define (entry d…)
+//! (entry-generic 's… d…))` plus the generic version of every definition
+//! reachable from it. One run of this machine in *generic mode* emits
+//! it: each work item is a definition's staged generic body
+//! ([`GenDef::generic`]) with every parameter dynamic, and every function
+//! reference lifts to the generic version of its function. No static
+//! value meets residual code there, so the image is correct under any
+//! division. Nothing unfolds, so the pass is linear in the source program
+//! and runs under no limit. The image's stats record the dropped run's
+//! limit as its one fallback. The serving layer's Tier-0 first touch and
+//! open breaker ask for the image directly.
 //!
 //! # The depth limit
 //!
 //! The machine has no recursion, but it keeps the walker's recursion
 //! depth as a counter — one per evaluation step, as each walker `spec`
 //! call nests one level, reset to a region's starting depth when the
-//! region completes and to an armed guard's depth on recovery, as the
-//! walker's Rust stack unwinds — and honors
-//! [`Limits::max_depth`](two4one_syntax::limits::Limits::max_depth)
-//! against it. The limit is then not a stack guard but a work bound: a
-//! statically divergent unfolding reaches it long before its unfold fuel
-//! runs out, and fuel exhaustion is what turns fallback replay quadratic
-//! (every armed guard replays the rest of its region). All limits (fuel,
-//! depth, deadline, memo cap, code cap) behave identically in both
-//! engines.
+//! region completes, as the walker's Rust stack unwinds — and honors
+//! [`Limits::max_depth`] against it. The limit is then not a stack guard
+//! but a work bound: a statically divergent unfolding reaches it long
+//! before its unfold fuel runs out. All limits (fuel, depth, deadline,
+//! memo cap, code cap) behave identically in both engines.
 
 use crate::engine::{MemoKey, RCode, Resid, SpecStats, StaticKey};
 use crate::{PeError, SpecOptions};
@@ -74,7 +64,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use two4one_anf::build::CodeBuilder;
 use two4one_syntax::datum::Datum;
-use two4one_syntax::limits::{Deadline, LimitExceeded, LimitKind};
+use two4one_syntax::limits::{Deadline, LimitExceeded, LimitKind, Limits};
 use two4one_syntax::prim::Prim;
 use two4one_syntax::symbol::{Gensym, Symbol};
 use two4one_syntax::symset::SymSet;
@@ -157,13 +147,11 @@ enum Term {
     Jump(Symbol),
 }
 
-/// Watermarks captured when a boundary frame is pushed: pending wraps and
-/// armed guards are truncated back to these, and the depth reset to this,
-/// when the region completes.
+/// Watermarks captured when a boundary frame is pushed: the region's wrap
+/// floor, and the depth reset to when the region completes.
 #[derive(Clone, Copy)]
 struct Marks {
     wraps: usize,
-    guards: usize,
     depth: usize,
 }
 
@@ -177,17 +165,6 @@ enum Dest<B: CodeBuilder> {
     Prim(Prim),
     /// Dynamic primitive.
     PrimD(Prim),
-}
-
-impl<B: CodeBuilder> Clone for Dest<B> {
-    fn clone(&self) -> Self {
-        match self {
-            Dest::App(v) => Dest::App(v.clone()),
-            Dest::AppD(r) => Dest::AppD(r.clone()),
-            Dest::Prim(p) => Dest::Prim(*p),
-            Dest::PrimD(p) => Dest::PrimD(*p),
-        }
-    }
 }
 
 /// Join-point construction phases (the machine form of the walker's
@@ -204,27 +181,6 @@ enum JState<B: CodeBuilder> {
         jcode: RCode<B>,
         then_code: RCode<B>,
     },
-}
-
-impl<B: CodeBuilder> Clone for JState<B> {
-    fn clone(&self) -> Self {
-        match self {
-            JState::JCode => JState::JCode,
-            JState::Then { jname, jcode } => JState::Then {
-                jname: *jname,
-                jcode: jcode.clone(),
-            },
-            JState::Else {
-                jname,
-                jcode,
-                then_code,
-            } => JState::Else {
-                jname: *jname,
-                jcode: jcode.clone(),
-                then_code: then_code.clone(),
-            },
-        }
-    }
 }
 
 /// One continuation frame. The first five are *ordinary* frames (they
@@ -287,84 +243,6 @@ enum Frame<'p, B: CodeBuilder> {
     },
 }
 
-impl<'p, B: CodeBuilder> Clone for Frame<'p, B> {
-    fn clone(&self) -> Self {
-        match self {
-            Frame::Lift => Frame::Lift,
-            Frame::If {
-                then_,
-                els,
-                env,
-                static_,
-            } => Frame::If {
-                then_: *then_,
-                els: *els,
-                env: env.clone(),
-                static_: *static_,
-            },
-            Frame::Let { body, env } => Frame::Let {
-                body: *body,
-                env: env.clone(),
-            },
-            Frame::AppOp { args, env, dynamic } => Frame::AppOp {
-                args,
-                env: env.clone(),
-                dynamic: *dynamic,
-            },
-            Frame::Args {
-                dest,
-                args,
-                idx,
-                acc,
-                env,
-            } => Frame::Args {
-                dest: dest.clone(),
-                args,
-                idx: *idx,
-                acc: acc.clone(),
-                env: env.clone(),
-            },
-            Frame::LamB { name, fresh, marks } => Frame::LamB {
-                name: *name,
-                fresh: fresh.clone(),
-                marks: *marks,
-            },
-            Frame::IfTail {
-                test,
-                els,
-                env,
-                then_code,
-                marks,
-            } => Frame::IfTail {
-                test: test.clone(),
-                els: *els,
-                env: env.clone(),
-                then_code: then_code.clone(),
-                marks: *marks,
-            },
-            Frame::Join {
-                test,
-                r,
-                then_,
-                els,
-                env,
-                outer_term,
-                state,
-                marks,
-            } => Frame::Join {
-                test: test.clone(),
-                r: *r,
-                then_: *then_,
-                els: *els,
-                env: env.clone(),
-                outer_term: *outer_term,
-                state: state.clone(),
-                marks: *marks,
-            },
-        }
-    }
-}
-
 impl<'p, B: CodeBuilder> Frame<'p, B> {
     /// For boundary frames: the terminal of the region above, and the
     /// wrap watermark. `None` for ordinary frames.
@@ -402,22 +280,8 @@ enum Wrap<B: CodeBuilder> {
     Triv { x: Symbol, r: Resid<B::Triv> },
 }
 
-/// An armed fallback guard: enough state to replay a top-level call as a
-/// generic residual call if a recoverable limit fires downstream. The
-/// continuation it saw is the stack's first `height` frames, rebuilt from
-/// the trail entries from `trail` on (see the module doc).
-struct Guard<B: CodeBuilder> {
-    height: usize,
-    trail: usize,
-    /// The highest `height` of this guard and every guard armed before
-    /// it: a frame popped from below it goes on the trail.
-    reach: usize,
-    wraps_len: usize,
-    depth: usize,
-    def: u32,
-    args: Vec<GVal<B>>,
-}
-
+/// One work item: a specialization point, or in generic mode the generic
+/// version of a definition (no statics).
 struct GPending<B: CodeBuilder> {
     def: u32,
     res_name: Symbol,
@@ -445,10 +309,10 @@ pub struct GenRun<'p, B: CodeBuilder> {
     /// The residual-code backend.
     pub builder: B,
     gensym: Gensym,
+    /// Residual names by memoization key; in generic mode, keyed by the
+    /// function alone (see [`GenRun::generic_name`]).
     cache: HashMap<MemoKey, Symbol>,
     pending: VecDeque<GPending<B>>,
-    generic: HashMap<Symbol, Symbol>,
-    pending_generic: VecDeque<(u32, Symbol)>,
     fuel: u64,
     /// The walker's recursion depth at this point (see the module doc).
     depth: usize,
@@ -457,16 +321,12 @@ pub struct GenRun<'p, B: CodeBuilder> {
     code_cap: usize,
     deadline: Deadline,
     ticks: u64,
-    fallback: bool,
-    /// Guards armed and recovery on. Off on the guard-free first run
-    /// (see the module doc), which aborts at the first recoverable limit.
-    armed: bool,
-    in_generic: bool,
+    /// Generic mode (see the module doc): work items run generic bodies
+    /// with every parameter dynamic, and function references lift to
+    /// generic versions.
+    generic: bool,
     /// The continuation stack, top last.
     stack: Vec<Frame<'p, B>>,
-    /// Frames popped from below an armed guard's height, with the index
-    /// each held (see the module doc).
-    trail: Vec<(usize, Frame<'p, B>)>,
     /// Per-definition parameter names, interned lazily (see
     /// [`GenRun::def_params`]).
     param_names: Vec<Option<Arc<[Symbol]>>>,
@@ -477,7 +337,6 @@ pub struct GenRun<'p, B: CodeBuilder> {
     /// argument list and cleared after each application.
     prim_args: Vec<Datum>,
     wraps: Vec<Wrap<B>>,
-    guards: Vec<Guard<B>>,
     /// Counters.
     pub stats: SpecStats,
 }
@@ -488,10 +347,9 @@ pub struct GenRun<'p, B: CodeBuilder> {
 /// [`specialize_staged`](crate::walk::specialize_staged) on the same
 /// staged program (and equal stats, or the same error).
 ///
-/// With `options.fallback` on, the first run arms no fallback guard (see
-/// the module doc); a run that hits a recoverable limit starts over with
-/// guards armed from `B::default()`, and its stats set
-/// [`SpecStats::guarded_rerun`].
+/// With `options.fallback` on, a run that hits a recoverable limit is
+/// dropped and the answer is the [`generic_image`], built from
+/// `B::default()` (see the module doc).
 ///
 /// # Errors
 ///
@@ -504,20 +362,61 @@ pub fn run_genext<B: CodeBuilder + Default>(
     options: &SpecOptions,
     deadline: Deadline,
 ) -> Result<(B::Program, SpecStats), PeError> {
-    run_genext_with(prog, entry, static_args, builder, options, deadline, true)
+    let entry_idx = entry_index(prog, entry, static_args)?;
+    let machine = GenRun::new(prog, builder, &options.limits, deadline, false);
+    let run = machine.run(entry_idx, *entry, static_args);
+    answer::<B>(run, prog, entry, static_args, options)
 }
 
-/// [`run_genext`], with the guard-free first run switchable: off, the one
-/// run arms its guards from the start.
-fn run_genext_with<B: CodeBuilder + Default>(
+/// The generic image of `entry` on `static_args`: Kleene's s-m-n
+/// specialization (see the module doc), emitted through `builder`.
+/// Correct under any division and exempt from every limit, it is what a
+/// run dropped at a recoverable limit answers with, and what a serving
+/// layer serves while it will not, or cannot yet, specialize.
+///
+/// # Errors
+///
+/// [`PeError::NoSuchFunction`] and [`PeError::StaticArgCount`] for a bad
+/// request; [`PeError::Internal`] for a malformed staged program.
+pub fn generic_image<B: CodeBuilder>(
     prog: &GenProgram,
     entry: &Symbol,
     static_args: &[Datum],
     builder: B,
-    options: &SpecOptions,
-    deadline: Deadline,
-    guard_free_first: bool,
 ) -> Result<(B::Program, SpecStats), PeError> {
+    let entry_idx = entry_index(prog, entry, static_args)?;
+    let run = GenRun::new(prog, builder, &Limits::none(), Deadline::unlimited(), true);
+    run.run(entry_idx, *entry, static_args)
+}
+
+/// A run's answer under `options`: its own result, unless it hit a
+/// recoverable limit with fallback on. Then the run is dropped, and the
+/// answer is the generic image from a fresh builder, with that limit
+/// recorded as its fallback. Shared by both engines.
+pub(crate) fn answer<B: CodeBuilder + Default>(
+    run: Result<(B::Program, SpecStats), PeError>,
+    prog: &GenProgram,
+    entry: &Symbol,
+    static_args: &[Datum],
+    options: &SpecOptions,
+) -> Result<(B::Program, SpecStats), PeError> {
+    match run {
+        Err(e) if options.fallback && e.is_recoverable() => {
+            let (program, mut stats) = generic_image(prog, entry, static_args, B::default())?;
+            stats.note_fallback(&e);
+            Ok((program, stats))
+        }
+        r => r,
+    }
+}
+
+/// Resolves `entry` and checks the static argument count against its
+/// division.
+pub(crate) fn entry_index(
+    prog: &GenProgram,
+    entry: &Symbol,
+    static_args: &[Datum],
+) -> Result<u32, PeError> {
     let entry_idx = prog.lookup(entry).ok_or(PeError::NoSuchFunction(*entry))?;
     let def = &prog.defs[entry_idx as usize];
     let n_static = def.params.iter().filter(|p| !p.dynamic).count();
@@ -528,36 +427,23 @@ fn run_genext_with<B: CodeBuilder + Default>(
             got: static_args.len(),
         });
     }
-    let armed = options.fallback && !guard_free_first;
-    let first = GenRun::new(prog, builder, options, deadline.clone(), armed);
-    match first.run(entry_idx, *entry, static_args) {
-        Err(e) if options.fallback && !armed && e.is_recoverable() => {
-            let rerun = GenRun::new(prog, B::default(), options, deadline, true);
-            let (program, mut stats) = rerun.run(entry_idx, *entry, static_args)?;
-            stats.guarded_rerun = true;
-            Ok((program, stats))
-        }
-        r => r,
-    }
+    Ok(entry_idx)
 }
 
 impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
     fn new(
         prog: &'p GenProgram,
         builder: B,
-        options: &SpecOptions,
+        limits: &Limits,
         deadline: Deadline,
-        armed: bool,
+        generic: bool,
     ) -> Self {
-        let limits = &options.limits;
         GenRun {
             prog,
             builder,
             gensym: Gensym::new(),
             cache: HashMap::new(),
             pending: VecDeque::new(),
-            generic: HashMap::new(),
-            pending_generic: VecDeque::new(),
             fuel: limits.unfold_fuel.unwrap_or(u64::MAX),
             depth: 0,
             max_depth: limits.max_depth.unwrap_or(usize::MAX),
@@ -565,21 +451,18 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
             code_cap: limits.code_cap.unwrap_or(usize::MAX),
             deadline,
             ticks: 0,
-            fallback: options.fallback,
-            armed,
-            in_generic: false,
+            generic,
             stack: Vec::new(),
-            trail: Vec::new(),
             param_names: Vec::new(),
             val_pool: Vec::new(),
             prim_args: Vec::new(),
             wraps: Vec::new(),
-            guards: Vec::new(),
             stats: SpecStats::default(),
         }
     }
 
-    /// One run from the entry: its body, then every pending work item.
+    /// One run from the entry — its body, or in generic mode its stub —
+    /// then every pending work item.
     fn run(
         mut self,
         entry_idx: u32,
@@ -587,42 +470,22 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
         static_args: &[Datum],
     ) -> Result<(B::Program, SpecStats), PeError> {
         let statics = static_args.iter().map(|d| GVal::Data(d.clone())).collect();
-        self.run_spec_body(entry_idx, entry, statics)?;
-        self.drain_pending()?;
+        if self.generic {
+            self.emit_stub(entry_idx, entry, statics)?;
+        } else {
+            self.run_item(GPending {
+                def: entry_idx,
+                res_name: entry,
+                statics,
+            })?;
+        }
+        while let Some(item) = self.pending.pop_front() {
+            self.run_item(item)?;
+        }
         Ok((self.builder.finish(&entry), self.stats))
     }
 
     // ----- stack primitives ---------------------------------------------
-
-    /// Pops the top frame. A frame below an armed guard's height is also
-    /// cloned onto the trail, so a recovery can replay it.
-    fn pop(&mut self) -> Option<Frame<'p, B>> {
-        let f = self.stack.pop()?;
-        let i = self.stack.len();
-        if self.guards.last().is_some_and(|g| i < g.reach) {
-            self.trail.push((i, f.clone()));
-        }
-        Some(f)
-    }
-
-    /// Rebuilds the stack `g` saw when it was armed and drops the trail
-    /// entries made since. The first entry at an index below `g.height`
-    /// holds the frame `g` saw there: until that pop the index was never
-    /// overwritten. Those first entries come in descending index order
-    /// (no index is popped before every index above it), so the stack
-    /// below the lowest of them never left and is kept as it is.
-    fn restore(&mut self, g: &Guard<B>) {
-        let mut low = g.height;
-        let mut back = Vec::new();
-        for (i, f) in self.trail.drain(g.trail..) {
-            if i < low {
-                low = i;
-                back.push(f);
-            }
-        }
-        self.stack.truncate(low);
-        self.stack.extend(back.into_iter().rev());
-    }
 
     /// Terminal and wrap floor of the current region, if the machine sits
     /// exactly at its boundary (top of stack is a boundary frame, or the
@@ -646,7 +509,6 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
     fn marks(&self) -> Marks {
         Marks {
             wraps: self.wraps.len(),
-            guards: self.guards.len(),
             depth: self.depth,
         }
     }
@@ -663,21 +525,6 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
         if self.val_pool.len() < 64 {
             v.clear();
             self.val_pool.push(v);
-        }
-    }
-
-    /// Closes a completed region: expires the guards armed inside it
-    /// (recycling the argument snapshots they held, and the trail once no
-    /// guard is left to replay it) and returns to the depth it started at.
-    fn close_region(&mut self, marks: Marks) {
-        self.depth = marks.depth;
-        while self.guards.len() > marks.guards {
-            if let Some(g) = self.guards.pop() {
-                self.recycle(g.args);
-            }
-        }
-        if self.guards.is_empty() {
-            self.trail.clear();
         }
     }
 
@@ -754,28 +601,20 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
     }
 
     /// Lifting a top-level function reference: reference the all-dynamic
-    /// residual version of the function, or its generic version when the
-    /// division or the memo cap prevents that.
+    /// residual version of the function, or in generic mode its generic
+    /// version.
     fn lift_fnref(&mut self, g: u32) -> Result<Resid<B::Triv>, PeError> {
         let def = self.def_at(g)?;
-        if def.params.iter().any(|p| !p.dynamic) {
-            if self.fallback {
-                let name = self.generic_name(g, def);
-                return Ok(self.global_ref(&name));
-            }
+        let name = if self.generic {
+            self.generic_name(g, def)
+        } else if def.params.iter().any(|p| !p.dynamic) {
             return Err(PeError::Internal(format!(
                 "function `{}` escapes into dynamic context but still has \
                  static parameters",
                 def.name
             )));
-        }
-        let name = match self.memo_name(g, def, Vec::new(), Vec::new()) {
-            Ok(n) => n,
-            Err(e) if self.armed && e.is_recoverable() => {
-                self.stats.note_fallback(&e);
-                self.generic_name(g, def)
-            }
-            Err(e) => return Err(e),
+        } else {
+            self.memo_name(g, def, Vec::new(), Vec::new())?
         };
         Ok(self.global_ref(&name))
     }
@@ -798,11 +637,9 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
                 unfolds: self.stats.unfolds,
             });
         }
-        if !self.in_generic {
-            self.deadline
-                .check_every(&mut self.ticks, 4096)
-                .map_err(PeError::Limit)?;
-        }
+        self.deadline
+            .check_every(&mut self.ticks, 4096)
+            .map_err(PeError::Limit)?;
         Ok(Flow::Step(match self.instr(ip)? {
             GenInstr::Const(c) => Step::Value(GVal::Data(self.const_at(*c)?.clone())),
             GenInstr::Var { name, up, idx } => match env_get(&env, *up, *idx) {
@@ -929,7 +766,7 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
             let code = self.apply_wraps(code, floor);
             return Ok(Step::Complete(code));
         }
-        let Some(frame) = self.pop() else {
+        let Some(frame) = self.stack.pop() else {
             return Err(PeError::Internal(
                 "value delivered to an empty continuation".into(),
             ));
@@ -1105,7 +942,7 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
         let rv = self.dyn_val(&r);
         let mut seg = Vec::new();
         while self.stack.last().is_some_and(|f| f.boundary().is_none()) {
-            if let Some(f) = self.pop() {
+            if let Some(f) = self.stack.pop() {
                 seg.push(f);
             }
         }
@@ -1248,29 +1085,6 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
             }
             GVal::FnRef(g) => {
                 let def = self.def_at(g)?;
-                // A top-level call is a *recoverable* position: arm a
-                // guard recording the continuation, so that if a
-                // resource limit fires while processing the call (or
-                // anywhere downstream within the current region), the
-                // call is residualized against the generic version of the
-                // callee. The walker's attempt/catch at this site, as a
-                // stack height and trail mark. Unarmed on the guard-free
-                // first run.
-                if self.armed {
-                    let mut snap = self.take_vec(args.len());
-                    snap.extend(args.iter().cloned());
-                    let height = self.stack.len();
-                    let reach = self.guards.last().map_or(height, |g| g.reach.max(height));
-                    self.guards.push(Guard {
-                        height,
-                        trail: self.trail.len(),
-                        reach,
-                        wraps_len: self.wraps.len(),
-                        depth: self.depth,
-                        def: g,
-                        args: snap,
-                    });
-                }
                 if def.memoize {
                     self.memo_call(g, def, args)
                 } else {
@@ -1345,13 +1159,8 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
     }
 
     /// Limit checks performed at every call: wall-clock deadline and
-    /// emitted-code cap. Both are recoverable at a call boundary.
-    /// Suspended while emitting a generic fallback body, which must be
-    /// allowed to finish (it is linear in the source program).
+    /// emitted-code cap. Both are recoverable.
     fn check_call_limits(&self) -> Result<(), PeError> {
-        if self.in_generic {
-            return Ok(());
-        }
         self.deadline.check().map_err(PeError::Limit)?;
         if self.builder.code_size() > self.code_cap {
             return Err(PeError::Limit(LimitExceeded {
@@ -1452,42 +1261,47 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
         self.deliver_serious(serious, fv)
     }
 
-    // ----- graceful fallback ---------------------------------------------
+    // ----- generic mode ------------------------------------------------
 
-    /// Returns the name of the generic (all-dynamic) residual version of
-    /// `def`, scheduling its emission if this is the first request.
+    /// In generic mode: the name of `def`'s generic version, scheduled on
+    /// its first reference. At most one exists per function, keyed in the
+    /// memo cache by the function alone.
     fn generic_name(&mut self, def_idx: u32, def: &'p GenDef) -> Symbol {
-        if let Some(n) = self.generic.get(&def.name) {
-            return *n;
+        let key = MemoKey::new(def.name, Vec::new());
+        if let Some(name) = self.cache.get(&key) {
+            return *name;
         }
         let res_name = self.gensym.fresh(&format!("{}-generic", def.name));
-        self.generic.insert(def.name, res_name);
-        self.pending_generic.push_back((def_idx, res_name));
+        self.cache.insert(key, res_name);
+        self.pending.push_back(GPending {
+            def: def_idx,
+            res_name,
+            statics: Vec::new(),
+        });
         res_name
     }
 
-    /// Residualizes a call against the generic version of `def` — the
-    /// graceful-degradation path taken when a recoverable resource limit
-    /// fires at (or downstream of) a guarded top-level call.
-    fn generic_call_step(&mut self, g: u32, args: Vec<GVal<B>>) -> Result<Step<B>, PeError> {
-        let def = self.def_at(g)?;
-        if def.params.len() != args.len() {
-            return Err(PeError::ArityMismatch {
-                name: def.name,
-                expected: def.params.len(),
-                got: args.len(),
-            });
+    /// The generic image's entry: `entry`'s dynamic parameters, and a tail
+    /// call of its generic version on every argument in the division's
+    /// order, the statics as constants.
+    fn emit_stub(
+        &mut self,
+        entry_idx: u32,
+        entry: Symbol,
+        statics: Vec<GVal<B>>,
+    ) -> Result<(), PeError> {
+        let def = self.def_at(entry_idx)?;
+        let (fresh_params, vals) = self.bind_params(def, statics, false)?;
+        let target = self.generic_name(entry_idx, def);
+        let mut trivs = Vec::with_capacity(vals.len());
+        for v in vals {
+            trivs.push(self.triv_of(v)?.triv);
         }
-        let name = self.generic_name(g, def);
-        let mut fv = SymSet::new();
-        let mut trivs = Vec::with_capacity(args.len());
-        for a in args {
-            let r = self.triv_of(a)?;
-            fv.union_with(&r.fv);
-            trivs.push(r.triv);
-        }
-        let serious = self.builder.call_global(&name, trivs);
-        self.deliver_serious(serious, fv)
+        let call = self.builder.call_global(&target, trivs);
+        let body = self.builder.tail(call);
+        self.builder.define(&entry, &fresh_params, body);
+        self.stats.residual_defs += 1;
+        Ok(())
     }
 
     // ----- region completion ---------------------------------------------
@@ -1505,14 +1319,12 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
                     "region completed into an ordinary continuation frame".into(),
                 ));
             }
-            let Some(frame) = self.pop() else {
+            let Some(frame) = self.stack.pop() else {
                 return Ok(Flow::Done(code));
             };
             match frame {
                 Frame::LamB { name, fresh, marks } => {
-                    // Guards armed inside the body expired when it
-                    // completed (the walker's catch frames unwound).
-                    self.close_region(marks);
+                    self.depth = marks.depth;
                     let mut frees = code.fv;
                     frees.retain(|v| !fresh.contains(v));
                     let triv = self
@@ -1531,7 +1343,7 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
                     then_code: None,
                     marks,
                 } => {
-                    self.close_region(marks);
+                    self.depth = marks.depth;
                     let e2 = env.clone();
                     self.stack.push(Frame::IfTail {
                         test,
@@ -1548,7 +1360,7 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
                     marks,
                     ..
                 } => {
-                    self.close_region(marks);
+                    self.depth = marks.depth;
                     let mut fv = test.fv;
                     fv.union_with(&then.fv);
                     fv.union_with(&code.fv);
@@ -1567,7 +1379,7 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
                     state,
                     marks,
                 } => {
-                    self.close_region(marks);
+                    self.depth = marks.depth;
                     match state {
                         JState::JCode => {
                             let jname = self.gensym.fresh("join");
@@ -1628,177 +1440,88 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
         }
     }
 
-    // ----- recovery and the driver ---------------------------------------
+    // ----- work items ----------------------------------------------------
 
-    /// Error recovery, mirroring the walker's nested attempt/catch: pop
-    /// guards innermost-first, restore the recorded continuation, and
-    /// residualize the guarded call against the callee's generic version;
-    /// when no guard remains, fall back at the work-item level (the body
-    /// recompiled generically), at most once per item. Unarmed, the error
-    /// ends the run: [`run_genext`] re-runs it guarded.
-    fn recover(
+    /// Binds `def`'s parameters: a fresh residual variable for each
+    /// dynamic one (each one, with `all_dynamic`), the next of `statics`
+    /// for each static one. Returns the fresh names and the bindings.
+    fn bind_params(
         &mut self,
-        mut e: PeError,
-        def_idx: u32,
-        env: &GEnv<B>,
-        can_fall_back: &mut bool,
-    ) -> Result<Step<B>, PeError> {
-        loop {
-            if !self.armed || !e.is_recoverable() {
-                return Err(e);
-            }
-            if let Some(g) = self.guards.pop() {
-                self.stats.note_fallback(&e);
-                self.restore(&g);
-                self.wraps.truncate(g.wraps_len);
-                self.depth = g.depth;
-                match self.generic_call_step(g.def, g.args) {
-                    Ok(s) => return Ok(s),
-                    Err(e2) => {
-                        e = e2;
-                        continue;
-                    }
-                }
-            }
-            if *can_fall_back {
-                *can_fall_back = false;
-                self.stats.note_fallback(&e);
-                self.stack.clear();
-                self.trail.clear();
-                self.wraps.clear();
-                self.guards.clear();
-                self.depth = 0;
-                self.in_generic = true;
-                let generic_ip = self.def_at(def_idx)?.generic;
-                return Ok(Step::Eval(generic_ip, env.clone()));
-            }
-            return Err(e);
-        }
-    }
-
-    /// Runs one work item — a staged body under `env` — to its residual
-    /// definition and emits it.
-    fn run_to_done(
-        &mut self,
-        def_idx: u32,
-        res_name: Symbol,
-        fresh_params: Vec<Symbol>,
-        env: GEnv<B>,
-        start: u32,
-        drained_generic: bool,
-    ) -> Result<(), PeError> {
-        self.stack.clear();
-        self.trail.clear();
-        self.wraps.clear();
-        self.guards.clear();
-        self.depth = 0;
-        self.in_generic = drained_generic;
-        // Work-item-level fallback is available once, and never while
-        // already emitting a generic body.
-        let mut can_fall_back = self.armed && !drained_generic;
-        let mut state = Step::Eval(start, env.clone());
-        let code = loop {
-            let flow = match state {
-                Step::Eval(ip, e) => self.eval(ip, e),
-                Step::Value(v) => self.value(v).map(Flow::Step),
-                Step::Complete(c) => self.complete(c),
-            };
-            state = match flow {
-                Ok(Flow::Step(s)) => s,
-                Ok(Flow::Done(c)) => break c,
-                Err(e) => self.recover(e, def_idx, &env, &mut can_fall_back)?,
-            };
-        };
-        debug_assert!(
-            code.fv.iter().all(|v| fresh_params.contains(v)),
-            "residual `{res_name}` not closed: free {:?}",
-            code.fv
-        );
-        self.builder.define(&res_name, &fresh_params, code.code);
-        self.stats.residual_defs += 1;
-        if drained_generic {
-            self.stats.generic_defs += 1;
-        }
-        self.in_generic = false;
-        Ok(())
-    }
-
-    fn run_spec_body(
-        &mut self,
-        def_idx: u32,
-        res_name: Symbol,
+        def: &GenDef,
         statics: Vec<GVal<B>>,
-    ) -> Result<(), PeError> {
-        let def = self.def_at(def_idx)?;
+        all_dynamic: bool,
+    ) -> Result<(Vec<Symbol>, Vec<GVal<B>>), PeError> {
         let mut fresh_params = Vec::new();
-        let mut it = statics.into_iter();
+        let mut statics = statics.into_iter();
         let mut vals = Vec::with_capacity(def.params.len());
         for param in &def.params {
-            if param.dynamic {
+            if param.dynamic || all_dynamic {
                 let fresh = self.gensym.fresh(param.name.as_str());
-                let var = self.dyn_val(&fresh);
-                vals.push(var);
+                vals.push(self.dyn_val(&fresh));
                 fresh_params.push(fresh);
             } else {
-                let v = it
+                let v = statics
                     .next()
                     .ok_or_else(|| PeError::Internal("static argument count drift".into()))?;
                 vals.push(v);
             }
         }
+        Ok((fresh_params, vals))
+    }
+
+    /// Runs one work item to its residual definition and emits it: a
+    /// specialization point's body under its statics, or in generic mode a
+    /// generic body with every parameter dynamic.
+    fn run_item(&mut self, item: GPending<B>) -> Result<(), PeError> {
+        let def = self.def_at(item.def)?;
+        let (fresh_params, vals) = self.bind_params(def, item.statics, self.generic)?;
         // One frame for the whole parameter list: a single Arc.
         let env = env_push(&None, vals);
-        self.run_to_done(def_idx, res_name, fresh_params, env, def.body, false)
-    }
-
-    fn run_generic_body(&mut self, def_idx: u32, res_name: Symbol) -> Result<(), PeError> {
-        let def = self.def_at(def_idx)?;
-        let mut fresh_params = Vec::new();
-        let mut vals = Vec::with_capacity(def.params.len());
-        for param in &def.params {
-            let fresh = self.gensym.fresh(param.name.as_str());
-            let var = self.dyn_val(&fresh);
-            vals.push(var);
-            fresh_params.push(fresh);
-        }
-        let env = env_push(&None, vals);
-        self.run_to_done(def_idx, res_name, fresh_params, env, def.generic, true)
-    }
-
-    /// Processes the pending queues: one residual definition per distinct
-    /// specialization point, plus at most one generic definition per
-    /// source function requested by fallbacks.
-    fn drain_pending(&mut self) -> Result<(), PeError> {
-        loop {
-            if let Some(p) = self.pending.pop_front() {
-                self.run_spec_body(p.def, p.res_name, p.statics)?;
-            } else if let Some((def_idx, res_name)) = self.pending_generic.pop_front() {
-                self.run_generic_body(def_idx, res_name)?;
-            } else {
-                return Ok(());
+        self.depth = 0;
+        let mut state = Step::Eval(if self.generic { def.generic } else { def.body }, env);
+        let code = loop {
+            let flow = match state {
+                Step::Eval(ip, e) => self.eval(ip, e)?,
+                Step::Value(v) => Flow::Step(self.value(v)?),
+                Step::Complete(c) => self.complete(c)?,
+            };
+            match flow {
+                Flow::Step(s) => state = s,
+                Flow::Done(c) => break c,
             }
+        };
+        debug_assert!(
+            code.fv.iter().all(|v| fresh_params.contains(v)),
+            "residual `{}` not closed: free {:?}",
+            item.res_name,
+            code.fv
+        );
+        self.builder
+            .define(&item.res_name, &fresh_params, code.code);
+        self.stats.residual_defs += 1;
+        if self.generic {
+            self.stats.generic_defs += 1;
         }
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
-    //! The guard-free first run against the one guarded run it replaces,
-    //! with no walker involved: equal programs and equal stats (or the
-    //! same error) at every limit the sweeps of `tests/genext.rs` cover,
-    //! and exactly one re-run for a first run that hits a recoverable
-    //! limit.
+    //! The generic image against the runs it answers, with no walker
+    //! involved: at every limit the sweeps of `tests/genext.rs` cover, a
+    //! run either finishes on its own, fails with a non-recoverable error,
+    //! or is answered with exactly the generic image, on both backends.
 
     use super::*;
     use crate::stage;
-    use std::cell::Cell;
     use std::time::Duration;
     use two4one_anf::build::SourceBuilder;
     use two4one_bta::{bta_with, Division, Options};
     use two4one_compiler::ObjectBuilder;
     use two4one_langs::grammar;
     use two4one_syntax::acs::{CallPolicy, BT};
-    use two4one_syntax::limits::{CancelToken, Limits};
+    use two4one_syntax::limits::CancelToken;
     use two4one_syntax::stack::with_stack;
 
     struct Workload {
@@ -1942,15 +1665,45 @@ mod tests {
         stage(&bta_with(&p, w.entry, &div, &opts).unwrap()).unwrap()
     }
 
-    /// Runs `w` with the guard-free first run on and off, through both
-    /// backends, and asserts equal programs and equal stats, or the same
-    /// error. A kept re-run is exactly a run that fell back.
-    fn assert_first_run_invisible(w: &Workload, opts: &SpecOptions, ctx: &str) {
-        let ctx = format!("{}/{ctx}", w.name);
-        assert_invisible(&staged(w), w.entry, &w.statics, opts, &ctx);
+    /// Checks one run's outcome: a run with a fallback is exactly the
+    /// generic image (equal program, the image's stats plus the one
+    /// fallback), any other run emitted no generic code, and an error is
+    /// one the fallback does not answer.
+    fn check_answer<P: PartialEq + std::fmt::Debug>(
+        run: Result<(P, SpecStats), PeError>,
+        generic: impl FnOnce() -> (P, SpecStats),
+        opts: &SpecOptions,
+        ctx: &str,
+    ) {
+        match run {
+            Ok((_, stats)) if stats.fallbacks == 0 => {
+                assert_eq!(stats.generic_defs, 0, "[{ctx}] {stats:?}");
+            }
+            Ok((program, stats)) => {
+                assert!(opts.fallback, "[{ctx}] strict run fell back");
+                let (image, mut want) = generic();
+                assert!(program == image, "[{ctx}] not the generic image");
+                assert_eq!(
+                    (stats.fallbacks, stats.unfolds),
+                    (1, 0),
+                    "[{ctx}] {stats:?}"
+                );
+                assert!(stats.fallback_kind.is_some(), "[{ctx}] {stats:?}");
+                want.fallbacks = 1;
+                want.fallback_kind = stats.fallback_kind;
+                assert_eq!(stats, want, "[{ctx}] stats");
+            }
+            Err(e) => assert!(
+                !opts.fallback || !e.is_recoverable(),
+                "[{ctx}] fallback left a recoverable error: {e}"
+            ),
+        }
     }
 
-    fn assert_invisible(
+    /// Runs `prog` under `opts` through both backends (each measures its
+    /// own code size, so the code cap can starve one and not the other)
+    /// and checks each outcome against that backend's generic image.
+    fn assert_answered(
         prog: &GenProgram,
         entry: &str,
         statics: &[Datum],
@@ -1959,27 +1712,42 @@ mod tests {
     ) {
         let entry = Symbol::new(entry);
         let deadline = || opts.limits.deadline();
-        let run_source = |first| {
-            let builder = SourceBuilder::new();
-            run_genext_with(prog, &entry, statics, builder, opts, deadline(), first)
-                .map(|(p, stats)| (p.to_source(), stats))
-        };
-        let run_object = |first| {
-            let builder = ObjectBuilder::new();
-            run_genext_with(prog, &entry, statics, builder, opts, deadline(), first)
-                .map(|(p, stats)| (two4one_vm::encode_image(&p.unwrap()), stats))
-        };
-        let (on, off) = (run_source(true), run_source(false));
-        assert_eq!(on, off, "[{ctx}] source backend");
-        assert_eq!(
-            run_object(true),
-            run_object(false),
-            "[{ctx}] object backend"
+        check_answer(
+            run_genext(
+                prog,
+                &entry,
+                statics,
+                SourceBuilder::new(),
+                opts,
+                deadline(),
+            ),
+            || generic_image(prog, &entry, statics, SourceBuilder::new()).unwrap(),
+            opts,
+            &format!("{ctx}/source"),
         );
-        if let (Ok((_, on)), Ok((_, off))) = (&on, &off) {
-            assert_eq!(on.guarded_rerun, on.fallbacks > 0, "[{ctx}] {on:?}");
-            assert!(!off.guarded_rerun, "[{ctx}] {off:?}");
-        }
+        type Object = <ObjectBuilder as CodeBuilder>::Program;
+        let encode = |(image, stats): (Object, SpecStats)| {
+            (two4one_vm::encode_image(&image.unwrap()), stats)
+        };
+        check_answer(
+            run_genext(
+                prog,
+                &entry,
+                statics,
+                ObjectBuilder::new(),
+                opts,
+                deadline(),
+            )
+            .map(encode),
+            || encode(generic_image(prog, &entry, statics, ObjectBuilder::new()).unwrap()),
+            opts,
+            &format!("{ctx}/object"),
+        );
+    }
+
+    fn assert_workload_answered(w: &Workload, opts: &SpecOptions, ctx: &str) {
+        let ctx = format!("{}/{ctx}", w.name);
+        assert_answered(&staged(w), w.entry, &w.statics, opts, &ctx);
     }
 
     /// Limits with the depth limit off, so each sweep isolates its knob.
@@ -1995,7 +1763,7 @@ mod tests {
     }
 
     #[test]
-    fn first_run_changes_no_output_across_the_limit_sweeps() {
+    fn starved_runs_answer_with_the_generic_image_across_the_limit_sweeps() {
         let mut points = vec![("clean".to_string(), governed(deep()))];
         for fuel in 0..14u64 {
             points.push((
@@ -2021,13 +1789,13 @@ mod tests {
         }
         for w in &programs() {
             for (ctx, opts) in &points {
-                assert_first_run_invisible(w, opts, ctx);
+                assert_workload_answered(w, opts, ctx);
             }
         }
     }
 
     #[test]
-    fn first_run_changes_no_output_on_langs_and_across_depths() {
+    fn starved_runs_answer_with_the_generic_image_on_langs_and_across_depths() {
         with_stack(|| {
             for fuel in [None, Some(0u64), Some(1), Some(3), Some(10), Some(100)] {
                 let limits = match fuel {
@@ -2035,131 +1803,73 @@ mod tests {
                     None => deep(),
                 };
                 for w in &langs() {
-                    assert_first_run_invisible(w, &governed(limits.clone()), &format!("{fuel:?}"));
+                    assert_workload_answered(w, &governed(limits.clone()), &format!("{fuel:?}"));
                 }
             }
             for depth in [1usize, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 377, 987, 2584] {
                 let opts = governed(Limits::default().with_max_depth(depth));
                 for w in programs().iter().chain(&langs()) {
-                    assert_first_run_invisible(w, &opts, &format!("depth={depth}"));
+                    assert_workload_answered(w, &opts, &format!("depth={depth}"));
                 }
             }
         });
     }
 
-    thread_local! {
-        static FRESH_BUILDERS: Cell<usize> = const { Cell::new(0) };
-    }
-
-    /// A source builder that counts the fresh builders `run_genext` makes
-    /// for itself: one per guarded re-run.
-    struct Counted(SourceBuilder);
-
-    impl Default for Counted {
-        fn default() -> Self {
-            FRESH_BUILDERS.with(|n| n.set(n.get() + 1));
-            Counted(SourceBuilder::new())
-        }
-    }
-
-    impl CodeBuilder for Counted {
-        type Triv = <SourceBuilder as CodeBuilder>::Triv;
-        type Serious = <SourceBuilder as CodeBuilder>::Serious;
-        type Code = <SourceBuilder as CodeBuilder>::Code;
-        type Program = <SourceBuilder as CodeBuilder>::Program;
-
-        fn const_(&mut self, d: &Datum) -> Self::Triv {
-            self.0.const_(d)
-        }
-        fn var(&mut self, x: &Symbol) -> Self::Triv {
-            self.0.var(x)
-        }
-        fn global(&mut self, x: &Symbol) -> Self::Triv {
-            self.0.global(x)
-        }
-        fn lambda(
-            &mut self,
-            name: &Symbol,
-            params: &[Symbol],
-            free: &[Symbol],
-            body: Self::Code,
-        ) -> Self::Triv {
-            self.0.lambda(name, params, free, body)
-        }
-        fn call(&mut self, f: Self::Triv, args: Vec<Self::Triv>) -> Self::Serious {
-            self.0.call(f, args)
-        }
-        fn call_global(&mut self, g: &Symbol, args: Vec<Self::Triv>) -> Self::Serious {
-            self.0.call_global(g, args)
-        }
-        fn prim(&mut self, p: Prim, args: Vec<Self::Triv>) -> Self::Serious {
-            self.0.prim(p, args)
-        }
-        fn ret(&mut self, t: Self::Triv) -> Self::Code {
-            self.0.ret(t)
-        }
-        fn tail(&mut self, s: Self::Serious) -> Self::Code {
-            self.0.tail(s)
-        }
-        fn let_serious(&mut self, x: &Symbol, rhs: Self::Serious, body: Self::Code) -> Self::Code {
-            self.0.let_serious(x, rhs, body)
-        }
-        fn let_triv(&mut self, x: &Symbol, rhs: Self::Triv, body: Self::Code) -> Self::Code {
-            self.0.let_triv(x, rhs, body)
-        }
-        fn if_(&mut self, t: Self::Triv, then: Self::Code, els: Self::Code) -> Self::Code {
-            self.0.if_(t, then, els)
-        }
-        fn join(
-            &mut self,
-            j: &Symbol,
-            r: &Symbol,
-            jbody: Self::Code,
-            body: Self::Code,
-        ) -> Self::Code {
-            self.0.join(j, r, jbody, body)
-        }
-        fn define(&mut self, name: &Symbol, params: &[Symbol], body: Self::Code) {
-            self.0.define(name, params, body)
-        }
-        fn finish(self, entry: &Symbol) -> Self::Program {
-            self.0.finish(entry)
-        }
-        fn code_size(&self) -> usize {
-            self.0.code_size()
-        }
-    }
-
-    /// Runs `prog` through [`run_genext`] and counts its guarded re-runs.
-    fn reruns(
-        prog: &GenProgram,
-        entry: &str,
-        statics: &[Datum],
-        opts: &SpecOptions,
-        deadline: Deadline,
-    ) -> (Result<SpecStats, PeError>, usize) {
-        FRESH_BUILDERS.with(|n| n.set(0));
-        let builder = Counted(SourceBuilder::new());
-        let r = run_genext(prog, &Symbol::new(entry), statics, builder, opts, deadline);
-        (r.map(|(_, stats)| stats), FRESH_BUILDERS.with(Cell::get))
-    }
-
-    fn workload_reruns(
+    fn run_source(
         w: &Workload,
         opts: &SpecOptions,
         deadline: Deadline,
-    ) -> (Result<SpecStats, PeError>, usize) {
-        reruns(&staged(w), w.entry, &w.statics, opts, deadline)
+    ) -> Result<(String, SpecStats), PeError> {
+        let entry = Symbol::new(w.entry);
+        let builder = SourceBuilder::new();
+        run_genext(&staged(w), &entry, &w.statics, builder, opts, deadline)
+            .map(|(p, stats)| (p.to_source(), stats))
+    }
+
+    fn generic_source(w: &Workload) -> String {
+        let entry = Symbol::new(w.entry);
+        let (p, _) = generic_image(&staged(w), &entry, &w.statics, SourceBuilder::new()).unwrap();
+        p.to_source()
     }
 
     #[test]
-    fn a_recoverable_limit_costs_exactly_one_guarded_rerun() {
+    fn the_generic_image_is_a_stub_over_generic_versions() {
+        // Kleene's s-m-n: the entry keeps its dynamic parameters and passes
+        // the statics, as constants, to the generic version of itself.
+        let ws = programs();
+        let text = generic_source(&ws[0]);
+        assert_eq!(
+            text,
+            "(define (power x%0) (power-generic%1 x%0 9))\n\n\
+             (define (power-generic%1 x%2 n%3)\n  \
+             (let ((t%4 (= n%3 0)))\n    (if t%4\n      1\n      \
+             (let ((t%5 (- n%3 1)))\n        \
+             (let ((t%6 (power-generic%1 x%2 t%5))) (* x%2 t%6))))))\n",
+        );
+        // Every function reference lifts to a generic version, one per
+        // function however often it is referenced.
+        let text = generic_source(&ws[2]);
+        for g in [
+            "main-generic",
+            "apply-n-generic",
+            "inc-generic",
+            "dbl-generic",
+        ] {
+            assert_eq!(
+                text.matches(&format!("(define ({g}")).count(),
+                1,
+                "{g}: {text}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_recoverable_limit_is_answered_with_the_generic_image() {
         let ws = programs();
         let (power, memoized) = (&ws[0], &ws[2]);
         let unlimited = Deadline::unlimited;
-        let (clean, n) = workload_reruns(power, &SpecOptions::new(), unlimited());
-        assert_eq!(n, 0, "a clean fill never re-runs");
-        assert!(!clean.unwrap().guarded_rerun);
+        let (_, clean) = run_source(power, &SpecOptions::new(), unlimited()).unwrap();
+        assert_eq!((clean.fallbacks, clean.generic_defs), (0, 0), "{clean:?}");
         let expired = || Deadline::start(Some(Duration::ZERO));
         let starved = [
             (
@@ -2183,32 +1893,31 @@ mod tests {
             (power, deep(), expired(), LimitKind::Deadline),
         ];
         for (w, limits, deadline, kind) in starved {
-            let (stats, n) = workload_reruns(w, &governed(limits), deadline);
-            let stats = stats.unwrap();
-            assert_eq!(n, 1, "{kind:?}: {stats:?}");
-            assert!(stats.guarded_rerun, "{kind:?}: {stats:?}");
+            let (text, stats) = run_source(w, &governed(limits), deadline).unwrap();
+            assert_eq!(text, generic_source(w), "{kind:?}");
             assert_eq!(stats.fallback_kind, Some(kind), "{stats:?}");
+            assert_eq!(stats.fallbacks, 1, "{stats:?}");
+            assert!(stats.degraded(), "{stats:?}");
         }
     }
 
     #[test]
     fn a_non_recoverable_error_ends_the_first_run() {
+        // No generic image answers these, fallback or not.
         let ws = programs();
         let power = &ws[0];
         let shallow = governed(Limits::default().with_max_depth(3));
-        let (r, n) = workload_reruns(power, &shallow, Deadline::unlimited());
+        let r = run_source(power, &shallow, Deadline::unlimited());
         assert!(matches!(r, Err(PeError::DepthLimit { .. })), "{r:?}");
-        assert_eq!(n, 0);
 
         let token = CancelToken::new();
         token.cancel();
         let cancelled = Deadline::unlimited().with_cancel(token);
-        let (r, n) = workload_reruns(power, &SpecOptions::new(), cancelled);
-        let kind = match r {
+        let kind = match run_source(power, &SpecOptions::new(), cancelled) {
             Err(PeError::Limit(l)) => l.kind,
             other => panic!("expected a cancellation, got {other:?}"),
         };
-        assert_eq!((kind, n), (LimitKind::Cancelled, 0));
+        assert_eq!(kind, LimitKind::Cancelled);
 
         let arity = program(
             "static-arity",
@@ -2218,9 +1927,8 @@ mod tests {
             vec![Datum::Int(1)],
             &[],
         );
-        let (r, n) = workload_reruns(&arity, &SpecOptions::new(), Deadline::unlimited());
+        let r = run_source(&arity, &SpecOptions::new(), Deadline::unlimited());
         assert!(matches!(r, Err(PeError::ArityMismatch { .. })), "{r:?}");
-        assert_eq!(n, 0);
     }
 
     #[test]
@@ -2228,9 +1936,9 @@ mod tests {
         // `(define (f s d) (d f))` with `s` static: `f` escapes into a
         // dynamic call while its division keeps `s` static. The BTA never
         // emits this (it raises an escaping function's parameters), so
-        // the annotation is built by hand. Fallback semantics reference
-        // the generic version of `f`. The first run keeps those
-        // semantics, so this needs no re-run; strict mode refuses it.
+        // the annotation is built by hand. A specialization run refuses
+        // it as a binding-time error, fallback or not; the generic image,
+        // which ignores the division, lifts `f` to its generic version.
         use two4one_syntax::acs::{ADef, AExpr, AParam, AProgram};
         let [f, s, d] = ["f", "s", "d"].map(Symbol::new);
         let param = |name, bt| AParam { name, bt };
@@ -2248,26 +1956,18 @@ mod tests {
         };
         let prog = stage(&aprog).unwrap();
         let statics = [Datum::Int(1)];
-        let (stats, n) = reruns(
-            &prog,
-            "f",
-            &statics,
-            &SpecOptions::new(),
-            Deadline::unlimited(),
-        );
-        let stats = stats.unwrap();
-        assert_eq!(n, 0);
-        assert!(!stats.guarded_rerun);
-        assert_eq!((stats.fallbacks, stats.generic_defs), (0, 1), "{stats:?}");
-        let run = |opts: &SpecOptions| {
+        for opts in [SpecOptions::new(), SpecOptions::strict(Limits::default())] {
             let deadline = Deadline::unlimited();
-            run_genext(&prog, &f, &statics, SourceBuilder::new(), opts, deadline)
-        };
-        let (residual, _) = run(&SpecOptions::new()).unwrap();
+            let r = run_genext(&prog, &f, &statics, SourceBuilder::new(), &opts, deadline);
+            assert!(matches!(r, Err(PeError::Internal(_))), "{r:?}");
+        }
+        let (residual, stats) = generic_image(&prog, &f, &statics, SourceBuilder::new()).unwrap();
         let text = residual.to_source();
-        assert!(text.contains("f-generic"), "{text}");
-        assert_invisible(&prog, "f", &statics, &SpecOptions::new(), "escaping");
-        let strict = run(&SpecOptions::strict(Limits::default()));
-        assert!(matches!(strict, Err(PeError::Internal(_))), "{strict:?}");
+        assert_eq!(
+            text,
+            "(define (f d%0) (f-generic%1 1 d%0))\n\n\
+             (define (f-generic%1 s%2 d%3) (d%3 f-generic%1))\n",
+        );
+        assert_eq!((stats.fallbacks, stats.generic_defs), (0, 1), "{stats:?}");
     }
 }

@@ -4,8 +4,8 @@
 //! Scheme, built around an explicit **staged-code IR**
 //! ([`GenProgram`](two4one_vm::GenProgram)): the annotated source is first
 //! *staged* ([`stage`]) into a flat instruction array — variables resolved
-//! to lexical addresses, globals to definition indices, generic fallback
-//! bodies pre-compiled — and specialization proper then executes that IR.
+//! to lexical addresses, globals to definition indices, generic bodies
+//! pre-compiled — and specialization proper then executes that IR.
 //! Two consumers exist:
 //!
 //! * the **gen-ext machine** ([`genrun`]) — the staged IR run as bytecode
@@ -29,6 +29,15 @@
 //! functions marked [`CallPolicy::Memoize`](two4one_syntax::acs::CallPolicy::Memoize) are residualized; each distinct
 //! tuple of static argument values produces one residual definition, driven
 //! from a pending queue so cross-function work does not nest.
+//!
+//! Every fallback has one answer, the **generic image**
+//! ([`generic_image`]): Kleene's s-m-n specialization, a stub that passes
+//! the statics as constants to the generic version of the entry, plus the
+//! generic version of every definition reachable from it. With everything
+//! dynamic, generation is compilation (the paper's Fig. 8), so the image
+//! is correct under any division. A run that hits a recoverable limit
+//! answers with it, in both engines, and a serving layer can ask for it
+//! directly.
 
 pub mod engine;
 pub mod genrun;
@@ -36,7 +45,7 @@ pub mod staged;
 pub mod walk;
 
 pub use engine::SpecStats;
-pub use genrun::run_genext;
+pub use genrun::{generic_image, run_genext};
 pub use staged::stage;
 pub use walk::specialize_staged;
 
@@ -86,17 +95,18 @@ pub fn specialize<B: CodeBuilder + Default>(
 /// [`Limits::code_cap`] bounds emitted residual code, and
 /// [`Limits::timeout`] bounds wall-clock time.
 ///
-/// `fallback` selects what happens when a *recoverable* limit is hit at a
-/// call: with `true` (the default) the specializer degrades gracefully,
-/// residualizing the call against a generically-compiled (all-dynamic)
-/// version of the callee; with `false` it aborts with the corresponding
-/// [`PeError`], which is useful in tests and when a limit overrun should
-/// be loud.
+/// `fallback` selects what happens when a *recoverable* limit is hit
+/// ([`PeError::is_recoverable`]): with `true` (the default) the run is
+/// dropped and the answer is the [`generic_image`] of the request, correct
+/// by construction and built under no limit; with `false` the run aborts
+/// with the corresponding [`PeError`], which is useful in tests and when a
+/// limit overrun should be loud.
 #[derive(Debug, Clone)]
 pub struct SpecOptions {
     /// Resource limits (see [`Limits`]).
     pub limits: Limits,
-    /// Degrade gracefully at recoverable limits instead of aborting.
+    /// Answer with the generic image at recoverable limits instead of
+    /// aborting.
     pub fallback: bool,
 }
 
@@ -182,11 +192,10 @@ pub enum PeError {
 }
 
 impl PeError {
-    /// True for limit overruns the specializer can recover from at a
-    /// top-level call boundary by residualizing the call against a
-    /// generically-compiled version of the callee: unfold fuel, the memo
-    /// cap, the code cap, and the deadline. Depth overruns (Rust-stack
-    /// exhaustion) and genuine specialization errors are not recoverable.
+    /// True for limit overruns the specializer recovers from by answering
+    /// with the [`generic_image`] (see [`SpecOptions::fallback`]): unfold
+    /// fuel, the memo cap, the code cap, and the deadline. Depth overruns,
+    /// cancellation and genuine specialization errors are not recoverable.
     pub fn is_recoverable(&self) -> bool {
         match self {
             PeError::UnfoldLimit(_) => true,

@@ -4,10 +4,10 @@
 //! [`AProgram`] that resolves every variable to a lexical `(up, idx)`
 //! address or a definition index, flattens the tree into the instruction
 //! array of [`GenProgram`], and pre-stages each definition's *generic*
-//! (all-dynamic) body so graceful fallback at run time needs no
-//! re-staging. The result is consumed by both [`crate::walk`] (the
-//! interpretive reference) and [`crate::genrun`] (the compiled gen-ext
-//! machine).
+//! (all-dynamic) body, from which [`crate::genrun::generic_image`] emits
+//! the generic image of a request with no re-staging. The result is
+//! consumed by both [`crate::walk`] (the interpretive reference) and
+//! [`crate::genrun`] (the compiled gen-ext machine).
 //!
 //! # Scope resolution
 //!
@@ -260,7 +260,8 @@ impl Stager {
 /// Strips every binding-time annotation down to its dynamic form. The
 /// result specializes in one structural pass (no unfolding, no static
 /// evaluation) to residual code equivalent to the unspecialized source —
-/// the "generically compiled" fallback version of the paper's terminology.
+/// the "generically compiled" version of the paper's terminology, of
+/// which generic images are made.
 fn generize(e: &AExpr) -> AExpr {
     fn garc(e: &AExpr) -> Arc<AExpr> {
         Arc::new(generize(e))

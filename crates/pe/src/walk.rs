@@ -15,15 +15,21 @@
 //! *serious* computation is named by a `let` with a fresh variable the
 //! moment it is emitted, and dynamic conditionals get a join point in
 //! non-tail position instead of duplicating their continuation.
+//!
+//! The walker has no fallback of its own: a walk that hits a recoverable
+//! limit under [`SpecOptions::fallback`] is dropped, and the answer is the
+//! generic image the gen-ext machine emits for both engines
+//! ([`crate::genrun::generic_image`]).
 
 use crate::engine::{MemoKey, RCode, Resid, SpecStats, StaticKey};
+use crate::genrun::{answer, entry_index};
 use crate::{PeError, SpecOptions};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use two4one_anf::build::CodeBuilder;
 use two4one_interp::env::Env;
 use two4one_syntax::datum::Datum;
-use two4one_syntax::limits::{Deadline, LimitExceeded, LimitKind};
+use two4one_syntax::limits::{Deadline, LimitExceeded, LimitKind, Limits};
 use two4one_syntax::prim::Prim;
 use two4one_syntax::symbol::{Gensym, Symbol};
 use two4one_syntax::symset::SymSet;
@@ -106,10 +112,6 @@ pub struct Spec<'p, B: CodeBuilder> {
     gensym: Gensym,
     cache: HashMap<MemoKey, Symbol>,
     pending: VecDeque<Pending<B>>,
-    /// Per source function: the name of its generic (all-dynamic) residual
-    /// version, if one has been requested by a fallback.
-    generic: HashMap<Symbol, Symbol>,
-    pending_generic: VecDeque<(u32, Symbol)>,
     fuel: u64,
     depth: usize,
     max_depth: usize,
@@ -117,12 +119,6 @@ pub struct Spec<'p, B: CodeBuilder> {
     code_cap: usize,
     deadline: Deadline,
     ticks: u64,
-    /// Degrade gracefully at recoverable limits (see [`SpecOptions`]).
-    fallback: bool,
-    /// True while emitting a generic fallback body. Generic emission does
-    /// no unfolding and is linear in the source, so resource checks are
-    /// suspended — the escape hatch must be allowed to finish.
-    in_generic: bool,
     /// Counters.
     pub stats: SpecStats,
 }
@@ -133,12 +129,17 @@ pub struct Spec<'p, B: CodeBuilder> {
 ///
 /// `static_args` are matched positionally against the *static* parameters
 /// of the entry's division; its dynamic parameters become the parameters
-/// of the residual entry definition (which keeps the entry's name).
+/// of the residual entry definition (which keeps the entry's name). With
+/// `options.fallback` on, a walk that hits a recoverable limit is dropped
+/// and the answer is the generic image, exactly as [`run_genext`]
+/// answers.
+///
+/// [`run_genext`]: crate::genrun::run_genext
 ///
 /// # Errors
 ///
 /// See [`PeError`].
-pub fn specialize_staged<B: CodeBuilder>(
+pub fn specialize_staged<B: CodeBuilder + Default>(
     prog: &GenProgram,
     entry: &Symbol,
     static_args: &[Datum],
@@ -146,25 +147,27 @@ pub fn specialize_staged<B: CodeBuilder>(
     options: &SpecOptions,
     deadline: Deadline,
 ) -> Result<(B::Program, SpecStats), PeError> {
-    let entry_idx = prog.lookup(entry).ok_or(PeError::NoSuchFunction(*entry))?;
-    let def = &prog.defs[entry_idx as usize];
-    let n_static = def.params.iter().filter(|p| !p.dynamic).count();
-    if n_static != static_args.len() {
-        return Err(PeError::StaticArgCount {
-            entry: *entry,
-            expected: n_static,
-            got: static_args.len(),
-        });
-    }
-    let limits = &options.limits;
+    let run = walk(prog, entry, static_args, builder, &options.limits, deadline);
+    answer::<B>(run, prog, entry, static_args, options)
+}
+
+/// One walk from the entry: its body, then every pending specialization
+/// point.
+fn walk<B: CodeBuilder>(
+    prog: &GenProgram,
+    entry: &Symbol,
+    static_args: &[Datum],
+    builder: B,
+    limits: &Limits,
+    deadline: Deadline,
+) -> Result<(B::Program, SpecStats), PeError> {
+    let def = entry_index(prog, entry, static_args)?;
     let mut spec = Spec {
         prog,
         builder,
         gensym: Gensym::new(),
         cache: HashMap::new(),
         pending: VecDeque::new(),
-        generic: HashMap::new(),
-        pending_generic: VecDeque::new(),
         fuel: limits.unfold_fuel.unwrap_or(u64::MAX),
         depth: 0,
         max_depth: limits.max_depth.unwrap_or(usize::MAX),
@@ -172,45 +175,15 @@ pub fn specialize_staged<B: CodeBuilder>(
         code_cap: limits.code_cap.unwrap_or(usize::MAX),
         deadline,
         ticks: 0,
-        fallback: options.fallback,
-        in_generic: false,
         stats: SpecStats::default(),
     };
-    let mut fresh_params = Vec::new();
-    let mut statics = static_args.iter();
-    let mut binds = Vec::with_capacity(def.params.len());
-    for p in &def.params {
-        if p.dynamic {
-            let fresh = spec.gensym.fresh(p.name.as_str());
-            binds.push((p.name, spec.dyn_var(&fresh)));
-            fresh_params.push(fresh);
-        } else {
-            let d = statics
-                .next()
-                .ok_or_else(|| PeError::Internal("static argument count drift".into()))?;
-            binds.push((p.name, SVal::Data(d.clone())));
-        }
-    }
-    // One frame for the whole parameter list: a single Arc.
-    let env = PEnv::<B>::empty().extend_many(binds);
-    let body = match spec.spec(def.body, &env, Kont::Tail) {
-        Ok(b) => b,
-        Err(e) if spec.fallback && e.is_recoverable() => {
-            spec.stats.note_fallback(&e);
-            spec.spec_generic_body(def, &env)?
-        }
-        Err(e) => return Err(e),
-    };
-    debug_assert!(
-        body.fv.iter().all(|v| fresh_params.contains(v)),
-        "residual entry body not closed: free {:?}",
-        body.fv
-    );
-    spec.builder.define(entry, &fresh_params, body.code);
-    spec.stats.residual_defs += 1;
+    spec.spec_pending(Pending {
+        def,
+        res_name: *entry,
+        statics: static_args.iter().map(|d| SVal::Data(d.clone())).collect(),
+    })?;
     spec.drain_pending()?;
-    let stats = spec.stats.clone();
-    Ok((spec.builder.finish(entry), stats))
+    Ok((spec.builder.finish(entry), spec.stats))
 }
 
 impl<'p, B: CodeBuilder + 'p> Spec<'p, B> {
@@ -275,33 +248,16 @@ impl<'p, B: CodeBuilder + 'p> Spec<'p, B> {
 
     /// Lifting a top-level function reference: reference the all-dynamic
     /// residual version of the function.
-    ///
-    /// With fallback enabled, a function that still has static parameters
-    /// (which happens inside generic fallback bodies, where the
-    /// binding-time division no longer applies) or whose all-dynamic
-    /// version cannot be scheduled because the memo cache is full is
-    /// redirected to its *generic* version instead.
     fn lift_fnref(&mut self, g: u32) -> Result<Resid<B::Triv>, PeError> {
         let def = self.def(g)?;
         if def.params.iter().any(|p| !p.dynamic) {
-            if self.fallback {
-                let name = self.generic_name(g, def);
-                return Ok(self.global_ref(&name));
-            }
             return Err(PeError::Internal(format!(
                 "function `{}` escapes into dynamic context but still has \
                  static parameters",
                 def.name
             )));
         }
-        let name = match self.memo_name(g, def, Vec::new(), Vec::new()) {
-            Ok(n) => n,
-            Err(e) if self.fallback && e.is_recoverable() => {
-                self.stats.note_fallback(&e);
-                self.generic_name(g, def)
-            }
-            Err(e) => return Err(e),
-        };
+        let name = self.memo_name(g, def, Vec::new(), Vec::new())?;
         Ok(self.global_ref(&name))
     }
 
@@ -429,11 +385,9 @@ impl<'p, B: CodeBuilder + 'p> Spec<'p, B> {
                 unfolds: self.stats.unfolds,
             });
         }
-        if !self.in_generic {
-            if let Err(l) = self.deadline.check_every(&mut self.ticks, 4096) {
-                self.depth -= 1;
-                return Err(PeError::Limit(l));
-            }
+        if let Err(l) = self.deadline.check_every(&mut self.ticks, 4096) {
+            self.depth -= 1;
+            return Err(PeError::Limit(l));
         }
         let result = self.spec_inner(ip, env, k);
         self.depth -= 1;
@@ -736,28 +690,11 @@ impl<'p, B: CodeBuilder + 'p> Spec<'p, B> {
             }
             SVal::FnRef(g) => {
                 let def = self.def(g)?;
-                // A top-level call is a *recoverable* position: if a
-                // resource limit fires while processing it (or anywhere
-                // downstream, since the continuation is woven into the
-                // callee's specialization), the call is residualized
-                // against the generic version of the callee instead.
-                let saved = if self.fallback {
-                    Some((args.clone(), k.clone()))
-                } else {
-                    None
-                };
-                let attempt = if def.memoize {
+                if def.memoize {
                     self.memo_call(g, def, args, k)
                 } else {
                     let params: Vec<Symbol> = def.params.iter().map(|p| p.name).collect();
                     self.unfold(&def.name, &params, def.body, PEnv::empty(), args, k)
-                };
-                match (attempt, saved) {
-                    (Err(e), Some((args, k))) if e.is_recoverable() => {
-                        self.stats.note_fallback(&e);
-                        self.generic_call(g, def, args, &k)
-                    }
-                    (r, _) => r,
                 }
             }
             SVal::Dyn(r) => {
@@ -840,13 +777,8 @@ impl<'p, B: CodeBuilder + 'p> Spec<'p, B> {
     // ----- resource checks ----------------------------------------------
 
     /// Limit checks performed at every call: wall-clock deadline and
-    /// emitted-code cap. Both are recoverable at a call boundary.
-    /// Suspended while emitting a generic fallback body, which must be
-    /// allowed to finish (it is linear in the source program).
+    /// emitted-code cap. Both are recoverable.
     fn check_call_limits(&self) -> Result<(), PeError> {
-        if self.in_generic {
-            return Ok(());
-        }
         self.deadline.check().map_err(PeError::Limit)?;
         if self.builder.code_size() > self.code_cap {
             return Err(PeError::Limit(LimitExceeded {
@@ -953,19 +885,13 @@ impl<'p, B: CodeBuilder + 'p> Spec<'p, B> {
         self.deliver_serious(&k, serious, fv)
     }
 
-    /// Processes the pending queues: one residual definition per distinct
-    /// specialization point, plus at most one generic definition per
-    /// source function requested by fallbacks.
+    /// Processes the pending queue: one residual definition per distinct
+    /// specialization point.
     fn drain_pending(&mut self) -> Result<(), PeError> {
-        loop {
-            if let Some(p) = self.pending.pop_front() {
-                self.spec_pending(p)?;
-            } else if let Some((def_idx, res_name)) = self.pending_generic.pop_front() {
-                self.spec_generic(def_idx, &res_name)?;
-            } else {
-                return Ok(());
-            }
+        while let Some(p) = self.pending.pop_front() {
+            self.spec_pending(p)?;
         }
+        Ok(())
     }
 
     fn spec_pending(&mut self, p: Pending<B>) -> Result<(), PeError> {
@@ -987,14 +913,7 @@ impl<'p, B: CodeBuilder + 'p> Spec<'p, B> {
             }
         }
         let env = PEnv::<B>::empty().extend_many(binds);
-        let body = match self.spec(def.body, &env, Kont::Tail) {
-            Ok(b) => b,
-            Err(e) if self.fallback && e.is_recoverable() => {
-                self.stats.note_fallback(&e);
-                self.spec_generic_body(def, &env)?
-            }
-            Err(e) => return Err(e),
-        };
+        let body = self.spec(def.body, &env, Kont::Tail)?;
         debug_assert!(
             body.fv.iter().all(|v| fresh_params.contains(v)),
             "residual `{}` not closed: free {:?}",
@@ -1003,92 +922,6 @@ impl<'p, B: CodeBuilder + 'p> Spec<'p, B> {
         );
         self.builder.define(&p.res_name, &fresh_params, body.code);
         self.stats.residual_defs += 1;
-        Ok(())
-    }
-
-    // ----- graceful fallback --------------------------------------------
-
-    /// Returns the name of the generic (all-dynamic) residual version of
-    /// `def`, scheduling its emission if this is the first request. At
-    /// most one generic version exists per source function, so fallback
-    /// cannot itself grow without bound.
-    fn generic_name(&mut self, def_idx: u32, def: &'p GenDef) -> Symbol {
-        if let Some(n) = self.generic.get(&def.name) {
-            return *n;
-        }
-        let res_name = self.gensym.fresh(&format!("{}-generic", def.name));
-        self.generic.insert(def.name, res_name);
-        self.pending_generic.push_back((def_idx, res_name));
-        res_name
-    }
-
-    /// Residualizes a call against the generic version of `def` — the
-    /// graceful-degradation path taken when a recoverable resource limit
-    /// fires at (or downstream of) a top-level call. All arguments,
-    /// static ones included, are lifted to residual trivials and passed
-    /// at run time.
-    fn generic_call(
-        &mut self,
-        def_idx: u32,
-        def: &'p GenDef,
-        args: Vec<SVal<B>>,
-        k: &Kont<'p, B>,
-    ) -> Result<RCode<B>, PeError> {
-        if def.params.len() != args.len() {
-            return Err(PeError::ArityMismatch {
-                name: def.name,
-                expected: def.params.len(),
-                got: args.len(),
-            });
-        }
-        let name = self.generic_name(def_idx, def);
-        let mut fv = SymSet::new();
-        let mut trivs = Vec::with_capacity(args.len());
-        for a in args {
-            let r = self.triv_of(a)?;
-            fv.union_with(&r.fv);
-            trivs.push(r.triv);
-        }
-        let serious = self.builder.call_global(&name, trivs);
-        self.deliver_serious(k, serious, fv)
-    }
-
-    /// Emits the generic body of `def` under `env`. The stager has
-    /// already staged the all-dynamic version of every definition body
-    /// (at [`GenDef::generic`]), so specialization degenerates to a
-    /// single structural pass that residualizes everything — equivalent
-    /// to compiling the source unspecialized. Static values already in
-    /// `env` are lifted to constants at their use sites.
-    fn spec_generic_body(&mut self, def: &'p GenDef, env: &PEnv<B>) -> Result<RCode<B>, PeError> {
-        let was = self.in_generic;
-        self.in_generic = true;
-        let r = self.spec(def.generic, env, Kont::Tail);
-        self.in_generic = was;
-        r
-    }
-
-    /// Emits one scheduled generic definition: all parameters dynamic,
-    /// body fully residualized.
-    fn spec_generic(&mut self, def_idx: u32, res_name: &Symbol) -> Result<(), PeError> {
-        let def = self.def(def_idx)?;
-        let mut fresh_params = Vec::new();
-        let mut binds = Vec::with_capacity(def.params.len());
-        for param in &def.params {
-            let fresh = self.gensym.fresh(param.name.as_str());
-            let var = self.dyn_var(&fresh);
-            binds.push((param.name, var));
-            fresh_params.push(fresh);
-        }
-        let env = PEnv::<B>::empty().extend_many(binds);
-        let body = self.spec_generic_body(def, &env)?;
-        debug_assert!(
-            body.fv.iter().all(|v| fresh_params.contains(v)),
-            "generic `{res_name}` not closed: free {:?}",
-            body.fv
-        );
-        self.builder.define(res_name, &fresh_params, body.code);
-        self.stats.residual_defs += 1;
-        self.stats.generic_defs += 1;
         Ok(())
     }
 }

@@ -1,13 +1,16 @@
 //! Walker / gen-ext machine equivalence: both consumers of the staged IR
 //! must produce **bit-identical** residual programs and equal stats — on
-//! clean runs, across graceful-fallback limit sweeps, and in strict mode
-//! (where they must fail with the same typed error).
+//! clean runs, across limit sweeps whose starved runs both engines answer
+//! with the one generic image, and in strict mode (where they must fail
+//! with the same typed error).
 //!
 //! The machine is the only specializer requests run; the walker is the
 //! reference semantics it is held to. Besides hand-written programs, the
 //! sweeps cover what the serving layer actually specializes: the paper's
 //! MIXWELL and LAZY interpreters under the compilation division, and the
-//! grammar matcher on the adversarial grammars.
+//! grammar matcher on the adversarial grammars. On those, every fuel must
+//! also give a residual program that computes what the unspecialized
+//! program computes.
 
 use two4one_anf::build::SourceBuilder;
 use two4one_bta::{bta_with, Division, Options};
@@ -19,9 +22,11 @@ use two4one_syntax::datum::Datum;
 use two4one_syntax::limits::Limits;
 use two4one_syntax::stack::with_stack;
 use two4one_syntax::symbol::Symbol;
+use two4one_vm::{Machine, Value};
 
-/// A workload: source text, entry, division, static arguments, and
-/// optional call-policy overrides.
+/// A workload: source text, entry, division, static arguments, optional
+/// call-policy overrides, and inputs to run its residual programs on
+/// (each the one dynamic argument of the entry).
 struct Workload {
     name: &'static str,
     src: String,
@@ -29,6 +34,7 @@ struct Workload {
     div: Vec<BT>,
     statics: Vec<Datum>,
     policies: Vec<(&'static str, CallPolicy)>,
+    inputs: Vec<Datum>,
 }
 
 impl Workload {
@@ -50,6 +56,7 @@ impl Workload {
             div,
             statics,
             policies: policies.collect(),
+            inputs: Vec::new(),
         }
     }
 }
@@ -125,8 +132,11 @@ fn workloads() -> Vec<Workload> {
 /// What the serving layer specializes: the paper's interpreters over
 /// their Sec. 7 static programs under the compilation division (program
 /// static, input dynamic), and the grammar matcher on each adversarial
-/// grammar (grammar embedded, input dynamic).
+/// grammar (grammar embedded, input dynamic). Each grammar runs on the
+/// last 33 characters of the suite's accepted and rejected inputs, which
+/// keep their verdicts.
 fn langs_workloads() -> Vec<Workload> {
+    let int_list = |ns: &[i64]| Datum::list(ns.iter().map(|n| Datum::Int(*n)));
     let mut out = vec![
         Workload {
             name: "mixwell",
@@ -135,6 +145,7 @@ fn langs_workloads() -> Vec<Workload> {
             div: vec![BT::Static, BT::Dynamic],
             statics: vec![two4one_langs::mixwell_program()],
             policies: two4one_langs::mixwell_policies(),
+            inputs: vec![int_list(&[20]), int_list(&[3])],
         },
         Workload {
             name: "lazy",
@@ -143,10 +154,12 @@ fn langs_workloads() -> Vec<Workload> {
             div: vec![BT::Static, BT::Dynamic],
             statics: vec![two4one_langs::lazy_program()],
             policies: two4one_langs::lazy_policies(),
+            inputs: vec![int_list(&[3, 4]), int_list(&[2, 3])],
         },
     ];
-    for (name, text, _, _) in grammar::adversarial_suite() {
+    for (name, text, accept, reject) in grammar::adversarial_suite() {
         let g = grammar::parse(text).unwrap();
+        let tail = |s: &str| grammar::input_datum(&s[s.len() - 33..]);
         out.push(Workload {
             name,
             src: grammar::workload_source(&g),
@@ -154,6 +167,7 @@ fn langs_workloads() -> Vec<Workload> {
             div: vec![BT::Dynamic],
             statics: vec![],
             policies: grammar::grammar_policies(),
+            inputs: vec![tail(&accept), tail(&reject)],
         });
     }
     out
@@ -278,8 +292,8 @@ fn engines_agree_on_clean_runs() {
 
 #[test]
 fn engines_agree_across_unfold_fuel_sweep() {
-    // Every fuel value from starvation to plenty: exercises guard replay,
-    // generic fallback bodies, and fallback-kind classification.
+    // Every fuel value from starvation to plenty: exercises the generic
+    // image and fallback-kind classification.
     for fuel in 0..14u64 {
         let opts = SpecOptions {
             limits: deep_limits().with_unfold_fuel(fuel),
@@ -381,22 +395,75 @@ fn engines_agree_on_langs_clean_runs() {
     });
 }
 
+/// Runs `w`'s residual programs from the gen-ext machine under `opts`,
+/// on both builders, and asserts that each computes on every input what
+/// the unspecialized program computes on the statics and that input.
+fn assert_computes_the_interpreted_value(w: &Workload, opts: &SpecOptions, ctx: &str) {
+    let program = two4one_frontend::frontend(&w.src).unwrap();
+    let staged = stage(&annotate(w)).unwrap();
+    let entry = Symbol::new(w.entry);
+    let deadline = || opts.limits.deadline();
+    let source = run_genext(
+        &staged,
+        &entry,
+        &w.statics,
+        SourceBuilder::new(),
+        opts,
+        deadline(),
+    );
+    let residual = source.unwrap().0.to_cs();
+    let object = run_genext(
+        &staged,
+        &entry,
+        &w.statics,
+        ObjectBuilder::new(),
+        opts,
+        deadline(),
+    );
+    let image = object.unwrap().0.unwrap();
+    for input in &w.inputs {
+        let mut statics = w.statics.iter();
+        let args: Vec<Datum> = w
+            .div
+            .iter()
+            .map(|bt| match bt {
+                BT::Static => statics.next().unwrap().clone(),
+                BT::Dynamic => input.clone(),
+            })
+            .collect();
+        let (want, _) = two4one_interp::run_program(&program, w.entry, &args).unwrap();
+        let want = want.to_datum();
+        let ctx = format!("{}/{ctx}/input {input}", w.name);
+        let (got, _) = two4one_interp::run_program(&residual, w.entry, std::slice::from_ref(input))
+            .unwrap_or_else(|e| panic!("[{ctx}] residual source: {e}"));
+        assert_eq!(got.to_datum(), want, "[{ctx}] residual source");
+        let got = Machine::load(&image)
+            .call_global(&entry, vec![Value::from(input)])
+            .unwrap_or_else(|e| panic!("[{ctx}] residual object: {e:?}"));
+        assert_eq!(got.to_datum(), want, "[{ctx}] residual object");
+    }
+}
+
 #[test]
 fn engines_agree_on_langs_across_unfold_fuel_sweep() {
-    // Fuel 0 is the generic-image recipe of Tier-0 fills and the breaker
-    // fallback; the rest starve the interpreters part way. Some of these
-    // runs fail with the same typed error in both engines (a memoized
-    // call reached from generic fallback code gets a dynamic argument for
-    // a static parameter), which is a shared defect of the fallback, not
-    // a drift between the engines — equivalence is what this checks.
+    // Fuel 0 starves the first unfold; the rest starve the interpreters
+    // part way. Every fuel must answer: both engines with the same
+    // residual program, on both builders, and that program with the
+    // unspecialized program's value.
     with_stack(|| {
-        for fuel in [0u64, 1, 3, 10, 100] {
+        for fuel in [0u64, 1, 2, 3, 5, 10, 20, 50, 100, 200] {
             let opts = SpecOptions {
                 limits: deep_limits().with_unfold_fuel(fuel),
                 fallback: true,
             };
             for w in &langs_workloads() {
-                assert_equivalent(w, &opts, &format!("fuel={fuel}"));
+                let ctx = format!("fuel={fuel}");
+                assert!(
+                    assert_equivalent(w, &opts, &ctx),
+                    "[{}/{ctx}] no residual program",
+                    w.name
+                );
+                assert_computes_the_interpreted_value(w, &opts, &ctx);
             }
         }
     });
@@ -420,13 +487,11 @@ fn engines_agree_across_depth_sweep() {
     });
 }
 
-/// Non-tail static recursion thousands of calls deep, so a fuel that runs
-/// out mid-descent leaves thousands of frames and armed guards below the
-/// failing call. In `deep-replay` every twentieth level applies a closure
-/// to the recursive call's result; once fuel is gone that unfold fails
-/// too, so recovery restores the deeper guards one by one, each time
-/// rebuilding up to twenty levels of popped frames on top of a stack
-/// thousands of frames deep. (Its static test doubles the walker's Rust
+/// Non-tail static recursion thousands of calls deep: a clean run nests
+/// thousands of continuation frames, and a fuel that runs out mid-descent
+/// drops a run thousands of frames deep for the generic image. In
+/// `deep-replay` every twentieth level also applies a closure to the
+/// recursive call's result. (Its static test doubles the walker's Rust
 /// stack per level, hence the smaller `n`.)
 fn deep_workloads() -> Vec<Workload> {
     vec![
@@ -455,7 +520,7 @@ fn deep_workloads() -> Vec<Workload> {
 }
 
 #[test]
-fn engines_agree_on_deep_guarded_reruns() {
+fn engines_agree_on_deep_starved_runs() {
     with_stack(|| {
         for fuel in [None, Some(1_000u64), Some(2_500), Some(4_999)] {
             let limits = match fuel {

@@ -1168,7 +1168,7 @@ impl SpecService {
             self.stats.breaker_open.inc();
             obs::event(obs::EventKind::BreakerOpen);
             let (core, ext, statics) = (self.core.clone(), ext.clone(), statics.to_vec());
-            return on_stack(move || core.generic_image(&ext, &statics, None))
+            return on_stack(move || core.generic_image(&ext, &statics))
                 .map(|(image, stats)| new_outcome(image, stats))
                 .map_err(|e| ServeError::BreakerOpen(e.to_string()));
         }
@@ -1259,7 +1259,7 @@ impl SpecService {
                             (hook.0)();
                         }
                         if tier0 {
-                            core.generic_image(&ext, &statics, token.as_ref())
+                            core.generic_image(&ext, &statics)
                         } else {
                             core.fill(&ext, &statics, token.as_ref(), REQUEST_RETRIES)
                         }
@@ -1455,26 +1455,19 @@ impl Core {
         result
     }
 
-    /// The generic image of a request: generic compilation with no
-    /// unfolding — zero unfold fuel under the fallback regime, i.e. every
-    /// reachable definition compiled as-is. Linear in the source program
-    /// and deterministic, so the Tier-0 fill (which caches it, pending
-    /// promotion) and the breaker fallback (which never caches it)
-    /// produce bit-identical images for one request. Not a specializer
-    /// fill: it moves neither `spec_runs` nor `degraded` (a generic image
-    /// is degraded by construction; counting it would drown the real
-    /// signal).
-    fn generic_image(
-        &self,
-        ext: &GenExt,
-        statics: &[Datum],
-        token: Option<&CancelToken>,
-    ) -> Result<(Image, SpecStats), Error> {
+    /// The generic image of a request ([`GenExt::generic_object`]):
+    /// Kleene's s-m-n specialization, every reachable definition compiled
+    /// as-is behind a stub that passes the statics. It runs no
+    /// specializer, is correct under any division, is linear in the source
+    /// program and deterministic, so the Tier-0 fill (which caches it,
+    /// pending promotion) and the breaker fallback (which never caches it)
+    /// produce bit-identical images for one request, the image a starved
+    /// fill would answer with. Not a specializer fill: it moves neither
+    /// `spec_runs` nor `degraded` (a generic image is degraded by
+    /// construction; counting it would drown the real signal).
+    fn generic_image(&self, ext: &GenExt, statics: &[Datum]) -> Result<(Image, SpecStats), Error> {
         self.stage(ext)?;
-        let mut options = ext.options().clone();
-        options.limits.unfold_fuel = Some(0);
-        options.fallback = true;
-        ext.specialize_object_governed(statics, &options, token)
+        ext.generic_object(statics)
     }
 
     /// The one way a finished result enters the cache — a request's fill,

@@ -155,7 +155,6 @@ fn parse_record(payload: &[u8]) -> Result<SnapRecord<'_>, ObjError> {
         fallbacks: r.u64()?,
         generic_defs: r.u64()?,
         fallback_kind: kind_from_tag(r.u8()?)?,
-        guarded_rerun: false,
     };
     let image_len = r.u32()? as usize;
     let image = decode_image(r.take(image_len)?)?;

@@ -8,7 +8,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use two4one::{CancelToken, Datum, Division, Pgg, BT};
+use two4one::{CallPolicy, CancelToken, Datum, Division, LimitKind, Pgg, BT};
+use two4one_langs as langs;
 use two4one_server::{BreakerPolicy, FillHook, ServeConfig, ServeError, SpecRequest, SpecService};
 use two4one_testkit::faults::{corrupt, PanicPlan};
 use two4one_testkit::rng::Rng;
@@ -1655,20 +1656,23 @@ fn tier0_first_response_is_bit_identical_to_generic_fallback() {
     assert_eq!(tier.tier0_served, 1);
     assert_eq!(stats.spec_runs, 0, "requester must not pay the specializer");
 
-    // Tier-0 uses the breaker's fallback recipe verbatim: the same
-    // generating extension run with zero unfold fuel and graceful
-    // fallback on. Encoding both images proves bit-identity.
-    let mut generic_options = ext.options().clone();
-    generic_options.limits.unfold_fuel = Some(0);
-    generic_options.fallback = true;
-    let (generic_image, _) = ext
-        .specialize_object_governed(&int(5), &generic_options, None)
-        .expect("generic specialize");
-    assert_eq!(
-        two4one::encode_image(&cold.image),
-        two4one::encode_image(&generic_image),
-        "Tier-0 image must be bit-identical to the generic fallback"
-    );
+    // Tier-0 serves the generic image the breaker serves, and the one a
+    // starved run falls back to: here a run at zero unfold fuel with
+    // fallback on. Encoding the images proves bit-identity.
+    let (generic_image, _) = ext.generic_object(&int(5)).expect("generic image");
+    let mut starved_options = ext.options().clone();
+    starved_options.limits.unfold_fuel = Some(0);
+    starved_options.fallback = true;
+    let (starved_image, _) = ext
+        .specialize_object_governed(&int(5), &starved_options, None)
+        .expect("starved specialize");
+    for image in [&generic_image, &starved_image] {
+        assert_eq!(
+            two4one::encode_image(&cold.image),
+            two4one::encode_image(image),
+            "Tier-0 image must be bit-identical to the generic fallback"
+        );
+    }
 
     // And the generic residual still computes the right answers.
     let out = two4one::run_image(&cold.image, cold.image.entry.as_str(), &int(2))
@@ -1894,7 +1898,8 @@ fn starved_promotion_climbs_the_ladder_in_one_job() {
 fn promotion_that_stays_starved_keeps_its_last_image() {
     // power^200 needs 201 unfoldings; fuel 1 escalated to ×64 still
     // starves. The promotion spends all three re-runs, then swaps in the
-    // last (×64) image: degraded, but better than generic, and final.
+    // last run's answer, which is the generic image the requester already
+    // had — now final, and still correct.
     let service = SpecService::with_config(tier0_config(1, 1));
     let ext = power_ext(&Pgg::new().unfold_fuel(1));
     let cold = service.specialize(&ext, &int(200)).expect("tier0 cold");
@@ -1912,13 +1917,22 @@ fn promotion_that_stays_starved_keeps_its_last_image() {
     assert_eq!(stats.spec_runs, 1);
 
     let kept = service.specialize(&ext, &int(200)).expect("promoted hit");
-    assert!(!Arc::ptr_eq(&cold.image, &kept.image));
-    assert!(kept.stats.degraded());
-    assert_eq!(kept.stats.unfolds, 64, "the ×64 run is the one kept");
+    assert!(!Arc::ptr_eq(&cold.image, &kept.image), "never swapped");
+    assert_eq!(
+        two4one::encode_image(&kept.image),
+        two4one::encode_image(&cold.image),
+        "the kept image is not the generic image"
+    );
+    assert_eq!(kept.stats.fallback_kind, Some(LimitKind::UnfoldFuel));
+    assert_eq!((kept.stats.fallbacks, kept.stats.unfolds), (1, 0));
     for (x, want) in [(1, 1), (-1, 1), (0, 0)] {
         let out = two4one::run_image(&kept.image, kept.image.entry.as_str(), &int(x))
             .expect("run starved residual");
         assert_eq!(out.value, Datum::Int(want), "x = {x}");
+    }
+    for _ in 0..2 {
+        let again = service.specialize(&ext, &int(200)).expect("final hit");
+        assert!(Arc::ptr_eq(&kept.image, &again.image));
     }
     assert_eq!(service.tier_stats().promotions, 1);
     assert_eq!(
@@ -1926,6 +1940,88 @@ fn promotion_that_stays_starved_keeps_its_last_image() {
         1,
         "a final entry is not re-promoted"
     );
+}
+
+/// MIXWELL or LAZY under its explicit call policies (program static, input
+/// dynamic), with the interpreter's value on `args`.
+fn interpreter_case(
+    src: &str,
+    entry: &str,
+    policies: Vec<(&str, CallPolicy)>,
+    program: Datum,
+    args: Datum,
+) -> (two4one::GenExt, Datum) {
+    let pgg = policies
+        .iter()
+        .fold(Pgg::new(), |p, (name, pol)| p.policy(name, *pol));
+    let p = pgg.parse(src).expect("parse interpreter");
+    let ext = pgg
+        .cogen(&p, entry, &Division::new([BT::Static, BT::Dynamic]))
+        .expect("cogen interpreter");
+    let want = two4one::interpret(&p, entry, &[program, args])
+        .expect("interpret")
+        .value;
+    (ext, want)
+}
+
+#[test]
+fn generic_routes_serve_mixwell_and_lazy_with_the_interpreted_value() {
+    // Tier-0 first touch and an open breaker answer with the generic
+    // image, which ignores the division and so cannot feed residual code
+    // to a static parameter of `mw-call` or `lz-call`.
+    two4one::with_stack(|| {
+        let ints = |ns: &[i64]| Datum::list(ns.iter().map(|n| Datum::Int(*n)));
+        let cases = [
+            (
+                langs::MIXWELL_INTERP,
+                "mixwell-run",
+                langs::mixwell_policies(),
+                langs::mixwell_program(),
+                ints(&[20]),
+            ),
+            (
+                langs::LAZY_INTERP,
+                "lazy-run",
+                langs::lazy_policies(),
+                langs::lazy_program(),
+                ints(&[3, 4]),
+            ),
+        ];
+        for (src, entry, policies, program, args) in cases {
+            let (ext, want) = interpreter_case(src, entry, policies, program.clone(), args.clone());
+            let run = |outcome: &SpecOutcome| {
+                two4one::run_image(&outcome.image, entry, std::slice::from_ref(&args))
+                    .expect("run generic image")
+                    .value
+            };
+
+            let tiered = SpecService::with_config(tier0_config(u64::MAX, 1));
+            let first = tiered
+                .specialize(&ext, std::slice::from_ref(&program))
+                .unwrap_or_else(|e| panic!("{entry}: Tier-0 first touch: {e}"));
+            assert_eq!(tiered.tier_stats().tier0_served, 1, "{entry}");
+            assert_eq!(run(&first), want, "{entry}: Tier-0 image");
+
+            let tripped = SpecService::with_config(ServeConfig {
+                breaker: BreakerPolicy {
+                    threshold: 1,
+                    cooldown: Duration::from_secs(600),
+                },
+                ..ServeConfig::default()
+            });
+            let bad = [program.clone(), Datum::Nil]; // one static too many
+            let err = tripped.specialize(&ext, &bad).expect_err("static count");
+            assert!(matches!(err, ServeError::Spec(_)), "{entry}: {err}");
+            let runs_before = tripped.stats().spec_runs;
+            let fallback = tripped
+                .specialize(&ext, std::slice::from_ref(&program))
+                .unwrap_or_else(|e| panic!("{entry}: open breaker: {e}"));
+            let stats = tripped.stats();
+            assert_eq!(stats.breaker_open, 1, "{entry}");
+            assert_eq!(stats.spec_runs, runs_before, "{entry}: ran the specializer");
+            assert_eq!(run(&fallback), want, "{entry}: breaker image");
+        }
+    });
 }
 
 #[test]

@@ -6,6 +6,7 @@
 //! specializer.
 
 use crate::datum::Datum;
+use std::fmt::Write as _;
 
 /// Default line width used by [`pretty`].
 pub const DEFAULT_WIDTH: usize = 78;
@@ -56,9 +57,44 @@ fn special_head_count(head: &str) -> Option<usize> {
     }
 }
 
+/// A sink that refuses to grow past `room` bytes, so rendering a datum
+/// into it stops as soon as the datum is known not to fit.
+struct Bounded {
+    text: String,
+    room: usize,
+}
+
+impl std::fmt::Write for Bounded {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        if self.text.len() + s.len() > self.room {
+            return Err(std::fmt::Error);
+        }
+        self.text.push_str(s);
+        Ok(())
+    }
+}
+
+/// The flat rendering of `d` if it fits in `room` bytes. Costs at most
+/// `room` bytes of rendering however large `d` is, so deciding the fit at
+/// every nesting level stays linear in the output.
+fn flat_within(d: &Datum, room: usize) -> Option<String> {
+    let mut sink = Bounded {
+        text: String::new(),
+        room,
+    };
+    write!(sink, "{d}").ok()?;
+    Some(sink.text)
+}
+
 fn write_datum(out: &mut String, d: &Datum, indent: usize, width: usize) {
-    let flat = d.to_string();
-    if indent + flat.len() <= width || !d.is_pair() {
+    if !d.is_pair() {
+        let _ = write!(out, "{d}");
+        return;
+    }
+    if let Some(flat) = width
+        .checked_sub(indent)
+        .and_then(|room| flat_within(d, room))
+    {
         out.push_str(&flat);
         return;
     }
@@ -70,7 +106,7 @@ fn write_datum(out: &mut String, d: &Datum, indent: usize, width: usize) {
         it.tail().is_nil()
     };
     if !proper || items.is_empty() {
-        out.push_str(&flat);
+        let _ = write!(out, "{d}");
         return;
     }
     let head_sym = items[0].as_sym().map(|s| s.as_str().to_string());
@@ -141,5 +177,24 @@ mod tests {
     fn improper_tails_survive() {
         let d = read_one("(a b . c)").unwrap();
         assert_eq!(read_one(&pretty(&d, 2)).unwrap(), d);
+    }
+
+    #[test]
+    fn deep_nests_print_and_read_back() {
+        // Thousands of levels: deciding each level's fit renders at most a
+        // line's worth of the subtree below it, not the whole subtree.
+        crate::stack::with_stack(|| {
+            let depth = 4_000;
+            let mut src = String::new();
+            for i in 0..depth {
+                src.push_str(&format!("(let ((t{i} (f x))) "));
+            }
+            src.push('x');
+            src.push_str(&")".repeat(depth));
+            let d = read_one(&src).unwrap();
+            let text = pretty(&d, DEFAULT_WIDTH);
+            assert_eq!(text.lines().count(), depth + 1);
+            assert_eq!(read_one(&text).unwrap(), d);
+        });
     }
 }

@@ -9,7 +9,7 @@
 //! runs with fuel; a case where any engine times out is skipped — the
 //! properties quantify over the *decidable* cases.
 
-use two4one::{compile, with_stack_size, Datum, Image, Interp, Machine, Symbol};
+use two4one::{compile, with_stack_size, Datum, Image, Interp, Machine, Symbol, BT};
 use two4one_testkit::{gen_datum, gen_sketch, program_from_sketch, Rng, Sketch};
 
 // The tree-walking interpreter nests a Rust frame per non-tail call, so
@@ -153,6 +153,89 @@ fn check_all_dynamic_pe(m: Sketch, g: Sketch, a: i64, b: i64) -> Result<(), Stri
     })
 }
 
+/// The divisions of `main`'s two parameters: SS, SD, DS and DD.
+const DIVISIONS: [[BT; 2]; 4] = [
+    [BT::Static, BT::Static],
+    [BT::Static, BT::Dynamic],
+    [BT::Dynamic, BT::Static],
+    [BT::Dynamic, BT::Dynamic],
+];
+
+/// Unfold fuels from none to the test budget: every starved run is
+/// answered with the generic image.
+const DIVISION_FUELS: [u64; 4] = [0, 1, 3, PE_FUEL];
+
+/// The partial-evaluation equation under every division of `main`: the
+/// generic image (the core call a Tier-0 first touch and an open breaker
+/// make) always computes what the program computes, and a specialization
+/// with fallback on never leaves a recoverable limit unanswered and
+/// computes it too whenever it returns an image.
+fn check_static_divisions(m: Sketch, g: Sketch, a: i64, b: i64) -> Result<(), String> {
+    with_stack_size(2 * 1024 * 1024 * 1024, move || {
+        let p = program_from_sketch(&m, &g);
+        let args = [Datum::Int(a), Datum::Int(b)];
+        let expect = run_interp(&p, &args);
+        if expect == Outcome::Timeout {
+            return Ok(());
+        }
+        for div in DIVISIONS {
+            let name: String = div
+                .iter()
+                .map(|bt| if *bt == BT::Static { 'S' } else { 'D' })
+                .collect();
+            let (statics, dynamics): (Vec<_>, Vec<_>) = div
+                .iter()
+                .zip(&args)
+                .partition(|(bt, _)| **bt == BT::Static);
+            let statics: Vec<Datum> = statics.into_iter().map(|(_, d)| d.clone()).collect();
+            let dynamics: Vec<Datum> = dynamics.into_iter().map(|(_, d)| d.clone()).collect();
+            let genext = match two4one::Pgg::new().cogen(&p, "main", &two4one::Division::new(div)) {
+                Ok(genext) => genext,
+                // The analysis refuses a division whose static parameter
+                // it has to make dynamic; nothing to specialize.
+                Err(two4one::Error::Bta(_)) => continue,
+                Err(e) => return Err(format!("{name}: cogen: {e}")),
+            };
+            let (image, _) = genext
+                .generic_object(&statics)
+                .map_err(|e| format!("{name}: generic image: {e}"))?;
+            agree(
+                &format!("{name} generic image"),
+                &expect,
+                &run_vm(&image, &dynamics),
+            )?;
+            for fuel in DIVISION_FUELS {
+                let ctx = format!("{name} fuel={fuel}");
+                // The depth budget stops a statically divergent unfolding
+                // long before the fuel runs out.
+                let limits = two4one::Limits::default()
+                    .with_unfold_fuel(fuel)
+                    .with_max_depth(30_000);
+                let options = two4one::SpecOptions {
+                    limits,
+                    fallback: true,
+                };
+                match genext.with_options(options).specialize_object(&statics) {
+                    Ok(image) => agree(&ctx, &expect, &run_vm(&image, &dynamics))?,
+                    Err(two4one::Error::Pe(e)) if e.is_recoverable() => {
+                        return Err(format!("{ctx}: fallback left a recoverable error: {e}"))
+                    }
+                    // Speculative static evaluation may fault where the
+                    // program faults at run time.
+                    Err(e) => {
+                        if !matches!(expect, Outcome::Fault | Outcome::Timeout) {
+                            return Err(format!(
+                                "{ctx}: specializer failed ({e}) on a healthy program"
+                            ));
+                        }
+                    }
+                }
+            }
+        }
+        Ok(())
+    })
+}
+
 #[test]
 fn interpreter_and_vm_agree_on_random_programs() {
     for seed in 0..CASES {
@@ -178,6 +261,16 @@ fn all_dynamic_specialization_preserves_semantics() {
     for seed in 0..CASES {
         let (m, g, a, b) = gen_case(seed);
         if let Err(e) = check_all_dynamic_pe(m, g, a / 3, b / 3) {
+            panic!("seed {seed}: {e}");
+        }
+    }
+}
+
+#[test]
+fn static_divisions_preserve_semantics_on_every_generic_route() {
+    for seed in 0..CASES {
+        let (m, g, a, b) = gen_case(seed);
+        if let Err(e) = check_static_divisions(m, g, a / 3, b / 3) {
             panic!("seed {seed}: {e}");
         }
     }
