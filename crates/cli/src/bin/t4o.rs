@@ -701,8 +701,7 @@ fn report_results(
     let mut degraded = false;
     let mut failures = 0usize;
     for (i, (result, req)) in results.iter().zip(requests).enumerate() {
-        let rendered: Vec<String> = req.statics.iter().map(Datum::to_string).collect();
-        let rendered = rendered.join(" ");
+        let rendered = req.statics.to_string();
         match result {
             Ok(outcome) => {
                 degraded |= outcome.stats.degraded();

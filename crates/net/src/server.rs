@@ -29,9 +29,9 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use two4one::{encode_image, obs, reader, CancelToken, Division, Limits, Pgg, BT};
+use two4one::{encode_image, obs, CancelToken, Division, Limits, Pgg, BT};
 use two4one_langs::grammar as langs_grammar;
-use two4one_server::{ServeError, SpecRequest, SpecService};
+use two4one_server::{ServeError, SpecRequest, SpecService, Statics};
 
 use crate::http;
 use crate::json::{self, Json};
@@ -755,8 +755,8 @@ fn admit_tenant(inner: &ServerInner, token: &str) -> Result<Option<TenantGuard>,
 }
 
 /// The shared specialize path behind both protocols: tenant admission,
-/// static parsing, a per-request cancel child, the service call, and the
-/// error mapping.
+/// scanning the statics, a per-request cancel child, the service call,
+/// and the error mapping.
 fn spec_call(
     inner: &Arc<ServerInner>,
     watch: &Arc<ConnWatch>,
@@ -768,12 +768,14 @@ fn spec_call(
 ) -> Result<(u8, Payload), WireError> {
     // The guard holds the tenant's quota slot for the whole call.
     let _tenant = admit_tenant(inner, token)?;
-    let statics =
-        reader::read_all_with(statics_text, &Limits::default()).map_err(|e| WireError {
-            code: 400,
-            retry_after_ms: 0,
-            message: format!("bad statics: {e}"),
-        })?;
+    // The statics are scanned straight to the cache key's bytes: a hit
+    // builds no data, and a miss decodes them on its fill thread, so this
+    // thread's stack never holds more than the scan's loop.
+    let statics = Statics::scan(statics_text, &Limits::default()).map_err(|e| WireError {
+        code: 400,
+        retry_after_ms: 0,
+        message: format!("bad statics: {e}"),
+    })?;
     // The service arms the deadline on the token it is handed, and a
     // token's expiry is first-call-wins — so every request gets a fresh
     // child of the connection token: client disconnect (parent) still

@@ -462,6 +462,151 @@ fn http_endpoints_serve_health_metrics_stats_and_spec() {
     assert!(snap.requests_http >= 8);
 }
 
+// ---- statics off the socket ---------------------------------------------
+
+const PAIRQ: &str = "(define (f s d) (if (pair? s) d 0))";
+const PICK: &str = "(define (pick s d) (if (symbol? s) 'sym 'int))";
+
+/// A service with `f` (`PAIRQ`) and `pick` (`PICK`) registered under `SD`.
+fn sd_service() -> Arc<SpecService> {
+    let service = Arc::new(SpecService::new());
+    let pgg = Pgg::new();
+    for (name, src) in [("f", PAIRQ), ("pick", PICK)] {
+        let program = pgg.parse(src).expect("parse");
+        let ext = pgg
+            .cogen(&program, name, &Division::new([BT::Static, BT::Dynamic]))
+            .expect("cogen");
+        service.register(name, &ext);
+    }
+    service
+}
+
+/// A deadline with room for a debug build to scan, decode and specialize
+/// statics of hundreds of kilobytes.
+fn roomy_config() -> NetConfig {
+    NetConfig {
+        request_deadline: Duration::from_secs(60),
+        ..NetConfig::default()
+    }
+}
+
+/// Sends one HTTP request with `Connection: close` and returns the status
+/// line and the raw body.
+fn http_raw(server: &NetServer, body: &str) -> (String, Vec<u8>) {
+    let mut stream = connect(server);
+    let req = format!(
+        "POST /spec HTTP/1.1\r\nHost: t\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    stream.write_all(req.as_bytes()).expect("send");
+    let mut out = Vec::new();
+    stream.read_to_end(&mut out).expect("read");
+    let end = out
+        .windows(4)
+        .position(|w| w == b"\r\n\r\n")
+        .expect("response head");
+    let head = String::from_utf8_lossy(&out[..end]).into_owned();
+    let status = head.lines().next().unwrap_or_default().to_string();
+    (status, out[end + 4..].to_vec())
+}
+
+#[test]
+fn statics_too_deep_or_long_for_a_default_stack_get_answers() {
+    // Both used to overflow the connection thread's 2 MiB stack and abort
+    // the process: 10,000 nested lists (20 KB) while being read, the list
+    // (0 1 ... 99999) (589 KB) while being dropped.
+    let server = NetServer::bind(sd_service(), roomy_config()).expect("bind");
+    let nested = format!("{}{}", "(".repeat(10_000), ")".repeat(10_000));
+    let numbers: Vec<String> = (0..100_000).map(|i| i.to_string()).collect();
+    let flat = format!("({})", numbers.join(" "));
+    for (what, text) in [("nested", &nested), ("flat", &flat)] {
+        let mut conn = connect(&server);
+        let resp = exchange(
+            &mut conn,
+            wire::REQ_SPEC,
+            &spec_frame("f", text, wire::WANT_META),
+        );
+        if resp.ftype != wire::RESP_META {
+            assert_eq!(resp.ftype, wire::RESP_ERROR, "{what}");
+            let err = WireError::decode(&resp.payload).expect("decode error");
+            assert_eq!(err.code, 400, "{what}: {}", err.message);
+        }
+        let normal = exchange(
+            &mut conn,
+            wire::REQ_SPEC,
+            &spec_frame("f", "(1 2)", wire::WANT_META),
+        );
+        assert_eq!(normal.ftype, wire::RESP_META, "{what}");
+
+        let (status, body) = http_raw(&server, &format!(r#"{{"name": "f", "statics": "{text}"}}"#));
+        assert!(
+            status.starts_with("HTTP/1.1 200") || status.starts_with("HTTP/1.1 400"),
+            "{what}: {status} {}",
+            String::from_utf8_lossy(&body)
+        );
+        let (status, _) = http_raw(&server, r#"{"name": "f", "statics": "(1 2)"}"#);
+        assert!(status.starts_with("HTTP/1.1 200"), "{what}: {status}");
+    }
+    let snap = server.shutdown();
+    assert_eq!(snap.worker_panics, 0);
+}
+
+/// What the residual `pick` in a `.t4o` answers.
+fn picked(object: &[u8]) -> two4one::Datum {
+    let image = two4one::decode_image(object).expect("decode .t4o");
+    run_image(&image, image.entry.as_str(), &[two4one::Datum::Int(0)])
+        .expect("run pick")
+        .value
+}
+
+#[test]
+fn statics_that_print_alike_answer_apart_over_both_protocols() {
+    // An in-process request for the symbol `12` and a wire request for
+    // the text `12`, which reads as the integer, print alike; each gets
+    // its own answer, in either order and after a snapshot and restore.
+    let sym = || vec![two4one::Datum::sym("12")];
+    let answer = |name: &str| two4one::Datum::sym(name);
+    let served = sd_service();
+    served.specialize_named("pick", &sym()).expect("sym");
+    let snapshot = served.snapshot_bytes();
+    for case in ["sym first", "wire first", "restored"] {
+        let service = sd_service();
+        if case == "restored" {
+            assert_eq!(service.restore_bytes(&snapshot).restored, 1);
+        }
+        let in_process = || {
+            let outcome = service.specialize_named("pick", &sym()).expect("sym");
+            let out = run_image(
+                &outcome.image,
+                outcome.image.entry.as_str(),
+                &[two4one::Datum::Int(0)],
+            );
+            out.expect("run pick").value
+        };
+        if case == "sym first" {
+            assert_eq!(in_process(), answer("sym"));
+        }
+        let server = NetServer::bind(service.clone(), roomy_config()).expect("bind");
+        let mut conn = connect(&server);
+        let obj = exchange(
+            &mut conn,
+            wire::REQ_SPEC,
+            &spec_frame("pick", "12", wire::WANT_OBJECT),
+        );
+        assert_eq!(obj.ftype, wire::RESP_OBJECT, "{case}");
+        assert_eq!(picked(&obj.payload), answer("int"), "{case}: binary");
+        let (status, body) = http_raw(
+            &server,
+            r#"{"name": "pick", "statics": "12", "want": "object"}"#,
+        );
+        assert!(status.starts_with("HTTP/1.1 200"), "{case}: {status}");
+        assert_eq!(picked(&body), answer("int"), "{case}: HTTP");
+        assert_eq!(in_process(), answer("sym"), "{case}");
+        drop(conn);
+        server.shutdown();
+    }
+}
+
 // ---- tenants -----------------------------------------------------------
 
 #[test]

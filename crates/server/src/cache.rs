@@ -3,10 +3,10 @@
 //! Layout: `shards` independent hash maps, each behind its own mutex, so
 //! concurrent requests for different keys proceed without contention.
 //! A shard is picked by the key's 64-bit digest; *within* a shard the map
-//! is keyed by the **full** key (rendered program, entry, rendered static
-//! arguments), so two different programs whose digests happen to collide
-//! can never alias each other's residual code — the digest is a routing
-//! and hashing accelerator, never an identity.
+//! is keyed by the **full** key (rendered program, entry, the canonical
+//! bytes of the static arguments), so two different programs whose
+//! digests happen to collide can never alias each other's residual code —
+//! the digest is a routing and hashing accelerator, never an identity.
 //!
 //! Each occupied slot is either `Ready` (a finished result plus LRU
 //! bookkeeping) or `InFlight` (a single-flight rendezvous: the first
@@ -30,7 +30,8 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// Ends each part of a key digest: a byte UTF-8 text never contains, so
-/// `("ab","c")` and `("a","bc")` digest apart.
+/// `("ab","c")` and `("a","bc")` digest apart. (The statics are not text,
+/// but their canonical bytes delimit themselves.)
 const SEP: &[u8] = &[0xff];
 
 /// Continues the FNV-1a state `h` over one key part and its separator.
@@ -51,7 +52,8 @@ pub(crate) struct Key {
     pub(crate) program_digest: u64,
     pub(crate) program: Arc<str>,
     pub(crate) entry: Arc<str>,
-    pub(crate) statics: Arc<str>,
+    /// The canonical bytes of the static arguments ([`crate::Statics`]).
+    pub(crate) statics: Arc<[u8]>,
     /// Invalidation backedge: the logical registry name and epoch this
     /// result was specialized under, or `None` for anonymous requests
     /// (callers holding a raw [`two4one::GenExt`]). Part of identity —
@@ -64,16 +66,16 @@ impl Key {
     /// The key of `statics` for `entry` of the program with identity
     /// `program`, whose text the key shares and whose digest it continues
     /// from: only the entry and the statics are hashed here.
-    pub(crate) fn new(program: &CacheIdentity, entry: &str, statics: &str) -> Self {
+    pub(crate) fn new(program: &CacheIdentity, entry: &str, statics: Arc<[u8]>) -> Self {
         // The identity's digest covers its text; one separator after it
         // makes `program_digest` the digest of the parts (program, entry).
         let program_digest = digest_part(fnv1a(program.digest(), SEP), entry.as_bytes());
         Key {
-            digest: digest_part(program_digest, statics.as_bytes()),
+            digest: digest_part(program_digest, &statics),
             program_digest,
             program: program.text().clone(),
             entry: Arc::from(entry),
-            statics: Arc::from(statics),
+            statics,
             backedge: None,
         }
     }
@@ -87,7 +89,7 @@ impl Key {
         epoch: Epoch,
         program: &CacheIdentity,
         entry: &str,
-        statics: &str,
+        statics: Arc<[u8]>,
     ) -> Self {
         let mut key = Key::new(program, entry, statics);
         key.digest = digest_part(
@@ -355,9 +357,16 @@ mod tests {
         entry
     }
 
-    /// An anonymous key for a program identity rendered as `program`.
+    /// The key bytes of the statics in `text`.
+    fn bytes(text: &str) -> Arc<[u8]> {
+        let statics = crate::Statics::scan(text, &two4one::Limits::none()).expect("statics scan");
+        statics.bytes().clone()
+    }
+
+    /// An anonymous key for a program identity rendered as `program`,
+    /// with the statics in `statics`.
     fn anon(program: &str, entry: &str, statics: &str) -> Key {
-        Key::new(&CacheIdentity::new(program), entry, statics)
+        Key::new(&CacheIdentity::new(program), entry, bytes(statics))
     }
 
     #[test]
@@ -372,18 +381,30 @@ mod tests {
     #[test]
     fn keys_share_the_identity_text_and_continue_its_digest() {
         let identity = CacheIdentity::new("(define (f x) x)");
-        let key = Key::new(&identity, "f", "(1)");
+        let key = Key::new(&identity, "f", bytes("(1)"));
         assert!(Arc::ptr_eq(&key.program, identity.text()));
         // The same digests as hashing every part, identity included.
-        let full = |parts: &[&str]| {
+        let full = |parts: &[&[u8]]| {
             parts
                 .iter()
                 .fold(two4one_syntax::symbol::FNV1A_BASIS, |h, p| {
-                    digest_part(h, p.as_bytes())
+                    digest_part(h, p)
                 })
         };
-        assert_eq!(key.program_digest, full(&["(define (f x) x)", "f"]));
-        assert_eq!(key.digest, full(&["(define (f x) x)", "f", "(1)"]));
+        let (text, entry) = (b"(define (f x) x)".as_slice(), b"f".as_slice());
+        assert_eq!(key.program_digest, full(&[text, entry]));
+        assert_eq!(key.digest, full(&[text, entry, &bytes("(1)")]));
+    }
+
+    #[test]
+    fn statics_that_print_alike_are_different_keys() {
+        let identity = CacheIdentity::new("(define (pick s d) s)");
+        let sym = crate::Statics::encode(&[two4one::Datum::sym("12")]);
+        let int = crate::Statics::encode(&[two4one::Datum::Int(12)]);
+        let a = Key::new(&identity, "pick", sym.bytes().clone());
+        let b = Key::new(&identity, "pick", int.bytes().clone());
+        assert_ne!(a, b);
+        assert_ne!(a.digest, b.digest);
     }
 
     #[test]
@@ -406,8 +427,8 @@ mod tests {
     fn epochs_of_one_program_are_different_keys() {
         let name: Arc<str> = Arc::from("P");
         let program = CacheIdentity::new("(define (f x) x)");
-        let a = Key::versioned(&name, Epoch::FIRST, &program, "f", "(1)");
-        let b = Key::versioned(&name, Epoch::FIRST.next(), &program, "f", "(1)");
+        let a = Key::versioned(&name, Epoch::FIRST, &program, "f", bytes("(1)"));
+        let b = Key::versioned(&name, Epoch::FIRST.next(), &program, "f", bytes("(1)"));
         // Identical source under a new epoch must not alias the old
         // generation's slot, by digest or by equality.
         assert_ne!(a, b);

@@ -237,6 +237,9 @@ mod tests {
     use super::*;
     use two4one::{Division, Pgg, BT};
 
+    /// The key bytes of the statics `1`.
+    const STATICS: &[u8] = &[4, 1, 0, 0, 0, 0, 0, 0, 0];
+
     fn ext(body: &str) -> GenExt {
         let pgg = Pgg::new();
         let program = pgg
@@ -275,7 +278,7 @@ mod tests {
         let e = ext("(+ s d)");
         let (epoch, _, _) = r.register("P", &e);
         let name: Arc<str> = Arc::from("P");
-        let key = Key::versioned(&name, epoch, e.cache_identity(), "f", "(1)");
+        let key = Key::versioned(&name, epoch, e.cache_identity(), "f", Arc::from(STATICS));
         let published = r.publish_if_live(Some(&(name.clone(), epoch)), &key, || 7);
         assert_eq!(published, Some(7));
         // Same source again — the caller asked for a new generation.
@@ -294,7 +297,7 @@ mod tests {
         let (old, _, _) = r.register("P", &e);
         let name: Arc<str> = Arc::from("P");
         r.redefine("P", &ext("(* s d)"));
-        let key = Key::versioned(&name, old, e.cache_identity(), "f", "(1)");
+        let key = Key::versioned(&name, old, e.cache_identity(), "f", Arc::from(STATICS));
         let mut ran = false;
         let out = r.publish_if_live(Some(&(name, old)), &key, || ran = true);
         assert_eq!(out, None);

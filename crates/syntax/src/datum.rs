@@ -77,6 +77,49 @@ impl PartialEq for Pair {
 
 impl Eq for Pair {}
 
+impl Drop for Pair {
+    /// Frees what this pair alone owns without Rust recursion: the
+    /// derived drop recurses once per car and cdr link, which overflows a
+    /// thread's stack on a long list or a deep nest.
+    fn drop(&mut self) {
+        for link in [&mut self.car, &mut self.cdr] {
+            if let Datum::Pair(_) = link {
+                release(std::mem::replace(link, Datum::Nil));
+            }
+        }
+    }
+}
+
+/// Drops `d` in a loop. A pair owned here alone is taken out of its
+/// `Arc` and its children detached, so it is freed without recursing:
+/// its cdr is the next datum to free, and when its car is a pair too the
+/// cdr waits on a stack while the car goes first. The stack only grows
+/// where both links are pairs, so a flat list never allocates. Shared
+/// pairs only lose one reference.
+fn release(mut d: Datum) {
+    let mut later: Vec<Datum> = Vec::new();
+    loop {
+        if let Datum::Pair(p) = d {
+            if let Some(mut pair) = Arc::into_inner(p) {
+                let cdr = std::mem::replace(&mut pair.cdr, Datum::Nil);
+                d = if let Datum::Pair(_) = pair.car {
+                    if let Datum::Pair(_) = cdr {
+                        later.push(cdr);
+                    }
+                    std::mem::replace(&mut pair.car, Datum::Nil)
+                } else {
+                    cdr
+                };
+                continue;
+            }
+        }
+        match later.pop() {
+            Some(next) => d = next,
+            None => return,
+        }
+    }
+}
+
 /// Mixes two digest words (SplitMix64-style finalization over the
 /// combination, cheap and well-distributed).
 fn mix(a: u64, b: u64) -> u64 {
@@ -503,6 +546,49 @@ mod tests {
         // Symbol leaves digest by name, so the value is reproducible from
         // structure alone (no dependence on interner insertion order).
         assert_eq!(Datum::sym("abc").digest(), Datum::sym("abc").digest());
+    }
+
+    /// Runs `f` on a thread with a 2 MiB stack, the size the standard
+    /// library gives a spawned thread by default.
+    fn on_small_stack(f: impl FnOnce() + Send + 'static) {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(f)
+            .expect("spawn")
+            .join()
+            .expect("ran without overflowing its stack");
+    }
+
+    #[test]
+    fn long_and_deep_data_drop_on_a_small_stack() {
+        on_small_stack(|| {
+            let long = (0..1_000_000).fold(Datum::Nil, |acc, i| Datum::cons(Datum::Int(i), acc));
+            drop(long);
+            let depth = crate::limits::Limits::default()
+                .input_depth_cap
+                .expect("a default depth cap");
+            let deep = (0..depth).fold(Datum::Nil, |acc, _| Datum::cons(acc, Datum::Nil));
+            drop(deep);
+            // Nests down both links at once: every car and cdr a pair.
+            let tree = (0..depth).fold(Datum::Nil, |acc, i| {
+                Datum::cons(acc, Datum::cons(Datum::Int(i as i64), Datum::Nil))
+            });
+            drop(tree);
+        });
+    }
+
+    #[test]
+    fn dropping_a_datum_keeps_what_others_share() {
+        let shared = l(&[Datum::from(1), l(&[Datum::sym("x")]), Datum::string("s")]);
+        let mut outer = Datum::Nil;
+        for i in 0..1000 {
+            outer = Datum::cons(l(&[Datum::from(i), shared.clone()]), outer);
+        }
+        let deep = Datum::cons(Datum::cons(shared.clone(), Datum::Nil), shared.clone());
+        drop(outer);
+        drop(deep);
+        assert_eq!(shared.to_string(), "(1 (x) \"s\")");
+        assert_eq!(shared.size(), 9);
     }
 
     #[test]

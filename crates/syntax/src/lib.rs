@@ -6,8 +6,9 @@
 //!
 //! * [`Symbol`] — cheap interned-ish identifiers, plus [`Gensym`] for fresh
 //!   name generation;
-//! * [`Datum`] — s-expression data, with a [`reader`](mod@reader) and both a
-//!   plain and a pretty [`printer`](mod@printer);
+//! * [`Datum`] — s-expression data, with a [`reader`](mod@reader), both a
+//!   plain and a pretty [`printer`](mod@printer), and one canonical byte
+//!   encoding ([`codec`]) that the reader can also write straight from text;
 //! * [`Prim`] — the table of primitive operations shared by the tree-walking
 //!   interpreter, the byte-code VM, and the partial evaluator;
 //! * [`cs`] — the Core Scheme abstract syntax of the paper's Fig. 1;
@@ -33,6 +34,7 @@
 
 pub mod acs;
 pub mod cata;
+pub mod codec;
 pub mod cs;
 pub mod datum;
 pub mod limits;

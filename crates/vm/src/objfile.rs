@@ -9,7 +9,8 @@
 //! of the payload, then a length-prefixed tree encoding of templates
 //! (instructions, constant data, global names, sub-templates). Everything
 //! is little-endian; symbols and strings are UTF-8 with `u32` length
-//! prefixes.
+//! prefixes. Constant data use the workspace's one data encoding,
+//! [`two4one_syntax::codec`], which also keys the serving layer's cache.
 //!
 //! # Integrity
 //!
@@ -31,6 +32,7 @@
 use crate::{Image, Instr, Template};
 use std::fmt;
 use std::sync::Arc;
+use two4one_syntax::codec::{self, DecodeError};
 use two4one_syntax::datum::Datum;
 use two4one_syntax::prim::Prim;
 use two4one_syntax::symbol::Symbol;
@@ -150,6 +152,17 @@ impl fmt::Display for ObjError {
 
 impl std::error::Error for ObjError {}
 
+impl From<DecodeError> for ObjError {
+    fn from(e: DecodeError) -> Self {
+        match e {
+            DecodeError::Truncated => ObjError::Truncated,
+            DecodeError::BadTag(what, t) => ObjError::BadTag(what, t),
+            DecodeError::BadUtf8 => ObjError::BadUtf8,
+            DecodeError::TooDeep => ObjError::TooDeep,
+        }
+    }
+}
+
 /// Byte offset of the payload: magic (8) + version (4) + crc (4).
 const HEADER_LEN: usize = 16;
 
@@ -212,43 +225,13 @@ pub(crate) fn put_u16(out: &mut Vec<u8>, v: u16) {
 
 /// Writes `s` behind its `u32` byte length: the string encoding of every
 /// binary format, read back by [`Reader::str`].
-pub fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
+pub use two4one_syntax::codec::put_str;
+
+/// Writes a constant in the one data encoding, [`codec`].
+pub(crate) use two4one_syntax::codec::put_datum;
 
 pub(crate) fn put_sym(out: &mut Vec<u8>, s: &Symbol) {
     put_str(out, s.as_str());
-}
-
-pub(crate) fn put_datum(out: &mut Vec<u8>, d: &Datum) {
-    match d {
-        Datum::Nil => out.push(0),
-        Datum::Unspec => out.push(1),
-        Datum::Bool(false) => out.push(2),
-        Datum::Bool(true) => out.push(3),
-        Datum::Int(n) => {
-            out.push(4);
-            out.extend_from_slice(&n.to_le_bytes());
-        }
-        Datum::Char(c) => {
-            out.push(5);
-            put_u32(out, *c as u32);
-        }
-        Datum::Str(s) => {
-            out.push(6);
-            put_str(out, s);
-        }
-        Datum::Sym(s) => {
-            out.push(7);
-            put_sym(out, s);
-        }
-        Datum::Pair(p) => {
-            out.push(8);
-            put_datum(out, &p.car);
-            put_datum(out, &p.cdr);
-        }
-    }
 }
 
 fn put_instr(out: &mut Vec<u8>, i: &Instr) {
@@ -329,9 +312,10 @@ fn put_template(out: &mut Vec<u8>, t: &Template) {
 
 // ----- decoding -------------------------------------------------------
 
-/// Maximum nesting of pairs/sub-templates while decoding. Bounds the Rust
-/// stack against hostile deeply-nested encodings; real images are nowhere
-/// near this deep.
+/// Maximum nesting of sub-templates and of the lists in their constants
+/// while decoding (a list's length is not nesting). Bounds the Rust stack
+/// of whatever walks the decoded image against hostile deeply-nested
+/// encodings; real images are nowhere near this deep.
 const MAX_DECODE_DEPTH: usize = 8_192;
 
 /// A bounds-checked little-endian reader: every binary format is read
@@ -442,28 +426,11 @@ impl<'a> Reader<'a> {
         Ok(Symbol::new(self.str()?))
     }
 
+    /// A constant written by [`put_datum`]: lists may nest as deep as the
+    /// sub-templates around it leave room for, and be of any length.
     pub(crate) fn datum(&mut self) -> Result<Datum, ObjError> {
-        Ok(match self.u8()? {
-            0 => Datum::Nil,
-            1 => Datum::Unspec,
-            2 => Datum::Bool(false),
-            3 => Datum::Bool(true),
-            4 => Datum::Int(i64::from_le_bytes(self.array()?)),
-            5 => {
-                let c = self.u32()?;
-                Datum::Char(char::from_u32(c).ok_or(ObjError::BadTag("char", 5))?)
-            }
-            6 => Datum::string(self.str()?),
-            7 => Datum::Sym(self.sym()?),
-            8 => {
-                self.enter()?;
-                let car = self.datum()?;
-                let cdr = self.datum()?;
-                self.depth -= 1;
-                Datum::cons(car, cdr)
-            }
-            t => return Err(ObjError::BadTag("datum", t)),
-        })
+        let room = MAX_DECODE_DEPTH.saturating_sub(self.depth);
+        Ok(codec::get_datum(self.bytes, &mut self.pos, room)?)
     }
 
     fn instr(&mut self) -> Result<Instr, ObjError> {
@@ -731,6 +698,30 @@ mod tests {
         let msg = err.to_string();
         assert!(msg.contains("version 1"), "{msg}");
         assert!(msg.contains("regenerate"), "{msg}");
+    }
+
+    #[test]
+    fn long_constant_lists_decode_and_deep_ones_are_bounded() {
+        // A list's length is not nesting: 10,000 elements decode, where
+        // counting each cdr link against the depth bound refused them.
+        let image = |constant: Datum| {
+            let mut asm = Asm::new(Symbol::new("k"), 0, 0);
+            let k = asm.const_index(&constant).unwrap();
+            asm.emit(Instr::Const(k));
+            asm.emit(Instr::Return);
+            Image {
+                templates: vec![(Symbol::new("k"), asm.finish().unwrap())],
+                entry: Symbol::new("k"),
+            }
+        };
+        let long = Datum::list((0..10_000).map(Datum::Int).collect::<Vec<_>>());
+        let bytes = encode(&image(long));
+        assert_eq!(encode(&decode(&bytes).expect("a long list decodes")), bytes);
+        let deep = (0..MAX_DECODE_DEPTH).fold(Datum::Nil, |d, _| Datum::list([d]));
+        assert_eq!(
+            decode(&encode(&image(deep))).unwrap_err(),
+            ObjError::TooDeep
+        );
     }
 
     #[test]

@@ -1056,7 +1056,7 @@ const POWER_T4OG: &str = "\
     00000e000000";
 
 const POWER_T4OS: &str = "\
-    74346f736e617000030000000100000020020000b05558654d01000028646566\
+    74346f736e617000040000000100000028020000978bd6104d01000028646566\
     696e652028706f776572207825303a44206e25313a53292028696620283d206e\
     253120302920286c69667420312920285f2a207825302028706f776572207825\
     3020282d206e2531203129292929290a00537065634f7074696f6e73207b206c\
@@ -1067,13 +1067,13 @@ const POWER_T4OS: &str = "\
     64655f6361703a20536f6d65283530303030303030292c20696e7075745f6e6f\
     64655f6361703a20536f6d65283130303030303030292c20696e7075745f6465\
     7074685f6361703a20536f6d652831303030303029207d2c2066616c6c626163\
-    6b3a2074727565207d05000000706f776572010000003305000000706f776572\
-    0100000000000000030000000000000000000000000000000000000000000000\
-    010000000000000000000000000000000000000000000000007b00000074776f\
-    346f6e650002000000ab864fa405000000706f7765720100000005000000706f\
-    77657205000000706f7765720100001200000002000004000000040d01000000\
-    2a020502000004020100040d010000002a020502000004020200040d01000000\
-    2a020a010000000401000000000000000000000000000000";
+    6b3a2074727565207d05000000706f7765720900000004030000000000000005\
+    000000706f776572010000000000000003000000000000000000000000000000\
+    0000000000000000010000000000000000000000000000000000000000000000\
+    007b00000074776f346f6e650002000000ab864fa405000000706f7765720100\
+    000005000000706f77657205000000706f776572010000120000000200000400\
+    0000040d010000002a020502000004020100040d010000002a02050200000402\
+    0200040d010000002a020a010000000401000000000000000000000000000000";
 
 const POWER_GENEXT_CACHE: &str = "\
     74346f67736e70000100000001000000150300008f05655105000000706f7765\
