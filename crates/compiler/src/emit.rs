@@ -5,7 +5,9 @@
 //! ([`crate::compile_body`]) and the fused combinators
 //! ([`crate::ObjectBuilder`]) call exactly these functions, which is what
 //! makes "compile the residual source" and "generate object code directly"
-//! produce identical templates (the fusion equivalence).
+//! produce identical templates (the fusion equivalence). The generic
+//! compiler ([`crate::generic`]) shares the primitive and conditional
+//! compilators too.
 
 use crate::cenv::{CEnv, Loc};
 use crate::CompileError;
@@ -78,9 +80,133 @@ pub fn emit_prim(asm: &mut Asm, p: Prim, nargs: u8) {
     asm.emit(Instr::Prim { prim: p, nargs });
 }
 
-/// The conditional compilator's first half: branch on `val` being false.
-/// Returns the label to attach where the alternative starts (the paper's
-/// `make-label` + `instruction-using-label` pair).
+/// An operand of a primitive or the test of a conditional, as the
+/// compilators that read operands in place see it. Each emitter maps its
+/// own trivial terms onto this.
+#[derive(Clone, Copy)]
+pub enum Operand<'a> {
+    /// A constant.
+    Const(&'a Datum),
+    /// A variable: read in place when `cenv` binds it to a local slot,
+    /// loaded through `val` otherwise.
+    Var(&'a Symbol),
+    /// Anything else (a global reference, a closure, a nested expression):
+    /// always loaded through `val`.
+    Other,
+}
+
+/// Where [`emit_prim_app`] leaves the primitive's result.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Dest {
+    /// In `val`.
+    Val,
+    /// Bound as the next `let` local (the right-hand side of a `let`).
+    Bind,
+}
+
+/// The local slot of `o`, when it is a variable that `cenv` binds to one.
+fn local_slot(cenv: &CEnv, o: Operand<'_>) -> Option<u16> {
+    match o {
+        Operand::Var(x) => match cenv.lookup(x)? {
+            Loc::Local(i) => Some(i),
+            Loc::Captured(_) | Loc::Join { .. } => None,
+        },
+        Operand::Const(_) | Operand::Other => None,
+    }
+}
+
+/// The in-place instruction applying `p` to `args`, if the operands have
+/// one of its shapes: one local, two locals, or a local and a constant.
+fn in_place<T>(
+    asm: &mut Asm,
+    cenv: &CEnv,
+    p: Prim,
+    args: &[T],
+    dest: Dest,
+    operand: impl Fn(&T) -> Operand<'_>,
+) -> Result<Option<Instr>, CompileError> {
+    let bind = dest == Dest::Bind;
+    let (a, b) = match args {
+        [a] => (a, None),
+        [a, b] => (a, Some(operand(b))),
+        _ => return Ok(None),
+    };
+    let Some(a) = local_slot(cenv, operand(a)) else {
+        return Ok(None);
+    };
+    Ok(match b {
+        None if bind => Some(Instr::PrimLocalBind { prim: p, a }),
+        None => Some(Instr::PrimLocal { prim: p, a }),
+        Some(Operand::Const(d)) => {
+            let k = asm.const_index(d)?;
+            Some(if bind {
+                Instr::PrimLocalConstBind { prim: p, a, k }
+            } else {
+                Instr::PrimLocalConst { prim: p, a, k }
+            })
+        }
+        Some(b) => local_slot(cenv, b).map(|b| {
+            if bind {
+                Instr::PrimLocalLocalBind { prim: p, a, b }
+            } else {
+                Instr::PrimLocalLocal { prim: p, a, b }
+            }
+        }),
+    })
+}
+
+/// The primitive compilator: `p` applied to `args`, its result left at
+/// `dest`. A-normal form makes every operand trivial, so when the
+/// operands are one local, two locals, or a local and a constant this is
+/// one instruction that names them, and the machine reads them where they
+/// live. Otherwise `load` puts each operand in `val` to be pushed, and
+/// `prim` (then `bind`, for [`Dest::Bind`]) applies `p` to the stack.
+pub fn emit_prim_app<T>(
+    asm: &mut Asm,
+    cenv: &CEnv,
+    p: Prim,
+    args: &[T],
+    dest: Dest,
+    operand: impl Fn(&T) -> Operand<'_>,
+    mut load: impl FnMut(&mut Asm, &T) -> Result<(), CompileError>,
+) -> Result<(), CompileError> {
+    if let Some(i) = in_place(asm, cenv, p, args, dest, operand)? {
+        asm.emit(i);
+        return Ok(());
+    }
+    let n = u8::try_from(args.len()).map_err(|_| CompileError::TooManyArgs(args.len()))?;
+    for a in args {
+        load(asm, a)?;
+        emit_push(asm);
+    }
+    emit_prim(asm, p, n);
+    if dest == Dest::Bind {
+        emit_bind(asm);
+    }
+    Ok(())
+}
+
+/// The conditional compilator's first half: branch on the test `t` being
+/// false. A local is tested in place; anything else is put in `val` by
+/// `load` first. Returns the label to attach where the alternative starts
+/// (the paper's `make-label` + `instruction-using-label` pair).
+pub fn emit_branch<T>(
+    asm: &mut Asm,
+    cenv: &CEnv,
+    t: &T,
+    operand: impl Fn(&T) -> Operand<'_>,
+    load: impl FnOnce(&mut Asm, &T) -> Result<(), CompileError>,
+) -> Result<Label, CompileError> {
+    if let Some(slot) = local_slot(cenv, operand(t)) {
+        let alt = asm.make_label();
+        asm.emit_jump_if_false_local(slot, alt);
+        return Ok(alt);
+    }
+    load(asm, t)?;
+    Ok(emit_branch_false(asm))
+}
+
+/// Branches on `val` being false; returns the label of the alternative.
 pub fn emit_branch_false(asm: &mut Asm) -> Label {
     let alt = asm.make_label();
     asm.emit_jump_if_false(alt);

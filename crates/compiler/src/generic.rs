@@ -27,10 +27,12 @@
 //! `let`s of its own needs a `trim`.
 
 use crate::cenv::{CEnv, Loc};
+use crate::emit::{Dest, Operand};
 use crate::{emit, CompileError};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use two4one_syntax::cs::{Def, Expr, Lambda, Program};
+use two4one_syntax::prim::Prim;
 use two4one_syntax::symbol::Symbol;
 use two4one_vm::{Asm, Image, Instr, Template};
 
@@ -129,8 +131,8 @@ fn compile(
             Ok(())
         }
         Expr::If(t, c, a) => {
-            compile(t, asm, cenv, depth, globals, Cont::Next)?;
-            let alt = emit::emit_branch_false(asm);
+            let load = |asm: &mut Asm, t: &Expr| compile(t, asm, cenv, depth, globals, Cont::Next);
+            let alt = emit::emit_branch(asm, cenv, &**t, operand, load)?;
             compile(c, asm, cenv, depth, globals, cont)?;
             match cont {
                 Cont::Return => {
@@ -154,8 +156,12 @@ fn compile(
             }
         }
         Expr::Let(x, rhs, body) => {
-            compile(rhs, asm, cenv, depth, globals, Cont::Next)?;
-            emit::emit_bind(asm);
+            if let Expr::PrimApp(p, args) = &**rhs {
+                compile_prim(*p, args, Dest::Bind, asm, cenv, depth, globals)?;
+            } else {
+                compile(rhs, asm, cenv, depth, globals, Cont::Next)?;
+                emit::emit_bind(asm);
+            }
             let inner = cenv.bind(*x, Loc::Local(depth));
             compile(body, asm, &inner, depth + 1, globals, cont)
             // On `Cont::Next` the binding stays live until an enclosing
@@ -176,16 +182,35 @@ fn compile(
             Ok(())
         }
         Expr::PrimApp(p, args) => {
-            let n = u8::try_from(args.len()).map_err(|_| CompileError::TooManyArgs(args.len()))?;
-            for a in args {
-                compile(a, asm, cenv, depth, globals, Cont::Next)?;
-                emit::emit_push(asm);
-            }
-            emit::emit_prim(asm, *p, n);
+            compile_prim(*p, args, Dest::Val, asm, cenv, depth, globals)?;
             finish(asm, cont);
             Ok(())
         }
     }
+}
+
+/// An expression as an operand of the in-place compilators: constants and
+/// variables qualify, nested expressions are compiled through `val`.
+fn operand(e: &Expr) -> Operand<'_> {
+    match e {
+        Expr::Const(d) => Operand::Const(d),
+        Expr::Var(x) => Operand::Var(x),
+        _ => Operand::Other,
+    }
+}
+
+/// Applies `p` to `args` through the primitive compilator.
+fn compile_prim(
+    p: Prim,
+    args: &[Expr],
+    dest: Dest,
+    asm: &mut Asm,
+    cenv: &CEnv,
+    depth: u16,
+    globals: &BTreeSet<Symbol>,
+) -> Result<(), CompileError> {
+    let load = |asm: &mut Asm, a: &Expr| compile(a, asm, cenv, depth, globals, Cont::Next);
+    emit::emit_prim_app(asm, cenv, p, args, dest, operand, load)
 }
 
 fn compile_lambda_generic(

@@ -26,10 +26,12 @@ pub use cenv::{CEnv, Loc};
 pub use generic::compile_program_generic;
 pub use object::ObjectBuilder;
 
+use emit::{Dest, Operand};
 use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 use two4one_anf as anf;
+use two4one_syntax::prim::Prim;
 use two4one_syntax::symbol::Symbol;
 use two4one_vm::{Asm, AsmError, Image, Template};
 
@@ -167,14 +169,14 @@ pub fn compile_body(
                     return Ok(());
                 }
             }
-            let n = compile_app_args(app, asm, cenv, globals)?;
             match app {
-                anf::App::Call(f, _) => {
+                anf::App::Call(f, args) => {
+                    let n = compile_call_args(args, asm, cenv, globals)?;
                     compile_triv(f, asm, cenv, globals)?;
                     emit::emit_tail_call(asm, n);
                 }
-                anf::App::Prim(p, _) => {
-                    emit::emit_prim(asm, *p, n);
+                anf::App::Prim(p, args) => {
+                    compile_prim(*p, args, Dest::Val, asm, cenv, globals)?;
                     emit::emit_return(asm);
                 }
             }
@@ -196,25 +198,26 @@ pub fn compile_body(
         }
         anf::Expr::Let(x, rhs, body) => {
             match rhs {
-                anf::Rhs::Triv(t) => compile_triv(t, asm, cenv, globals)?,
-                anf::Rhs::App(app) => {
-                    let n = compile_app_args(app, asm, cenv, globals)?;
-                    match app {
-                        anf::App::Call(f, _) => {
-                            compile_triv(f, asm, cenv, globals)?;
-                            emit::emit_call(asm, n);
-                        }
-                        anf::App::Prim(p, _) => emit::emit_prim(asm, *p, n),
-                    }
+                anf::Rhs::Triv(t) => {
+                    compile_triv(t, asm, cenv, globals)?;
+                    emit::emit_bind(asm);
+                }
+                anf::Rhs::App(anf::App::Call(f, args)) => {
+                    let n = compile_call_args(args, asm, cenv, globals)?;
+                    compile_triv(f, asm, cenv, globals)?;
+                    emit::emit_call(asm, n);
+                    emit::emit_bind(asm);
+                }
+                anf::Rhs::App(anf::App::Prim(p, args)) => {
+                    compile_prim(*p, args, Dest::Bind, asm, cenv, globals)?;
                 }
             }
-            emit::emit_bind(asm);
             let inner = cenv.bind(*x, Loc::Local(depth));
             compile_body(body, asm, &inner, depth + 1, globals)
         }
         anf::Expr::If(t, then, els) => {
-            compile_triv(t, asm, cenv, globals)?;
-            let alt = emit::emit_branch_false(asm);
+            let load = |asm: &mut Asm, t: &anf::Triv| compile_triv(t, asm, cenv, globals);
+            let alt = emit::emit_branch(asm, cenv, t, operand, load)?;
             compile_body(then, asm, cenv, depth, globals)?;
             emit::attach(asm, alt);
             compile_body(els, asm, cenv, depth, globals)
@@ -222,17 +225,35 @@ pub fn compile_body(
     }
 }
 
-/// Pushes the arguments of a serious term; returns the argument count.
-fn compile_app_args(
-    app: &anf::App,
+/// A trivial term as an operand of the in-place compilators.
+fn operand(t: &anf::Triv) -> Operand<'_> {
+    match t {
+        anf::Triv::Const(d) => Operand::Const(d),
+        anf::Triv::Var(x) => Operand::Var(x),
+        anf::Triv::Lambda(_) => Operand::Other,
+    }
+}
+
+/// Applies `p` to `args` through the primitive compilator.
+fn compile_prim(
+    p: Prim,
+    args: &[anf::Triv],
+    dest: Dest,
+    asm: &mut Asm,
+    cenv: &CEnv,
+    globals: &BTreeSet<Symbol>,
+) -> Result<(), CompileError> {
+    let load = |asm: &mut Asm, a: &anf::Triv| compile_triv(a, asm, cenv, globals);
+    emit::emit_prim_app(asm, cenv, p, args, dest, operand, load)
+}
+
+/// Pushes the arguments of a call; returns the argument count.
+fn compile_call_args(
+    args: &[anf::Triv],
     asm: &mut Asm,
     cenv: &CEnv,
     globals: &BTreeSet<Symbol>,
 ) -> Result<u8, CompileError> {
-    let args = match app {
-        anf::App::Call(_, args) => args,
-        anf::App::Prim(_, args) => args,
-    };
     let n = u8::try_from(args.len()).map_err(|_| CompileError::TooManyArgs(args.len()))?;
     for a in args {
         compile_triv(a, asm, cenv, globals)?;
@@ -308,6 +329,7 @@ mod tests {
     use two4one_anf::normalize;
     use two4one_frontend::frontend;
     use two4one_syntax::datum::Datum;
+    use two4one_syntax::reader::read_one;
     use two4one_vm::{Machine, Value};
 
     fn run(src: &str, entry: &str, args: &[Datum]) -> Result<Datum, two4one_vm::VmError> {
@@ -381,6 +403,41 @@ mod tests {
                        (let ((inc (lambda () (set! n (+ n 1)) n)))
                          (inc) (inc) (inc))))";
         assert_eq!(run(src, "main", &[]).unwrap(), Datum::Int(3));
+    }
+
+    #[test]
+    fn trivial_operands_are_read_in_place() {
+        // One local, a local and a constant, two locals, and a test on a
+        // local are read in place by both compilers; a constant first
+        // operand or a captured one goes through `val` and the stack.
+        let src = "(define (f x y)
+                     (let ((a (car x)))
+                       (let ((b (eq? a 'k)))
+                         (if b (cons a y) (- 1 x)))))
+                   (define (g n) (lambda (z) (+ z n)))";
+        let cs = frontend(src).unwrap();
+        let anf = compile_program(&normalize(&cs), "f").unwrap();
+        let generic = compile_program_generic(&cs, "f").unwrap();
+        for image in [&anf, &generic] {
+            let dis = image.disassemble();
+            for line in [
+                "0  prim car/1 local 0 → bind",
+                "1  prim eq?/2 local 2, const k → bind",
+                "2  jump-if-false local 3 → 5",
+                "3  prim cons/2 local 2, local 1",
+                "5  const 1\n",
+                "7  local 0\n",
+                "9  prim -/2\n",
+                "2  captured 0\n",
+                "4  prim +/2\n",
+            ] {
+                assert!(dis.contains(line), "{line:?} missing from\n{dis}");
+            }
+            let mut m = Machine::load(image);
+            let pair = Value::cons(Value::Sym(Symbol::new("k")), Value::Nil);
+            let v = m.call_global(&Symbol::new("f"), vec![pair, Value::Int(2)]);
+            assert_eq!(v.unwrap().to_datum(), read_one("(k . 2)").ok());
+        }
     }
 
     #[test]

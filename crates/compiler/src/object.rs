@@ -25,6 +25,7 @@
 //! That is the deforestation of Sec. 5.4, performed by monomorphization.
 
 use crate::cenv::{CEnv, Loc};
+use crate::emit::{Dest, Operand};
 use crate::{emit, CompileError};
 use std::sync::Arc;
 use two4one_anf::build::CodeBuilder;
@@ -95,7 +96,28 @@ fn emit_triv(t: &ObjTriv, asm: &mut Asm, cenv: &CEnv) -> Result<(), CompileError
     }
 }
 
-/// Pushes the arguments of a serious term; returns the count.
+/// A trivial term as an operand of the in-place compilators.
+fn operand(t: &ObjTriv) -> Operand<'_> {
+    match t {
+        ObjTriv::Const(d) => Operand::Const(d),
+        ObjTriv::Var(x) => Operand::Var(x),
+        ObjTriv::Global(_) | ObjTriv::Closure { .. } => Operand::Other,
+    }
+}
+
+/// Applies `p` to `args` through the primitive compilator.
+fn emit_prim(
+    p: Prim,
+    args: &[ObjTriv],
+    dest: Dest,
+    asm: &mut Asm,
+    cenv: &CEnv,
+) -> Result<(), CompileError> {
+    let load = |asm: &mut Asm, a: &ObjTriv| emit_triv(a, asm, cenv);
+    emit::emit_prim_app(asm, cenv, p, args, dest, operand, load)
+}
+
+/// Pushes the arguments of a call; returns the count.
 fn emit_args(args: &[ObjTriv], asm: &mut Asm, cenv: &CEnv) -> Result<u8, CompileError> {
     let n = u8::try_from(args.len()).map_err(|_| CompileError::TooManyArgs(args.len()))?;
     for a in args {
@@ -131,8 +153,7 @@ fn emit_serious(
             }
         }
         ObjSerious::Prim(p, args) => {
-            let n = emit_args(args, asm, cenv)?;
-            emit::emit_prim(asm, *p, n);
+            emit_prim(*p, args, Dest::Val, asm, cenv)?;
             if tail {
                 emit::emit_return(asm);
             }
@@ -300,8 +321,12 @@ impl CodeBuilder for ObjectBuilder {
         self.count();
         let x = *x;
         ObjCode::new(move |asm, cenv, depth| {
-            emit_serious(&rhs, asm, cenv, false)?;
-            emit::emit_bind(asm);
+            if let ObjSerious::Prim(p, args) = &rhs {
+                emit_prim(*p, args, Dest::Bind, asm, cenv)?;
+            } else {
+                emit_serious(&rhs, asm, cenv, false)?;
+                emit::emit_bind(asm);
+            }
             let inner = cenv.bind(x, Loc::Local(depth));
             body.emit(asm, &inner, depth + 1)
         })
@@ -321,8 +346,8 @@ impl CodeBuilder for ObjectBuilder {
     fn if_(&mut self, t: ObjTriv, then: ObjCode, els: ObjCode) -> ObjCode {
         self.count();
         ObjCode::new(move |asm, cenv, depth| {
-            emit_triv(&t, asm, cenv)?;
-            let alt = emit::emit_branch_false(asm);
+            let load = |asm: &mut Asm, t: &ObjTriv| emit_triv(t, asm, cenv);
+            let alt = emit::emit_branch(asm, cenv, &t, operand, load)?;
             then.emit(asm, cenv, depth)?;
             emit::attach(asm, alt);
             els.emit(asm, cenv, depth)

@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! magic   8 bytes   "t4osnap\0"
-//! version u32 LE    4
+//! version u32 LE    5
 //! count   u32 LE    number of records that follow
 //! record  ×count:
 //!   len   u32 LE    payload length in bytes
@@ -17,9 +17,13 @@
 //!     name     u32 len + UTF-8     (logical registry name; "" = anonymous)
 //!     epoch    u64 LE              (registration epoch; 0 = anonymous)
 //!     stats    6 × u64 LE + 1 tag byte (fallback kind, 0 = none)
-//!     image    u32 len + VERSION=2 object-file bytes (self-checksummed)
+//!     image    u32 len + `.t4o` object-file bytes (self-checksummed)
 //! ```
 //!
+//! A record embeds its image in the current object-file format, so the
+//! snapshot version moves with it: VERSION=5 records carry version-3
+//! object bytes, which add the in-place instruction forms, and a
+//! VERSION=4 snapshot (version-2 object bytes) is refused at the header.
 //! VERSION=4 stores the statics as the cache key holds them: the
 //! canonical bytes of each datum ([`two4one_syntax::codec`]), so a
 //! restore keys a record without parsing it, and the symbol `12` and the
@@ -52,7 +56,7 @@ use two4one::objfile::{put_str, Reader};
 use two4one::{crc32, decode_image, encode_image, Image, LimitKind, ObjError, SpecStats};
 
 const MAGIC: &[u8; 8] = b"t4osnap\0";
-const VERSION: u32 = 4;
+const VERSION: u32 = 5;
 
 /// One cache entry in transit between the shard map and a snapshot file.
 /// Its fields borrow from the cache keys being written or the record
@@ -536,9 +540,11 @@ mod tests {
     fn older_snapshot_version_quarantines_wholesale() {
         // A VERSION=2 snapshot has no backedges, so nothing in it can be
         // judged against the live registry; a VERSION=3 one keys its
-        // records by rendered text, which `Sym "12"` and `Int 12` share.
-        // Either is rejected at the header, not record by record.
-        for old in [2u32, 3] {
+        // records by rendered text, which `Sym "12"` and `Int 12` share;
+        // a VERSION=4 one embeds version-2 object bytes, which this
+        // build no longer decodes. Each is rejected at the header, not
+        // record by record.
+        for old in [2u32, 3, 4] {
             let mut bytes = encode(&[record("a"), record("b")]);
             bytes[8..12].copy_from_slice(&old.to_le_bytes());
             let out = decode(&bytes);

@@ -13,6 +13,7 @@
 use crate::datum::Datum;
 use crate::prim::{Arity, Prim};
 use crate::symbol::Symbol;
+use std::borrow::Borrow;
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -483,20 +484,23 @@ fn want_pair<V: Domain>(p: Prim, v: &V) -> Result<(&V, &V), PrimError> {
 }
 
 /// Whether `f` holds between every two adjacent arguments (`=`, `<`, …).
-fn bool_chain<V: Domain>(
+fn bool_chain<V: Domain, A: Borrow<V>>(
     p: Prim,
-    args: &[V],
+    args: &[A],
     f: impl Fn(i64, i64) -> bool,
 ) -> Result<bool, PrimError> {
     for w in args.windows(2) {
-        if !f(want_int(p, &w[0])?, want_int(p, &w[1])?) {
+        if !f(want_int(p, w[0].borrow())?, want_int(p, w[1].borrow())?) {
             return Ok(false);
         }
     }
     Ok(true)
 }
 
-/// Applies a primitive to argument values of either [`Domain`].
+/// Applies a primitive to argument values of either [`Domain`], held by
+/// value (`&[V]`) or by reference (`&[&V]`): the VM reads the operands
+/// of an in-place instruction where they live, so a primitive that only
+/// inspects them (`car`, `null?`, `eq?`, arithmetic) copies none.
 ///
 /// `out` collects the output of `display`/`write`/`newline` so engines can
 /// direct it wherever they like.
@@ -505,7 +509,11 @@ fn bool_chain<V: Domain>(
 ///
 /// Returns a [`PrimError`] on arity or type mismatches, arithmetic faults,
 /// or when the `error` primitive is invoked.
-pub fn apply_prim<V: Domain>(p: Prim, args: &[V], out: &mut String) -> Result<V, PrimError> {
+pub fn apply_prim<V: Domain, A: Borrow<V>>(
+    p: Prim,
+    args: &[A],
+    out: &mut String,
+) -> Result<V, PrimError> {
     if !p.arity().admits(args.len()) {
         return Err(PrimError::BadArity {
             prim: p,
@@ -513,7 +521,8 @@ pub fn apply_prim<V: Domain>(p: Prim, args: &[V], out: &mut String) -> Result<V,
             got: args.len(),
         });
     }
-    let int = |v: &V| want_int(p, v);
+    let int = |a: &A| want_int(p, a.borrow());
+    let arg = |i: usize| args[i].borrow();
     Ok(match p {
         Prim::Add => {
             let mut acc: i64 = 0;
@@ -579,18 +588,18 @@ pub fn apply_prim<V: Domain>(p: Prim, args: &[V], out: &mut String) -> Result<V,
         Prim::Gt => V::bool(bool_chain(p, args, |a, b| a > b)?),
         Prim::Ge => V::bool(bool_chain(p, args, |a, b| a >= b)?),
         Prim::ZeroP => V::bool(int(&args[0])? == 0),
-        Prim::EqP | Prim::EqvP => V::bool(V::eqv(&args[0], &args[1])),
-        Prim::EqualP => V::bool(V::equal(&args[0], &args[1])),
-        Prim::Not => V::bool(matches!(args[0].view(), View::Bool(false))),
-        Prim::Cons => V::cons(args[0].clone(), args[1].clone()),
-        Prim::Car => want_pair(p, &args[0])?.0.clone(),
-        Prim::Cdr => want_pair(p, &args[0])?.1.clone(),
-        Prim::PairP => V::bool(matches!(args[0].view(), View::Pair(..))),
-        Prim::NullP => V::bool(matches!(args[0].view(), View::Nil)),
+        Prim::EqP | Prim::EqvP => V::bool(V::eqv(arg(0), arg(1))),
+        Prim::EqualP => V::bool(V::equal(arg(0), arg(1))),
+        Prim::Not => V::bool(matches!(arg(0).view(), View::Bool(false))),
+        Prim::Cons => V::cons(arg(0).clone(), arg(1).clone()),
+        Prim::Car => want_pair(p, arg(0))?.0.clone(),
+        Prim::Cdr => want_pair(p, arg(0))?.1.clone(),
+        Prim::PairP => V::bool(matches!(arg(0).view(), View::Pair(..))),
+        Prim::NullP => V::bool(matches!(arg(0).view(), View::Nil)),
         Prim::List => args
             .iter()
             .rev()
-            .fold(V::nil(), |acc, a| V::cons(a.clone(), acc)),
+            .fold(V::nil(), |acc, a| V::cons(a.borrow().clone(), acc)),
         Prim::Append => {
             // Every argument but the last must be a proper list; the last
             // is shared as the tail.
@@ -599,7 +608,7 @@ pub fn apply_prim<V: Domain>(p: Prim, args: &[V], out: &mut String) -> Result<V,
             };
             let mut items = Vec::new();
             for a in init {
-                let mut cur = a;
+                let mut cur = a.borrow();
                 loop {
                     match cur.view() {
                         View::Nil => break,
@@ -614,11 +623,11 @@ pub fn apply_prim<V: Domain>(p: Prim, args: &[V], out: &mut String) -> Result<V,
             items
                 .into_iter()
                 .rev()
-                .fold(last.clone(), |acc, x| V::cons(x.clone(), acc))
+                .fold(last.borrow().clone(), |acc, x| V::cons(x.clone(), acc))
         }
         Prim::Length => {
             let mut n: i64 = 0;
-            let mut cur = &args[0];
+            let mut cur = arg(0);
             loop {
                 match cur.view() {
                     View::Nil => break V::int(n),
@@ -632,7 +641,7 @@ pub fn apply_prim<V: Domain>(p: Prim, args: &[V], out: &mut String) -> Result<V,
         }
         Prim::Reverse => {
             let mut acc = V::nil();
-            let mut cur = &args[0];
+            let mut cur = arg(0);
             loop {
                 match cur.view() {
                     View::Nil => break acc,
@@ -649,7 +658,7 @@ pub fn apply_prim<V: Domain>(p: Prim, args: &[V], out: &mut String) -> Result<V,
             if k < 0 {
                 return Err(PrimError::OutOfRange(p, k.to_string()));
             }
-            let mut cur = &args[0];
+            let mut cur = arg(0);
             loop {
                 match cur.view() {
                     View::Pair(car, _) if k == 0 => break car.clone(),
@@ -663,11 +672,11 @@ pub fn apply_prim<V: Domain>(p: Prim, args: &[V], out: &mut String) -> Result<V,
         }
         Prim::Memq | Prim::Member => {
             let same: fn(&V, &V) -> bool = if p == Prim::Memq { V::eqv } else { V::equal };
-            let mut cur = &args[1];
+            let mut cur = arg(1);
             loop {
                 match cur.view() {
                     View::Nil => break V::bool(false),
-                    View::Pair(car, _) if same(&args[0], car) => break cur.clone(),
+                    View::Pair(car, _) if same(arg(0), car) => break cur.clone(),
                     View::Pair(_, cdr) => cur = cdr,
                     _ => return Err(type_error(p, "a proper list", cur)),
                 }
@@ -675,13 +684,13 @@ pub fn apply_prim<V: Domain>(p: Prim, args: &[V], out: &mut String) -> Result<V,
         }
         Prim::Assq | Prim::Assoc => {
             let same: fn(&V, &V) -> bool = if p == Prim::Assq { V::eqv } else { V::equal };
-            let mut cur = &args[1];
+            let mut cur = arg(1);
             loop {
                 match cur.view() {
                     View::Nil => break V::bool(false),
                     View::Pair(entry, cdr) => {
                         if let View::Pair(key, _) = entry.view() {
-                            if same(&args[0], key) {
+                            if same(arg(0), key) {
                                 break entry.clone();
                             }
                         }
@@ -691,14 +700,14 @@ pub fn apply_prim<V: Domain>(p: Prim, args: &[V], out: &mut String) -> Result<V,
                 }
             }
         }
-        Prim::SymbolP => V::bool(matches!(args[0].view(), View::Sym(_))),
-        Prim::NumberP => V::bool(matches!(args[0].view(), View::Int(_))),
-        Prim::StringP => V::bool(matches!(args[0].view(), View::Str(_))),
-        Prim::BooleanP => V::bool(matches!(args[0].view(), View::Bool(_))),
-        Prim::CharP => V::bool(matches!(args[0].view(), View::Char(_))),
-        Prim::ProcedureP => V::bool(matches!(args[0].view(), View::Proc)),
+        Prim::SymbolP => V::bool(matches!(arg(0).view(), View::Sym(_))),
+        Prim::NumberP => V::bool(matches!(arg(0).view(), View::Int(_))),
+        Prim::StringP => V::bool(matches!(arg(0).view(), View::Str(_))),
+        Prim::BooleanP => V::bool(matches!(arg(0).view(), View::Bool(_))),
+        Prim::CharP => V::bool(matches!(arg(0).view(), View::Char(_))),
+        Prim::ProcedureP => V::bool(matches!(arg(0).view(), View::Proc)),
         Prim::ListP => {
-            let mut cur = &args[0];
+            let mut cur = arg(0);
             loop {
                 match cur.view() {
                     View::Nil => break V::bool(true),
@@ -707,24 +716,24 @@ pub fn apply_prim<V: Domain>(p: Prim, args: &[V], out: &mut String) -> Result<V,
                 }
             }
         }
-        Prim::SymbolToString => match args[0].view() {
+        Prim::SymbolToString => match arg(0).view() {
             View::Sym(s) => V::str(Arc::from(s.as_str())),
-            _ => return Err(type_error(p, "a symbol", &args[0])),
+            _ => return Err(type_error(p, "a symbol", arg(0))),
         },
-        Prim::StringToSymbol => V::symbol(Symbol::new(want_str(p, &args[0])?)),
+        Prim::StringToSymbol => V::symbol(Symbol::new(want_str(p, arg(0))?)),
         Prim::StringAppend => {
             let mut s = String::new();
             for a in args {
-                s.push_str(want_str(p, a)?);
+                s.push_str(want_str(p, a.borrow())?);
             }
             V::str(Arc::from(s.as_str()))
         }
-        Prim::StringLength => V::int(want_str(p, &args[0])?.chars().count() as i64),
+        Prim::StringLength => V::int(want_str(p, arg(0))?.chars().count() as i64),
         Prim::NumberToString => V::str(Arc::from(int(&args[0])?.to_string().as_str())),
-        Prim::StringEqualP => V::bool(want_str(p, &args[0])? == want_str(p, &args[1])?),
-        Prim::CharToInteger => match args[0].view() {
+        Prim::StringEqualP => V::bool(want_str(p, arg(0))? == want_str(p, arg(1))?),
+        Prim::CharToInteger => match arg(0).view() {
             View::Char(c) => V::int(c as i64),
-            _ => return Err(type_error(p, "a char", &args[0])),
+            _ => return Err(type_error(p, "a char", arg(0))),
         },
         Prim::IntegerToChar => {
             let n = int(&args[0])?;
@@ -735,11 +744,11 @@ pub fn apply_prim<V: Domain>(p: Prim, args: &[V], out: &mut String) -> Result<V,
             V::char(c)
         }
         Prim::Display => {
-            args[0].render(false, out);
+            arg(0).render(false, out);
             V::unspec()
         }
         Prim::Write => {
-            args[0].render(true, out);
+            arg(0).render(true, out);
             V::unspec()
         }
         Prim::Newline => {
@@ -747,24 +756,24 @@ pub fn apply_prim<V: Domain>(p: Prim, args: &[V], out: &mut String) -> Result<V,
             V::unspec()
         }
         Prim::Error => {
-            let mut msg = display_string(&args[0]);
+            let mut msg = display_string(arg(0));
             for a in &args[1..] {
                 msg.push(' ');
-                a.render(true, &mut msg);
+                a.borrow().render(true, &mut msg);
             }
             return Err(PrimError::User(msg));
         }
-        Prim::BoxNew => V::new_cell(args[0].clone()).ok_or(PrimError::Impure(p))?,
-        Prim::BoxRef => match args[0].view() {
+        Prim::BoxNew => V::new_cell(arg(0).clone()).ok_or(PrimError::Impure(p))?,
+        Prim::BoxRef => match arg(0).view() {
             View::Cell(c) => lock_cell(c).clone(),
-            _ => return Err(type_error(p, "a cell", &args[0])),
+            _ => return Err(type_error(p, "a cell", arg(0))),
         },
-        Prim::BoxSet => match args[0].view() {
+        Prim::BoxSet => match arg(0).view() {
             View::Cell(c) => {
-                *lock_cell(c) = args[1].clone();
+                *lock_cell(c) = arg(1).clone();
                 V::unspec()
             }
-            _ => return Err(type_error(p, "a cell", &args[0])),
+            _ => return Err(type_error(p, "a cell", arg(0))),
         },
     })
 }

@@ -138,6 +138,16 @@ impl Asm {
         self.emit(Instr::JumpIfFalse(u32::MAX));
     }
 
+    /// Emits a conditional jump to `l` taken when local slot `slot`, read
+    /// in place, is `#f`.
+    pub fn emit_jump_if_false_local(&mut self, slot: u16, l: Label) {
+        self.fixups.push((self.code.len(), l));
+        self.emit(Instr::JumpIfFalseLocal {
+            slot,
+            target: u32::MAX,
+        });
+    }
+
     /// Interns a constant, returning its index.
     ///
     /// # Errors
@@ -191,7 +201,9 @@ impl Asm {
             let target =
                 self.labels[label.0 as usize].ok_or(AsmError::UnattachedLabel(label.0))? as u32;
             match &mut self.code[*pos] {
-                Instr::Jump(t) | Instr::JumpIfFalse(t) => *t = target,
+                Instr::Jump(t)
+                | Instr::JumpIfFalse(t)
+                | Instr::JumpIfFalseLocal { target: t, .. } => *t = target,
                 other => unreachable!("fixup points at non-jump {other:?}"),
             }
         }
@@ -225,6 +237,18 @@ mod tests {
         a.emit(Instr::Return);
         let t = a.finish().unwrap();
         assert_eq!(t.code[0], Instr::JumpIfFalse(3));
+    }
+
+    #[test]
+    fn backpatching_an_in_place_branch() {
+        let mut a = Asm::new(Symbol::new("t"), 1, 0);
+        let l = a.make_label();
+        a.emit_jump_if_false_local(0, l);
+        a.emit(Instr::Return);
+        a.attach_label(l);
+        a.emit(Instr::Return);
+        let t = a.finish().unwrap();
+        assert_eq!(t.code[0], Instr::JumpIfFalseLocal { slot: 0, target: 2 });
     }
 
     #[test]

@@ -38,11 +38,14 @@ use two4one_syntax::value::ProcRepr;
 /// A byte-code instruction.
 ///
 /// `val` is the accumulator; `push` moves it to the evaluation stack;
-/// `bind` moves it to the current frame's locals (a `let`). These are
+/// `bind` moves it to the current frame's locals (a `let`). A-normal form
+/// makes every operand of a primitive trivial (Fig. 2), so a primitive
+/// whose operands are one local, two locals, or a local and a constant
+/// names them and reads them where they live, and so does a branch on a
+/// local. These are
 /// exactly the instructions the compilators emit, so every image the
 /// machine runs — compiled, specialized straight to object code, or
-/// decoded from an object file — uses this one instruction set, with one
-/// encoding per operation.
+/// decoded from an object file — uses this one instruction set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Instr {
     /// Load `consts[i]` into `val`.
@@ -57,8 +60,9 @@ pub enum Instr {
     ///
     /// Consumes `val`: it is dead after this instruction, so the machine
     /// moves it instead of copying it, and an emitter must write `val`
-    /// (`const`, `global`, `local`, `captured`, `prim` or `make-closure`)
-    /// before anything reads it again.
+    /// (`const`, `global`, `local`, `captured`, `make-closure` or a `prim`
+    /// form that leaves its result in `val`) on every path before
+    /// anything reads it again.
     Push,
     /// Append `val` to the current frame's locals (enter a `let`).
     ///
@@ -99,11 +103,79 @@ pub enum Instr {
         /// Argument count.
         nargs: u8,
     },
+    /// Apply a primitive to local slot `a`, read in place; result in
+    /// `val`.
+    PrimLocal {
+        /// The primitive.
+        prim: Prim,
+        /// The operand's local slot.
+        a: u16,
+    },
+    /// Apply a primitive to local slots `a` and `b`, read in place;
+    /// result in `val`.
+    PrimLocalLocal {
+        /// The primitive.
+        prim: Prim,
+        /// The first operand's local slot.
+        a: u16,
+        /// The second operand's local slot.
+        b: u16,
+    },
+    /// Apply a primitive to local slot `a` and constant `k`, read in
+    /// place; result in `val`.
+    PrimLocalConst {
+        /// The primitive.
+        prim: Prim,
+        /// The first operand's local slot.
+        a: u16,
+        /// The second operand's index in the constant table.
+        k: u16,
+    },
+    /// [`Instr::PrimLocal`], with the result appended to the current
+    /// frame's locals (the right-hand side of a `let`). Leaves `val` dead,
+    /// like [`Instr::Bind`].
+    PrimLocalBind {
+        /// The primitive.
+        prim: Prim,
+        /// The operand's local slot.
+        a: u16,
+    },
+    /// [`Instr::PrimLocalLocal`], with the result bound as the next local.
+    /// Leaves `val` dead.
+    PrimLocalLocalBind {
+        /// The primitive.
+        prim: Prim,
+        /// The first operand's local slot.
+        a: u16,
+        /// The second operand's local slot.
+        b: u16,
+    },
+    /// [`Instr::PrimLocalConst`], with the result bound as the next local.
+    /// Leaves `val` dead.
+    PrimLocalConstBind {
+        /// The primitive.
+        prim: Prim,
+        /// The first operand's local slot.
+        a: u16,
+        /// The second operand's index in the constant table.
+        k: u16,
+    },
+    /// Jump to `target` if local slot `slot`, read in place, is `#f`.
+    /// Leaves `val` dead: both successors write it before they read it.
+    JumpIfFalseLocal {
+        /// The local slot tested.
+        slot: u16,
+        /// Absolute code index of the alternative.
+        target: u32,
+    },
 }
+
+// Every instruction fits in 8 bytes, the in-place forms included.
+const _: () = assert!(std::mem::size_of::<Instr>() == 8);
 
 impl Instr {
     /// Number of distinct opcodes (the length of [`OP_NAMES`]).
-    pub const N_OPS: usize = 14;
+    pub const N_OPS: usize = 21;
 
     /// Dense opcode index, for per-opcode dispatch accounting:
     /// `OP_NAMES[i.opcode()]` names the instruction family.
@@ -123,12 +195,21 @@ impl Instr {
             Instr::Jump(_) => 11,
             Instr::JumpIfFalse(_) => 12,
             Instr::Prim { .. } => 13,
+            Instr::PrimLocal { .. } => 14,
+            Instr::PrimLocalLocal { .. } => 15,
+            Instr::PrimLocalConst { .. } => 16,
+            Instr::PrimLocalBind { .. } => 17,
+            Instr::PrimLocalLocalBind { .. } => 18,
+            Instr::PrimLocalConstBind { .. } => 19,
+            Instr::JumpIfFalseLocal { .. } => 20,
         }
     }
 }
 
 /// Opcode names indexed by [`Instr::opcode`] — the `op` label values of
-/// the `t4o_vm_dispatch_total` counter family.
+/// the `t4o_vm_dispatch_total` counter family. The in-place forms have
+/// labels of their own, none of them a name a retired superinstruction
+/// family once used.
 pub const OP_NAMES: [&str; Instr::N_OPS] = [
     "const",
     "global",
@@ -144,6 +225,13 @@ pub const OP_NAMES: [&str; Instr::N_OPS] = [
     "jump",
     "jump-if-false",
     "prim",
+    "prim-local",
+    "prim-local-local",
+    "prim-local-const",
+    "prim-local-bind",
+    "prim-local-local-bind",
+    "prim-local-const-bind",
+    "jump-if-false-local",
 ];
 
 /// A code object: instructions plus the constant, global, and sub-template
@@ -157,7 +245,9 @@ pub struct Template {
     pub nfree: u16,
     /// The code.
     pub code: Vec<Instr>,
-    /// Constant table (as data; converted to values at load time).
+    /// Constant table, as data: the machine converts an entry to a value
+    /// each time `const` loads it or an instruction reads it as an
+    /// operand.
     pub consts: Vec<Datum>,
     /// Global-name table.
     pub globals: Vec<Symbol>,
@@ -206,18 +296,19 @@ impl Template {
         ));
         for (i, ins) in self.code.iter().enumerate() {
             let text = match ins {
-                Instr::Const(k) => format!("const {}", self.consts[*k as usize]),
-                Instr::Global(g) => format!("global {}", self.globals[*g as usize]),
+                Instr::Const(k) => format!("const {}", shown(self.consts.get(usize::from(*k)), *k)),
+                Instr::Global(g) => {
+                    format!("global {}", shown(self.globals.get(usize::from(*g)), *g))
+                }
                 Instr::Local(i) => format!("local {i}"),
                 Instr::Captured(i) => format!("captured {i}"),
                 Instr::Push => "push".into(),
                 Instr::Bind => "bind".into(),
                 Instr::Trim(n) => format!("trim {n}"),
                 Instr::MakeClosure { template, nfree } => {
-                    format!(
-                        "make-closure {} ({} free)",
-                        self.templates[*template as usize].name, nfree
-                    )
+                    let sub = self.templates.get(usize::from(*template));
+                    let name = shown(sub.map(|t| t.name), *template);
+                    format!("make-closure {name} ({nfree} free)")
                 }
                 Instr::Call { nargs } => format!("call {nargs}"),
                 Instr::TailCall { nargs } => format!("tail-call {nargs}"),
@@ -225,12 +316,43 @@ impl Template {
                 Instr::Jump(t) => format!("jump {t}"),
                 Instr::JumpIfFalse(t) => format!("jump-if-false {t}"),
                 Instr::Prim { prim, nargs } => format!("prim {prim}/{nargs}"),
+                Instr::PrimLocal { prim, a } => format!("prim {prim}/1 local {a}"),
+                Instr::PrimLocalLocal { prim, a, b } => {
+                    format!("prim {prim}/2 local {a}, local {b}")
+                }
+                Instr::PrimLocalConst { prim, a, k } => {
+                    format!(
+                        "prim {prim}/2 local {a}, const {}",
+                        shown(self.consts.get(usize::from(*k)), *k)
+                    )
+                }
+                Instr::PrimLocalBind { prim, a } => format!("prim {prim}/1 local {a} → bind"),
+                Instr::PrimLocalLocalBind { prim, a, b } => {
+                    format!("prim {prim}/2 local {a}, local {b} → bind")
+                }
+                Instr::PrimLocalConstBind { prim, a, k } => format!(
+                    "prim {prim}/2 local {a}, const {} → bind",
+                    shown(self.consts.get(usize::from(*k)), *k)
+                ),
+                Instr::JumpIfFalseLocal { slot, target } => {
+                    format!("jump-if-false local {slot} → {target}")
+                }
             };
             out.push_str(&format!("{pad}  {i:4}  {text}\n"));
         }
         for t in &self.templates {
             t.dis_into(out, indent + 1);
         }
+    }
+}
+
+/// Entry `i` of a template table, as the disassembler shows it. Loading
+/// does not check the indices an image's code uses (the machine does, as
+/// it runs), so a damaged one shows as `#<bad index i>`.
+fn shown(entry: Option<impl fmt::Display>, i: u16) -> String {
+    match entry {
+        Some(x) => x.to_string(),
+        None => format!("#<bad index {i}>"),
     }
 }
 
@@ -327,5 +449,41 @@ mod tests {
         assert!(format!("{t1:?}").contains("template"));
         assert_eq!(t1.code_size(), 2);
         assert!(t1.disassemble().contains("local 0"));
+    }
+
+    #[test]
+    fn out_of_range_table_indices_disassemble() {
+        // Indices past the tables, as in a damaged object file: the
+        // listing names them instead of panicking.
+        let t = Template {
+            name: Symbol::new("f"),
+            arity: 1,
+            nfree: 0,
+            code: vec![
+                Instr::Const(3),
+                Instr::Global(4),
+                Instr::MakeClosure {
+                    template: 5,
+                    nfree: 0,
+                },
+                Instr::PrimLocalConst {
+                    prim: Prim::Add,
+                    a: 0,
+                    k: 6,
+                },
+                Instr::PrimLocalConstBind {
+                    prim: Prim::Add,
+                    a: 0,
+                    k: 7,
+                },
+            ],
+            consts: vec![],
+            globals: vec![],
+            templates: vec![],
+        };
+        let dis = t.disassemble();
+        for i in 3..=7 {
+            assert!(dis.contains(&format!("#<bad index {i}>")), "{dis}");
+        }
     }
 }

@@ -372,9 +372,11 @@ impl Machine {
     /// three stacks: arguments move from the operand stack to the locals
     /// stack, a tail call reuses its frame's region of it, and a return
     /// truncates it. `push` and `bind` move `val`, which the instruction
-    /// set leaves dead after them (see [`Instr::Push`]). An error returns
-    /// at once, whatever the stacks hold; [`Machine::call_value`]
-    /// truncates them back to where the call began.
+    /// set leaves dead after them (see [`Instr::Push`]), and an in-place
+    /// primitive or branch borrows its local operands where they are. An
+    /// error returns at once, whatever the stacks hold;
+    /// [`Machine::call_value`] truncates them back to where the call
+    /// began.
     fn run(
         &mut self,
         mut closure: Arc<Closure>,
@@ -400,12 +402,7 @@ impl Machine {
                 self.op_counts[instr.opcode()] += 1;
                 match instr {
                     Instr::Const(i) => {
-                        let d = closure
-                            .template
-                            .consts
-                            .get(i as usize)
-                            .ok_or(VmError::Internal("constant index out of range"))?;
-                        self.val = Value::from(d);
+                        self.val = constant(&closure, i)?;
                     }
                     Instr::Global(i) => {
                         let name = closure
@@ -421,11 +418,7 @@ impl Machine {
                             .ok_or(VmError::UnknownGlobal(name))?;
                     }
                     Instr::Local(i) => {
-                        self.val = self
-                            .locals
-                            .get(base + i as usize)
-                            .cloned()
-                            .ok_or(VmError::Internal("local index out of range"))?;
+                        self.val = local(&self.locals, base, i)?.clone();
                     }
                     Instr::Captured(i) => {
                         self.val = closure
@@ -479,6 +472,42 @@ impl Machine {
                         self.val = apply_prim(prim, &self.stack[at..], &mut self.output)?;
                         self.stack.truncate(at);
                     }
+                    Instr::PrimLocal { prim, a } => {
+                        let a = local(&self.locals, base, a)?;
+                        self.val = apply_prim(prim, &[a], &mut self.output)?;
+                    }
+                    Instr::PrimLocalLocal { prim, a, b } => {
+                        let a = local(&self.locals, base, a)?;
+                        let b = local(&self.locals, base, b)?;
+                        self.val = apply_prim(prim, &[a, b], &mut self.output)?;
+                    }
+                    Instr::PrimLocalConst { prim, a, k } => {
+                        let a = local(&self.locals, base, a)?;
+                        let k = constant(&closure, k)?;
+                        self.val = apply_prim(prim, &[a, &k], &mut self.output)?;
+                    }
+                    Instr::PrimLocalBind { prim, a } => {
+                        let a = local(&self.locals, base, a)?;
+                        let v = apply_prim(prim, &[a], &mut self.output)?;
+                        self.locals.push(v);
+                    }
+                    Instr::PrimLocalLocalBind { prim, a, b } => {
+                        let a = local(&self.locals, base, a)?;
+                        let b = local(&self.locals, base, b)?;
+                        let v = apply_prim(prim, &[a, b], &mut self.output)?;
+                        self.locals.push(v);
+                    }
+                    Instr::PrimLocalConstBind { prim, a, k } => {
+                        let a = local(&self.locals, base, a)?;
+                        let k = constant(&closure, k)?;
+                        let v = apply_prim(prim, &[a, &k], &mut self.output)?;
+                        self.locals.push(v);
+                    }
+                    Instr::JumpIfFalseLocal { slot, target } => {
+                        if !local(&self.locals, base, slot)?.is_truthy() {
+                            pc = target as usize;
+                        }
+                    }
                 }
             };
             match ctl {
@@ -522,6 +551,27 @@ impl Machine {
             }
         }
     }
+}
+
+/// Local slot `i` of the frame whose locals start at `base`, borrowed
+/// where it lives: an in-place operand moves no reference count.
+#[inline(always)]
+fn local(locals: &[Value], base: usize, i: u16) -> Result<&Value, VmError> {
+    locals
+        .get(base + usize::from(i))
+        .ok_or(VmError::Internal("local index out of range"))
+}
+
+/// Constant `k` of the running closure's template, converted to a value
+/// (as `const` converts it).
+#[inline(always)]
+fn constant(closure: &Closure, k: u16) -> Result<Value, VmError> {
+    closure
+        .template
+        .consts
+        .get(usize::from(k))
+        .map(Value::from)
+        .ok_or(VmError::Internal("constant index out of range"))
 }
 
 /// The closure that a call of `f` with `nargs` arguments enters.
@@ -978,6 +1028,185 @@ mod tests {
         assert!(run(&mut m).is_ok());
         let mut m = m.with_fuel(steps - 1);
         assert_eq!(run(&mut m).unwrap_err(), VmError::FuelExhausted);
+    }
+
+    /// `(define (f x b) …)` in every in-place form, over the locals `x`
+    /// and `b`, the constants `(7 8)` and `100`, and the `let`s `s`, `c`
+    /// and `p`:
+    ///
+    /// ```text
+    /// s = (+ x x); c = (car '(7 8)); p = (pair? b)
+    /// (if p (cdr b) (if b (* s c) (cons (- s 100) '(7 8))))
+    /// ```
+    fn in_place_template() -> Arc<Template> {
+        let mut a = Asm::new(Symbol::new("f"), 2, 0);
+        let list = Datum::list([Datum::Int(7), Datum::Int(8)]);
+        let k = a.const_index(&list).unwrap();
+        let hundred = a.const_index(&Datum::Int(100)).unwrap();
+        let (not_pair, not_b) = (a.make_label(), a.make_label());
+        a.emit(Instr::PrimLocalLocalBind {
+            prim: Prim::Add,
+            a: 0,
+            b: 0,
+        });
+        a.emit(Instr::Const(k));
+        a.emit(Instr::Push);
+        a.emit(Instr::Prim {
+            prim: Prim::Car,
+            nargs: 1,
+        });
+        a.emit(Instr::Bind);
+        a.emit(Instr::PrimLocalBind {
+            prim: Prim::PairP,
+            a: 1,
+        });
+        a.emit_jump_if_false_local(4, not_pair);
+        a.emit(Instr::PrimLocal {
+            prim: Prim::Cdr,
+            a: 1,
+        });
+        a.emit(Instr::Return);
+        a.attach_label(not_pair);
+        a.emit_jump_if_false_local(1, not_b);
+        a.emit(Instr::PrimLocalLocal {
+            prim: Prim::Mul,
+            a: 2,
+            b: 3,
+        });
+        a.emit(Instr::Return);
+        a.attach_label(not_b);
+        a.emit(Instr::PrimLocalConstBind {
+            prim: Prim::Sub,
+            a: 2,
+            k: hundred,
+        });
+        a.emit(Instr::PrimLocalConst {
+            prim: Prim::Cons,
+            a: 5,
+            k,
+        });
+        a.emit(Instr::Return);
+        a.finish().unwrap()
+    }
+
+    #[test]
+    fn in_place_forms_read_locals_and_constants() {
+        let mut m = machine_with("f", in_place_template());
+        let mut run = |x: i64, b: Value| {
+            let v = m.call_global(&Symbol::new("f"), vec![Value::Int(x), b]);
+            v.unwrap().to_datum().unwrap()
+        };
+        assert_eq!(run(3, Value::Bool(true)), Datum::Int(42));
+        let pair = Value::cons(Value::Int(1), Value::Int(2));
+        assert_eq!(run(3, pair), Datum::Int(2));
+        let expect = Datum::cons(Datum::Int(-94), Datum::list([Datum::Int(7), Datum::Int(8)]));
+        assert_eq!(run(3, Value::Bool(false)), expect);
+        assert_unwound(&m);
+    }
+
+    #[test]
+    fn faults_inside_operand_forms_unwind() {
+        // (define (inner y) (car y)) with `car` in place, called from
+        // (define (outer x) (+ 1 (inner x))) with an operand pending.
+        let mut a = Asm::new(Symbol::new("inner"), 1, 0);
+        a.emit(Instr::PrimLocal {
+            prim: Prim::Car,
+            a: 0,
+        });
+        a.emit(Instr::Return);
+        let mut m = machine_with("inner", a.finish().unwrap());
+        let mut a = Asm::new(Symbol::new("outer"), 1, 0);
+        let one = a.const_index(&Datum::Int(1)).unwrap();
+        a.emit(Instr::Const(one));
+        a.emit(Instr::Push);
+        a.emit(Instr::Local(0));
+        a.emit(Instr::Push);
+        let g = a.global_index(&Symbol::new("inner")).unwrap();
+        a.emit(Instr::Global(g));
+        a.emit(Instr::Call { nargs: 1 });
+        a.emit(Instr::Push);
+        a.emit(Instr::Prim {
+            prim: Prim::Add,
+            nargs: 2,
+        });
+        a.emit(Instr::Return);
+        m.define_template(Symbol::new("outer"), a.finish().unwrap());
+        // (define (sum x) (let ((s (+ x 'a))) s)): the binding form faults.
+        let mut a = Asm::new(Symbol::new("sum"), 1, 0);
+        let sym = a.const_index(&Datum::sym("a")).unwrap();
+        a.emit(Instr::PrimLocalConstBind {
+            prim: Prim::Add,
+            a: 0,
+            k: sym,
+        });
+        a.emit(Instr::Local(1));
+        a.emit(Instr::Return);
+        m.define_template(Symbol::new("sum"), a.finish().unwrap());
+        for f in ["outer", "sum"] {
+            let e = m.call_global(&Symbol::new(f), vec![Value::Int(3)]);
+            assert!(matches!(e, Err(VmError::Prim(_))), "{f}: {e:?}");
+            assert_unwound(&m);
+        }
+        let pair = Value::cons(Value::Int(4), Value::Nil);
+        let v = m.call_global(&Symbol::new("outer"), vec![pair]).unwrap();
+        assert_eq!(v.to_datum(), Some(Datum::Int(5)));
+        assert_unwound(&m);
+    }
+
+    #[test]
+    fn each_in_place_form_costs_one_step_and_one_fetch() {
+        // Every in-place form once, then `return`: eight instructions.
+        let mut a = Asm::new(Symbol::new("eight"), 1, 0);
+        let one = a.const_index(&Datum::Int(1)).unwrap();
+        let next = a.make_label();
+        a.emit(Instr::PrimLocalBind {
+            prim: Prim::NullP,
+            a: 0,
+        });
+        a.emit(Instr::PrimLocalConstBind {
+            prim: Prim::Cons,
+            a: 0,
+            k: one,
+        });
+        a.emit(Instr::PrimLocalLocalBind {
+            prim: Prim::EqP,
+            a: 0,
+            b: 0,
+        });
+        a.emit_jump_if_false_local(1, next);
+        a.attach_label(next);
+        a.emit(Instr::PrimLocal {
+            prim: Prim::Car,
+            a: 2,
+        });
+        a.emit(Instr::PrimLocalConst {
+            prim: Prim::Add,
+            a: 0,
+            k: one,
+        });
+        a.emit(Instr::PrimLocalLocal {
+            prim: Prim::EqP,
+            a: 3,
+            b: 3,
+        });
+        a.emit(Instr::Return);
+        let t = a.finish().unwrap();
+        let eight = Symbol::new("eight");
+        let run = |fuel: u64| {
+            let profile = Arc::new(ExecProfile::new());
+            let mut m = machine_with("eight", t.clone())
+                .with_fuel(fuel)
+                .with_profile(profile.clone());
+            let v = m.call_global(&eight, vec![Value::Int(5)]);
+            assert_unwound(&m);
+            (v, profile.fetches())
+        };
+        let (v, fetches) = run(8);
+        assert_eq!(v.unwrap().to_datum(), Some(Datum::Bool(true)));
+        assert_eq!(fetches, 8);
+        let (v, fetches) = run(7);
+        assert_eq!(v.unwrap_err(), VmError::FuelExhausted);
+        assert_eq!(fetches, 7);
     }
 
     #[test]

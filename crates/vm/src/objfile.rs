@@ -23,11 +23,15 @@
 //! (`.t4og`, `.t4os` records, wire frames); it folds eight bytes per step
 //! through tables built at compile time, because a warm object fetch
 //! checksums its bytes up to four times.
-//! Version-1 files (which lack the checksum) and unknown future versions
-//! are rejected with [`ObjError::BadVersion`]; regenerate object files
-//! with the current toolchain. Decoding additionally validates every
-//! length prefix against the bytes actually remaining, so hostile counts
-//! cannot trigger huge up-front allocations.
+//! Version 3 adds the in-place instruction forms (tags 19–25: a
+//! primitive applied to one local, two locals, or a local and a constant,
+//! with its result in `val` or bound as a local, and a branch on a
+//! local). Tags 14–18 belonged to superinstructions that were retired and
+//! stay unused. Files of versions 1 and 2 and unknown future versions are
+//! rejected with [`ObjError::BadVersion`]; regenerate object files with
+//! the current toolchain. Decoding additionally validates every length
+//! prefix against the bytes actually remaining, so hostile counts cannot
+//! trigger huge up-front allocations.
 
 use crate::{Image, Instr, Template};
 use std::fmt;
@@ -39,8 +43,9 @@ use two4one_syntax::symbol::Symbol;
 
 const MAGIC: &[u8; 8] = b"two4one\0";
 /// Current object-file format version. Version 2 added the payload
-/// CRC-32; version-1 files are rejected.
-const VERSION: u32 = 2;
+/// CRC-32, version 3 the in-place instruction forms; files of earlier
+/// versions are rejected.
+const VERSION: u32 = 3;
 
 /// Computes the CRC-32 (IEEE 802.3, reflected, init/xorout `0xFFFF_FFFF`)
 /// of `bytes` — the same function as zlib's `crc32`, and the one checksum
@@ -285,6 +290,27 @@ fn put_instr(out: &mut Vec<u8>, i: &Instr) {
             put_str(out, prim.name());
             out.push(*nargs);
         }
+        Instr::PrimLocal { prim, a } => put_prim(out, 19, *prim, &[*a]),
+        Instr::PrimLocalLocal { prim, a, b } => put_prim(out, 20, *prim, &[*a, *b]),
+        Instr::PrimLocalConst { prim, a, k } => put_prim(out, 21, *prim, &[*a, *k]),
+        Instr::PrimLocalBind { prim, a } => put_prim(out, 22, *prim, &[*a]),
+        Instr::PrimLocalLocalBind { prim, a, b } => put_prim(out, 23, *prim, &[*a, *b]),
+        Instr::PrimLocalConstBind { prim, a, k } => put_prim(out, 24, *prim, &[*a, *k]),
+        Instr::JumpIfFalseLocal { slot, target } => {
+            out.push(25);
+            put_u16(out, *slot);
+            put_u32(out, *target);
+        }
+    }
+}
+
+/// Writes an in-place primitive: its tag, the primitive's name, then the
+/// slot or constant index of each operand.
+fn put_prim(out: &mut Vec<u8>, tag: u8, prim: Prim, operands: &[u16]) {
+    out.push(tag);
+    put_str(out, prim.name());
+    for &o in operands {
+        put_u16(out, o);
     }
 }
 
@@ -451,17 +477,50 @@ impl<'a> Reader<'a> {
             10 => Instr::Return,
             11 => Instr::Jump(self.u32()?),
             12 => Instr::JumpIfFalse(self.u32()?),
-            13 => {
-                let name = self.str()?;
-                let prim =
-                    Prim::from_name(name).ok_or_else(|| ObjError::BadPrim(name.to_string()))?;
-                Instr::Prim {
-                    prim,
-                    nargs: self.u8()?,
-                }
-            }
+            13 => Instr::Prim {
+                prim: self.prim()?,
+                nargs: self.u8()?,
+            },
+            19 => Instr::PrimLocal {
+                prim: self.prim()?,
+                a: self.u16()?,
+            },
+            20 => Instr::PrimLocalLocal {
+                prim: self.prim()?,
+                a: self.u16()?,
+                b: self.u16()?,
+            },
+            21 => Instr::PrimLocalConst {
+                prim: self.prim()?,
+                a: self.u16()?,
+                k: self.u16()?,
+            },
+            22 => Instr::PrimLocalBind {
+                prim: self.prim()?,
+                a: self.u16()?,
+            },
+            23 => Instr::PrimLocalLocalBind {
+                prim: self.prim()?,
+                a: self.u16()?,
+                b: self.u16()?,
+            },
+            24 => Instr::PrimLocalConstBind {
+                prim: self.prim()?,
+                a: self.u16()?,
+                k: self.u16()?,
+            },
+            25 => Instr::JumpIfFalseLocal {
+                slot: self.u16()?,
+                target: self.u32()?,
+            },
             t => return Err(ObjError::BadTag("instr", t)),
         })
+    }
+
+    /// A primitive, stored by name.
+    fn prim(&mut self) -> Result<Prim, ObjError> {
+        let name = self.str()?;
+        Prim::from_name(name).ok_or_else(|| ObjError::BadPrim(name.to_string()))
     }
 
     pub(crate) fn enter(&mut self) -> Result<(), ObjError> {
@@ -563,6 +622,90 @@ mod tests {
             assert_eq!(n1, n2);
             assert_eq!(t1, t2);
         }
+    }
+
+    /// One template with every in-place form, over locals and a constant.
+    fn in_place_image() -> Image {
+        let mut a = Asm::new(Symbol::new("f"), 2, 0);
+        let k = a.const_index(&Datum::sym("k")).unwrap();
+        let l = a.make_label();
+        a.emit(Instr::PrimLocalBind {
+            prim: Prim::NullP,
+            a: 0,
+        });
+        a.emit(Instr::PrimLocalConstBind {
+            prim: Prim::EqP,
+            a: 1,
+            k,
+        });
+        a.emit(Instr::PrimLocalLocalBind {
+            prim: Prim::EqvP,
+            a: 0,
+            b: 1,
+        });
+        a.emit_jump_if_false_local(3, l);
+        a.emit(Instr::PrimLocal {
+            prim: Prim::Car,
+            a: 0,
+        });
+        a.emit(Instr::Return);
+        a.attach_label(l);
+        a.emit(Instr::PrimLocalLocal {
+            prim: Prim::Cons,
+            a: 1,
+            b: 0,
+        });
+        a.emit(Instr::Bind);
+        a.emit(Instr::PrimLocalConst {
+            prim: Prim::Cons,
+            a: 5,
+            k,
+        });
+        a.emit(Instr::Return);
+        Image {
+            templates: vec![(Symbol::new("f"), a.finish().unwrap())],
+            entry: Symbol::new("f"),
+        }
+    }
+
+    #[test]
+    fn in_place_forms_round_trip() {
+        let image = in_place_image();
+        let bytes = encode(&image);
+        let back = decode(&bytes).unwrap();
+        assert_eq!(back.templates[0].1, image.templates[0].1);
+        assert_eq!(encode(&back), bytes);
+        let ops: Vec<usize> = back.templates[0].1.code.iter().map(Instr::opcode).collect();
+        assert_eq!(ops, [17, 19, 18, 20, 14, 10, 15, 5, 16, 10]);
+        // The listing keeps the base mnemonics and names the operands.
+        let dis = back.disassemble();
+        for line in [
+            "prim null?/1 local 0 → bind",
+            "prim eq?/2 local 1, const k → bind",
+            "prim eqv?/2 local 0, local 1 → bind",
+            "jump-if-false local 3 → 6",
+            "prim car/1 local 0",
+            "prim cons/2 local 1, local 0",
+            "prim cons/2 local 5, const k",
+        ] {
+            assert!(dis.contains(line), "{line} missing from\n{dis}");
+        }
+        let mut m = Machine::load(&back);
+        let v = m.call_global(
+            &Symbol::new("f"),
+            vec![crate::Value::Int(1), crate::Value::Int(2)],
+        );
+        let expect = two4one_syntax::reader::read_one("((2 . 1) . k)").unwrap();
+        assert_eq!(v.unwrap().to_datum(), Some(expect));
+    }
+
+    #[test]
+    fn version_2_files_are_refused_at_the_header() {
+        // Version 2 had no in-place forms; its files are regenerated, not
+        // read.
+        let mut bytes = encode(&in_place_image());
+        bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
+        assert_eq!(decode(&bytes).unwrap_err(), ObjError::BadVersion(2));
     }
 
     #[test]

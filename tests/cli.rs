@@ -1032,12 +1032,11 @@ fn t4o_stats_restores_the_genext_cache() {
 // from the commands it runs. A change to any of these formats must
 // update them on purpose, with the format's `VERSION`.
 const POWER_T4O: &str = "\
-    74776f346f6e650002000000765ed4ee05000000706f77657201000000050000\
-    00706f77657205000000706f7765720200001d00000002010004000000040d01\
-    0000003d02050202000c0a0000000001000a02010004000100040d010000002d\
-    0205020000040203000401000008020502000004020400040d010000002a020a\
-    020000000400000000000000000401000000000000000100000005000000706f\
-    77657200000000";
+    74776f346f6e6500030000000d367ff105000000706f77657201000000050000\
+    00706f77657205000000706f7765720200000e00000018010000003d01000000\
+    190200040000000001000a18010000002d010001000200000402030004010000\
+    08020514010000002a000004000a020000000400000000000000000401000000\
+    000000000100000005000000706f77657200000000";
 
 const POWER_T4OG: &str = "\
     74346f67656e780001000000a347eed305000000706f77657206000000040000\
@@ -1056,7 +1055,7 @@ const POWER_T4OG: &str = "\
     00000e000000";
 
 const POWER_T4OS: &str = "\
-    74346f736e617000040000000100000028020000978bd6104d01000028646566\
+    74346f736e61700005000000010000001702000071c015044d01000028646566\
     696e652028706f776572207825303a44206e25313a53292028696620283d206e\
     253120302920286c69667420312920285f2a207825302028706f776572207825\
     3020282d206e2531203129292929290a00537065634f7074696f6e73207b206c\
@@ -1070,10 +1069,10 @@ const POWER_T4OS: &str = "\
     6b3a2074727565207d05000000706f7765720900000004030000000000000005\
     000000706f776572010000000000000003000000000000000000000000000000\
     0000000000000000010000000000000000000000000000000000000000000000\
-    007b00000074776f346f6e650002000000ab864fa405000000706f7765720100\
-    000005000000706f77657205000000706f776572010000120000000200000400\
-    0000040d010000002a020502000004020100040d010000002a02050200000402\
-    0200040d010000002a020a010000000401000000000000000000000000000000";
+    006a00000074776f346f6e650003000000c2bb4a7205000000706f7765720100\
+    000005000000706f77657205000000706f776572010000040000001801000000\
+    2a0000000017010000002a0000010014010000002a000002000a010000000401\
+    000000000000000000000000000000";
 
 const POWER_GENEXT_CACHE: &str = "\
     74346f67736e70000100000001000000150300008f05655105000000706f7765\

@@ -11,7 +11,7 @@
 use two4one::{compile, compile_program, with_stack, CallPolicy, Datum, Division, Image, Pgg, BT};
 use two4one_compiler::compile_program_generic;
 use two4one_langs::grammar;
-use two4one_vm::{Instr, Template};
+use two4one_vm::{Instr, Template, OP_NAMES};
 
 fn d(s: &str) -> Datum {
     two4one::reader::read_one(s).unwrap()
@@ -195,64 +195,123 @@ fn subjects() -> Vec<Subject> {
     v
 }
 
-/// The instruction that runs after the one at `i`, following unconditional
-/// jumps: a call to a join point is `bind; jump L`, and what consumes
-/// `val` there is the join block at `L`. Jumps only go forward, but the
-/// walk is bounded by the template length all the same.
-fn next_executed(code: &[Instr], i: usize) -> Option<&Instr> {
-    let mut at = i + 1;
-    for _ in 0..code.len() {
-        match code.get(at) {
-            Some(Instr::Jump(target)) => at = *target as usize,
-            other => return other,
-        }
-    }
-    None
+/// What an instruction does with `val`.
+enum ValUse {
+    /// Writes it without reading it first.
+    Writes,
+    /// Reads it: `push`, `bind`, a call (the callee), `return` and the
+    /// stack-form `jump-if-false`.
+    Reads,
+    /// Leaves it alone: `trim`, `jump`, the in-place branch and the
+    /// primitives that bind their result.
+    Passes,
 }
 
-/// Counts the `push` and `bind` sites of `t` and its sub-templates, and
-/// fails unless the first instruction to run after each one writes `val`.
-fn consumed_sites(image: &str, t: &Template) -> usize {
-    let mut sites = 0;
-    for (i, ins) in t.code.iter().enumerate() {
-        if matches!(ins, Instr::Push | Instr::Bind) {
-            sites += 1;
-            let next = next_executed(&t.code, i);
-            assert!(
-                matches!(
-                    next,
-                    Some(
-                        Instr::Const(_)
-                            | Instr::Global(_)
-                            | Instr::Local(_)
-                            | Instr::Captured(_)
-                            | Instr::Prim { .. }
-                            | Instr::MakeClosure { .. }
-                    )
+fn val_use(i: &Instr) -> ValUse {
+    match i {
+        Instr::Const(_)
+        | Instr::Global(_)
+        | Instr::Local(_)
+        | Instr::Captured(_)
+        | Instr::MakeClosure { .. }
+        | Instr::Prim { .. }
+        | Instr::PrimLocal { .. }
+        | Instr::PrimLocalLocal { .. }
+        | Instr::PrimLocalConst { .. } => ValUse::Writes,
+        Instr::Push
+        | Instr::Bind
+        | Instr::Call { .. }
+        | Instr::TailCall { .. }
+        | Instr::Return
+        | Instr::JumpIfFalse(_) => ValUse::Reads,
+        Instr::Trim(_)
+        | Instr::Jump(_)
+        | Instr::JumpIfFalseLocal { .. }
+        | Instr::PrimLocalBind { .. }
+        | Instr::PrimLocalLocalBind { .. }
+        | Instr::PrimLocalConstBind { .. } => ValUse::Passes,
+    }
+}
+
+/// The instructions that can run right after the one at `i`: the jump
+/// target of a jump, both successors of a branch, the next one otherwise.
+fn successors(code: &[Instr], i: usize) -> Vec<usize> {
+    match code[i] {
+        Instr::Jump(t) => vec![t as usize],
+        Instr::JumpIfFalse(t) | Instr::JumpIfFalseLocal { target: t, .. } => {
+            vec![i + 1, t as usize]
+        }
+        _ => vec![i + 1],
+    }
+}
+
+/// Whether the instruction at `i` leaves `val` dead: it consumes `val`
+/// (`push`, `bind`), or binds its result or branches on a local in place,
+/// so whatever `val` held is stale.
+fn kills_val(i: &Instr) -> bool {
+    matches!(
+        i,
+        Instr::Push
+            | Instr::Bind
+            | Instr::PrimLocalBind { .. }
+            | Instr::PrimLocalLocalBind { .. }
+            | Instr::PrimLocalConstBind { .. }
+            | Instr::JumpIfFalseLocal { .. }
+    )
+}
+
+/// Counts the sites of `t` and its sub-templates that leave `val` dead
+/// into `sites`, by opcode, and fails unless every path from each one
+/// writes `val` before it reads it. A path runs through instructions that
+/// neither read nor write `val`, following jumps (a call to a join point
+/// is `bind; jump L`, and what runs next is the join block at `L`) and
+/// both successors of a branch.
+fn consumed_sites(image: &str, t: &Template, sites: &mut [usize; Instr::N_OPS]) {
+    let code = &t.code;
+    for (i, ins) in code.iter().enumerate() {
+        if !kills_val(ins) {
+            continue;
+        }
+        sites[ins.opcode()] += 1;
+        let mut seen = vec![false; code.len()];
+        let mut work = successors(code, i);
+        while let Some(at) = work.pop() {
+            let Some(next) = code.get(at) else {
+                panic!(
+                    "{image}: `{}` at {i} runs off the end of the code\n{}",
+                    t.name,
+                    t.disassemble()
+                );
+            };
+            if std::mem::replace(&mut seen[at], true) {
+                continue;
+            }
+            match val_use(next) {
+                ValUse::Writes => {}
+                ValUse::Reads => panic!(
+                    "{image}: `{}` at {i} leaves `val` dead, but {next:?} at {at} reads it\n{}",
+                    t.name,
+                    t.disassemble()
                 ),
-                "{image}: `{}` at {i} is followed by {next:?}, which leaves `val` live\n{}",
-                t.name,
-                t.disassemble()
-            );
+                ValUse::Passes => work.extend(successors(code, at)),
+            }
         }
     }
-    sites
-        + t.templates
-            .iter()
-            .map(|s| consumed_sites(image, s))
-            .sum::<usize>()
+    for sub in &t.templates {
+        consumed_sites(image, sub, sites);
+    }
 }
 
-/// The consume contract of `Instr::Push` and `Instr::Bind`: `val` is dead
-/// after both, so the VM moves it instead of cloning it. Every emitter —
+/// The `val` contract: `push` and `bind` consume `val`, so the VM moves it
+/// instead of cloning it, and a primitive that binds its result or a
+/// branch that reads its test in place leaves it stale. Every emitter —
 /// the ANF compiler on programs and on residual source, the generic
-/// compiler, and the fused object builder — must follow each of them with
-/// an instruction that writes `val`, once unconditional jumps (the tail
-/// of a join-point call) are followed.
+/// compiler, and the fused object builder — must write `val` on every
+/// path from such a site before anything reads it.
 #[test]
 fn every_push_and_bind_is_followed_by_a_write_of_val() {
     with_stack(|| {
-        let mut sites = 0;
+        let mut sites = [0; Instr::N_OPS];
         for s in subjects() {
             let p = s.pgg.parse(&s.src).unwrap();
             let genext = s
@@ -272,10 +331,66 @@ fn every_push_and_bind_is_followed_by_a_write_of_val() {
             ];
             for (emitter, image) in images {
                 for (_, t) in &image.templates {
-                    sites += consumed_sites(&format!("{}/{emitter}", s.name), t);
+                    consumed_sites(&format!("{}/{emitter}", s.name), t, &mut sites);
                 }
             }
         }
-        assert!(sites > 5000, "only {sites} push/bind sites checked");
+        // In-place forms took over many `push`/`bind` pairs (7,174 such
+        // sites before them, 5,041 sites of all six kinds since), so the
+        // floor is on the total and on each kind.
+        let total: usize = sites.iter().sum();
+        assert!(total > 4000, "only {total} sites checked");
+        for op in [
+            "push",
+            "bind",
+            "prim-local-bind",
+            "prim-local-local-bind",
+            "prim-local-const-bind",
+            "jump-if-false-local",
+        ] {
+            let n = OP_NAMES
+                .iter()
+                .position(|o| *o == op)
+                .map_or(0, |i| sites[i]);
+            assert!(n > 100, "only {n} `{op}` sites checked ({total} in all)");
+        }
     });
+}
+
+/// The walk behind the `val` contract finds a read of a dead `val` past a
+/// jump and on either arm of an in-place branch.
+#[test]
+fn the_val_check_catches_a_read_of_dead_val() {
+    use two4one::Symbol;
+    use two4one_syntax::prim::Prim;
+    use two4one_vm::Asm;
+    // `prim-local-bind; jump L; … L: return`: the return reads the dead
+    // `val`.
+    let mut a = Asm::new(Symbol::new("f"), 1, 0);
+    let l = a.make_label();
+    a.emit(Instr::PrimLocalBind {
+        prim: Prim::Car,
+        a: 0,
+    });
+    a.emit_jump(l);
+    a.emit(Instr::Local(0));
+    a.attach_label(l);
+    a.emit(Instr::Return);
+    let jumped = a.finish().unwrap();
+    // `jump-if-false local 0 → L; local 0; return; L: return`: only the
+    // alternative reads the dead `val`.
+    let mut a = Asm::new(Symbol::new("g"), 1, 0);
+    let l = a.make_label();
+    a.emit_jump_if_false_local(0, l);
+    a.emit(Instr::Local(0));
+    a.emit(Instr::Return);
+    a.attach_label(l);
+    a.emit(Instr::Return);
+    let branched = a.finish().unwrap();
+    for t in [jumped, branched] {
+        let caught = std::panic::catch_unwind(|| {
+            consumed_sites("hand-made", &t, &mut [0; Instr::N_OPS]);
+        });
+        assert!(caught.is_err(), "{}", t.disassemble());
+    }
 }
