@@ -17,19 +17,25 @@
 //!   `specialize` + `compile`;
 //! * `genext-build` and `cold-genext` — staging the generating extension,
 //!   and the gen-ext machine that every request runs, compared against
-//!   the walker rows above.
+//!   the walker rows above;
+//! * `<subject>/genext/*` — the machine's routes to object code, on MIXWELL
+//!   and LAZY, timed in alternating pairs (see [`bench_machine_routes`]).
+//!   The paper's claims about them are ratios of one pair's readings, and
+//!   their floors assert on the median over the pairs. The printed phase
+//!   split takes its specialize and compile phases from the MIXWELL rows.
 //!
-//! Subject: the MIXWELL interpreter specialized over its static program —
-//! the paper's headline workload. Results land in `BENCH_spec.json` so
-//! successive PRs can compare per-phase trajectories.
+//! Subject of the phase rows: the MIXWELL interpreter specialized over its
+//! static program — the paper's headline workload. Results land in
+//! `BENCH_spec.json` so successive changes can compare per-phase
+//! trajectories.
 
 use std::hint::black_box;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use two4one::{
-    compile_program, encode_genext, with_stack, AProgram, Machine, ObjectBuilder, SourceBuilder,
-    SpecOptions, Symbol, Value,
+    compile_program, compile_source_text, encode_genext, with_stack, AProgram, Machine,
+    ObjectBuilder, SourceBuilder, SpecOptions, Symbol, Value,
 };
-use two4one_bench::harness::{self, Criterion};
+use two4one_bench::harness::{self, Criterion, Group, RatioResult};
 use two4one_bench::subjects;
 use two4one_bench::{criterion_group, criterion_main};
 
@@ -202,7 +208,148 @@ fn bench_spec_phases(c: &mut Criterion) {
         });
     }
 
+    let claims = bench_machine_routes(&mut group);
     report(&group);
+    check_claims(&claims);
+}
+
+/// Pairs of the machine rows after the discarded warm-up pair. The count
+/// does not follow `T4O_BENCH_SAMPLES`, so CI's one-sample smoke run
+/// asserts the claim floors on as many pairs as a full run.
+const PAIRS: usize = 12;
+
+/// Runs of each route per pair; one fill takes about a millisecond.
+const RUNS: u32 = 20;
+
+/// The paper's claims about one subject's routes that the bench asserts:
+/// each the median per-pair ratio of two of its rows.
+struct Claims {
+    subject: &'static str,
+    /// Fig. 7: fused ÷ the staged text route (source, print, read,
+    /// compile).
+    fused_vs_text: RatioResult,
+    /// Fig. 6: object generation ÷ source generation.
+    object_vs_source: RatioResult,
+}
+
+/// The gen-ext machine's routes to object code, on MIXWELL and LAZY, each
+/// on a staged extension:
+///
+/// * `genext/source` — `GenExt::specialize_source`, the residual ANF tree
+///   (`SourceBuilder`);
+/// * `genext/compile` — `compile_program` on that tree, in memory;
+/// * `genext/fused` — `GenExt::specialize_object`, object code straight
+///   from the machine (`ObjectBuilder`);
+/// * `genext/load-text` — printing that tree and compiling the text back
+///   (read, front end, compile): what the staged text route of Fig. 7
+///   adds to `genext/source`.
+///
+/// After one discarded warm-up pair, each of [`PAIRS`] pairs runs every
+/// route [`RUNS`] times, forward on even pairs and backward on odd ones.
+/// A row's sample is one pair's time per run, and a claim's reading is
+/// the ratio of two rows within one pair, so drift between pairs moves
+/// both sides of it. Besides the two claims, the group records fused ÷
+/// (source + in-memory compile), the split route a server could take
+/// instead; it reads above 1 (EXPERIMENTS.md, Fig. 7), so it has no
+/// floor: a claim that does not hold is retracted in the docs, not kept
+/// alive by a looser floor.
+fn bench_machine_routes(group: &mut Group) -> Vec<Claims> {
+    let mut claims = Vec::new();
+    for subject in subjects() {
+        let name = subject.name;
+        let entry: &'static str = subject.entry;
+        let genext = subject.genext();
+        genext.stage().expect("stage genext");
+        let statics = vec![subject.program.clone()];
+        let times = with_stack(move || {
+            let tree = genext.specialize_source(&statics).expect("residual");
+            time_pairs([
+                &|| {
+                    let tree = genext.specialize_source(&statics).expect("source");
+                    black_box(tree.size());
+                },
+                &|| {
+                    let image = compile_program(&tree, entry).expect("compile");
+                    black_box(image.code_size());
+                },
+                &|| {
+                    let image = genext.specialize_object(&statics).expect("fused");
+                    black_box(image.code_size());
+                },
+                &|| {
+                    let text = tree.to_source();
+                    let image = compile_source_text(&text, entry).expect("load");
+                    black_box(image.code_size());
+                },
+            ])
+        });
+        let [source, compile, fused, load] = &times;
+        for (row, t) in [
+            ("source", source),
+            ("compile", compile),
+            ("fused", fused),
+            ("load-text", load),
+        ] {
+            group.record(format!("{name}/genext/{row}"), t.clone());
+        }
+        let (mut vs_text, mut vs_source, mut vs_split) = (Vec::new(), Vec::new(), Vec::new());
+        for i in 0..PAIRS {
+            let [src, comp, fus, lo] = [source, compile, fused, load].map(|t| t[i].as_secs_f64());
+            vs_text.push(fus / (src + lo));
+            vs_source.push(fus / src);
+            vs_split.push(fus / (src + comp));
+        }
+        claims.push(Claims {
+            subject: name,
+            fused_vs_text: group.record_ratio(format!("{name}/fused/(source+load-text)"), vs_text),
+            object_vs_source: group.record_ratio(format!("{name}/fused/source"), vs_source),
+        });
+        group.record_ratio(format!("{name}/fused/(source+compile)"), vs_split);
+    }
+    claims
+}
+
+/// Times `routes` in alternating pairs (see [`bench_machine_routes`]):
+/// per route, one time per run for each pair after the warm-up.
+fn time_pairs<const N: usize>(routes: [&dyn Fn(); N]) -> [Vec<Duration>; N] {
+    let mut times: [Vec<Duration>; N] = std::array::from_fn(|_| Vec::with_capacity(PAIRS));
+    for pair in 0..=PAIRS {
+        let mut order: Vec<usize> = (0..N).collect();
+        if pair % 2 == 1 {
+            order.reverse();
+        }
+        for i in order {
+            let t0 = Instant::now();
+            for _ in 0..RUNS {
+                routes[i]();
+            }
+            if pair > 0 {
+                times[i].push(t0.elapsed() / RUNS);
+            }
+        }
+    }
+    times
+}
+
+/// The claim floors of the machine rows, on the median per-pair ratio.
+fn check_claims(claims: &[Claims]) {
+    for c in claims {
+        // Fig. 7: object code straight from the machine beats the staged
+        // route through residual text.
+        assert!(
+            c.fused_vs_text.median <= 1.0,
+            "{}: fused generation reads {:.3}x the staged text route",
+            c.subject,
+            c.fused_vs_text.median
+        );
+        // Fig. 6: object generation costs at most twice source generation.
+        assert!(
+            c.object_vs_source.median <= 2.0,
+            "{}: object generation reads {:.3}x source generation",
+            c.subject,
+            c.object_vs_source.median
+        );
+    }
 }
 
 /// One walker run, the reference specializer the gen-ext machine is
@@ -248,14 +395,17 @@ fn report(group: &harness::Group) {
     let fused = phase("fused/spec-to-object");
     let gbuild = phase("genext-build");
     let gcold = phase("cold-genext");
+    let mspec = phase("MIXWELL/genext/source");
+    let mcompile = phase("MIXWELL/genext/compile");
+    let mfused = phase("MIXWELL/genext/fused");
     let staged = spec + compile;
-    let total = read + bta + staged + exec;
-    println!("  cold path, MIXWELL (medians):");
+    let total = read + bta + mspec + mcompile + exec;
+    println!("  cold path, MIXWELL (medians), specializing on the gen-ext machine:");
     for (name, ms) in [
         ("read+front-end", read),
         ("bta", bta),
-        ("specialize", spec),
-        ("compile", compile),
+        ("specialize", mspec),
+        ("compile", mcompile),
         ("vm-exec", exec),
     ] {
         println!("    {name:<16} {ms:8.3} ms  ({:5.1}%)", 100.0 * ms / total);
@@ -264,12 +414,14 @@ fn report(group: &harness::Group) {
         "    vm-exec-profiled {execp:8.3} ms  (counter overhead {:+.1}%)",
         (execp / exec - 1.0) * 100.0
     );
-    println!("    staged spec+compile {staged:8.3} ms");
-    println!(
-        "    fused spec-to-object {fused:7.3} ms  ({:.2}x staged)",
-        staged / fused
-    );
+    println!("    fused            {mfused:8.3} ms  (specialize straight to object code)");
     println!("    genext-build     {gbuild:8.3} ms  (one-time, amortized over the cache)");
+    println!("  the walker, the reference the machine is tested against:");
+    println!("    walker spec+compile  {staged:8.3} ms");
+    println!(
+        "    walker spec-to-object {fused:7.3} ms  ({:.2}x walker spec+compile)",
+        fused / staged
+    );
     println!(
         "    cold-genext      {gcold:8.3} ms  ({:.2}x walker specialize, {:.2}x walker fused)",
         spec / gcold,

@@ -114,7 +114,9 @@ fn fig7() {
     }
     println!("\nPaper's claim: loading residual source back is far more expensive");
     println!("than what direct object generation adds over source generation;");
-    println!("the fused total beats source-generation + compile.\n");
+    println!("the fused total beats source generation + loading the text back.");
+    println!("It does not beat compiling the residual tree in memory: see the");
+    println!("`fused/(source+compile)` ratios of BENCH_spec.json and EXPERIMENTS.md.\n");
 }
 
 fn fig8() {
@@ -207,11 +209,13 @@ fn trajectories() {
         (
             "BENCH_spec.json",
             "cold-path phase split (MIXWELL)",
-            "`specialize` is the phase to watch (see DESIGN.md §10); \
-             `cold-genext` is the same request served by the *compiled* \
-             generating extension, with `genext-build` its one-time \
-             staging cost — the CI floor holds `cold-genext` at ≥ 2x \
-             `specialize` (see DESIGN.md §13).",
+            "`MIXWELL/genext/source` is the phase to watch (see DESIGN.md \
+             §10); `specialize` is the walker on the same request and \
+             `cold-genext` the *compiled* generating extension, with \
+             `genext-build` its one-time staging cost — the CI floor holds \
+             `cold-genext` at ≥ 2x `specialize` (see DESIGN.md §13). The \
+             file's `ratios` (not listed here) are the claim ratios of the \
+             `genext/*` rows.",
         ),
         (
             "BENCH_serve.json",

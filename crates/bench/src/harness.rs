@@ -26,6 +26,7 @@ impl Criterion {
             name: name.to_string(),
             samples: default_samples(),
             results: Vec::new(),
+            ratios: Vec::new(),
         }
     }
 }
@@ -42,6 +43,22 @@ pub struct BenchResult {
     pub min: Duration,
 }
 
+/// A claim measured as a ratio of two timings over alternating pairs: the
+/// median per-pair ratio and its quartiles.
+#[derive(Debug, Clone)]
+pub struct RatioResult {
+    /// Ratio id within its group.
+    pub id: String,
+    /// Median of the per-pair ratios.
+    pub median: f64,
+    /// Lower quartile of the per-pair ratios.
+    pub q1: f64,
+    /// Upper quartile of the per-pair ratios.
+    pub q3: f64,
+    /// Number of pairs.
+    pub pairs: usize,
+}
+
 fn default_samples() -> usize {
     std::env::var("T4O_BENCH_SAMPLES")
         .ok()
@@ -55,6 +72,7 @@ pub struct Group {
     name: String,
     samples: usize,
     results: Vec<BenchResult>,
+    ratios: Vec<RatioResult>,
 }
 
 impl Group {
@@ -82,6 +100,12 @@ impl Group {
                 times.push(d);
             }
         }
+        self.record(id, times)
+    }
+
+    /// Records a measurement timed by the caller, one per-iteration time
+    /// per sample, and prints its median and minimum.
+    pub fn record<S: std::fmt::Display>(&mut self, id: S, mut times: Vec<Duration>) -> &mut Self {
         if times.is_empty() {
             println!("  {id}: no measurement");
             return self;
@@ -98,6 +122,35 @@ impl Group {
         self
     }
 
+    /// Records a ratio from its per-pair readings, prints its median and
+    /// quartiles, and returns it.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `ratios` is empty.
+    pub fn record_ratio<S: std::fmt::Display>(
+        &mut self,
+        id: S,
+        mut ratios: Vec<f64>,
+    ) -> RatioResult {
+        assert!(!ratios.is_empty(), "ratio {id} has no pairs");
+        ratios.sort_by(f64::total_cmp);
+        let at = |q: usize| ratios[(ratios.len() - 1) * q / 4];
+        let r = RatioResult {
+            id: id.to_string(),
+            median: at(2),
+            q1: at(1),
+            q3: at(3),
+            pairs: ratios.len(),
+        };
+        println!(
+            "  {}: median {:.3}  quartiles {:.3}–{:.3}  over {} pairs",
+            r.id, r.median, r.q1, r.q3, r.pairs
+        );
+        self.ratios.push(r.clone());
+        r
+    }
+
     /// Ends the group (kept for API compatibility; printing is eager).
     pub fn finish(&mut self) {}
 
@@ -110,10 +163,16 @@ impl Group {
     pub fn results(&self) -> &[BenchResult] {
         &self.results
     }
+
+    /// Ratios recorded so far, in execution order.
+    pub fn ratios(&self) -> &[RatioResult] {
+        &self.ratios
+    }
 }
 
 /// Writes a group's results as a small JSON trajectory file (one object
-/// per measurement), so successive runs can be compared across PRs.
+/// per measurement, then one per ratio if the group has any), so
+/// successive runs can be compared across PRs.
 ///
 /// # Errors
 ///
@@ -135,7 +194,27 @@ pub fn write_json(path: impl AsRef<std::path::Path>, group: &Group) -> std::io::
             r.min.as_nanos()
         ));
     }
-    out.push_str("  ]\n}\n");
+    out.push_str("  ]");
+    if !group.ratios().is_empty() {
+        out.push_str(",\n  \"ratios\": [\n");
+        for (i, r) in group.ratios().iter().enumerate() {
+            let comma = if i + 1 == group.ratios().len() {
+                ""
+            } else {
+                ","
+            };
+            out.push_str(&format!(
+                "    {{\"id\": {}, \"median\": {:.4}, \"q1\": {:.4}, \"q3\": {:.4}, \"pairs\": {}}}{comma}\n",
+                json_escape(&r.id),
+                r.median,
+                r.q1,
+                r.q3,
+                r.pairs
+            ));
+        }
+        out.push_str("  ]");
+    }
+    out.push_str("\n}\n");
     std::fs::write(path, out)
 }
 

@@ -163,10 +163,14 @@ fn compile(
                 emit::emit_bind(asm);
             }
             let inner = cenv.bind(*x, Loc::Local(depth));
-            compile(body, asm, &inner, depth + 1, globals, cont)
-            // On `Cont::Next` the binding stays live until an enclosing
-            // conditional trims or the frame returns; locals are
-            // append-only within a straight-line region.
+            compile(body, asm, &inner, depth + 1, globals, cont)?;
+            // On `Cont::Next` the value falls through to code compiled at
+            // `depth`: drop the binding, or the next local bound there
+            // lands a slot above where its environment puts it.
+            if cont == Cont::Next {
+                asm.emit(Instr::Trim(depth));
+            }
+            Ok(())
         }
         Expr::App(f, args) => {
             let n = u8::try_from(args.len()).map_err(|_| CompileError::TooManyArgs(args.len()))?;
@@ -304,6 +308,19 @@ mod tests {
         assert_eq!(
             run_generic(src, "g", &[Datum::Bool(false)]).unwrap(),
             Datum::Int(100)
+        );
+    }
+
+    #[test]
+    fn an_operand_let_drops_its_binding() {
+        // The inner `let` sits in an operand of `+`: its slot must be free
+        // again before `x` is bound, or `x` reads `y`'s slot.
+        let src = "(define (f) (let ((x (+ (let ((y 1)) y) 2))) x))";
+        assert_eq!(run_generic(src, "f", &[]).unwrap(), Datum::Int(3));
+        let src = "(define (g a) (+ (let ((y (* a 10))) (+ y 1)) (let ((z a)) (- z 5))))";
+        assert_eq!(
+            run_generic(src, "g", &[Datum::Int(2)]).unwrap(),
+            Datum::Int(18)
         );
     }
 

@@ -29,6 +29,15 @@
 //!   → a call to a join point), mirroring the walker's `Kont::Tail` vs.
 //!   jump-continuation distinction.
 //!
+//! # The step loop
+//!
+//! One loop per work item moves between three steps: evaluate an
+//! instruction, deliver a value to the continuation, deliver a completed
+//! region's code to its boundary frame. The value and the code wait in two
+//! registers of the machine, not in the step, so a transition moves an
+//! instruction pointer and an environment at most, whatever the builder's
+//! value sizes are. An argument list fills its frame in place.
+//!
 //! # The generic image
 //!
 //! With [`SpecOptions::fallback`] on, a run that hits a recoverable limit
@@ -205,6 +214,8 @@ enum Frame<'p, B: CodeBuilder> {
         dynamic: bool,
     },
     /// Argument list in progress; `idx` is the argument being evaluated.
+    /// It stays on the stack, updated in place, until the last argument
+    /// arrives.
     Args {
         dest: Dest<B>,
         args: &'p [u32],
@@ -288,17 +299,24 @@ struct GPending<B: CodeBuilder> {
     statics: Vec<GVal<B>>,
 }
 
-/// One machine transition target.
+/// One machine transition target. The step carries no payload: a value
+/// in flight waits in [`GenRun::acc`], a completed region's code in
+/// [`GenRun::out`], so the loop moves two words per step whatever the
+/// builder's value sizes are.
 enum Step<B: CodeBuilder> {
+    /// Evaluate the instruction at `ip` under the environment.
     Eval(u32, GEnv<B>),
-    Value(GVal<B>),
-    Complete(RCode<B>),
+    /// Deliver `acc` to the continuation.
+    Value,
+    /// Deliver `out` to the boundary frame on top of the stack.
+    Complete,
 }
 
-/// Result of a transition: another step, or the current body finished.
+/// Result of a transition: another step, or the current body finished
+/// with its code in `out`.
 enum Flow<B: CodeBuilder> {
     Step(Step<B>),
-    Done(RCode<B>),
+    Done,
 }
 
 // ----- the machine ------------------------------------------------------
@@ -337,6 +355,13 @@ pub struct GenRun<'p, B: CodeBuilder> {
     /// argument list and cleared after each application.
     prim_args: Vec<Datum>,
     wraps: Vec<Wrap<B>>,
+    /// The value register: set by the producer of a [`Step::Value`],
+    /// taken by [`GenRun::value`].
+    acc: Option<GVal<B>>,
+    /// The code register: set by the producer of a [`Step::Complete`] or
+    /// [`Flow::Done`], taken by [`GenRun::complete`] or at the end of the
+    /// work item.
+    out: Option<RCode<B>>,
     /// Counters.
     pub stats: SpecStats,
 }
@@ -457,6 +482,8 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
             val_pool: Vec::new(),
             prim_args: Vec::new(),
             wraps: Vec::new(),
+            acc: None,
+            out: None,
             stats: SpecStats::default(),
         }
     }
@@ -504,6 +531,21 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
             .rev()
             .find_map(Frame::boundary)
             .map_or(0, |(_, w)| w)
+    }
+
+    /// Puts `v` in the value register: the step that delivers it.
+    fn give_value(&mut self, v: GVal<B>) -> Step<B> {
+        debug_assert!(self.acc.is_none(), "a value is already in flight");
+        self.acc = Some(v);
+        Step::Value
+    }
+
+    /// Puts a completed region's code in the code register: the step that
+    /// delivers it.
+    fn give_code(&mut self, code: RCode<B>) -> Step<B> {
+        debug_assert!(self.out.is_none(), "region code is already in flight");
+        self.out = Some(code);
+        Step::Complete
     }
 
     fn marks(&self) -> Marks {
@@ -641,16 +683,16 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
             .check_every(&mut self.ticks, 4096)
             .map_err(PeError::Limit)?;
         Ok(Flow::Step(match self.instr(ip)? {
-            GenInstr::Const(c) => Step::Value(GVal::Data(self.const_at(*c)?.clone())),
+            GenInstr::Const(c) => self.give_value(GVal::Data(self.const_at(*c)?.clone())),
             GenInstr::Var { name, up, idx } => match env_get(&env, *up, *idx) {
-                Some(v) => Step::Value(v),
+                Some(v) => self.give_value(v),
                 None => {
                     return Err(PeError::Internal(format!(
                         "unbound variable `{name}` at specialization time"
                     )))
                 }
             },
-            GenInstr::Global(g) => Step::Value(GVal::FnRef(*g)),
+            GenInstr::Global(g) => self.give_value(GVal::FnRef(*g)),
             GenInstr::Unbound(x) => {
                 return Err(PeError::Internal(format!(
                     "unbound variable `{x}` at specialization time"
@@ -660,7 +702,7 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
                 self.stack.push(Frame::Lift);
                 Step::Eval(ip + 1, env)
             }
-            GenInstr::Clo(l) => Step::Value(GVal::Clo(Arc::new(GClo { lam: *l, env }))),
+            GenInstr::Clo(l) => self.give_value(GVal::Clo(Arc::new(GClo { lam: *l, env }))),
             GenInstr::LamD(l) => {
                 let lam = self.lam_at(*l)?;
                 let fresh: Vec<Symbol> = lam
@@ -760,11 +802,35 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
 
     // ----- value delivery ------------------------------------------------
 
-    fn value(&mut self, v: GVal<B>) -> Result<Step<B>, PeError> {
+    /// Delivers the value register to the continuation.
+    fn value(&mut self) -> Result<Step<B>, PeError> {
+        let Some(v) = self.acc.take() else {
+            return Err(PeError::Internal("no value in flight".into()));
+        };
         if let Some((term, floor)) = self.at_terminal() {
             let code = self.apply_term(term, v)?;
             let code = self.apply_wraps(code, floor);
-            return Ok(Step::Complete(code));
+            return Ok(self.give_code(code));
+        }
+        // An argument list fills in place: its frame is popped only once
+        // the last argument has arrived.
+        if let Some(Frame::Args {
+            args,
+            idx,
+            acc,
+            env,
+            ..
+        }) = self.stack.last_mut()
+        {
+            acc.push(v);
+            *idx += 1;
+            if let Some(&next) = args.get(*idx) {
+                return Ok(Step::Eval(next, env.clone()));
+            }
+            let Some(Frame::Args { dest, acc, .. }) = self.stack.pop() else {
+                return Err(PeError::Internal("argument frame vanished".into()));
+            };
+            return self.finish_args(dest, acc);
         }
         let Some(frame) = self.stack.pop() else {
             return Err(PeError::Internal(
@@ -774,7 +840,7 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
         match frame {
             Frame::Lift => {
                 let r = self.triv_of(v)?;
-                Ok(Step::Value(GVal::Dyn(r)))
+                Ok(self.give_value(GVal::Dyn(r)))
             }
             Frame::If {
                 then_,
@@ -809,28 +875,6 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
                     Dest::App(v)
                 };
                 self.begin_args(dest, args, env)
-            }
-            Frame::Args {
-                dest,
-                args,
-                idx,
-                mut acc,
-                env,
-            } => {
-                acc.push(v);
-                let next = idx + 1;
-                if next < args.len() {
-                    self.stack.push(Frame::Args {
-                        dest,
-                        args,
-                        idx: next,
-                        acc,
-                        env: env.clone(),
-                    });
-                    Ok(Step::Eval(args[next], env))
-                } else {
-                    self.finish_args(dest, acc)
-                }
             }
             _ => Err(PeError::Internal(
                 "boundary frame received a value out of turn".into(),
@@ -902,7 +946,7 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
                 fv: fv_args,
             };
             let code = self.apply_wraps(code, floor);
-            return Ok(Step::Complete(code));
+            return Ok(self.give_code(code));
         }
         let x = self.gensym.fresh("t");
         let var = self.dyn_val(&x);
@@ -911,7 +955,7 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
             s: serious,
             fv: fv_args,
         });
-        Ok(Step::Value(var))
+        Ok(self.give_value(var))
     }
 
     /// Builds a residual conditional. At a `Tail` boundary the branches
@@ -964,7 +1008,7 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
         for f in seg.into_iter().rev() {
             self.stack.push(f);
         }
-        Ok(Step::Value(rv))
+        Ok(self.give_value(rv))
     }
 
     // ----- calls and primitives ------------------------------------------
@@ -990,7 +1034,7 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
                 if p == Prim::ProcedureP
                     && matches!(acc.first(), Some(GVal::Clo(_) | GVal::FnRef(_)))
                 {
-                    return Ok(Step::Value(GVal::Data(Datum::Bool(true))));
+                    return Ok(self.give_value(GVal::Data(Datum::Bool(true))));
                 }
                 // A "static" primitive can receive residual code
                 // downstream of a residualized `error` path; fall back to
@@ -1044,7 +1088,7 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
                 }
                 self.recycle(acc);
                 let step = match apply_prim_datum(p, &data) {
-                    Ok(d) => Ok(Step::Value(GVal::Data(d))),
+                    Ok(d) => Ok(self.give_value(GVal::Data(d))),
                     // A static primitive fault under dynamic control must
                     // not abort specialization: the branch may be
                     // unreachable at run time. Residualize it — the fault
@@ -1306,13 +1350,19 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
 
     // ----- region completion ---------------------------------------------
 
-    /// Delivers a completed region's residual code to the boundary frame
-    /// on top of the stack, looping while completions cascade (an `if`
-    /// or join assembled at one boundary immediately completes the next).
-    fn complete(&mut self, mut code: RCode<B>) -> Result<Flow<B>, PeError> {
+    /// Delivers the code register, a completed region's residual code,
+    /// to the boundary frame on top of the stack, looping while
+    /// completions cascade (an `if` or join assembled at one boundary
+    /// immediately completes the next). With the stack empty, the work
+    /// item's body is done, its code back in the register.
+    fn complete(&mut self) -> Result<Flow<B>, PeError> {
+        let Some(mut code) = self.out.take() else {
+            return Err(PeError::Internal("no region code in flight".into()));
+        };
         loop {
             let Some(top) = self.stack.last() else {
-                return Ok(Flow::Done(code));
+                self.out = Some(code);
+                return Ok(Flow::Done);
             };
             if top.boundary().is_none() {
                 return Err(PeError::Internal(
@@ -1320,7 +1370,8 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
                 ));
             }
             let Some(frame) = self.stack.pop() else {
-                return Ok(Flow::Done(code));
+                self.out = Some(code);
+                return Ok(Flow::Done);
             };
             match frame {
                 Frame::LamB { name, fresh, marks } => {
@@ -1330,7 +1381,7 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
                     let triv = self
                         .builder
                         .lambda(&name, &fresh, frees.as_slice(), code.code);
-                    return Ok(Flow::Step(Step::Value(GVal::Dyn(Resid {
+                    return Ok(Flow::Step(self.give_value(GVal::Dyn(Resid {
                         triv,
                         fv: frees,
                         simple: false,
@@ -1478,17 +1529,23 @@ impl<'p, B: CodeBuilder + 'p> GenRun<'p, B> {
         // One frame for the whole parameter list: a single Arc.
         let env = env_push(&None, vals);
         self.depth = 0;
-        let mut state = Step::Eval(if self.generic { def.generic } else { def.body }, env);
-        let code = loop {
-            let flow = match state {
+        let mut step = Step::Eval(if self.generic { def.generic } else { def.body }, env);
+        loop {
+            let flow = match step {
                 Step::Eval(ip, e) => self.eval(ip, e)?,
-                Step::Value(v) => Flow::Step(self.value(v)?),
-                Step::Complete(c) => self.complete(c)?,
+                Step::Value => Flow::Step(self.value()?),
+                Step::Complete => self.complete()?,
             };
             match flow {
-                Flow::Step(s) => state = s,
-                Flow::Done(c) => break c,
+                Flow::Step(s) => step = s,
+                Flow::Done => break,
             }
+        }
+        let Some(code) = self.out.take() else {
+            return Err(PeError::Internal(format!(
+                "`{}` finished with no code",
+                item.res_name
+            )));
         };
         debug_assert!(
             code.fv.iter().all(|v| fresh_params.contains(v)),
@@ -1813,6 +1870,64 @@ mod tests {
                 }
             }
         });
+    }
+
+    /// Runs `w` as [`GenRun::run`] does, specializing and in generic mode,
+    /// and checks after every work item that both registers are empty.
+    /// A run that fails stops there, as [`GenRun::run`] does. Returns the
+    /// number of work items checked.
+    fn assert_registers_drain<B: CodeBuilder>(
+        w: &Workload,
+        builder: impl Fn() -> B,
+        ctx: &str,
+    ) -> usize {
+        let prog = staged(w);
+        let entry = Symbol::new(w.entry);
+        let idx = entry_index(&prog, &entry, &w.statics).unwrap();
+        let mut items = 0;
+        for generic in [false, true] {
+            let ctx = format!("{}/{ctx}/generic={generic}", w.name);
+            let mut m = GenRun::new(&prog, builder(), &deep(), Deadline::unlimited(), generic);
+            let statics = w.statics.iter().map(|d| GVal::Data(d.clone())).collect();
+            let mut result = if generic {
+                m.emit_stub(idx, entry, statics)
+            } else {
+                let item = GPending {
+                    def: idx,
+                    res_name: entry,
+                    statics,
+                };
+                m.run_item(item)
+            };
+            while result.is_ok() {
+                items += 1;
+                assert!(m.acc.is_none(), "[{ctx}] a value left after item {items}");
+                assert!(m.out.is_none(), "[{ctx}] code left after item {items}");
+                let Some(item) = m.pending.pop_front() else {
+                    break;
+                };
+                result = m.run_item(item);
+            }
+        }
+        items
+    }
+
+    #[test]
+    fn the_step_loop_moves_no_payload() {
+        // A step is an instruction pointer and an environment at most:
+        // values and region code wait in the machine's registers, whatever
+        // the builder's sizes.
+        assert!(std::mem::size_of::<Step<SourceBuilder>>() <= 16);
+        assert!(std::mem::size_of::<Step<ObjectBuilder>>() <= 16);
+        let items = with_stack(|| {
+            let mut items = 0;
+            for w in programs().iter().chain(&langs()) {
+                items += assert_registers_drain(w, SourceBuilder::new, "source");
+                items += assert_registers_drain(w, ObjectBuilder::new, "object");
+            }
+            items
+        });
+        assert!(items > 300, "only {items} work items checked");
     }
 
     fn run_source(

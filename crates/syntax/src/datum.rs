@@ -68,10 +68,27 @@ pub struct Pair {
 }
 
 impl PartialEq for Pair {
+    /// Compares along the cdr chain in a loop, so a long list costs no
+    /// stack; only nesting in the car recurses. At each pair the digest
+    /// goes first: unequal digests prove structural inequality, so deep
+    /// comparison only runs on (near-certain) matches. A shared tail ends
+    /// the walk at once.
     fn eq(&self, other: &Self) -> bool {
-        // Digest first: unequal digests prove structural inequality, so
-        // deep comparison only runs on (near-certain) matches.
-        self.digest == other.digest && self.car == other.car && self.cdr == other.cdr
+        let (mut a, mut b) = (self, other);
+        loop {
+            if a.digest != b.digest || a.car != b.car {
+                return false;
+            }
+            match (&a.cdr, &b.cdr) {
+                (Datum::Pair(x), Datum::Pair(y)) => {
+                    if Arc::ptr_eq(x, y) {
+                        return true;
+                    }
+                    (a, b) = (x, y);
+                }
+                (x, y) => return x == y,
+            }
+        }
     }
 }
 
@@ -574,6 +591,29 @@ mod tests {
                 Datum::cons(acc, Datum::cons(Datum::Int(i as i64), Datum::Nil))
             });
             drop(tree);
+        });
+    }
+
+    #[test]
+    fn long_lists_compare_on_a_small_stack() {
+        on_small_stack(|| {
+            let list = |last: i64| {
+                (0..100_000).fold(Datum::cons(Datum::Int(last), Datum::Nil), |acc, i| {
+                    Datum::cons(Datum::Int(i), acc)
+                })
+            };
+            // Equal but distinct: every pair is compared.
+            assert!(list(0) == list(0));
+            // Unequal in the last element: the digests already differ at
+            // the head.
+            assert!(list(0) != list(1));
+            // A shared tail ends the walk.
+            let tail = list(7);
+            let (a, b) = (
+                Datum::cons(Datum::Int(1), tail.clone()),
+                Datum::cons(Datum::Int(1), tail),
+            );
+            assert!(a == b);
         });
     }
 

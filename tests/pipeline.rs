@@ -96,6 +96,15 @@ fn suite() -> Vec<(&'static str, &'static str, Vec<Datum>, Option<&'static str>)
             vec![Datum::Int(5)],
             Some("(10 fine)"),
         ),
+        (
+            // A `let` in an operand position: its binding is gone before
+            // the enclosing `let` binds (the generic compiler once read
+            // `y`'s slot for `x` here and answered 1).
+            "(define (f) (let ((x (+ (let ((y 1)) y) 2))) x))",
+            "f",
+            vec![],
+            Some("3"),
+        ),
     ]
 }
 
