@@ -1,8 +1,5 @@
 //! Ablation benches for the design choices called out in DESIGN.md:
 //!
-//! * **fused vs. staged** — the composed system against the classic
-//!   two-step pipeline (generate source, then compile it); the headline
-//!   "two for the price of one" measurement;
 //! * **memoize vs. unfold** — generation time and residual size when the
 //!   classic `power` example is specialized with its recursion unfolded
 //!   (straight-line code) vs. forcibly memoized (residual loop);
@@ -13,62 +10,11 @@
 use std::hint::black_box;
 use std::time::Instant;
 use two4one::{
-    compile_source_text, interpret, run_image, with_stack, CallPolicy, Datum, Division, Machine,
-    Pgg, Symbol, Value, BT,
+    interpret, run_image, with_stack, CallPolicy, Datum, Division, Machine, Pgg, Symbol, Value, BT,
 };
 use two4one_bench::harness::Criterion;
 use two4one_bench::subjects;
 use two4one_bench::{criterion_group, criterion_main};
-use two4one_compiler::compile_program_generic;
-
-fn bench_fused_vs_staged(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_fused_vs_staged");
-    group.sample_size(20);
-    for subject in subjects() {
-        let genext = subject.genext();
-        let statics = vec![subject.program.clone()];
-        let entry: &'static str = subject.entry;
-
-        let g = genext.clone();
-        let s = statics.clone();
-        group.bench_function(format!("{}/fused", subject.name), move |b| {
-            b.iter_custom(|iters| {
-                let g = g.clone();
-                let s = s.clone();
-                with_stack(move || {
-                    let t0 = Instant::now();
-                    for _ in 0..iters {
-                        black_box(g.specialize_object(&s).expect("fused").code_size());
-                    }
-                    t0.elapsed()
-                })
-            })
-        });
-
-        let g = genext.clone();
-        let s = statics.clone();
-        group.bench_function(format!("{}/staged", subject.name), move |b| {
-            b.iter_custom(|iters| {
-                let g = g.clone();
-                let s = s.clone();
-                with_stack(move || {
-                    let t0 = Instant::now();
-                    for _ in 0..iters {
-                        // The classical route: source out, then compile.
-                        let text = g.specialize_source(&s).expect("source").to_source();
-                        black_box(
-                            compile_source_text(&text, entry)
-                                .expect("compile")
-                                .code_size(),
-                        );
-                    }
-                    t0.elapsed()
-                })
-            })
-        });
-    }
-    group.finish();
-}
 
 fn bench_memo_vs_unfold(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_memo_vs_unfold");
@@ -188,46 +134,6 @@ fn bench_interp_vs_rtcg_execution(c: &mut Criterion) {
     group.finish();
 }
 
-/// The Sec. 6.1 design claim: the ANF compilator set (no compile-time
-/// continuation) vs. the generic compiler threading one, on identical
-/// input programs (both normalized first so the comparison isolates the
-/// code-generation strategy).
-fn bench_compilers(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_compilers");
-    for subject in subjects() {
-        let parsed = subject.parsed();
-        let anf = two4one::anf::normalize(&parsed);
-        let anf_cs = anf.to_cs();
-        let entry: &'static str = subject.entry;
-
-        let a = anf.clone();
-        group.bench_function(format!("{}/anf-compilators", subject.name), move |b| {
-            b.iter(|| {
-                std::hint::black_box(
-                    two4one::compile_program(&a, entry)
-                        .expect("anf")
-                        .code_size(),
-                )
-            })
-        });
-
-        let g = anf_cs.clone();
-        group.bench_function(
-            format!("{}/generic-ct-continuation", subject.name),
-            move |b| {
-                b.iter(|| {
-                    std::hint::black_box(
-                        compile_program_generic(&g, entry)
-                            .expect("generic")
-                            .code_size(),
-                    )
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
 /// Residual-code post-optimization: cost of the ANF optimizer pass and
 /// the size reduction it buys on interpreter residuals.
 fn bench_optimizer(c: &mut Criterion) {
@@ -272,9 +178,7 @@ fn bench_optimizer(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_fused_vs_staged,
     bench_memo_vs_unfold,
-    bench_compilers,
     bench_optimizer,
     bench_interp_vs_rtcg_execution
 );

@@ -7,20 +7,14 @@
 //!
 //! * `read-front-end` — reader + desugaring + renaming + lambda lifting;
 //! * `bta` — binding-time analysis (building the generating extension);
-//! * `specialize` — staging plus the interpretive walker (the reference
-//!   specializer the gen-ext machine is checked against) producing
-//!   residual ANF *source*;
-//! * `compile` — the stock byte-code compiler over that residual program;
-//! * `vm-exec` — executing the compiled residual code once;
-//! * `fused/spec-to-object` — the walker's specialize + compile as the
-//!   single composed pass of the paper, for comparison against
-//!   `specialize` + `compile`;
-//! * `genext-build` and `cold-genext` — staging the generating extension,
-//!   and the gen-ext machine that every request runs, compared against
-//!   the walker rows above;
-//! * `<subject>/genext/*` — the machine's routes to object code, on MIXWELL
-//!   and LAZY, timed in alternating pairs (see [`bench_machine_routes`]).
-//!   The paper's claims about them are ratios of one pair's readings, and
+//! * `vm-exec` — executing the compiled residual code once, and
+//!   `vm-exec-profiled` the same with a tiered-serving profile attached;
+//! * `genext-build` — staging the generating extension, paid once per
+//!   program generation;
+//! * `<subject>/genext/*` and `<subject>/walker/*` — the gen-ext machine's
+//!   routes to object code and the walker's two builders, on MIXWELL and
+//!   LAZY, timed in alternating pairs (see [`bench_machine_routes`]). The
+//!   paper's claims about them are ratios of one pair's readings, and
 //!   their floors assert on the median over the pairs. The printed phase
 //!   split takes its specialize and compile phases from the MIXWELL rows.
 //!
@@ -32,12 +26,13 @@
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 use two4one::{
-    compile_program, compile_source_text, encode_genext, with_stack, AProgram, Machine,
-    ObjectBuilder, SourceBuilder, SpecOptions, Symbol, Value,
+    compile_program, compile_source_text, encode_genext, with_stack, Machine, ObjectBuilder,
+    SourceBuilder, Symbol, Value,
 };
 use two4one_bench::harness::{self, Criterion, Group, RatioResult};
 use two4one_bench::subjects;
 use two4one_bench::{criterion_group, criterion_main};
+use two4one_pe::specialize_staged;
 
 fn bench_spec_phases(c: &mut Criterion) {
     let mut group = c.benchmark_group("spec_phases");
@@ -70,53 +65,17 @@ fn bench_spec_phases(c: &mut Criterion) {
         });
     }
 
-    // Phase 3: specialization to residual source (ANF) by the walker,
-    // staging included. Runs on a big stack: the walker recurses over the
-    // interpreter.
-    let annotated = genext
-        .annotated()
-        .expect("cogen keeps the annotation")
-        .clone();
-    let options = genext.options().clone();
-    {
-        let (a, o, s) = (annotated.clone(), options.clone(), statics.clone());
-        group.bench_function("specialize", move |b| {
-            b.iter_custom(|iters| {
-                let (a, o, s) = (a.clone(), o.clone(), s.clone());
-                with_stack(move || {
-                    let t0 = Instant::now();
-                    for _ in 0..iters {
-                        let residual = walk(&a, entry, &s, SourceBuilder::new(), &o);
-                        black_box(residual.size());
-                    }
-                    t0.elapsed()
-                })
-            })
-        });
-    }
-
-    // Phase 4: byte-code compilation of the residual program.
-    let residual = {
+    // The compiled residual program the VM rows run.
+    let image = {
         let g = genext.clone();
         let s = statics.clone();
-        with_stack(move || g.specialize_source(&s).expect("residual"))
+        let residual = with_stack(move || g.specialize_source(&s).expect("residual"));
+        std::sync::Arc::new(compile_program(&residual, entry).expect("compile residual"))
     };
-    {
-        let residual = residual.clone();
-        group.bench_function("compile", move |b| {
-            b.iter(|| {
-                black_box(
-                    compile_program(&residual, entry)
-                        .expect("compile")
-                        .code_size(),
-                )
-            })
-        });
-    }
 
-    // Phase 5: one execution of the compiled residual code.
+    // Phase 3: one execution of the compiled residual code.
     {
-        let image = compile_program(&residual, entry).expect("compile residual");
+        let image = image.clone();
         let args = run_args.clone();
         group.bench_function("vm-exec", move |b| {
             b.iter(|| {
@@ -127,13 +86,12 @@ fn bench_spec_phases(c: &mut Criterion) {
         });
     }
 
-    // Phase 5b: the same execution with a tiered-serving profile
+    // Phase 3b: the same execution with a tiered-serving profile
     // attached. The VM flushes its fetch/retire/visit counters at the
     // amortized deadline stride, so the gap between this row and
     // `vm-exec` is the whole cost of profiling a warm request (design
     // budget: under 2%).
     {
-        let image = compile_program(&residual, entry).expect("compile residual");
         let args = run_args.clone();
         let profile = std::sync::Arc::new(two4one::ExecProfile::default());
         group.bench_function("vm-exec-profiled", move |b| {
@@ -145,65 +103,19 @@ fn bench_spec_phases(c: &mut Criterion) {
         });
     }
 
-    // The composed pass: residual object code with no residual syntax
-    // tree in between — should beat `specialize` + `compile` run apart.
-    // The walker again, so the two rows compare one engine.
-    {
-        let (a, o, s) = (annotated.clone(), options.clone(), statics.clone());
-        group.bench_function("fused/spec-to-object", move |b| {
-            b.iter_custom(|iters| {
-                let (a, o, s) = (a.clone(), o.clone(), s.clone());
-                with_stack(move || {
-                    let t0 = Instant::now();
-                    for _ in 0..iters {
-                        let image = walk(&a, entry, &s, ObjectBuilder::new(), &o);
-                        black_box(image.expect("fused").code_size());
-                    }
-                    t0.elapsed()
-                })
-            })
-        });
-    }
-
-    // Phase 7: staging the gen-ext to bytecode (and its `.t4og` wire
+    // Phase 4: staging the gen-ext to bytecode (and its `.t4og` wire
     // form) — the one-time build cost of the *compiled* generating
     // extension, paid once per program generation.
     {
-        let (a, e) = (annotated.clone(), Symbol::new(entry));
+        let a = genext
+            .annotated()
+            .expect("cogen keeps the annotation")
+            .clone();
+        let e = Symbol::new(entry);
         group.bench_function("genext-build", move |b| {
             b.iter(|| {
                 let staged = two4one_pe::stage(&a).expect("genext-build");
                 black_box(encode_genext(&staged, &e).len())
-            })
-        });
-    }
-
-    // Phase 8: cold specialization through the compiled gen-ext — the
-    // machine every request runs, on an extension already staged (a
-    // serving process stages once per generation, or restores the
-    // staged program from a `.t4og` snapshot). Directly comparable to
-    // `fused/spec-to-object`, which is the same residual image produced
-    // by the walker.
-    {
-        let compiled = genext.clone();
-        compiled.stage().expect("stage genext");
-        let s = statics.clone();
-        group.bench_function("cold-genext", move |b| {
-            b.iter_custom(|iters| {
-                let c = compiled.clone();
-                let s = s.clone();
-                with_stack(move || {
-                    let t0 = Instant::now();
-                    for _ in 0..iters {
-                        black_box(
-                            c.specialize_object_with_stats(&s)
-                                .expect("cold-genext")
-                                .0
-                                .code_size(),
-                        );
-                    }
-                    t0.elapsed()
-                })
             })
         });
     }
@@ -230,6 +142,11 @@ struct Claims {
     fused_vs_text: RatioResult,
     /// Fig. 6: object generation ÷ source generation.
     object_vs_source: RatioResult,
+    /// The walker's fused pass ÷ its source pass plus the in-memory
+    /// compile of that tree.
+    walker_fused_vs_split: RatioResult,
+    /// The machine's fused fill ÷ the walker's source pass.
+    fused_vs_walker: RatioResult,
 }
 
 /// The gen-ext machine's routes to object code, on MIXWELL and LAZY, each
@@ -242,13 +159,16 @@ struct Claims {
 ///   from the machine (`ObjectBuilder`);
 /// * `genext/load-text` — printing that tree and compiling the text back
 ///   (read, front end, compile): what the staged text route of Fig. 7
-///   adds to `genext/source`.
+///   adds to `genext/source`;
+/// * `walker/source` and `walker/fused` — `specialize_staged`, the walker
+///   the machine is tested against, with each builder on the same staged
+///   program.
 ///
 /// After one discarded warm-up pair, each of [`PAIRS`] pairs runs every
 /// route [`RUNS`] times, forward on even pairs and backward on odd ones.
 /// A row's sample is one pair's time per run, and a claim's reading is
 /// the ratio of two rows within one pair, so drift between pairs moves
-/// both sides of it. Besides the two claims, the group records fused ÷
+/// both sides of it. Besides the claims, the group records fused ÷
 /// (source + in-memory compile), the split route a server could take
 /// instead; it reads above 1 (EXPERIMENTS.md, Fig. 7), so it has no
 /// floor: a claim that does not hold is retracted in the docs, not kept
@@ -259,10 +179,12 @@ fn bench_machine_routes(group: &mut Group) -> Vec<Claims> {
         let name = subject.name;
         let entry: &'static str = subject.entry;
         let genext = subject.genext();
-        genext.stage().expect("stage genext");
+        let staged = genext.staged().expect("stage genext").clone();
+        let options = genext.options().clone();
         let statics = vec![subject.program.clone()];
         let times = with_stack(move || {
             let tree = genext.specialize_source(&statics).expect("residual");
+            let root = Symbol::new(entry);
             time_pairs([
                 &|| {
                     let tree = genext.specialize_source(&statics).expect("source");
@@ -281,28 +203,59 @@ fn bench_machine_routes(group: &mut Group) -> Vec<Claims> {
                     let image = compile_source_text(&text, entry).expect("load");
                     black_box(image.code_size());
                 },
+                &|| {
+                    let deadline = options.limits.deadline();
+                    let builder = SourceBuilder::new();
+                    let (tree, _) =
+                        specialize_staged(&staged, &root, &statics, builder, &options, deadline)
+                            .expect("walker source");
+                    black_box(tree.size());
+                },
+                &|| {
+                    let deadline = options.limits.deadline();
+                    let builder = ObjectBuilder::new();
+                    let (image, _) =
+                        specialize_staged(&staged, &root, &statics, builder, &options, deadline)
+                            .expect("walker fused");
+                    black_box(image.expect("walker image").code_size());
+                },
             ])
         });
-        let [source, compile, fused, load] = &times;
+        let [source, compile, fused, load, wsource, wfused] = &times;
         for (row, t) in [
-            ("source", source),
-            ("compile", compile),
-            ("fused", fused),
-            ("load-text", load),
+            ("genext/source", source),
+            ("genext/compile", compile),
+            ("genext/fused", fused),
+            ("genext/load-text", load),
+            ("walker/source", wsource),
+            ("walker/fused", wfused),
         ] {
-            group.record(format!("{name}/genext/{row}"), t.clone());
+            group.record(format!("{name}/{row}"), t.clone());
         }
-        let (mut vs_text, mut vs_source, mut vs_split) = (Vec::new(), Vec::new(), Vec::new());
+        let mut ratios: [Vec<f64>; 5] = Default::default();
         for i in 0..PAIRS {
-            let [src, comp, fus, lo] = [source, compile, fused, load].map(|t| t[i].as_secs_f64());
-            vs_text.push(fus / (src + lo));
-            vs_source.push(fus / src);
-            vs_split.push(fus / (src + comp));
+            let [src, comp, fus, lo, wsrc, wfus] =
+                [source, compile, fused, load, wsource, wfused].map(|t| t[i].as_secs_f64());
+            for (r, x) in ratios.iter_mut().zip([
+                fus / (src + lo),
+                fus / src,
+                fus / (src + comp),
+                wfus / (wsrc + comp),
+                fus / wsrc,
+            ]) {
+                r.push(x);
+            }
         }
+        let [vs_text, vs_source, vs_split, walker_split, vs_walker] = ratios;
         claims.push(Claims {
             subject: name,
             fused_vs_text: group.record_ratio(format!("{name}/fused/(source+load-text)"), vs_text),
             object_vs_source: group.record_ratio(format!("{name}/fused/source"), vs_source),
+            walker_fused_vs_split: group.record_ratio(
+                format!("{name}/walker-fused/(walker-source+compile)"),
+                walker_split,
+            ),
+            fused_vs_walker: group.record_ratio(format!("{name}/fused/walker-source"), vs_walker),
         });
         group.record_ratio(format!("{name}/fused/(source+compile)"), vs_split);
     }
@@ -331,7 +284,7 @@ fn time_pairs<const N: usize>(routes: [&dyn Fn(); N]) -> [Vec<Duration>; N] {
     times
 }
 
-/// The claim floors of the machine rows, on the median per-pair ratio.
+/// The claim floors of the paired rows, on the median per-pair ratio.
 fn check_claims(claims: &[Claims]) {
     for c in claims {
         // Fig. 7: object code straight from the machine beats the staged
@@ -349,31 +302,23 @@ fn check_claims(claims: &[Claims]) {
             c.subject,
             c.object_vs_source.median
         );
+        // The walker's fused pass must not lose badly to its source pass
+        // and an in-memory compile run apart.
+        assert!(
+            c.walker_fused_vs_split.median < 1.5,
+            "{}: the walker's fused pass reads {:.3}x its source pass + compile",
+            c.subject,
+            c.walker_fused_vs_split.median
+        );
+        // The compiled gen-ext earns its keep: the machine fills object
+        // code in at most half the time the walker takes to the source.
+        assert!(
+            c.fused_vs_walker.median <= 0.5,
+            "{}: the machine's fused fill reads {:.3}x the walker's source pass",
+            c.subject,
+            c.fused_vs_walker.median
+        );
     }
-}
-
-/// One walker run, the reference specializer the gen-ext machine is
-/// checked against: stage the annotated program, then walk the staged
-/// code.
-fn walk<B: two4one::anf::build::CodeBuilder + Default>(
-    annotated: &AProgram,
-    entry: &str,
-    statics: &[two4one::Datum],
-    builder: B,
-    options: &SpecOptions,
-) -> B::Program {
-    let staged = two4one_pe::stage(annotated).expect("stage");
-    let deadline = options.limits.deadline();
-    two4one_pe::specialize_staged(
-        &staged,
-        &Symbol::new(entry),
-        statics,
-        builder,
-        options,
-        deadline,
-    )
-    .expect("walker")
-    .0
 }
 
 /// Prints the phase breakdown and writes the trajectory file.
@@ -386,19 +331,24 @@ fn report(group: &harness::Group) {
             .map(|r| r.median.as_secs_f64() * 1e3)
             .unwrap_or_else(|| panic!("missing phase {id}"))
     };
+    let ratio = |id: &str| -> f64 {
+        group
+            .ratios()
+            .iter()
+            .find(|r| r.id == id)
+            .map(|r| r.median)
+            .unwrap_or_else(|| panic!("missing ratio {id}"))
+    };
     let read = phase("read-front-end");
     let bta = phase("bta");
-    let spec = phase("specialize");
-    let compile = phase("compile");
     let exec = phase("vm-exec");
     let execp = phase("vm-exec-profiled");
-    let fused = phase("fused/spec-to-object");
     let gbuild = phase("genext-build");
-    let gcold = phase("cold-genext");
     let mspec = phase("MIXWELL/genext/source");
     let mcompile = phase("MIXWELL/genext/compile");
     let mfused = phase("MIXWELL/genext/fused");
-    let staged = spec + compile;
+    let wspec = phase("MIXWELL/walker/source");
+    let wfused = phase("MIXWELL/walker/fused");
     let total = read + bta + mspec + mcompile + exec;
     println!("  cold path, MIXWELL (medians), specializing on the gen-ext machine:");
     for (name, ms) in [
@@ -416,16 +366,15 @@ fn report(group: &harness::Group) {
     );
     println!("    fused            {mfused:8.3} ms  (specialize straight to object code)");
     println!("    genext-build     {gbuild:8.3} ms  (one-time, amortized over the cache)");
-    println!("  the walker, the reference the machine is tested against:");
-    println!("    walker spec+compile  {staged:8.3} ms");
+    println!("  the walker, the reference the machine is tested against (median per-pair ratios):");
+    println!("    walker source    {wspec:8.3} ms");
     println!(
-        "    walker spec-to-object {fused:7.3} ms  ({:.2}x walker spec+compile)",
-        fused / staged
+        "    walker fused     {wfused:8.3} ms  ({:.2}x walker source + compile)",
+        ratio("MIXWELL/walker-fused/(walker-source+compile)")
     );
     println!(
-        "    cold-genext      {gcold:8.3} ms  ({:.2}x walker specialize, {:.2}x walker fused)",
-        spec / gcold,
-        fused / gcold
+        "    machine fused    {mfused:8.3} ms  ({:.2}x walker source)",
+        ratio("MIXWELL/fused/walker-source")
     );
 
     // Anchor to the workspace root so the trajectory file lands in the
@@ -435,31 +384,16 @@ fn report(group: &harness::Group) {
     println!("  wrote BENCH_spec.json");
 
     // Sanity floors, loose enough for a 1-sample CI smoke run: every
-    // phase must actually be measured, and the fused pass must not lose
-    // badly to running its two halves apart (it skips the residual tree).
-    for (name, ms) in [("read", read), ("bta", bta), ("spec", spec)] {
+    // phase must actually be measured.
+    for (name, ms) in [("read", read), ("bta", bta), ("spec", mspec)] {
         assert!(ms > 0.0, "phase {name} measured as zero");
     }
-    assert!(
-        fused < staged * 1.5,
-        "fused generation ({fused:.3} ms) much slower than staged ({staged:.3} ms)"
-    );
-    // The compiled gen-ext earns its keep: a cold miss through the
-    // bytecode machine must beat the interpreted specializer by 2x on the
-    // same workload (it runs at ~2.2x on an idle machine, and the margin
-    // widens under 1-sample smoke runs because the interpreted baseline
-    // pays the warmup).
     // Execution profiling is a strided counter flush: its design budget
     // is under 2% on the warm path. The floor is looser because both
     // rows are microsecond-scale samples on shared CI hardware.
     assert!(
         execp <= exec * 1.25,
         "profiled execution ({execp:.3} ms) too far above plain ({exec:.3} ms)"
-    );
-    assert!(
-        gcold * 2.0 <= spec,
-        "cold-genext ({gcold:.3} ms) is less than 2x faster than the \
-         interpreted specializer ({spec:.3} ms)"
     );
 }
 

@@ -210,12 +210,11 @@ fn trajectories() {
             "BENCH_spec.json",
             "cold-path phase split (MIXWELL)",
             "`MIXWELL/genext/source` is the phase to watch (see DESIGN.md \
-             §10); `specialize` is the walker on the same request and \
-             `cold-genext` the *compiled* generating extension, with \
-             `genext-build` its one-time staging cost — the CI floor holds \
-             `cold-genext` at ≥ 2x `specialize` (see DESIGN.md §13). The \
+             §10); `genext-build` is the one-time staging cost, and the \
+             `walker/*` rows run the walker on the same requests. The \
              file's `ratios` (not listed here) are the claim ratios of the \
-             `genext/*` rows.",
+             paired rows; the CI floor holds `<subject>/fused/walker-source` \
+             at ≤ 0.5 (see DESIGN.md §13).",
         ),
         (
             "BENCH_serve.json",

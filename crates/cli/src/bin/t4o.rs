@@ -1,7 +1,7 @@
 //! `t4o` — command-line driver for the two4one system.
 //!
 //! ```text
-//! t4o compile <file.scm> --entry <name> [-o out.t4o] [--generic]
+//! t4o compile <file.scm> --entry <name> [-o out.t4o]
 //! t4o run <file.scm|file.t4o> --entry <name> [--arg <datum>]...
 //!         [--fuel <steps>] [--timeout-ms <ms>]
 //! t4o spec <file.scm> --entry <name> --division SDSD
@@ -115,7 +115,6 @@ struct Opts {
     args: Vec<String>,
     source: bool,
     optimize: bool,
-    generic: bool,
     fuel: Option<u64>,
     timeout_ms: Option<u64>,
     unfold_fuel: Option<u64>,
@@ -182,7 +181,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
         args: Vec::new(),
         source: false,
         optimize: false,
-        generic: false,
         fuel: None,
         timeout_ms: None,
         unfold_fuel: None,
@@ -222,7 +220,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
             "--arg" | "-a" => o.args.push(take("--arg")?),
             "--source" => o.source = true,
             "--optimize" => o.optimize = true,
-            "--generic" => o.generic = true,
             "--fuel" => o.fuel = Some(parse_u64("--fuel", &take("--fuel")?)?),
             "--timeout-ms" => {
                 o.timeout_ms = Some(parse_u64("--timeout-ms", &take("--timeout-ms")?)?)
@@ -306,7 +303,7 @@ fn dispatch(args: &[String]) -> Result<(), String> {
 
 fn usage() -> String {
     "usage:\n  \
-     t4o compile <file.scm> --entry <name> [-o out.t4o] [--generic]\n  \
+     t4o compile <file.scm> --entry <name> [-o out.t4o]\n  \
      t4o run <file.scm|file.t4o> --entry <name> [--arg <datum>]... \
      [--fuel <steps>] [--timeout-ms <ms>]\n  \
      t4o spec <file.scm> --entry <name> --division <S|D letters> \
@@ -354,23 +351,19 @@ fn read_data(texts: &[String]) -> Result<Vec<Datum>, String> {
 }
 
 /// Loads an image either from a `.t4o` object file or by compiling source.
-fn load_or_compile(path: &str, entry: &str, generic: bool) -> Result<Image, String> {
+fn load_or_compile(path: &str, entry: &str) -> Result<Image, String> {
     if path.ends_with(".t4o") {
         return load_image(path).map_err(|e| e.to_string());
     }
     let src = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let program = Pgg::new().parse(&src).map_err(|e| e.to_string())?;
-    if generic {
-        two4one_compiler::compile_program_generic(&program, entry).map_err(|e| e.to_string())
-    } else {
-        compile(&program, entry).map_err(|e| e.to_string())
-    }
+    compile(&program, entry).map_err(|e| e.to_string())
 }
 
 fn cmd_compile(o: &Opts) -> Result<(), String> {
     let file = need_file(o)?;
     let entry = need_entry(o)?;
-    let image = load_or_compile(file, entry, o.generic)?;
+    let image = load_or_compile(file, entry)?;
     let out = o
         .output
         .clone()
@@ -387,7 +380,7 @@ fn cmd_compile(o: &Opts) -> Result<(), String> {
 fn cmd_run(o: &Opts) -> Result<(), String> {
     let file = need_file(o)?;
     let entry = need_entry(o)?;
-    let image = load_or_compile(file, entry, o.generic)?;
+    let image = load_or_compile(file, entry)?;
     let args = read_data(&o.args)?;
     let out = run_image_with(&image, entry, &args, &o.run_limits()).map_err(|e| e.to_string())?;
     print!("{}", out.output);
@@ -928,7 +921,7 @@ fn cmd_stats(o: &Opts) -> Result<(), String> {
 fn cmd_dis(o: &Opts) -> Result<(), String> {
     let file = need_file(o)?;
     let entry = need_entry(o)?;
-    let image = load_or_compile(file, entry, o.generic)?;
+    let image = load_or_compile(file, entry)?;
     print!("{}", image.disassemble());
     Ok(())
 }

@@ -5,9 +5,7 @@
 //! ([`crate::compile_body`]) and the fused combinators
 //! ([`crate::ObjectBuilder`]) call exactly these functions, which is what
 //! makes "compile the residual source" and "generate object code directly"
-//! produce identical templates (the fusion equivalence). The generic
-//! compiler ([`crate::generic`]) shares the primitive and conditional
-//! compilators too.
+//! produce identical templates (the fusion equivalence).
 
 use crate::cenv::{CEnv, Loc};
 use crate::CompileError;
@@ -90,8 +88,8 @@ pub enum Operand<'a> {
     /// A variable: read in place when `cenv` binds it to a local slot,
     /// loaded through `val` otherwise.
     Var(&'a Symbol),
-    /// Anything else (a global reference, a closure, a nested expression):
-    /// always loaded through `val`.
+    /// Anything else (a global reference, a closure): always loaded
+    /// through `val`.
     Other,
 }
 

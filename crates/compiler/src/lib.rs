@@ -19,11 +19,9 @@
 
 pub mod cenv;
 pub mod emit;
-pub mod generic;
 pub mod object;
 
 pub use cenv::{CEnv, Loc};
-pub use generic::compile_program_generic;
 pub use object::ObjectBuilder;
 
 use emit::{Dest, Operand};
@@ -408,35 +406,72 @@ mod tests {
     #[test]
     fn trivial_operands_are_read_in_place() {
         // One local, a local and a constant, two locals, and a test on a
-        // local are read in place by both compilers; a constant first
-        // operand or a captured one goes through `val` and the stack.
+        // local are read in place; a constant first operand or a captured
+        // one goes through `val` and the stack.
         let src = "(define (f x y)
                      (let ((a (car x)))
                        (let ((b (eq? a 'k)))
                          (if b (cons a y) (- 1 x)))))
                    (define (g n) (lambda (z) (+ z n)))";
-        let cs = frontend(src).unwrap();
-        let anf = compile_program(&normalize(&cs), "f").unwrap();
-        let generic = compile_program_generic(&cs, "f").unwrap();
-        for image in [&anf, &generic] {
-            let dis = image.disassemble();
-            for line in [
-                "0  prim car/1 local 0 → bind",
-                "1  prim eq?/2 local 2, const k → bind",
-                "2  jump-if-false local 3 → 5",
-                "3  prim cons/2 local 2, local 1",
-                "5  const 1\n",
-                "7  local 0\n",
-                "9  prim -/2\n",
-                "2  captured 0\n",
-                "4  prim +/2\n",
-            ] {
-                assert!(dis.contains(line), "{line:?} missing from\n{dis}");
+        let image = compile_program(&normalize(&frontend(src).unwrap()), "f").unwrap();
+        let dis = image.disassemble();
+        for line in [
+            "0  prim car/1 local 0 → bind",
+            "1  prim eq?/2 local 2, const k → bind",
+            "2  jump-if-false local 3 → 5",
+            "3  prim cons/2 local 2, local 1",
+            "5  const 1\n",
+            "7  local 0\n",
+            "9  prim -/2\n",
+            "2  captured 0\n",
+            "4  prim +/2\n",
+        ] {
+            assert!(dis.contains(line), "{line:?} missing from\n{dis}");
+        }
+        let mut m = Machine::load(&image);
+        let pair = Value::cons(Value::Sym(Symbol::new("k")), Value::Nil);
+        let v = m.call_global(&Symbol::new("f"), vec![pair, Value::Int(2)]);
+        assert_eq!(v.unwrap().to_datum(), read_one("(k . 2)").ok());
+    }
+
+    #[test]
+    fn anf_trims_branch_lets_right_before_the_jump_to_the_join() {
+        use two4one_vm::Instr;
+        // The then-arm binds `x` before it reaches the join point, so its
+        // jump must drop that slot: `trim` is what puts the join parameter
+        // in the slot the join body reads. The second program makes a
+        // missing `trim` observable (the join would read `x`, not `r`).
+        for src in [
+            "(define (f a) (+ (if a (let ((x 1)) x) 2) 3))",
+            "(define (f a) (+ (if a (let ((x 1)) (- x 5)) 2) 3))",
+        ] {
+            let cs = frontend(src).unwrap();
+            let image = compile_program(&normalize(&cs), "f").unwrap();
+            for a in [true, false] {
+                let args = [Datum::Bool(a)];
+                let expect = two4one_interp::run_program(&cs, "f", &args)
+                    .unwrap()
+                    .0
+                    .to_datum();
+                let mut m = Machine::load(&image);
+                let got = m.call_global(&Symbol::new("f"), vec![Value::Bool(a)]);
+                assert_eq!(got.unwrap().to_datum(), expect, "{src} a={a}");
             }
-            let mut m = Machine::load(image);
-            let pair = Value::cons(Value::Sym(Symbol::new("k")), Value::Nil);
-            let v = m.call_global(&Symbol::new("f"), vec![pair, Value::Int(2)]);
-            assert_eq!(v.unwrap().to_datum(), read_one("(k . 2)").ok());
+            // The join is a block of `f`, not a closure, and the one
+            // `trim` sits right before the then-arm's `bind; jump`.
+            let code = &image.templates[0].1.code;
+            assert!(
+                !code.iter().any(|i| matches!(i, Instr::MakeClosure { .. })),
+                "{src}"
+            );
+            let trims: Vec<usize> = (0..code.len())
+                .filter(|&i| matches!(code[i], Instr::Trim(_)))
+                .collect();
+            assert_eq!(trims.len(), 1, "{src}");
+            assert!(
+                matches!(code[trims[0] + 1..], [Instr::Bind, Instr::Jump(_), ..]),
+                "{src}"
+            );
         }
     }
 

@@ -312,11 +312,6 @@ impl Pgg {
         self
     }
 
-    /// The current limit record.
-    pub fn limits_ref(&self) -> &Limits {
-        &self.limits
-    }
-
     /// Sets the wall-clock budget for analysis and specialization.
     pub fn timeout(mut self, d: std::time::Duration) -> Self {
         self.limits = self.limits.with_timeout(d);

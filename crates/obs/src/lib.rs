@@ -8,7 +8,7 @@
 //!   Every add saturates instead of wrapping; histograms use fixed
 //!   power-of-two latency buckets (256 ns … ≈2.1 s, plus overflow).
 //! * **Spans and traces** ([`Span`], [`event`], the per-thread trace
-//!   ring) — `Span::enter(Phase::Specialize)` marks a pipeline phase,
+//!   ring) — `Span::enter(Phase::GenextRun)` marks a pipeline phase,
 //!   records its duration into the global per-phase histogram on drop,
 //!   and leaves Enter/Exit breadcrumbs in a bounded per-thread ring
 //!   buffer alongside point events (unfold, memo hit, cache hit, breaker

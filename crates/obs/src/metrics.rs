@@ -223,7 +223,7 @@ impl HistogramSnapshot {
 pub struct SeriesId {
     /// Metric family name, e.g. `t4o_serve_hits_total`.
     pub name: &'static str,
-    /// Optional label pair, e.g. `("phase", "specialize")`.
+    /// Optional label pair, e.g. `("phase", "genext-run")`.
     pub label: Option<(&'static str, &'static str)>,
 }
 

@@ -6,8 +6,8 @@
 //! per-phase latency histogram (`t4o_phase_nanos{phase=...}`). Point
 //! events ([`event`]) mark individual decisions — an unfold, a memo hit,
 //! a cache hit, a breaker trip — so a request's trace (front-end → BTA →
-//! specialize → compile → vm-exec plus its decisions) can be dumped on
-//! demand or on error.
+//! genext-build → genext-run → vm-exec plus its decisions) can be dumped
+//! on demand or on error.
 //!
 //! The ring is strictly per-thread and bounded ([`TRACE_CAP`] events,
 //! oldest evicted first), so tracing can stay on in production: no locks,
@@ -36,8 +36,6 @@ pub enum Phase {
     Frontend,
     /// Binding-time analysis.
     Bta,
-    /// The specializer (fused with code generation on the object path).
-    Specialize,
     /// The stand-alone ANF compiler.
     Compile,
     /// Byte-code VM execution.
@@ -52,10 +50,9 @@ pub enum Phase {
 
 impl Phase {
     /// Every phase, in pipeline order.
-    pub const ALL: [Phase; 8] = [
+    pub const ALL: [Phase; 7] = [
         Phase::Frontend,
         Phase::Bta,
-        Phase::Specialize,
         Phase::Compile,
         Phase::VmExec,
         Phase::Serve,
@@ -68,7 +65,6 @@ impl Phase {
         match self {
             Phase::Frontend => "frontend",
             Phase::Bta => "bta",
-            Phase::Specialize => "specialize",
             Phase::Compile => "compile",
             Phase::VmExec => "vm-exec",
             Phase::Serve => "serve",
@@ -458,7 +454,7 @@ mod tests {
         let events = vec![
             TraceEvent {
                 at_ns: 1_000,
-                what: TraceWhat::Enter(Phase::Specialize),
+                what: TraceWhat::Enter(Phase::GenextRun),
             },
             TraceEvent {
                 at_ns: 2_000,
@@ -467,15 +463,15 @@ mod tests {
             TraceEvent {
                 at_ns: 3_000,
                 what: TraceWhat::Exit {
-                    phase: Phase::Specialize,
+                    phase: Phase::GenextRun,
                     nanos: 2_000,
                 },
             },
         ];
         let text = render_trace(&events);
         assert_eq!(text.lines().count(), 3);
-        assert!(text.contains("enter specialize"));
+        assert!(text.contains("enter genext-run"));
         assert!(text.contains("event unfold (3)"));
-        assert!(text.contains("exit  specialize"));
+        assert!(text.contains("exit  genext-run"));
     }
 }

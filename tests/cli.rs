@@ -236,7 +236,7 @@ fn t4o_spec_grammar_compiles_a_recognizer() {
 }
 
 #[test]
-fn t4o_generic_compiler_flag() {
+fn t4o_rejects_an_unknown_option() {
     let dir = tmp_dir();
     let src = dir.join("g.scm");
     std::fs::write(&src, "(define (g a) (+ (if a 1 2) 10))").unwrap();
@@ -252,12 +252,10 @@ fn t4o_generic_compiler_flag() {
         ])
         .output()
         .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert_eq!(String::from_utf8_lossy(&out.stdout).trim(), "12");
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown option `--generic`"), "{err}");
+    assert!(out.stdout.is_empty());
     std::fs::remove_dir_all(&dir).ok();
 }
 

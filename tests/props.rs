@@ -76,18 +76,15 @@ fn gen_case(seed: u64) -> (Sketch, Sketch, i64, i64) {
     (m, g, a, b)
 }
 
-/// Engine agreement on random programs, through both compilers: the ANF
-/// compilators and the generic (continuation-passing) compiler.
+/// Engine agreement on random programs: the interpreter against the
+/// program compiled through the ANF compilators and run on the VM.
 fn check_engines_agree(m: Sketch, g: Sketch, a: i64, b: i64) -> Result<(), String> {
     with_stack_size(2 * 1024 * 1024 * 1024, move || {
         let p = program_from_sketch(&m, &g);
         let args = [Datum::Int(a), Datum::Int(b)];
         let expect = run_interp(&p, &args);
         let image = compile(&p, "main").map_err(|e| format!("compile: {e}"))?;
-        agree("interp-vs-vm", &expect, &run_vm(&image, &args))?;
-        let image = two4one_compiler::compile_program_generic(&p, "main")
-            .map_err(|e| format!("generic compile: {e}"))?;
-        agree("interp-vs-generic", &expect, &run_vm(&image, &args))
+        agree("interp-vs-vm", &expect, &run_vm(&image, &args))
     })
 }
 
