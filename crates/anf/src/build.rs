@@ -37,11 +37,8 @@ pub trait CodeBuilder {
     type Triv: Clone;
     /// Serious residual terms (calls and primitive applications).
     type Serious;
-    /// Residual expression bodies. `Clone` lets a consumer hold a branch
-    /// of residual code in a resumable continuation frame (the gen-ext
-    /// machine of `two4one-pe` snapshots such frames for fallback
-    /// replay); both backends clone by refcount or small-tree copy.
-    type Code: Clone;
+    /// Residual expression bodies.
+    type Code;
     /// The finished residual program.
     type Program;
 
@@ -99,6 +96,12 @@ pub trait CodeBuilder {
     fn join(&mut self, j: &Symbol, r: &Symbol, jbody: Self::Code, body: Self::Code) -> Self::Code;
 
     /// Adds a top-level residual definition.
+    ///
+    /// A definition is the last use of every `Code` built before it: a
+    /// backend may free their storage here (the object backend clears its
+    /// node arena), so a caller builds one definition's body completely,
+    /// defines it, and only then starts the next. Both specializer engines
+    /// call `define` only when a work item ends.
     fn define(&mut self, name: &Symbol, params: &[Symbol], body: Self::Code);
 
     /// Finishes the program; `entry` names the main residual definition.

@@ -6,7 +6,8 @@
 //! omission — see the global table in [`crate::compile_triv`]) a global.
 //!
 //! The environment is persistent (an immutable linked list) because the
-//! fused code-generation combinators capture it inside closures.
+//! fused emission loop keeps one per pending body on its work stack, each
+//! sharing its tail with the others.
 
 use std::sync::Arc;
 use two4one_syntax::symbol::Symbol;
@@ -38,6 +39,18 @@ struct Node {
     name: Symbol,
     loc: Loc,
     next: CEnv,
+}
+
+impl Drop for Node {
+    /// Unlinks the nodes this one alone owns in a loop: the derived drop
+    /// recurses once per binding, which overflows a thread's stack on a
+    /// long `let` chain.
+    fn drop(&mut self) {
+        let mut next = self.next.0.take();
+        while let Some(mut node) = next.and_then(Arc::into_inner) {
+            next = node.next.0.take();
+        }
+    }
 }
 
 impl CEnv {
@@ -89,6 +102,23 @@ mod tests {
         assert_eq!(e.lookup(&Symbol::new("x")), Some(Loc::Local(5)));
         assert_eq!(e.lookup(&Symbol::new("y")), Some(Loc::Captured(1)));
         assert_eq!(e.lookup(&Symbol::new("z")), None);
+    }
+
+    #[test]
+    fn a_long_environment_drops_in_a_loop() {
+        let dropped = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                let x = Symbol::new("x");
+                let mut e = CEnv::empty();
+                for _ in 0..100_000 {
+                    e = e.bind(x, Loc::Local(0));
+                }
+                drop(e);
+            })
+            .unwrap()
+            .join();
+        assert!(dropped.is_ok());
     }
 
     #[test]

@@ -58,6 +58,13 @@ pub fn emit_bind(asm: &mut Asm) {
     asm.emit(Instr::Bind);
 }
 
+/// The stack depth of a body under one more `let`, whose variable takes
+/// local slot `depth`. Slots are numbered in a `u16`, so a body nested
+/// deeper than that is an error, not a wrapped slot number.
+pub fn deeper(depth: u16) -> Result<u16, CompileError> {
+    depth.checked_add(1).ok_or(CompileError::TooManyLocals)
+}
+
 /// Returns `val` to the caller.
 pub fn emit_return(asm: &mut Asm) {
     asm.emit(Instr::Return);
@@ -216,24 +223,31 @@ pub fn attach(asm: &mut Asm, l: Label) {
     asm.attach_label(l);
 }
 
+/// The layout of a join point `(let ((j (lambda (r) jbody))) body)`, as
+/// [`emit_join`] lays it out.
+pub struct Join {
+    /// The environment of `body`: `j` bound to the join block.
+    pub body: CEnv,
+    /// Where the join block starts: attached right after `body`.
+    pub label: Label,
+    /// The environment of `jbody`, emitted at one slot deeper than the
+    /// join's `let`: `r` in local slot `depth`, the slot every jump to `j`
+    /// binds.
+    pub jbody: CEnv,
+}
+
 /// The join compilator: `(let ((j (lambda (r) jbody))) body)` where `j`
-/// is a join point. Emits `body` with `j` bound to a fresh label, attaches
-/// the label, then emits `jbody` with `r` in local slot `depth` — the slot
-/// every jump to `j` binds. The join body is a block of the enclosing
-/// template, so no closure is built and no call is made.
-pub fn emit_join(
-    asm: &mut Asm,
-    cenv: &CEnv,
-    depth: u16,
-    j: Symbol,
-    r: Symbol,
-    body: impl FnOnce(&mut Asm, &CEnv, u16) -> Result<(), CompileError>,
-    jbody: impl FnOnce(&mut Asm, &CEnv, u16) -> Result<(), CompileError>,
-) -> Result<(), CompileError> {
+/// is a join point. The caller emits `body` under [`Join::body`] at
+/// `depth`, attaches [`Join::label`], then emits `jbody` under
+/// [`Join::jbody`] at [`deeper`]`(depth)`. The join body is a block of the
+/// enclosing template, so no closure is built and no call is made.
+pub fn emit_join(asm: &mut Asm, cenv: &CEnv, depth: u16, j: Symbol, r: Symbol) -> Join {
     let label = asm.make_label();
-    body(asm, &cenv.bind(j, Loc::Join { label, depth }), depth)?;
-    attach(asm, label);
-    jbody(asm, &cenv.bind(r, Loc::Local(depth)), depth + 1)
+    Join {
+        body: cenv.bind(j, Loc::Join { label, depth }),
+        label,
+        jbody: cenv.bind(r, Loc::Local(depth)),
+    }
 }
 
 /// The tail-call compilator's join case. When `f` names a join point,

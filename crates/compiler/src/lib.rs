@@ -42,6 +42,8 @@ pub enum CompileError {
     Asm(AsmError),
     /// More parameters or arguments than the instruction encoding allows.
     TooManyArgs(usize),
+    /// A body nested under more `let`s than a frame has local slots.
+    TooManyLocals,
     /// A join point used other than as the operator of a one-argument
     /// tail call: as a value, captured by a lambda, or called otherwise.
     JoinMisuse(Symbol),
@@ -53,6 +55,13 @@ impl fmt::Display for CompileError {
             CompileError::Unbound(x) => write!(f, "unbound variable `{x}` at compile time"),
             CompileError::Asm(e) => write!(f, "{e}"),
             CompileError::TooManyArgs(n) => write!(f, "too many arguments ({n})"),
+            CompileError::TooManyLocals => {
+                write!(
+                    f,
+                    "too many nested `let`s (a frame has {} local slots)",
+                    1 << 16
+                )
+            }
             CompileError::JoinMisuse(j) => {
                 write!(
                     f,
@@ -184,15 +193,10 @@ pub fn compile_body(
             let [r] = l.params[..] else {
                 return Err(CompileError::JoinMisuse(*j));
             };
-            emit::emit_join(
-                asm,
-                cenv,
-                depth,
-                *j,
-                r,
-                |asm, cenv, depth| compile_body(body, asm, cenv, depth, globals),
-                |asm, cenv, depth| compile_body(&l.body, asm, cenv, depth, globals),
-            )
+            let join = emit::emit_join(asm, cenv, depth, *j, r);
+            compile_body(body, asm, &join.body, depth, globals)?;
+            emit::attach(asm, join.label);
+            compile_body(&l.body, asm, &join.jbody, emit::deeper(depth)?, globals)
         }
         anf::Expr::Let(x, rhs, body) => {
             match rhs {
@@ -211,7 +215,7 @@ pub fn compile_body(
                 }
             }
             let inner = cenv.bind(*x, Loc::Local(depth));
-            compile_body(body, asm, &inner, depth + 1, globals)
+            compile_body(body, asm, &inner, emit::deeper(depth)?, globals)
         }
         anf::Expr::If(t, then, els) => {
             let load = |asm: &mut Asm, t: &anf::Triv| compile_triv(t, asm, cenv, globals);

@@ -12,17 +12,23 @@
 //! * trivial terms as *data one level deep* — in particular, variables are
 //!   passed as **names** and converted to code at their use site, which is
 //!   the paper's Sec. 6.4 resolution of the name/compilator duality;
-//! * code bodies as emission functions `Asm × CEnv × depth → ()`, i.e. the
-//!   compilators of [`crate::emit`] partially applied to their syntax;
+//! * code bodies as *first-order nodes*: each body constructor pushes one
+//!   node — the construct with its operands, its sub-bodies as indices —
+//!   onto an arena the builder owns. One loop over an explicit work stack
+//!   emits a body through the compilators of [`crate::emit`], in the order
+//!   [`crate::compile_body`] recurses, so emission takes no Rust frame per
+//!   nesting level. [`CodeBuilder::define`] frees the arena: a definition
+//!   is the last use of its body's nodes;
 //! * lambdas compiled *eagerly* into sub-templates (their compile-time
 //!   environment is just parameters + free variables, known immediately);
-//! * join points compiled *in place*: [`CodeBuilder::join`] returns an
-//!   emission function that lays the join body out as a block of the
-//!   enclosing template, so a call to the join is a jump, not a closure.
+//! * join points compiled *in place*: the loop lays a join body out as a
+//!   block of the enclosing template, so a call to the join is a jump, not
+//!   a closure.
 //!
-//! No residual syntax tree is ever constructed: the specializer's output
-//! arrives here as a stream of constructor calls and leaves as byte code.
-//! That is the deforestation of Sec. 5.4, performed by monomorphization.
+//! No residual syntax tree is ever built from these nodes: the
+//! specializer's output arrives here as a stream of constructor calls and
+//! leaves as byte code, one definition at a time. That is the
+//! deforestation of Sec. 5.4, performed by monomorphization.
 
 use crate::cenv::{CEnv, Loc};
 use crate::emit::{Dest, Operand};
@@ -32,7 +38,7 @@ use two4one_anf::build::CodeBuilder;
 use two4one_syntax::datum::Datum;
 use two4one_syntax::prim::Prim;
 use two4one_syntax::symbol::Symbol;
-use two4one_vm::{Asm, Image, Template};
+use two4one_vm::{Asm, Image, Label, Template};
 
 /// A residual trivial term in the object backend.
 #[derive(Clone)]
@@ -64,25 +70,100 @@ pub enum ObjSerious {
     Prim(Prim, Vec<ObjTriv>),
 }
 
-/// A residual body: an emission function over assembler, compile-time
-/// environment, and stack depth — the exact parameter list of the paper's
-/// compilators.
-type EmitFn = dyn Fn(&mut Asm, &CEnv, u16) -> Result<(), CompileError> + Send + Sync;
+/// A residual body: the index of its node in the builder's arena.
+#[derive(Clone, Copy)]
+pub struct ObjCode(u32);
 
-#[derive(Clone)]
-pub struct ObjCode(Arc<EmitFn>);
+/// One residual construct, its sub-bodies by index. The compilator that
+/// emits it runs in [`emit_body`].
+enum Node {
+    Ret(ObjTriv),
+    Tail(ObjSerious),
+    LetSerious(Symbol, ObjSerious, ObjCode),
+    LetTriv(Symbol, ObjTriv, ObjCode),
+    If(ObjTriv, ObjCode, ObjCode),
+    Join {
+        j: Symbol,
+        r: Symbol,
+        jbody: ObjCode,
+        body: ObjCode,
+    },
+}
 
-impl ObjCode {
-    fn new(
-        f: impl Fn(&mut Asm, &CEnv, u16) -> Result<(), CompileError> + Send + Sync + 'static,
-    ) -> Self {
-        ObjCode(Arc::new(f))
+/// An item of [`emit_body`]'s work stack.
+enum Work {
+    /// A body to emit under its environment, at its stack depth.
+    Body(ObjCode, CEnv, u16),
+    /// A label to attach once the bodies pushed above it are emitted.
+    Attach(Label),
+}
+
+/// Emits `body` under `cenv` at `depth`: one loop over an explicit work
+/// stack, calling the compilators in the order [`crate::compile_body`]
+/// does. A construct with two sub-bodies pushes the second, the label
+/// between them, then the first, so the first is emitted whole before
+/// the label is attached.
+fn emit_body(
+    nodes: &[Node],
+    body: ObjCode,
+    asm: &mut Asm,
+    cenv: CEnv,
+    depth: u16,
+) -> Result<(), CompileError> {
+    let mut work = vec![Work::Body(body, cenv, depth)];
+    while let Some(item) = work.pop() {
+        let (code, cenv, depth) = match item {
+            Work::Body(code, cenv, depth) => (code, cenv, depth),
+            Work::Attach(label) => {
+                emit::attach(asm, label);
+                continue;
+            }
+        };
+        let load = |asm: &mut Asm, t: &ObjTriv| emit_triv(t, asm, &cenv);
+        match &nodes[code.0 as usize] {
+            Node::Ret(t) => {
+                load(asm, t)?;
+                emit::emit_return(asm);
+            }
+            Node::Tail(s) => {
+                if let ObjSerious::Call(ObjTriv::Var(f), args) = s {
+                    if emit::emit_join_call(asm, &cenv, depth, f, args, load)? {
+                        continue;
+                    }
+                }
+                emit_serious(s, asm, &cenv, true)?;
+            }
+            Node::LetSerious(x, rhs, body) => {
+                if let ObjSerious::Prim(p, args) = rhs {
+                    emit_prim(*p, args, Dest::Bind, asm, &cenv)?;
+                } else {
+                    emit_serious(rhs, asm, &cenv, false)?;
+                    emit::emit_bind(asm);
+                }
+                let inner = cenv.bind(*x, Loc::Local(depth));
+                work.push(Work::Body(*body, inner, emit::deeper(depth)?));
+            }
+            Node::LetTriv(x, rhs, body) => {
+                load(asm, rhs)?;
+                emit::emit_bind(asm);
+                let inner = cenv.bind(*x, Loc::Local(depth));
+                work.push(Work::Body(*body, inner, emit::deeper(depth)?));
+            }
+            Node::If(t, then, els) => {
+                let alt = emit::emit_branch(asm, &cenv, t, operand, load)?;
+                work.push(Work::Body(*els, cenv.clone(), depth));
+                work.push(Work::Attach(alt));
+                work.push(Work::Body(*then, cenv, depth));
+            }
+            Node::Join { j, r, jbody, body } => {
+                let join = emit::emit_join(asm, &cenv, depth, *j, *r);
+                work.push(Work::Body(*jbody, join.jbody, emit::deeper(depth)?));
+                work.push(Work::Attach(join.label));
+                work.push(Work::Body(*body, join.body, depth));
+            }
+        }
     }
-
-    /// Runs the emission function.
-    pub fn emit(&self, asm: &mut Asm, cenv: &CEnv, depth: u16) -> Result<(), CompileError> {
-        (self.0)(asm, cenv, depth)
-    }
+    Ok(())
 }
 
 fn emit_triv(t: &ObjTriv, asm: &mut Asm, cenv: &CEnv) -> Result<(), CompileError> {
@@ -166,6 +247,8 @@ fn emit_serious(
 #[derive(Default)]
 pub struct ObjectBuilder {
     defs: Vec<(Symbol, Arc<Template>)>,
+    /// The nodes of the definition being built, freed by `define`.
+    nodes: Vec<Node>,
     error: Option<CompileError>,
     ops: usize,
 }
@@ -173,15 +256,19 @@ pub struct ObjectBuilder {
 impl ObjectBuilder {
     /// Creates an empty builder.
     pub fn new() -> Self {
-        ObjectBuilder {
-            defs: Vec::new(),
-            error: None,
-            ops: 0,
-        }
+        ObjectBuilder::default()
     }
 
     fn count(&mut self) {
         self.ops += 1;
+    }
+
+    /// Counts a body constructor and adds its node to the arena.
+    fn node(&mut self, n: Node) -> ObjCode {
+        self.count();
+        let code = ObjCode(self.nodes.len() as u32);
+        self.nodes.push(n);
+        code
     }
 
     fn record(&mut self, e: CompileError) {
@@ -197,7 +284,7 @@ impl ObjectBuilder {
         name: &Symbol,
         params: &[Symbol],
         free: &[Symbol],
-        body: &ObjCode,
+        body: ObjCode,
     ) -> Option<Arc<Template>> {
         let arity = match u8::try_from(params.len()) {
             Ok(a) => a,
@@ -221,8 +308,7 @@ impl ObjectBuilder {
         for (i, v) in free.iter().enumerate() {
             cenv = cenv.bind(*v, Loc::Captured(i as u16));
         }
-        match body
-            .emit(&mut asm, &cenv, params.len() as u16)
+        match emit_body(&self.nodes, body, &mut asm, cenv, params.len() as u16)
             .and_then(|()| asm.finish().map_err(CompileError::from))
         {
             Ok(t) => {
@@ -271,7 +357,7 @@ impl CodeBuilder for ObjectBuilder {
         body: ObjCode,
     ) -> ObjTriv {
         self.count();
-        match self.compile_closed(name, params, free, &body) {
+        match self.compile_closed(name, params, free, body) {
             Some(template) => ObjTriv::Closure {
                 template,
                 free: free.to_vec(),
@@ -296,85 +382,40 @@ impl CodeBuilder for ObjectBuilder {
     }
 
     fn ret(&mut self, t: ObjTriv) -> ObjCode {
-        self.count();
-        ObjCode::new(move |asm, cenv, _depth| {
-            emit_triv(&t, asm, cenv)?;
-            emit::emit_return(asm);
-            Ok(())
-        })
+        self.node(Node::Ret(t))
     }
 
     fn tail(&mut self, s: ObjSerious) -> ObjCode {
-        self.count();
-        ObjCode::new(move |asm, cenv, depth| {
-            if let ObjSerious::Call(ObjTriv::Var(f), args) = &s {
-                let load = |asm: &mut Asm, a: &ObjTriv| emit_triv(a, asm, cenv);
-                if emit::emit_join_call(asm, cenv, depth, f, args, load)? {
-                    return Ok(());
-                }
-            }
-            emit_serious(&s, asm, cenv, true)
-        })
+        self.node(Node::Tail(s))
     }
 
     fn let_serious(&mut self, x: &Symbol, rhs: ObjSerious, body: ObjCode) -> ObjCode {
-        self.count();
-        let x = *x;
-        ObjCode::new(move |asm, cenv, depth| {
-            if let ObjSerious::Prim(p, args) = &rhs {
-                emit_prim(*p, args, Dest::Bind, asm, cenv)?;
-            } else {
-                emit_serious(&rhs, asm, cenv, false)?;
-                emit::emit_bind(asm);
-            }
-            let inner = cenv.bind(x, Loc::Local(depth));
-            body.emit(asm, &inner, depth + 1)
-        })
+        self.node(Node::LetSerious(*x, rhs, body))
     }
 
     fn let_triv(&mut self, x: &Symbol, rhs: ObjTriv, body: ObjCode) -> ObjCode {
-        self.count();
-        let x = *x;
-        ObjCode::new(move |asm, cenv, depth| {
-            emit_triv(&rhs, asm, cenv)?;
-            emit::emit_bind(asm);
-            let inner = cenv.bind(x, Loc::Local(depth));
-            body.emit(asm, &inner, depth + 1)
-        })
+        self.node(Node::LetTriv(*x, rhs, body))
     }
 
     fn if_(&mut self, t: ObjTriv, then: ObjCode, els: ObjCode) -> ObjCode {
-        self.count();
-        ObjCode::new(move |asm, cenv, depth| {
-            let load = |asm: &mut Asm, t: &ObjTriv| emit_triv(t, asm, cenv);
-            let alt = emit::emit_branch(asm, cenv, &t, operand, load)?;
-            then.emit(asm, cenv, depth)?;
-            emit::attach(asm, alt);
-            els.emit(asm, cenv, depth)
-        })
+        self.node(Node::If(t, then, els))
     }
 
     fn join(&mut self, j: &Symbol, r: &Symbol, jbody: ObjCode, body: ObjCode) -> ObjCode {
-        self.count();
-        let (j, r) = (*j, *r);
-        ObjCode::new(move |asm, cenv, depth| {
-            emit::emit_join(
-                asm,
-                cenv,
-                depth,
-                j,
-                r,
-                |asm, cenv, depth| body.emit(asm, cenv, depth),
-                |asm, cenv, depth| jbody.emit(asm, cenv, depth),
-            )
+        self.node(Node::Join {
+            j: *j,
+            r: *r,
+            jbody,
+            body,
         })
     }
 
     fn define(&mut self, name: &Symbol, params: &[Symbol], body: ObjCode) {
         self.count();
-        if let Some(t) = self.compile_closed(name, params, &[], &body) {
+        if let Some(t) = self.compile_closed(name, params, &[], body) {
             self.defs.push((*name, t));
         }
+        self.nodes.clear();
     }
 
     fn finish(mut self, entry: &Symbol) -> Result<Image, CompileError> {
@@ -616,6 +657,23 @@ mod tests {
             let err = crate::compile_program(&source, f.as_str()).unwrap_err();
             assert_eq!(err, misuse, "captured={captured}");
         }
+    }
+
+    #[test]
+    fn a_body_deeper_than_the_local_slots_is_a_typed_error() {
+        // (define (f x) (let ((x x)) … 70,000 deep … x)): slot numbers are
+        // `u16`, so the innermost `let`s have no slot.
+        let mut b = ObjectBuilder::new();
+        let x = Symbol::new("x");
+        let xv = b.var(&x);
+        let mut body = b.ret(xv);
+        for _ in 0..70_000 {
+            let xv = b.var(&x);
+            body = b.let_triv(&x, xv, body);
+        }
+        b.define(&Symbol::new("f"), &[x], body);
+        let err = b.finish(&Symbol::new("f")).unwrap_err();
+        assert_eq!(err, CompileError::TooManyLocals);
     }
 
     #[test]

@@ -841,14 +841,21 @@ fn register_call(
         }
     }
     watch.state.store(SERVING, Ordering::Release);
-    let built = (|| {
+    // Parsing, the binding-time analysis and the cache identity's render
+    // recurse over the program, so they run on a big stack, not on this
+    // connection thread: a long `cond` must not overflow it.
+    let (source, entry) = (req.source.clone(), req.entry.clone());
+    let built = two4one::with_stack(move || {
         let pgg = Pgg::new();
-        let program = pgg.parse(&req.source).map_err(|e| bad(e.to_string()))?;
-        pgg.cogen(&program, &req.entry, &Division::new(division))
-            .map_err(|e| bad(e.to_string()))
-    })();
+        let program = pgg.parse(&source).map_err(|e| e.to_string())?;
+        let genext = pgg
+            .cogen(&program, &entry, &Division::new(division))
+            .map_err(|e| e.to_string())?;
+        genext.cache_identity();
+        Ok::<_, String>(genext)
+    });
     watch.state.store(READING, Ordering::Release);
-    let genext = built?;
+    let genext = built.map_err(bad)?;
     let epoch = inner.service.register(&req.name, &genext);
     let body = format!(
         "{{\"registered\": {}, \"epoch\": {}}}",

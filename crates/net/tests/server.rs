@@ -551,6 +551,53 @@ fn statics_too_deep_or_long_for_a_default_stack_get_answers() {
     assert_eq!(snap.worker_panics, 0);
 }
 
+/// A `cond` of `clauses` clauses, `((= n k) (+ d k))` for each `k`, and
+/// `(else d)`.
+fn long_cond(clauses: usize) -> String {
+    let mut src = String::from("(define (g n d) (cond");
+    for k in 0..clauses {
+        src.push_str(&format!(" ((= n {k}) (+ d {k}))"));
+    }
+    src.push_str(" (else d)))");
+    src
+}
+
+#[test]
+fn a_long_cond_registers_and_fills_over_the_wire() {
+    // Parsing and analysing a 2,000-clause `cond`, and rendering its
+    // cache identity, recurse deeper than a connection thread's 2 MiB
+    // stack allows; an overflow there aborts the whole server.
+    let src = long_cond(2_000);
+    let server = NetServer::bind(Arc::new(SpecService::new()), roomy_config()).expect("bind");
+    let mut conn = connect(&server);
+    let reg = wire::RegisterWireRequest {
+        token: String::new(),
+        name: "g".into(),
+        source: src.clone(),
+        entry: "g".into(),
+        division: "DD".into(),
+    };
+    let resp = exchange(&mut conn, wire::REQ_REGISTER, &reg.encode());
+    assert_eq!(resp.ftype, wire::RESP_META);
+    let resp = exchange(
+        &mut conn,
+        wire::REQ_SPEC,
+        &spec_frame("g", "", wire::WANT_OBJECT),
+    );
+    assert_eq!(resp.ftype, wire::RESP_OBJECT);
+    let image = two4one::decode_image(&resp.payload).expect("decode image");
+    two4one::with_stack(move || {
+        let program = Pgg::new().parse(&src).expect("parse");
+        for (n, d) in [(1_999, 5), (7_000, 5)] {
+            let args = [two4one::Datum::Int(n), two4one::Datum::Int(d)];
+            let want = two4one::interpret(&program, "g", &args).expect("interpret");
+            assert_eq!(run_image(&image, "g", &args).expect("run"), want, "n = {n}");
+        }
+    });
+    drop(conn);
+    assert_eq!(server.shutdown().worker_panics, 0);
+}
+
 /// What the residual `pick` in a `.t4o` answers.
 fn picked(object: &[u8]) -> two4one::Datum {
     let image = two4one::decode_image(object).expect("decode .t4o");

@@ -46,15 +46,6 @@ pub struct RCode<B: two4one_anf::build::CodeBuilder> {
     pub fv: SymSet,
 }
 
-impl<B: two4one_anf::build::CodeBuilder> Clone for RCode<B> {
-    fn clone(&self) -> Self {
-        RCode {
-            code: self.code.clone(),
-            fv: self.fv.clone(),
-        }
-    }
-}
-
 /// Key of the memoization cache: callee plus the static argument tuple.
 ///
 /// The 64-bit digest is sealed at construction from the callee's symbol

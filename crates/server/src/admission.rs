@@ -1,9 +1,9 @@
 //! Bounded admission for specialization fills: a max-in-flight gate plus
 //! a bounded FIFO-ish wait queue with load shedding.
 //!
-//! Specialization cost is wildly input-dependent, and every fill runs on
-//! a large-stack worker — so unbounded concurrency means unbounded
-//! memory. The gate caps concurrent fills at `max_inflight`; up to
+//! Specialization cost is wildly input-dependent, and every fill holds
+//! its own specializer state and residual code — so unbounded
+//! concurrency means unbounded memory. The gate caps concurrent fills at `max_inflight`; up to
 //! `queue_bound` further requesters block waiting for a slot (honouring
 //! their per-request deadline), and everyone beyond that is shed
 //! immediately with an `Overloaded` error instead of piling up.

@@ -6,7 +6,7 @@
 //! provides exactly that: a sharded, capacity-bounded cache of residual
 //! [`Image`]s keyed by *(program, entry, static arguments)*, with
 //! single-flight deduplication of concurrent misses and a bounded pool of
-//! large-stack workers for batch traffic.
+//! workers for batch traffic.
 //!
 //! # Quick start
 //!
@@ -39,12 +39,15 @@
 //! # What is shared, what is per-request
 //!
 //! The service owns only the cache and its counters. Each specialization
-//! runs on a large-stack thread — the requesting thread's persistent fill
-//! companion, or the batch or promotion worker itself — with a private
-//! specializer state (memo tables, gensym, fuel), so requests never
-//! contend except on the shard mutex for the few microseconds of a lookup
-//! or fill. Results are handed out as `Arc<SpecOutcome>`: a warm hit is
-//! one shard-mutex acquisition and one atomic refcount increment.
+//! runs inline on the thread that asks for it — a requester, a batch
+//! worker or a promotion worker — with a private specializer state (memo
+//! tables, gensym, fuel), so requests never contend except on the shard
+//! mutex for the few microseconds of a lookup or fill. The gen-ext
+//! machine and the object builder both run in loops, so a fill needs no
+//! big stack; staging, the one recursive step, runs once per generation
+//! on a thread of its own (`two4one::with_stack`). Results are handed out
+//! as `Arc<SpecOutcome>`: a warm hit is one shard-mutex acquisition and
+//! one atomic refcount increment.
 
 #![warn(missing_docs)]
 
@@ -61,12 +64,11 @@ pub use registry::RedefineOutcome;
 pub use statics::Statics;
 pub use stats::{serve_stats_line, ServeSnapshot};
 
-use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -81,7 +83,6 @@ use two4one::{
     CacheIdentity, CancelToken, Datum, Epoch, Error, ExecProfile, GenExt, Image, LimitKind, Limits,
     PeError, SpecOptions, SpecStats, VmError,
 };
-use two4one_syntax::stack::DEFAULT_STACK_BYTES;
 use two4one_syntax::symbol::intern_contention;
 
 /// What every serving entry point returns for one request.
@@ -104,7 +105,8 @@ pub enum ServeError {
     Shared(String),
     /// A worker thread could not be spawned.
     Spawn(String),
-    /// A worker thread died without reporting a result. The engine
+    /// A fill panicked, caught at the fill boundary on the thread that
+    /// ran it, or a batch worker never reported a result. The engine
     /// catches panics at its facade, so this indicates a bug.
     Worker(String),
     /// The service shed the request at admission: the maximum number of
@@ -310,9 +312,9 @@ pub struct ServeConfig {
     /// `0` enqueues immediately at publication; clamped to at least 1
     /// when read from the hit path.
     pub promote_after: u64,
-    /// Background promotion workers (large-stack threads running the
-    /// specializer off the request path). Clamped to at least 1 when
-    /// `tier0` is on; ignored otherwise.
+    /// Background promotion workers (threads running the specializer off
+    /// the request path). Clamped to at least 1 when `tier0` is on;
+    /// ignored otherwise.
     pub promote_workers: usize,
 }
 
@@ -544,10 +546,9 @@ impl SpecService {
             .collect();
         let registry = Arc::new(obs::MetricsRegistry::new());
         // Ensure the global pipeline families (phase histograms, spec
-        // counters, fill threads) exist too, so a freshly built service
-        // can expose the complete page before serving anything.
+        // counters) exist too, so a freshly built service can expose the
+        // complete page before serving anything.
         two4one::init_metrics();
-        let _ = fill_threads_started();
         let core = Arc::new(Core {
             shards,
             ticket: AtomicU64::new(0),
@@ -567,13 +568,7 @@ impl SpecService {
                 let worker = core.clone();
                 let spawned = std::thread::Builder::new()
                     .name(format!("two4one-promote-{w}"))
-                    // Promotion runs the full specializer: same big
-                    // stacks as the request-path fill workers.
-                    .stack_size(DEFAULT_STACK_BYTES)
-                    .spawn(move || {
-                        mark_big_stack();
-                        worker.promote_loop();
-                    });
+                    .spawn(move || worker.promote_loop());
                 if let Ok(handle) = spawned {
                     workers.push(handle);
                 }
@@ -675,10 +670,9 @@ impl SpecService {
     /// Specializes `ext` to `statics`, answering from the cache when the
     /// identical request has been served before. Concurrent misses for
     /// the same key are deduplicated: one requester runs the specializer,
-    /// the rest wait and share its result. The specializer runs on the
-    /// requesting thread's fill companion: a large-stack thread spawned on
-    /// the thread's first miss and reused by every later one (a thread
-    /// that already has a big stack fills inline). Runs under
+    /// the rest wait and share its result. The specializer runs inline on
+    /// the calling thread, whatever its stack size; only staging a
+    /// generation not yet staged hops to a thread of its own. Runs under
     /// [`ServeConfig::default_deadline`], if set.
     ///
     /// # Errors
@@ -785,16 +779,13 @@ impl SpecService {
         self.serve(&req.target, &req.statics, deadline, req.cancel.as_ref())
     }
 
-    /// Runs a batch of requests over a bounded pool of `jobs` large-stack
-    /// worker threads, returning one result per request, in order.
+    /// Runs a batch of requests over a bounded pool of `jobs` worker
+    /// threads, returning one result per request, in order.
     /// Identical requests inside (or across) batches are deduplicated by
     /// the cache exactly as in [`SpecService::specialize`]; per-request
     /// deadlines and tokens are honoured as in
-    /// [`SpecService::specialize_request`].
-    ///
-    /// Even with `jobs == 1` the batch runs on a pooled worker: one
-    /// large-stack thread serves every miss inline, with no hand-off to a
-    /// fill companion as [`SpecService::specialize`] makes.
+    /// [`SpecService::specialize_request`]. Each worker fills its misses
+    /// inline, as [`SpecService::specialize`] does.
     pub fn specialize_many(&self, requests: &[SpecRequest], jobs: usize) -> Vec<ServeResult> {
         let jobs = jobs.max(1).min(requests.len().max(1));
         let next = AtomicUsize::new(0);
@@ -806,18 +797,12 @@ impl SpecService {
             for w in 0..jobs {
                 let spawned = std::thread::Builder::new()
                     .name(format!("two4one-serve-{w}"))
-                    .stack_size(DEFAULT_STACK_BYTES)
-                    .spawn_scoped(scope, || {
-                        // Workers already run on big stacks, so they fill
-                        // inline.
-                        mark_big_stack();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(req) = requests.get(i) else { break };
-                            let r = self.specialize_request(req);
-                            if let Some(slot) = results.get(i) {
-                                *lock(slot) = Some(r);
-                            }
+                    .spawn_scoped(scope, || loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(req) = requests.get(i) else { break };
+                        let r = self.specialize_request(req);
+                        if let Some(slot) = results.get(i) {
+                            *lock(slot) = Some(r);
                         }
                     });
                 match spawned {
@@ -826,8 +811,8 @@ impl SpecService {
                 }
             }
             if workers == 0 {
-                // Degenerate fallback: no pool, serve sequentially (the
-                // misses go to this thread's fill companion).
+                // Degenerate fallback: no pool, serve sequentially on
+                // this thread.
                 for (req, slot) in requests.iter().zip(&results) {
                     *lock(slot) = Some(self.specialize_request(req));
                 }
@@ -1117,9 +1102,8 @@ impl SpecService {
     /// The request path, one stage after another: resolve a registered
     /// name, arm the clock, ask the breaker, probe the cache, then either
     /// wait on another leader's flight or lead one — admit, fill (or build
-    /// the Tier-0 generic image), publish. A fill runs behind
-    /// [`on_stack`]: on the requesting thread's fill companion, or inline
-    /// on a thread that already has a big stack.
+    /// the Tier-0 generic image), publish. A fill runs inline, behind
+    /// [`fill_boundary`].
     fn serve(
         &self,
         target: &SpecTarget,
@@ -1202,8 +1186,7 @@ impl SpecService {
         if verdict == Verdict::Fallback {
             self.stats.breaker_open.inc();
             obs::event(obs::EventKind::BreakerOpen);
-            let (core, ext, statics) = (self.core.clone(), ext.clone(), statics.clone());
-            return on_stack(move || core.generic_image(&ext, &data_of(&statics)?))
+            return fill_boundary(|| self.core.generic_image(ext, &data_of(statics)?))
                 .map(|(image, stats)| new_outcome(image, stats))
                 .map_err(|e| ServeError::BreakerOpen(e.to_string()));
         }
@@ -1285,23 +1268,19 @@ impl SpecService {
                 // Fill — or, under Tier-0, build the generic image (linear
                 // in the source, tens of microseconds) and leave full
                 // specialization to the background promotion workers.
-                let tier0 = self.core.tier.is_some();
-                let job = {
-                    let (core, ext, statics) = (self.core.clone(), ext.clone(), statics.clone());
-                    let token = token.clone();
-                    move || {
-                        if let Some(hook) = &core.fill_hook {
-                            (hook.0)();
-                        }
-                        let statics = data_of(&statics)?;
-                        if tier0 {
-                            core.generic_image(&ext, &statics)
-                        } else {
-                            core.fill(&ext, &statics, token.as_ref(), REQUEST_RETRIES)
-                        }
+                let core = &self.core;
+                let tier0 = core.tier.is_some();
+                let built = fill_boundary(|| {
+                    if let Some(hook) = &core.fill_hook {
+                        (hook.0)();
                     }
-                };
-                let built = on_stack(job);
+                    let statics = data_of(statics)?;
+                    if tier0 {
+                        core.generic_image(ext, &statics)
+                    } else {
+                        core.fill(ext, &statics, token.as_ref(), REQUEST_RETRIES)
+                    }
+                });
                 drop(permit);
                 // Publish.
                 let r = match built {
@@ -1435,8 +1414,15 @@ impl Core {
     /// Stages `ext` for the gen-ext machine unless a clone of it already
     /// has, counting the build. A registered generation stages once: its
     /// clones share the staged program until a redefinition retires it.
+    /// Staging recurses over the annotated program, so it runs on a big
+    /// stack of its own ([`two4one::with_stack`]); it is the one step of a
+    /// fill that needs one.
     fn stage(&self, ext: &GenExt) -> Result<(), Error> {
-        if ext.stage()? {
+        if ext.is_staged() {
+            return Ok(());
+        }
+        let ext = ext.clone();
+        if two4one::with_stack(move || ext.stage())? {
             self.stats.genext_builds.inc();
         }
         Ok(())
@@ -1730,133 +1716,17 @@ impl Drop for FlightGuard<'_> {
     }
 }
 
-/// What a fill builds: the residual image and the specializer's stats.
-type Built = Result<(Image, SpecStats), Error>;
-
-/// A fill handed to a companion. It owns what it touches (refcount clones
-/// of the core, the extension, the statics and the token), so it may
-/// outlive the request's borrows.
-type Job = Box<dyn FnOnce() -> Built + Send>;
-
-/// A companion's answer: the fill's result (`None` when it panicked) and
-/// the trace events it recorded.
-type Reply = (Option<Built>, Vec<obs::TraceEvent>);
-
-thread_local! {
-    /// Set on threads that already run on a big stack — the
-    /// `specialize_many` workers, the promotion workers and the fill
-    /// companions themselves — which fill inline.
-    static BIG_STACK: Cell<bool> = const { Cell::new(false) };
-    /// This thread's fill companion, spawned on its first miss.
-    static COMPANION: RefCell<Option<Companion>> = const { RefCell::new(None) };
-}
-
-/// Marks the calling thread as running on a big stack: its fills run
-/// inline.
-fn mark_big_stack() {
-    let _ = BIG_STACK.try_with(|b| b.set(true));
-}
-
-/// Fill companions started in this process.
-fn fill_threads_started() -> &'static obs::Counter {
-    static C: OnceLock<obs::Counter> = OnceLock::new();
-    C.get_or_init(|| obs::global().counter("t4o_fill_threads_started_total"))
-}
-
-/// A requesting thread's persistent large-stack fill thread. It runs one
-/// job at a time while its requester blocks on the reply, survives a
-/// panicking job, and exits when the requester exits and drops it.
-struct Companion {
-    /// `None` once dropping: closing the queue ends the companion's loop.
-    jobs: Option<mpsc::Sender<Job>>,
-    replies: mpsc::Receiver<Reply>,
-    thread: Option<JoinHandle<()>>,
-}
-
-impl Companion {
-    fn spawn() -> Result<Companion, ServeError> {
-        let (jobs, queue) = mpsc::channel::<Job>();
-        let (answer, replies) = mpsc::channel::<Reply>();
-        let thread = std::thread::Builder::new()
-            .name("two4one-spec".into())
-            .stack_size(DEFAULT_STACK_BYTES)
-            .spawn(move || {
-                mark_big_stack();
-                for job in queue {
-                    let built = catch_unwind(AssertUnwindSafe(job)).ok();
-                    // Carry the trace ring back so the fill's spans and
-                    // events land on the requesting thread's trace.
-                    if answer.send((built, obs::take_trace())).is_err() {
-                        break;
-                    }
-                }
-            })
-            .map_err(|e| ServeError::Spawn(e.to_string()))?;
-        fill_threads_started().inc();
-        Ok(Companion {
-            jobs: Some(jobs),
-            replies,
-            thread: Some(thread),
-        })
-    }
-
-    /// Runs `job` on the companion and waits for its reply. `None` when
-    /// the companion is gone.
-    fn run(&self, job: Job) -> Option<Reply> {
-        self.jobs.as_ref()?.send(job).ok()?;
-        self.replies.recv().ok()
-    }
-}
-
-impl Drop for Companion {
-    fn drop(&mut self) {
-        self.jobs = None;
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
-        }
-    }
-}
-
-/// Runs a fill behind the fill boundary, on a big stack: inline on a
-/// thread marked by [`mark_big_stack`], otherwise on the calling thread's
-/// companion, spawned on its first miss. Either way a panic becomes
-/// [`ServeError::Worker`] and an engine error [`ServeError::Spec`].
-/// Staging and the object builder still recurse, which is what the big
-/// stack is for.
-fn on_stack(
-    fill: impl FnOnce() -> Built + Send + 'static,
+/// Runs a fill on the calling thread behind the fill boundary: a panic
+/// becomes [`ServeError::Worker`] and an engine error [`ServeError::Spec`].
+fn fill_boundary(
+    fill: impl FnOnce() -> Result<(Image, SpecStats), Error>,
 ) -> Result<(Image, SpecStats), ServeError> {
-    let built = if BIG_STACK.try_with(Cell::get).unwrap_or(false) {
-        catch_unwind(AssertUnwindSafe(fill)).ok()
-    } else {
-        on_companion(Box::new(fill))?
-    };
-    match built {
-        Some(r) => r.map_err(ServeError::Spec),
-        None => Err(ServeError::Worker(
+    match catch_unwind(AssertUnwindSafe(fill)) {
+        Ok(built) => built.map_err(ServeError::Spec),
+        Err(_) => Err(ServeError::Worker(
             "specialization worker panicked".to_string(),
         )),
     }
-}
-
-/// Hands `job` to the calling thread's companion, spawning it first if
-/// the thread has none. A companion that died is dropped, so the next
-/// miss spawns a fresh one.
-fn on_companion(job: Job) -> Result<Option<Built>, ServeError> {
-    let gone = || ServeError::Worker("specialization worker exited".to_string());
-    COMPANION
-        .try_with(|slot| {
-            let mut slot = slot.borrow_mut();
-            let companion = match slot.take() {
-                Some(c) => c,
-                None => Companion::spawn()?,
-            };
-            let (built, trace) = companion.run(job).ok_or_else(gone)?;
-            *slot = Some(companion);
-            obs::absorb_trace(trace);
-            Ok(built)
-        })
-        .map_err(|_| gone())?
 }
 
 /// Multiplies the transient budgets (unfold fuel, memo cap) for a re-run.
@@ -1915,10 +1785,9 @@ fn request_key(ext: &GenExt, statics: &Statics, backedge: Option<&Backedge>) -> 
     }
 }
 
-/// The data of a request's statics for the job that needs them: the
-/// caller's own, or the key bytes decoded, on the job's big-stack thread.
-/// Bytes the service scanned or encoded always decode, so a failure here
-/// is an internal error.
+/// The data of a request's statics for the fill that needs them: the
+/// caller's own, or the key bytes decoded. Bytes the service scanned or
+/// encoded always decode, so a failure here is an internal error.
 fn data_of(statics: &Statics) -> Result<Arc<[Datum]>, Error> {
     statics
         .data()

@@ -16,8 +16,7 @@ use two4one_syntax::codec::{self, DecodeError};
 ///
 /// Statics scanned from request text ([`Statics::scan`]) carry only their
 /// bytes, so a warm hit builds no data at all. Work that needs the data
-/// (a fill, a generic image, a promotion) decodes them inside its job, on
-/// a big-stack thread.
+/// (a fill, a generic image, a promotion) decodes them when it starts.
 #[derive(Debug, Clone)]
 pub struct Statics {
     bytes: Arc<[u8]>,

@@ -758,7 +758,7 @@ impl FillThreads {
 }
 
 #[test]
-fn one_companion_serves_every_miss_of_its_thread() {
+fn fills_run_on_the_requesting_thread() {
     use two4one::obs;
 
     let threads = Arc::new(FillThreads::default());
@@ -768,7 +768,6 @@ fn one_companion_serves_every_miss_of_its_thread() {
         ..ServeConfig::default()
     }));
     let ext = power_ext(&Pgg::new());
-    // A fresh requester thread: its first miss spawns its companion.
     let requester = {
         let service = service.clone();
         std::thread::spawn(move || {
@@ -785,11 +784,8 @@ fn one_companion_serves_every_miss_of_its_thread() {
     assert_eq!(service.stats().misses, 200);
     let distinct = threads.distinct();
     assert_eq!(distinct.len(), 1, "every fill on one thread: {distinct:?}");
-    let (name, id) = &distinct[0];
-    assert_eq!(name.as_deref(), Some("two4one-spec"));
-    assert_ne!(*id, requester_id, "fills run on the companion");
-    // The companion carries its trace back: the fill's gen-ext run span
-    // is on the requesting thread's ring.
+    assert_eq!(distinct[0].1, requester_id, "fills run on the requester");
+    // The fill's gen-ext run span is on the requesting thread's ring.
     assert!(
         trace
             .iter()
@@ -797,12 +793,10 @@ fn one_companion_serves_every_miss_of_its_thread() {
         "{}",
         obs::render_trace(&trace)
     );
-    let page = service.metrics().to_prometheus();
-    assert!(page.contains("t4o_fill_threads_started_total "), "{page}");
 }
 
 #[test]
-fn a_panicking_fill_leaves_its_companion_serving() {
+fn a_panicking_fill_leaves_its_thread_serving() {
     let plan = PanicPlan::once();
     let hook_plan = plan.clone();
     let threads = Arc::new(FillThreads::default());
@@ -820,48 +814,97 @@ fn a_panicking_fill_leaves_its_companion_serving() {
         std::thread::spawn(move || {
             let first = service.specialize(&ext, &int(9));
             let second = service.specialize(&ext, &int(9));
-            (first.map(|_| ()), second.map(|_| ()))
+            (
+                first.map(|_| ()),
+                second.map(|_| ()),
+                std::thread::current().id(),
+            )
         })
     };
-    let (first, second) = requester.join().unwrap();
+    let (first, second, requester_id) = requester.join().unwrap();
     assert!(matches!(first, Err(ServeError::Worker(_))), "{first:?}");
     assert!(second.is_ok(), "{second:?}");
     assert_eq!(plan.calls(), 2);
     let distinct = threads.distinct();
-    assert_eq!(distinct.len(), 1, "the same companion: {distinct:?}");
+    assert_eq!(distinct.len(), 1, "the same thread: {distinct:?}");
+    assert_eq!(distinct[0].1, requester_id, "fills run on the requester");
 }
 
+/// `(f n d)` adds 1 to `d` `n` times by non-tail recursion on the static
+/// `n`: its residual is `n` nested `let`s.
+const DEEP: &str = "(define (f n d) (if (= n 0) d (+ 1 (f (- n 1) d))))";
+
+/// Calls `f` on a fresh thread with Rust's default 2 MiB stack.
+fn on_small_thread<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+    std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(f)
+        .expect("spawn a small thread")
+        .join()
+        .expect("the small thread finished")
+}
+
+/// Runs `image` on `args` on a big stack; its residual may nest deeply,
+/// and a long constant list converts to a value recursively.
+fn run_deep(image: Arc<two4one::Image>, args: Vec<Datum>) -> Datum {
+    two4one::with_stack(move || {
+        two4one::run_image(&image, image.entry.as_str(), &args)
+            .expect("run")
+            .value
+    })
+}
+
+/// A fill runs inline on the requesting thread, and nothing in it needs
+/// a big stack but staging, which hops to one: a 2 MiB thread gets the
+/// 30,000-deep residual of `DEEP` specialized, the same request's Tier-0
+/// generic image (and its promotion, on a worker with the default
+/// stack), and a residual over a static 100,000-element list.
 #[test]
-fn a_companion_exits_with_its_requester() {
-    // A fill leaves a guard in its companion's thread-locals; the guard
-    // drops when that thread exits.
-    struct OnExit(Arc<AtomicBool>);
-    impl Drop for OnExit {
-        fn drop(&mut self) {
-            self.0.store(true, Ordering::SeqCst);
-        }
+fn fills_fit_a_requesting_thread_with_a_small_stack() {
+    const N: i64 = 30_000;
+    let pgg = Pgg::new();
+    let program = pgg.parse(DEEP).expect("parse");
+    let ext = pgg
+        .cogen(&program, "f", &Division::new([BT::Static, BT::Dynamic]))
+        .expect("cogen");
+    let want = Datum::Int(N + 7);
+
+    let service = Arc::new(SpecService::new());
+    let (s, e) = (service.clone(), ext.clone());
+    let specialized = on_small_thread(move || s.specialize(&e, &int(N)).expect("fill"));
+    assert!(!specialized.stats.degraded(), "{:?}", specialized.stats);
+    assert_eq!(run_deep(specialized.image.clone(), int(7)), want);
+
+    let tiered = Arc::new(SpecService::with_config(tier0_config(0, 1)));
+    let (s, e) = (tiered.clone(), ext.clone());
+    let generic = on_small_thread(move || s.specialize(&e, &int(N)).expect("tier-0 fill"));
+    assert!(generic.stats.degraded(), "{:?}", generic.stats);
+    assert_eq!(run_deep(generic.image.clone(), int(7)), want);
+    let give_up = Instant::now() + Duration::from_secs(120);
+    while tiered.tier_stats().promotions == 0 && Instant::now() < give_up {
+        std::thread::sleep(Duration::from_millis(10));
     }
-    thread_local! {
-        static GUARD: std::cell::RefCell<Option<OnExit>> = const { std::cell::RefCell::new(None) };
-    }
-    let exited = Arc::new(AtomicBool::new(false));
-    let flag = exited.clone();
-    let service = Arc::new(SpecService::with_config(ServeConfig {
-        fill_hook: Some(FillHook::new(move || {
-            GUARD.with(|g| *g.borrow_mut() = Some(OnExit(flag.clone())));
-        })),
-        ..ServeConfig::default()
-    }));
-    let ext = power_ext(&Pgg::new());
-    let requester = {
-        let service = service.clone();
-        std::thread::spawn(move || service.specialize(&ext, &int(3)).map(|_| ()))
-    };
-    requester.join().unwrap().expect("fill");
-    assert!(
-        exited.load(Ordering::SeqCst),
-        "the companion outlived its requester"
+    assert_eq!(
+        tiered.tier_stats().promotions,
+        1,
+        "{:?}",
+        tiered.tier_stats()
     );
+    let promoted = tiered.specialize(&ext, &int(N)).expect("promoted hit");
+    assert!(!promoted.stats.degraded(), "{:?}", promoted.stats);
+    assert_eq!(run_deep(promoted.image.clone(), int(7)), want);
+
+    // A static list of 100,000 elements, returned behind a dynamic datum:
+    // the residual holds it as one constant.
+    let program = pgg.parse("(define (g xs d) (cons d xs))").expect("parse");
+    let ext = pgg
+        .cogen(&program, "g", &Division::new([BT::Static, BT::Dynamic]))
+        .expect("cogen");
+    let list = Datum::list((0..100_000).map(Datum::Int).collect::<Vec<_>>());
+    let (s, statics) = (service.clone(), vec![list.clone()]);
+    let long = on_small_thread(move || s.specialize(&ext, &statics).expect("long statics"));
+    let got = run_deep(long.image.clone(), int(7));
+    assert_eq!(got, Datum::cons(Datum::Int(7), list));
 }
 
 #[test]

@@ -8,7 +8,10 @@
 //! deterministic (same gensym discipline), so the comparison is structural
 //! template equality, not just behavioral.
 
-use two4one::{compile, compile_program, with_stack, CallPolicy, Datum, Division, Image, Pgg, BT};
+use two4one::{
+    compile, compile_program, interpret, run_image, with_stack, with_stack_size, CallPolicy, Datum,
+    Division, Image, Pgg, BT,
+};
 use two4one_langs::grammar;
 use two4one_vm::{Instr, Template, OP_NAMES};
 
@@ -130,6 +133,41 @@ fn fused_images_behave_identically_too() {
             let a = two4one::run_image(&fused, "match", &args).unwrap();
             let b = two4one::run_image(&compiled, "match", &args).unwrap();
             assert_eq!(a, b, "on {text}");
+        }
+    });
+}
+
+/// The fused backend emits a body in a loop, not one Rust frame per
+/// nesting level: on a 2 MiB thread a debug build fills the residual of a
+/// non-tail recursion unfolded 30,000 times, 30,000 nested `let`s, both
+/// specialized and as the generic image. Staging, which recurses, runs
+/// first on a big stack, and so do the runs that check both images
+/// against the interpreter.
+#[test]
+fn fused_fills_of_a_deep_residual_fit_a_small_stack() {
+    const N: i64 = 30_000;
+    let pgg = Pgg::new();
+    let program = pgg
+        .parse("(define (f n d) (if (= n 0) d (+ 1 (f (- n 1) d))))")
+        .unwrap();
+    let genext = pgg
+        .cogen(&program, "f", &Division::new([BT::Static, BT::Dynamic]))
+        .unwrap();
+    let staged = genext.clone();
+    assert!(with_stack(move || staged.stage()).unwrap());
+    let (fused, generic) = with_stack_size(2 << 20, move || {
+        let statics = [Datum::Int(N)];
+        let fused = genext.specialize_object(&statics).unwrap();
+        let (generic, stats) = genext.generic_object(&statics).unwrap();
+        assert!(stats.degraded());
+        (fused, generic)
+    });
+    with_stack(move || {
+        let args = [Datum::Int(N), Datum::Int(7)];
+        let expect = interpret(&program, "f", &args).unwrap();
+        assert_eq!(expect.value, Datum::Int(N + 7));
+        for image in [fused, generic] {
+            assert_eq!(run_image(&image, "f", &args[1..]).unwrap(), expect);
         }
     });
 }
