@@ -33,7 +33,6 @@ declare -A ALLOW=(
   # spawn.
   [crates/syntax/src/cs.rs]=1
   [crates/syntax/src/stack.rs]=1
-  [crates/syntax/src/datum.rs]=1
   # Assembler fixups only ever point at jump instructions.
   [crates/vm/src/asm.rs]=1
   # Normalizer: `triv` is only called on trivial expressions.

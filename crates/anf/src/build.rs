@@ -99,7 +99,8 @@ pub trait CodeBuilder {
     ///
     /// A definition is the last use of every `Code` built before it: a
     /// backend may free their storage here (the object backend clears its
-    /// node arena), so a caller builds one definition's body completely,
+    /// node arena, and a `Code` used after that fails the program with a
+    /// typed error), so a caller builds one definition's body completely,
     /// defines it, and only then starts the next. Both specializer engines
     /// call `define` only when a work item ends.
     fn define(&mut self, name: &Symbol, params: &[Symbol], body: Self::Code);

@@ -44,6 +44,8 @@ pub enum CompileError {
     TooManyArgs(usize),
     /// A body nested under more `let`s than a frame has local slots.
     TooManyLocals,
+    /// A residual body used after the definition that freed it.
+    FreedBody,
     /// A join point used other than as the operator of a one-argument
     /// tail call: as a value, captured by a lambda, or called otherwise.
     JoinMisuse(Symbol),
@@ -62,6 +64,7 @@ impl fmt::Display for CompileError {
                     1 << 16
                 )
             }
+            CompileError::FreedBody => write!(f, "a residual body used after its definition"),
             CompileError::JoinMisuse(j) => {
                 write!(
                     f,

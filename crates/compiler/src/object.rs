@@ -70,7 +70,9 @@ pub enum ObjSerious {
     Prim(Prim, Vec<ObjTriv>),
 }
 
-/// A residual body: the index of its node in the builder's arena.
+/// A residual body: the number of its node among all the nodes its
+/// builder made, freed ones included, so a body used after `define`
+/// freed it is told apart from the live node at its arena slot.
 #[derive(Clone, Copy)]
 pub struct ObjCode(u32);
 
@@ -105,6 +107,7 @@ enum Work {
 /// the label is attached.
 fn emit_body(
     nodes: &[Node],
+    base: u32,
     body: ObjCode,
     asm: &mut Asm,
     cenv: CEnv,
@@ -120,7 +123,8 @@ fn emit_body(
             }
         };
         let load = |asm: &mut Asm, t: &ObjTriv| emit_triv(t, asm, &cenv);
-        match &nodes[code.0 as usize] {
+        let node = code.0.checked_sub(base).and_then(|i| nodes.get(i as usize));
+        match node.ok_or(CompileError::FreedBody)? {
             Node::Ret(t) => {
                 load(asm, t)?;
                 emit::emit_return(asm);
@@ -249,6 +253,8 @@ pub struct ObjectBuilder {
     defs: Vec<(Symbol, Arc<Template>)>,
     /// The nodes of the definition being built, freed by `define`.
     nodes: Vec<Node>,
+    /// How many nodes earlier definitions freed: the number of `nodes[0]`.
+    base: u32,
     error: Option<CompileError>,
     ops: usize,
 }
@@ -266,7 +272,7 @@ impl ObjectBuilder {
     /// Counts a body constructor and adds its node to the arena.
     fn node(&mut self, n: Node) -> ObjCode {
         self.count();
-        let code = ObjCode(self.nodes.len() as u32);
+        let code = ObjCode(self.base + self.nodes.len() as u32);
         self.nodes.push(n);
         code
     }
@@ -308,8 +314,15 @@ impl ObjectBuilder {
         for (i, v) in free.iter().enumerate() {
             cenv = cenv.bind(*v, Loc::Captured(i as u16));
         }
-        match emit_body(&self.nodes, body, &mut asm, cenv, params.len() as u16)
-            .and_then(|()| asm.finish().map_err(CompileError::from))
+        match emit_body(
+            &self.nodes,
+            self.base,
+            body,
+            &mut asm,
+            cenv,
+            params.len() as u16,
+        )
+        .and_then(|()| asm.finish().map_err(CompileError::from))
         {
             Ok(t) => {
                 // Templates are real emitted code; weigh them by length so
@@ -415,6 +428,7 @@ impl CodeBuilder for ObjectBuilder {
         if let Some(t) = self.compile_closed(name, params, &[], body) {
             self.defs.push((*name, t));
         }
+        self.base += self.nodes.len() as u32;
         self.nodes.clear();
     }
 
@@ -674,6 +688,26 @@ mod tests {
         b.define(&Symbol::new("f"), &[x], body);
         let err = b.finish(&Symbol::new("f")).unwrap_err();
         assert_eq!(err, CompileError::TooManyLocals);
+    }
+
+    #[test]
+    fn a_body_used_after_its_definition_is_a_typed_error() {
+        let (f, g) = (Symbol::new("f"), Symbol::new("g"));
+        // Reused whole after `define` freed it, and reused once a node of
+        // the next definition sits at its old arena slot.
+        for refill in [false, true] {
+            let mut b = ObjectBuilder::new();
+            let one = b.const_(&Datum::Int(1));
+            let body = b.ret(one);
+            b.define(&f, &[], body);
+            if refill {
+                let two = b.const_(&Datum::Int(2));
+                b.ret(two);
+            }
+            b.define(&g, &[], body);
+            let err = b.finish(&f).unwrap_err();
+            assert_eq!(err, CompileError::FreedBody, "refill={refill}");
+        }
     }
 
     #[test]

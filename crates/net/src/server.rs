@@ -841,18 +841,15 @@ fn register_call(
         }
     }
     watch.state.store(SERVING, Ordering::Release);
-    // Parsing, the binding-time analysis and the cache identity's render
-    // recurse over the program, so they run on a big stack, not on this
-    // connection thread: a long `cond` must not overflow it.
+    // Parsing and the binding-time analysis recurse over the program, so
+    // they run on a big stack, not on this connection thread: a long
+    // `cond` must not overflow it.
     let (source, entry) = (req.source.clone(), req.entry.clone());
     let built = two4one::with_stack(move || {
         let pgg = Pgg::new();
         let program = pgg.parse(&source).map_err(|e| e.to_string())?;
-        let genext = pgg
-            .cogen(&program, &entry, &Division::new(division))
-            .map_err(|e| e.to_string())?;
-        genext.cache_identity();
-        Ok::<_, String>(genext)
+        pgg.cogen(&program, &entry, &Division::new(division))
+            .map_err(|e| e.to_string())
     });
     watch.state.store(READING, Ordering::Release);
     let genext = built.map_err(bad)?;

@@ -564,9 +564,9 @@ fn long_cond(clauses: usize) -> String {
 
 #[test]
 fn a_long_cond_registers_and_fills_over_the_wire() {
-    // Parsing and analysing a 2,000-clause `cond`, and rendering its
-    // cache identity, recurse deeper than a connection thread's 2 MiB
-    // stack allows; an overflow there aborts the whole server.
+    // Parsing and analysing a 2,000-clause `cond` recurse deeper than a
+    // connection thread's 2 MiB stack allows; an overflow there aborts
+    // the whole server.
     let src = long_cond(2_000);
     let server = NetServer::bind(Arc::new(SpecService::new()), roomy_config()).expect("bind");
     let mut conn = connect(&server);
@@ -594,6 +594,37 @@ fn a_long_cond_registers_and_fills_over_the_wire() {
             assert_eq!(run_image(&image, "g", &args).expect("run"), want, "n = {n}");
         }
     });
+    drop(conn);
+    assert_eq!(server.shutdown().worker_panics, 0);
+}
+
+#[test]
+fn deep_equal_statics_compare_on_a_connection_thread() {
+    // A static `equal?` of two equal data nested 100,000 deep (the
+    // reader's cap counts the innermost atom), each read
+    // and decoded on its own, walks both whole on the connection thread;
+    // a comparison that recursed once per level aborted the server.
+    let service = Arc::new(SpecService::new());
+    let pgg = Pgg::new();
+    let program = pgg
+        .parse("(define (e a b d) (if (equal? a b) d 0))")
+        .expect("parse");
+    let division = Division::new([BT::Static, BT::Static, BT::Dynamic]);
+    service.register("e", &pgg.cogen(&program, "e", &division).expect("cogen"));
+    let server = NetServer::bind(service, roomy_config()).expect("bind");
+    let nest = format!("{}1{}", "(".repeat(99_999), ")".repeat(99_999));
+    let mut conn = connect(&server);
+    let statics = format!("{nest} {nest}");
+    let resp = exchange(
+        &mut conn,
+        wire::REQ_SPEC,
+        &spec_frame("e", &statics, wire::WANT_OBJECT),
+    );
+    assert_eq!(resp.ftype, wire::RESP_OBJECT);
+    let image = two4one::decode_image(&resp.payload).expect("decode image");
+    let seven = [two4one::Datum::Int(7)];
+    let out = run_image(&image, image.entry.as_str(), &seven).expect("run");
+    assert_eq!(out.value, two4one::Datum::Int(7));
     drop(conn);
     assert_eq!(server.shutdown().worker_panics, 0);
 }

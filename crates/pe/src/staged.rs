@@ -7,7 +7,9 @@
 //! (all-dynamic) body, from which [`crate::genrun::generic_image`] emits
 //! the generic image of a request with no re-staging. The result is
 //! consumed by both [`crate::walk`] (the interpretive reference) and
-//! [`crate::genrun`] (the compiled gen-ext machine).
+//! [`crate::genrun`] (the compiled gen-ext machine). The pass is one loop
+//! over a stack of steps, so however deep the program, staging runs on
+//! any thread's stack.
 //!
 //! # Scope resolution
 //!
@@ -25,7 +27,8 @@
 use crate::PeError;
 use std::collections::HashMap;
 use std::sync::Arc;
-use two4one_syntax::acs::{AExpr, ALambda, AProgram, CallPolicy, BT};
+use two4one_syntax::acs::{AExpr, AProgram, CallPolicy, BT};
+use two4one_syntax::symbol::Symbol;
 use two4one_vm::{GenDef, GenInstr, GenLam, GenParam, GenProgram};
 
 /// Stages an annotated program into the gen-ext IR.
@@ -42,6 +45,7 @@ pub fn stage(prog: &AProgram) -> Result<Arc<GenProgram>, PeError> {
         lams: Vec::new(),
         defs: HashMap::new(),
         scope: Vec::new(),
+        ips: Vec::new(),
     };
     // Pass 1: index definition names (first definition wins, mirroring
     // `AProgram::def`) so bodies can resolve forward references.
@@ -60,8 +64,8 @@ pub fn stage(prog: &AProgram) -> Result<Arc<GenProgram>, PeError> {
             .collect();
         let names: Vec<_> = params.iter().map(|p| p.name).collect();
         st.enter(&names)?;
-        let body = st.emit(&d.body)?;
-        let generic = st.emit(&generize(&d.body))?;
+        let body = st.emit(&d.body, false)?;
+        let generic = st.emit(&d.body, true)?;
         st.leave(&names);
         defs.push(GenDef {
             name: d.name,
@@ -78,15 +82,27 @@ struct Stager {
     code: Vec<GenInstr>,
     consts: Vec<two4one_syntax::datum::Datum>,
     lams: Vec<GenLam>,
-    defs: HashMap<two4one_syntax::symbol::Symbol, u32>,
+    defs: HashMap<Symbol, u32>,
     /// Innermost frame last; mirrors the run-time frame stack exactly.
-    scope: Vec<Vec<two4one_syntax::symbol::Symbol>>,
+    scope: Vec<Vec<Symbol>>,
+    /// The ips of the nodes emitted so far whose parent is not finished.
+    ips: Vec<u32>,
+}
+
+/// One step of [`Stager::emit`]'s loop.
+enum Step<'a> {
+    /// Emit a node, in its generic form when the flag is set.
+    Emit(&'a AExpr, bool),
+    Enter(&'a [Symbol]),
+    Leave(&'a [Symbol]),
+    /// Patch the node at this ip with the ips of its last `n` children.
+    Finish(u32, usize),
 }
 
 impl Stager {
     /// Pushes a parameter frame — none when the list is empty, matching
     /// `Env::extend_many` on an empty iterator.
-    fn enter(&mut self, names: &[two4one_syntax::symbol::Symbol]) -> Result<(), PeError> {
+    fn enter(&mut self, names: &[Symbol]) -> Result<(), PeError> {
         if names.len() > usize::from(u16::MAX) {
             return Err(PeError::Internal(format!(
                 "parameter list of {} bindings exceeds gen-ext slot addressing",
@@ -99,7 +115,7 @@ impl Stager {
         Ok(())
     }
 
-    fn leave(&mut self, names: &[two4one_syntax::symbol::Symbol]) {
+    fn leave(&mut self, names: &[Symbol]) {
         if !names.is_empty() {
             self.scope.pop();
         }
@@ -108,7 +124,7 @@ impl Stager {
     /// Resolves `x` to a lexical address: innermost frame first; within a
     /// frame the *last* occurrence wins (shadowing order of the
     /// name-keyed environment).
-    fn resolve(&self, x: &two4one_syntax::symbol::Symbol) -> Option<(u16, u16)> {
+    fn resolve(&self, x: &Symbol) -> Option<(u16, u16)> {
         for (up, frame) in self.scope.iter().rev().enumerate() {
             if let Some(pos) = frame.iter().rposition(|n| n == x) {
                 let up = u16::try_from(up).ok()?;
@@ -119,177 +135,145 @@ impl Stager {
         None
     }
 
-    fn push(&mut self, i: GenInstr) -> u32 {
+    /// Emits `root`, returning its instruction pointer, in one loop over
+    /// a stack of [`Step`]s, so a deep program costs no Rust stack.
+    /// Composite nodes are emitted parent-first and patched with their
+    /// children's ips once those are emitted, keeping the "first child at
+    /// `ip + 1`" convention. The `generic` form strips every annotation
+    /// down to its dynamic form: it specializes in one structural pass
+    /// (no unfolding, no static evaluation) to residual code equivalent
+    /// to the unspecialized source — the "generically compiled" version
+    /// of the paper's terminology, of which generic images are made.
+    fn emit(&mut self, root: &AExpr, generic: bool) -> Result<u32, PeError> {
+        let mut steps = vec![Step::Emit(root, generic)];
+        while let Some(step) = steps.pop() {
+            match step {
+                Step::Emit(e, g) => self.node(e, g, &mut steps)?,
+                Step::Enter(names) => self.enter(names)?,
+                Step::Leave(names) => self.leave(names),
+                Step::Finish(at, n) => self.finish(at, n),
+            }
+        }
+        self.ips
+            .pop()
+            .ok_or_else(|| PeError::Internal("staging emitted no node".into()))
+    }
+
+    /// Pushes `e`'s instruction and schedules its children, the
+    /// [`Step::Finish`] that patches them in last; a leaf's ip goes
+    /// straight onto `ips`.
+    fn node<'a>(
+        &mut self,
+        e: &'a AExpr,
+        g: bool,
+        steps: &mut Vec<Step<'a>>,
+    ) -> Result<(), PeError> {
+        use Step::{Emit, Enter, Finish, Leave};
         let at = self.code.len() as u32;
-        self.code.push(i);
-        at
-    }
-
-    fn const_idx(&mut self, d: &two4one_syntax::datum::Datum) -> u32 {
-        let at = self.consts.len() as u32;
-        self.consts.push(d.clone());
-        at
-    }
-
-    fn stage_lam(&mut self, l: &ALambda) -> Result<u32, PeError> {
-        let at = self.lams.len() as u32;
-        self.lams.push(GenLam {
-            name: l.name,
-            params: l.params.clone(),
-            body: 0, // patched below
-        });
-        self.enter(&l.params.clone())?;
-        let body = self.emit(&l.body)?;
-        self.leave(&l.params);
-        if let Some(lam) = self.lams.get_mut(at as usize) {
-            lam.body = body;
-        }
-        Ok(at)
-    }
-
-    fn emit_args(&mut self, args: &[Arc<AExpr>]) -> Result<Box<[u32]>, PeError> {
-        let mut ips = Vec::with_capacity(args.len());
-        for a in args {
-            ips.push(self.emit(a)?);
-        }
-        Ok(ips.into_boxed_slice())
-    }
-
-    /// Emits `e`, returning its instruction pointer. Composite nodes are
-    /// emitted parent-first with child ips patched in, keeping the
-    /// "first child at `ip + 1`" convention.
-    fn emit(&mut self, e: &AExpr) -> Result<u32, PeError> {
-        Ok(match e {
+        let instr = match e {
             AExpr::Const(d) => {
-                let k = self.const_idx(d);
-                self.push(GenInstr::Const(k))
+                self.consts.push(d.clone());
+                self.ips.push(at);
+                GenInstr::Const(self.consts.len() as u32 - 1)
             }
-            AExpr::Var(x) => match self.resolve(x) {
-                Some((up, idx)) => self.push(GenInstr::Var { name: *x, up, idx }),
-                None => match self.defs.get(x) {
-                    Some(i) => {
-                        let i = *i;
-                        self.push(GenInstr::Global(i))
-                    }
-                    None => self.push(GenInstr::Unbound(*x)),
-                },
-            },
+            AExpr::Var(x) => {
+                self.ips.push(at);
+                match (self.resolve(x), self.defs.get(x)) {
+                    (Some((up, idx)), _) => GenInstr::Var { name: *x, up, idx },
+                    (None, Some(i)) => GenInstr::Global(*i),
+                    (None, None) => GenInstr::Unbound(*x),
+                }
+            }
+            // Lifting is the identity once everything is dynamic.
+            AExpr::Lift(inner) if g => {
+                steps.push(Emit(inner, true));
+                return Ok(());
+            }
             AExpr::Lift(inner) => {
-                let at = self.push(GenInstr::Lift);
-                self.emit(inner)?; // lands at `at + 1`
-                at
+                steps.extend([Finish(at, 1), Emit(inner, g)]);
+                GenInstr::Lift
             }
-            AExpr::Lam(l) => {
-                let at = self.push(GenInstr::Clo(0));
-                let li = self.stage_lam(l)?;
-                self.code[at as usize] = GenInstr::Clo(li);
-                at
+            AExpr::Lam(l) | AExpr::LamD(l) => {
+                let li = self.lams.len() as u32;
+                self.lams.push(GenLam {
+                    name: l.name,
+                    params: l.params.clone(),
+                    body: 0, // patched by `finish`
+                });
+                self.enter(&l.params)?;
+                steps.extend([Finish(at, 1), Leave(&l.params), Emit(&l.body, g)]);
+                match e {
+                    AExpr::Lam(_) if !g => GenInstr::Clo(li),
+                    _ => GenInstr::LamD(li),
+                }
             }
-            AExpr::LamD(l) => {
-                let at = self.push(GenInstr::LamD(0));
-                let li = self.stage_lam(l)?;
-                self.code[at as usize] = GenInstr::LamD(li);
-                at
-            }
-            AExpr::If(t, c, a) => {
-                let at = self.push(GenInstr::IfS { then_: 0, els: 0 });
-                self.emit(t)?; // test at `at + 1`
-                let then_ = self.emit(c)?;
-                let els = self.emit(a)?;
-                self.code[at as usize] = GenInstr::IfS { then_, els };
-                at
-            }
-            AExpr::IfD(t, c, a) => {
-                let at = self.push(GenInstr::IfD { then_: 0, els: 0 });
-                self.emit(t)?;
-                let then_ = self.emit(c)?;
-                let els = self.emit(a)?;
-                self.code[at as usize] = GenInstr::IfD { then_, els };
-                at
+            AExpr::If(t, c, a) | AExpr::IfD(t, c, a) => {
+                steps.extend([Finish(at, 3), Emit(a, g), Emit(c, g), Emit(t, g)]);
+                match e {
+                    AExpr::If(..) if !g => GenInstr::IfS { then_: 0, els: 0 },
+                    _ => GenInstr::IfD { then_: 0, els: 0 },
+                }
             }
             AExpr::Let(x, rhs, body) => {
-                let at = self.push(GenInstr::Let { name: *x, body: 0 });
-                self.emit(rhs)?; // rhs at `at + 1`
-                self.scope.push(vec![*x]);
-                let body = self.emit(body);
-                self.scope.pop();
-                self.code[at as usize] = GenInstr::Let {
-                    name: *x,
-                    body: body?,
-                };
-                at
+                let frame = std::slice::from_ref(x);
+                steps.extend([
+                    Finish(at, 2),
+                    Leave(frame),
+                    Emit(body, g),
+                    Enter(frame),
+                    Emit(rhs, g),
+                ]);
+                GenInstr::Let { name: *x, body: 0 }
             }
-            AExpr::App(f, args) => {
-                let at = self.push(GenInstr::App { args: Box::new([]) });
-                self.emit(f)?; // operator at `at + 1`
-                let args = self.emit_args(args)?;
-                self.code[at as usize] = GenInstr::App { args };
-                at
+            AExpr::App(f, args) | AExpr::AppD(f, args) => {
+                steps.push(Finish(at, 1 + args.len()));
+                steps.extend(args.iter().rev().map(|a| Emit(a, g)));
+                steps.push(Emit(f, g));
+                let args = Box::new([]);
+                match e {
+                    AExpr::App(..) if !g => GenInstr::App { args },
+                    _ => GenInstr::AppD { args },
+                }
             }
-            AExpr::AppD(f, args) => {
-                let at = self.push(GenInstr::AppD { args: Box::new([]) });
-                self.emit(f)?;
-                let args = self.emit_args(args)?;
-                self.code[at as usize] = GenInstr::AppD { args };
-                at
+            AExpr::Prim(prim, args) | AExpr::PrimD(prim, args) => {
+                steps.push(Finish(at, args.len()));
+                steps.extend(args.iter().rev().map(|a| Emit(a, g)));
+                let (prim, args) = (*prim, Box::new([]));
+                match e {
+                    AExpr::Prim(..) if !g => GenInstr::Prim { prim, args },
+                    _ => GenInstr::PrimD { prim, args },
+                }
             }
-            AExpr::Prim(p, args) => {
-                let prim = *p;
-                let at = self.push(GenInstr::Prim {
-                    prim,
-                    args: Box::new([]),
-                });
-                let args = self.emit_args(args)?;
-                self.code[at as usize] = GenInstr::Prim { prim, args };
-                at
-            }
-            AExpr::PrimD(p, args) => {
-                let prim = *p;
-                let at = self.push(GenInstr::PrimD {
-                    prim,
-                    args: Box::new([]),
-                });
-                let args = self.emit_args(args)?;
-                self.code[at as usize] = GenInstr::PrimD { prim, args };
-                at
-            }
-        })
+        };
+        self.code.push(instr);
+        Ok(())
     }
-}
 
-/// Strips every binding-time annotation down to its dynamic form. The
-/// result specializes in one structural pass (no unfolding, no static
-/// evaluation) to residual code equivalent to the unspecialized source —
-/// the "generically compiled" version of the paper's terminology, of
-/// which generic images are made.
-fn generize(e: &AExpr) -> AExpr {
-    fn garc(e: &AExpr) -> Arc<AExpr> {
-        Arc::new(generize(e))
-    }
-    match e {
-        AExpr::Const(_) | AExpr::Var(_) => e.clone(),
-        // Lifting is the identity once everything is dynamic.
-        AExpr::Lift(inner) => generize(inner),
-        AExpr::Lam(l) | AExpr::LamD(l) => AExpr::LamD(Arc::new(ALambda {
-            name: l.name,
-            params: l.params.clone(),
-            body: generize(&l.body),
-        })),
-        AExpr::If(t, c, a) | AExpr::IfD(t, c, a) => AExpr::IfD(garc(t), garc(c), garc(a)),
-        AExpr::Let(x, r, b) => AExpr::Let(*x, garc(r), garc(b)),
-        AExpr::App(f, args) | AExpr::AppD(f, args) => {
-            AExpr::AppD(garc(f), args.iter().map(|a| garc(a)).collect())
+    /// Patches the node at `at` with the ips of its `n` children, the
+    /// last `n` on `ips`, and leaves `at` in their place.
+    fn finish(&mut self, at: u32, n: usize) {
+        let base = self.ips.len() - n;
+        let kids = &self.ips[base..];
+        match &mut self.code[at as usize] {
+            GenInstr::Clo(li) | GenInstr::LamD(li) => self.lams[*li as usize].body = kids[0],
+            GenInstr::IfS { then_, els } | GenInstr::IfD { then_, els } => {
+                (*then_, *els) = (kids[1], kids[2]);
+            }
+            GenInstr::Let { body, .. } => *body = kids[1],
+            GenInstr::App { args } | GenInstr::AppD { args } => *args = kids[1..].into(),
+            GenInstr::Prim { args, .. } | GenInstr::PrimD { args, .. } => *args = kids.into(),
+            // A lifted operand sits at `at + 1`.
+            _ => {}
         }
-        AExpr::Prim(p, args) | AExpr::PrimD(p, args) => {
-            AExpr::PrimD(*p, args.iter().map(|a| garc(a)).collect())
-        }
+        self.ips.truncate(base);
+        self.ips.push(at);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use two4one_syntax::acs::{ADef, AParam};
+    use two4one_syntax::acs::{ADef, ALambda, AParam};
     use two4one_syntax::datum::Datum;
     use two4one_syntax::symbol::Symbol;
 
@@ -350,6 +334,41 @@ mod tests {
             GenInstr::Let { .. }
         ));
         assert_ne!(def.generic, def.body);
+    }
+
+    #[test]
+    fn a_deep_program_stages_on_a_small_stack() {
+        // Built and freed on a big stack: dropping the tree recurses.
+        two4one_syntax::stack::with_stack(|| {
+            let (f, x) = (Symbol::new("f"), Symbol::new("x"));
+            let depth = 100_000;
+            let body = (0..depth).fold(AExpr::Var(x), |body, _| {
+                AExpr::Let(x, var("x"), Arc::new(body))
+            });
+            let prog = Arc::new(AProgram {
+                defs: vec![ADef {
+                    name: f,
+                    params: vec![AParam {
+                        name: x,
+                        bt: BT::Dynamic,
+                    }],
+                    body,
+                    policy: CallPolicy::Unfold,
+                    result_bt: BT::Dynamic,
+                }],
+            });
+            let shared = prog.clone();
+            let staged = std::thread::Builder::new()
+                .stack_size(2 << 20)
+                .spawn(move || stage(&shared).map(|gp| gp.code.len()))
+                .expect("spawn")
+                .join()
+                .expect("staged without overflowing its stack");
+            // A `let` and its right-hand side per level, then the `x`
+            // at the bottom; once for the body and once for its generic
+            // form.
+            assert_eq!(staged.expect("stages"), 2 * (2 * depth + 1));
+        });
     }
 
     #[test]

@@ -42,12 +42,11 @@
 //! runs inline on the thread that asks for it — a requester, a batch
 //! worker or a promotion worker — with a private specializer state (memo
 //! tables, gensym, fuel), so requests never contend except on the shard
-//! mutex for the few microseconds of a lookup or fill. The gen-ext
-//! machine and the object builder both run in loops, so a fill needs no
-//! big stack; staging, the one recursive step, runs once per generation
-//! on a thread of its own (`two4one::with_stack`). Results are handed out
-//! as `Arc<SpecOutcome>`: a warm hit is one shard-mutex acquisition and
-//! one atomic refcount increment.
+//! mutex for the few microseconds of a lookup or fill. Staging, the
+//! gen-ext machine and the object builder all run in loops, so a fill
+//! needs no big stack and crosses to no other thread. Results are
+//! handed out as `Arc<SpecOutcome>`: a warm hit is one shard-mutex
+//! acquisition and one atomic refcount increment.
 
 #![warn(missing_docs)]
 
@@ -670,10 +669,9 @@ impl SpecService {
     /// Specializes `ext` to `statics`, answering from the cache when the
     /// identical request has been served before. Concurrent misses for
     /// the same key are deduplicated: one requester runs the specializer,
-    /// the rest wait and share its result. The specializer runs inline on
-    /// the calling thread, whatever its stack size; only staging a
-    /// generation not yet staged hops to a thread of its own. Runs under
-    /// [`ServeConfig::default_deadline`], if set.
+    /// the rest wait and share its result. The fill, staging included,
+    /// runs inline on the calling thread, whatever its stack size. Runs
+    /// under [`ServeConfig::default_deadline`], if set.
     ///
     /// # Errors
     ///
@@ -1414,15 +1412,8 @@ impl Core {
     /// Stages `ext` for the gen-ext machine unless a clone of it already
     /// has, counting the build. A registered generation stages once: its
     /// clones share the staged program until a redefinition retires it.
-    /// Staging recurses over the annotated program, so it runs on a big
-    /// stack of its own ([`two4one::with_stack`]); it is the one step of a
-    /// fill that needs one.
     fn stage(&self, ext: &GenExt) -> Result<(), Error> {
-        if ext.is_staged() {
-            return Ok(());
-        }
-        let ext = ext.clone();
-        if two4one::with_stack(move || ext.stage())? {
+        if ext.stage()? {
             self.stats.genext_builds.inc();
         }
         Ok(())

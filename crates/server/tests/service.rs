@@ -709,9 +709,9 @@ fn panic_during_spawned_fill_is_an_error_not_a_deadlock() {
 
 #[test]
 fn panic_during_inline_pool_fill_fails_only_that_request() {
-    // Pool workers (specialize_many) run fills inline on their own big
-    // stacks; a panic there must convert to a Worker error for that one
-    // request, not tear down the batch.
+    // Pool workers (specialize_many) run fills inline; a panic there
+    // must convert to a Worker error for that one request, not tear down
+    // the batch.
     let plan = PanicPlan::once();
     let hook_plan = plan.clone();
     let service = SpecService::with_config(ServeConfig {
@@ -855,7 +855,7 @@ fn run_deep(image: Arc<two4one::Image>, args: Vec<Datum>) -> Datum {
 }
 
 /// A fill runs inline on the requesting thread, and nothing in it needs
-/// a big stack but staging, which hops to one: a 2 MiB thread gets the
+/// a big stack: a 2 MiB thread gets the
 /// 30,000-deep residual of `DEEP` specialized, the same request's Tier-0
 /// generic image (and its promotion, on a worker with the default
 /// stack), and a residual over a static 100,000-element list.
@@ -905,6 +905,40 @@ fn fills_fit_a_requesting_thread_with_a_small_stack() {
     let long = on_small_thread(move || s.specialize(&ext, &statics).expect("long statics"));
     let got = run_deep(long.image.clone(), int(7));
     assert_eq!(got, Datum::cons(Datum::Int(7), list));
+}
+
+/// A batch worker has the default stack, and the first request for an
+/// extension renders its cache identity and stages it there. Both run in
+/// loops, so the workers serve an 8,000-clause `cond`.
+#[test]
+fn batch_workers_serve_a_long_cond() {
+    // Parsing, the analysis and dropping the program recurse, so the
+    // test body runs on a big stack; the workers do not.
+    two4one::with_stack(|| {
+        let mut src = String::from("(define (g n d) (cond");
+        for k in 0..8_000 {
+            src.push_str(&format!(" ((= n {k}) (+ d {k}))"));
+        }
+        src.push_str(" (else d)))");
+        let pgg = Pgg::new();
+        let program = pgg.parse(&src).expect("parse");
+        let ext = pgg
+            .cogen(&program, "g", &Division::new([BT::Static, BT::Dynamic]))
+            .expect("cogen");
+        let ns = [0, 3_999, 7_999, 9_000];
+        let requests: Vec<SpecRequest> = ns
+            .iter()
+            .map(|n| SpecRequest::new(ext.clone(), int(*n)))
+            .collect();
+        let service = SpecService::new();
+        for (n, r) in ns.iter().zip(service.specialize_many(&requests, 2)) {
+            let image = r.expect("batch fill").image.clone();
+            let args = [Datum::Int(*n), Datum::Int(5)];
+            let want = two4one::interpret(&program, "g", &args).expect("interpret");
+            assert_eq!(run_deep(image, vec![Datum::Int(5)]), want.value, "n = {n}");
+        }
+        assert_eq!(service.stats().genext_builds, 1);
+    });
 }
 
 #[test]

@@ -159,59 +159,63 @@ impl AExpr {
     }
 
     /// Renders to concrete syntax with the paper's underline convention
-    /// spelled `_name` for dynamic constructs, for inspection and tests.
+    /// spelled `_name` for dynamic constructs, for inspection, tests and
+    /// cache identities. Renders in a loop: a node waits on `todo` with
+    /// the number of rendered data before its children (`Some`) until
+    /// they are rendered, so a deep program costs no stack.
     pub fn to_datum(&self) -> Datum {
-        fn lam(tag: &str, l: &ALambda) -> Datum {
-            Datum::list([
-                Datum::sym(tag),
-                Datum::list(l.params.iter().cloned().map(Datum::Sym).collect::<Vec<_>>()),
-                l.body.to_datum(),
-            ])
-        }
-        match self {
-            AExpr::Const(d) => {
-                if d.is_self_evaluating() {
-                    d.clone()
-                } else {
-                    Datum::list([Datum::sym("quote"), d.clone()])
+        let mut todo = vec![(self, None)];
+        let mut done: Vec<Datum> = Vec::new();
+        while let Some((e, base)) = todo.pop() {
+            let Some(base) = base else {
+                todo.push((e, Some(done.len())));
+                match e {
+                    AExpr::Const(_) | AExpr::Var(_) => {}
+                    AExpr::Lift(x) => todo.push((x, None)),
+                    AExpr::Lam(l) | AExpr::LamD(l) => todo.push((&l.body, None)),
+                    AExpr::If(a, b, c) | AExpr::IfD(a, b, c) => {
+                        todo.extend([c, b, a].map(|x| (&**x, None)));
+                    }
+                    AExpr::Let(_, rhs, body) => todo.extend([body, rhs].map(|x| (&**x, None))),
+                    AExpr::App(f, args) | AExpr::AppD(f, args) => {
+                        todo.extend([f].into_iter().chain(args).rev().map(|x| (&**x, None)));
+                    }
+                    AExpr::Prim(_, args) | AExpr::PrimD(_, args) => {
+                        todo.extend(args.iter().rev().map(|x| (&**x, None)));
+                    }
                 }
-            }
-            AExpr::Var(x) => Datum::Sym(*x),
-            AExpr::Lift(e) => Datum::list([Datum::sym("lift"), e.to_datum()]),
-            AExpr::Lam(l) => lam("lambda", l),
-            AExpr::LamD(l) => lam("_lambda", l),
-            AExpr::If(a, b, c) => {
-                Datum::list([Datum::sym("if"), a.to_datum(), b.to_datum(), c.to_datum()])
-            }
-            AExpr::IfD(a, b, c) => {
-                Datum::list([Datum::sym("_if"), a.to_datum(), b.to_datum(), c.to_datum()])
-            }
-            AExpr::Let(x, rhs, body) => Datum::list([
-                Datum::sym("let"),
-                Datum::list([Datum::list([Datum::Sym(*x), rhs.to_datum()])]),
-                body.to_datum(),
-            ]),
-            AExpr::App(f, args) => {
-                let mut items = vec![f.to_datum()];
-                items.extend(args.iter().map(|a| a.to_datum()));
-                Datum::list(items)
-            }
-            AExpr::AppD(f, args) => {
-                let mut items = vec![Datum::sym("_apply"), f.to_datum()];
-                items.extend(args.iter().map(|a| a.to_datum()));
-                Datum::list(items)
-            }
-            AExpr::Prim(p, args) => {
-                let mut items = vec![Datum::sym(p.name())];
-                items.extend(args.iter().map(|a| a.to_datum()));
-                Datum::list(items)
-            }
-            AExpr::PrimD(p, args) => {
-                let mut items = vec![Datum::sym(&format!("_{}", p.name()))];
-                items.extend(args.iter().map(|a| a.to_datum()));
-                Datum::list(items)
-            }
+                continue;
+            };
+            let d = {
+                let mut kids = done.drain(base..);
+                let head = |tag: &str| std::iter::once(Datum::sym(tag));
+                let lam = |tag: &str, l: &ALambda| {
+                    let params = l.params.iter().cloned().map(Datum::Sym);
+                    head(tag).chain([Datum::list(params.collect::<Vec<_>>())])
+                };
+                match e {
+                    AExpr::Const(d) if d.is_self_evaluating() => d.clone(),
+                    AExpr::Const(d) => Datum::list([Datum::sym("quote"), d.clone()]),
+                    AExpr::Var(x) => Datum::Sym(*x),
+                    AExpr::Lift(_) => Datum::list(head("lift").chain(kids)),
+                    AExpr::Lam(l) => Datum::list(lam("lambda", l).chain(kids)),
+                    AExpr::LamD(l) => Datum::list(lam("_lambda", l).chain(kids)),
+                    AExpr::If(..) => Datum::list(head("if").chain(kids)),
+                    AExpr::IfD(..) => Datum::list(head("_if").chain(kids)),
+                    AExpr::Let(x, ..) => {
+                        let rhs = kids.next().unwrap_or(Datum::Nil);
+                        let binding = Datum::list([Datum::list([Datum::Sym(*x), rhs])]);
+                        Datum::list(head("let").chain([binding]).chain(kids))
+                    }
+                    AExpr::App(..) => Datum::list(kids),
+                    AExpr::AppD(..) => Datum::list(head("_apply").chain(kids)),
+                    AExpr::Prim(p, _) => Datum::list(head(p.name()).chain(kids)),
+                    AExpr::PrimD(p, _) => Datum::list(head(&format!("_{}", p.name())).chain(kids)),
+                }
+            };
+            done.push(d);
         }
+        done.pop().unwrap_or(Datum::Nil)
     }
 }
 
@@ -257,6 +261,41 @@ mod tests {
         assert!(BT::Dynamic.is_dynamic());
         assert!(!BT::Static.is_dynamic());
         assert_eq!(BT::Static.to_string(), "S");
+    }
+
+    #[test]
+    fn a_deep_program_renders_on_a_small_stack() {
+        // Built and freed on a big stack: dropping the tree recurses.
+        crate::stack::with_stack(|| {
+            let x = Symbol::new("x");
+            let depth = 100_000;
+            let body = (0..depth).fold(AExpr::Var(x), |body, _| {
+                let test = Arc::new(AExpr::Var(x));
+                AExpr::IfD(test, Arc::new(AExpr::Const(Datum::Int(1))), Arc::new(body))
+            });
+            let prog = Arc::new(AProgram {
+                defs: vec![ADef {
+                    name: Symbol::new("f"),
+                    params: vec![AParam {
+                        name: x,
+                        bt: BT::Dynamic,
+                    }],
+                    body,
+                    policy: CallPolicy::Unfold,
+                    result_bt: BT::Dynamic,
+                }],
+            });
+            let shared = prog.clone();
+            let text = std::thread::Builder::new()
+                .stack_size(2 << 20)
+                .spawn(move || shared.to_string())
+                .expect("spawn")
+                .join()
+                .expect("rendered without overflowing its stack");
+            assert!(text.starts_with("(define (f x:D) (_if x 1 (_if x 1 "));
+            // `(_if x 1 ` and `)` per level around the innermost `x`.
+            assert_eq!(text.len(), "(define (f x:D) x)\n".len() + 10 * depth);
+        });
     }
 
     #[test]

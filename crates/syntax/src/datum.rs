@@ -68,25 +68,37 @@ pub struct Pair {
 }
 
 impl PartialEq for Pair {
-    /// Compares along the cdr chain in a loop, so a long list costs no
-    /// stack; only nesting in the car recurses. At each pair the digest
-    /// goes first: unequal digests prove structural inequality, so deep
-    /// comparison only runs on (near-certain) matches. A shared tail ends
-    /// the walk at once.
+    /// Compares in a loop, so neither a long list nor a deep nest costs
+    /// stack: the walk follows the cdr chain, and a car that is a pair
+    /// waits on a stack of its own until the chain ends. At each pair the
+    /// digest goes first: unequal digests prove structural inequality, so
+    /// deep comparison only runs on (near-certain) matches. A shared pair
+    /// is equal at once and is not walked.
     fn eq(&self, other: &Self) -> bool {
+        let mut later: Vec<(&Pair, &Pair)> = Vec::new();
         let (mut a, mut b) = (self, other);
         loop {
-            if a.digest != b.digest || a.car != b.car {
+            if a.digest != b.digest {
                 return false;
             }
+            match (&a.car, &b.car) {
+                (Datum::Pair(x), Datum::Pair(y)) if !Arc::ptr_eq(x, y) => later.push((x, y)),
+                (Datum::Pair(_), Datum::Pair(_)) => {}
+                (x, y) if x != y => return false,
+                _ => {}
+            }
             match (&a.cdr, &b.cdr) {
-                (Datum::Pair(x), Datum::Pair(y)) => {
-                    if Arc::ptr_eq(x, y) {
-                        return true;
-                    }
+                (Datum::Pair(x), Datum::Pair(y)) if !Arc::ptr_eq(x, y) => {
                     (a, b) = (x, y);
+                    continue;
                 }
-                (x, y) => return x == y,
+                (Datum::Pair(_), Datum::Pair(_)) => {}
+                (x, y) if x != y => return false,
+                _ => {}
+            }
+            match later.pop() {
+                Some((x, y)) => (a, b) = (x, y),
+                None => return true,
             }
         }
     }
@@ -404,7 +416,66 @@ impl fmt::Debug for Datum {
 }
 
 impl fmt::Display for Datum {
+    /// Writes in a loop, so neither a long list nor a deep nest costs
+    /// stack: `todo` holds what is left to write, each a datum or, marked
+    /// `true`, the rest of a list whose head is written.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut todo = vec![(self, false)];
+        while let Some((d, rest)) = todo.pop() {
+            let p = match d {
+                Datum::Pair(p) => p,
+                Datum::Nil if rest => {
+                    f.write_str(")")?;
+                    continue;
+                }
+                _ if rest => {
+                    write!(f, " . {d})")?;
+                    continue;
+                }
+                _ => {
+                    d.write_atom(f)?;
+                    continue;
+                }
+            };
+            if rest {
+                f.write_str(" ")?;
+            } else if let Some((sugar, arg)) = quote_sugar(p) {
+                // Print quote sugar back.
+                f.write_str(sugar)?;
+                todo.push((arg, false));
+                continue;
+            } else {
+                f.write_str("(")?;
+            }
+            todo.push((&p.cdr, true));
+            todo.push((&p.car, false));
+        }
+        Ok(())
+    }
+}
+
+/// The reader's prefix for a two-element list headed by `quote` and its
+/// kin, with the quoted datum.
+fn quote_sugar(p: &Pair) -> Option<(&'static str, &Datum)> {
+    let (Datum::Sym(head), Datum::Pair(rest)) = (&p.car, &p.cdr) else {
+        return None;
+    };
+    if !rest.cdr.is_nil() {
+        return None;
+    }
+    let sugar = match head.as_str() {
+        "quote" => "'",
+        "quasiquote" => "`",
+        "unquote" => ",",
+        "unquote-splicing" => ",@",
+        _ => return None,
+    };
+    Some((sugar, &rest.car))
+}
+
+impl Datum {
+    /// Writes a datum that is not a pair.
+    fn write_atom(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Datum::Nil => f.write_str("()"),
             Datum::Unspec => f.write_str("#!unspecific"),
@@ -431,36 +502,7 @@ impl fmt::Display for Datum {
                 f.write_str("\"")
             }
             Datum::Sym(s) => write!(f, "{s}"),
-            Datum::Pair(_) => {
-                // Print quote sugar back.
-                if let (Some(Datum::Sym(head)), Some(2)) = (self.car(), self.list_len()) {
-                    let sugar = match head.as_str() {
-                        "quote" => Some("'"),
-                        "quasiquote" => Some("`"),
-                        "unquote" => Some(","),
-                        "unquote-splicing" => Some(",@"),
-                        _ => None,
-                    };
-                    if let Some(s) = sugar {
-                        let arg = self.cdr().and_then(|d| d.car()).expect("len-2 list");
-                        return write!(f, "{s}{arg}");
-                    }
-                }
-                f.write_str("(")?;
-                let mut it = self.iter();
-                let mut first = true;
-                for d in it.by_ref() {
-                    if !first {
-                        f.write_str(" ")?;
-                    }
-                    first = false;
-                    write!(f, "{d}")?;
-                }
-                if !it.tail().is_nil() {
-                    write!(f, " . {}", it.tail())?;
-                }
-                f.write_str(")")
-            }
+            Datum::Pair(_) => write!(f, "{self}"),
         }
     }
 }
@@ -615,6 +657,46 @@ mod tests {
             );
             assert!(a == b);
         });
+    }
+
+    #[test]
+    fn deep_data_compare_on_a_small_stack() {
+        on_small_stack(|| {
+            let depth = crate::limits::Limits::default()
+                .input_depth_cap
+                .expect("a default depth cap");
+            let nest = |last: i64| {
+                (0..depth).fold(Datum::Int(last), |acc, _| Datum::cons(acc, Datum::Nil))
+            };
+            // Equal but distinct, nested in the car: every pair is compared.
+            assert!(nest(0) == nest(0));
+            assert!(nest(0) != nest(1));
+            // Nests down both links at once.
+            let tree = || {
+                (0..depth).fold(Datum::Nil, |acc, i| {
+                    Datum::cons(acc, Datum::cons(Datum::Int(i as i64), Datum::Nil))
+                })
+            };
+            assert!(tree() == tree());
+        });
+    }
+
+    #[test]
+    fn equal_digests_still_compare_structure() {
+        // Forged digests: the walk must decide on structure alone.
+        let forged = |car: Datum, cdr: Datum| {
+            Datum::Pair(Arc::new(Pair {
+                car,
+                cdr,
+                digest: 7,
+            }))
+        };
+        let one = || l(&[Datum::from(1)]);
+        assert!(forged(one(), Datum::from(2)) == forged(one(), Datum::from(2)));
+        assert!(forged(one(), Datum::from(2)) != forged(one(), Datum::from(3)));
+        assert!(forged(one(), Datum::from(2)) != forged(l(&[Datum::from(9)]), Datum::from(2)));
+        assert!(forged(Datum::from(1), one()) != forged(Datum::from(1), Datum::Nil));
+        assert!(forged(Datum::from(1), one()) != forged(Datum::from(2), one()));
     }
 
     #[test]
