@@ -71,8 +71,8 @@ pub enum ObjSerious {
 }
 
 /// A residual body: the number of its node among all the nodes its
-/// builder made, freed ones included, so a body used after `define`
-/// freed it is told apart from the live node at its arena slot.
+/// builder made, freed ones included (modulo 2^32), so a body used after
+/// `define` freed it is told apart from the live node at its arena slot.
 #[derive(Clone, Copy)]
 pub struct ObjCode(u32);
 
@@ -123,7 +123,7 @@ fn emit_body(
             }
         };
         let load = |asm: &mut Asm, t: &ObjTriv| emit_triv(t, asm, &cenv);
-        let node = code.0.checked_sub(base).and_then(|i| nodes.get(i as usize));
+        let node = nodes.get(code.0.wrapping_sub(base) as usize);
         match node.ok_or(CompileError::FreedBody)? {
             Node::Ret(t) => {
                 load(asm, t)?;
@@ -272,7 +272,7 @@ impl ObjectBuilder {
     /// Counts a body constructor and adds its node to the arena.
     fn node(&mut self, n: Node) -> ObjCode {
         self.count();
-        let code = ObjCode(self.base + self.nodes.len() as u32);
+        let code = ObjCode(self.base.wrapping_add(self.nodes.len() as u32));
         self.nodes.push(n);
         code
     }
@@ -428,7 +428,7 @@ impl CodeBuilder for ObjectBuilder {
         if let Some(t) = self.compile_closed(name, params, &[], body) {
             self.defs.push((*name, t));
         }
-        self.base += self.nodes.len() as u32;
+        self.base = self.base.wrapping_add(self.nodes.len() as u32);
         self.nodes.clear();
     }
 
