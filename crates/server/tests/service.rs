@@ -855,10 +855,10 @@ fn run_deep(image: Arc<two4one::Image>, args: Vec<Datum>) -> Datum {
 }
 
 /// A fill runs inline on the requesting thread, and nothing in it needs
-/// a big stack: a 2 MiB thread gets the
-/// 30,000-deep residual of `DEEP` specialized, the same request's Tier-0
-/// generic image (and its promotion, on a worker with the default
-/// stack), and a residual over a static 100,000-element list.
+/// a big stack: a 2 MiB thread gets the 30,000-deep residual of `DEEP`
+/// specialized, the same request's Tier-0 generic image (and its
+/// promotion, on a worker with the default stack), and a residual over a
+/// static 100,000-element list.
 #[test]
 fn fills_fit_a_requesting_thread_with_a_small_stack() {
     const N: i64 = 30_000;
@@ -1185,8 +1185,8 @@ fn warm_hit_records_hit_metric_and_no_specializer_spans() {
     let service = SpecService::new();
     let ext = power_ext(&Pgg::new());
 
-    // Cold fill: the request's trace (absorbed back from the big-stack
-    // worker) must contain a gen-ext run span (the specializer).
+    // Cold fill: the request's trace (the fill ran inline on this
+    // thread) must contain a gen-ext run span (the specializer).
     obs::clear_trace();
     service.specialize(&ext, &int(9)).expect("cold");
     let cold_trace = obs::take_trace();
